@@ -44,6 +44,22 @@ def _parse_sigmas(spec: str) -> list[float]:
     raise ValueError("spacing must be 'geometric' or 'linear'")
 
 
+def _sweep_sigmas(args) -> list[float] | None:
+    """The parsed --sigmas, or None after printing why the sweep cannot run."""
+    from .families import sweep_input_error
+
+    try:
+        sigmas = _parse_sigmas(args.sigmas)
+    except ValueError as exc:
+        print(f"bad --sigmas: {exc}", file=sys.stderr)
+        return None
+    problem = sweep_input_error(args.family, sigmas, getattr(args, "theorem", None))
+    if problem:
+        print(f"bad sweep: {problem}", file=sys.stderr)
+        return None
+    return sigmas
+
+
 def _write_csv(path, header, rows):
     out = open(path, "w", newline="") if path else sys.stdout
     try:
@@ -137,10 +153,8 @@ def cmd_rates(args) -> int:
     from .families import stability_sweep
 
     cfg = _load_cfg(args)
-    try:
-        sigmas = _parse_sigmas(args.sigmas)
-    except ValueError as exc:
-        print(f"bad --sigmas: {exc}", file=sys.stderr)
+    sigmas = _sweep_sigmas(args)
+    if sigmas is None:
         return 2
     sweep = stability_sweep(args.family, sigmas, grid=None)
     slope = sweep.energy_slope[0] if sweep.energy_slope else float("nan")
@@ -155,10 +169,8 @@ def cmd_stability(args) -> int:
     from .families import stability_sweep
 
     cfg = _load_cfg(args)
-    try:
-        sigmas = _parse_sigmas(args.sigmas)
-    except ValueError as exc:
-        print(f"bad --sigmas: {exc}", file=sys.stderr)
+    sigmas = _sweep_sigmas(args)
+    if sigmas is None:
         return 2
     sweep = stability_sweep(args.family, sigmas, theorem=args.theorem, grid=None)
     rows = [[r["sigma"], r["lhs"], r["delta"], r["epsilon"], r["E"], r["ratio"]] for r in sweep.rows()]

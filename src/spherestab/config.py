@@ -5,20 +5,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-from .quadrature import SphereGrid, build_sphere_grid
+from .quadrature import DEFAULT_RESOLUTIONS, SphereGrid, sphere_grid
 
 __all__ = ["Config", "load_config"]
 
 
 @dataclass(frozen=True)
 class Config:
-    resolutions: dict[int, int] = field(default_factory=lambda: {2: 64, 3: 48, 4: 24})
+    resolutions: dict[int, int] = field(default_factory=lambda: dict(DEFAULT_RESOLUTIONS))
     kmax: dict[int, int] = field(default_factory=lambda: {2: 8, 3: 8, 4: 6})
     tol_exact: float = 1e-10
     tol_quad: float = 1e-6
     tol_solver: float = 1e-8
     seed: int = 2024
-    out_dir: str = "."
 
     def __post_init__(self):
         for t in (self.tol_exact, self.tol_quad, self.tol_solver):
@@ -26,20 +25,10 @@ class Config:
                 raise ValueError("tolerances must be positive")
 
     def grid(self, n: int) -> SphereGrid:
-        return _grid_cached(n, self.resolutions[n])
+        return sphere_grid(n, self.resolutions[n])
 
     def with_tolerance(self, tol: float) -> "Config":
         return replace(self, tol_exact=tol, tol_quad=tol, tol_solver=tol)
-
-
-_GRIDS: dict[tuple[int, int], SphereGrid] = {}
-
-
-def _grid_cached(n: int, res: int) -> SphereGrid:
-    key = (n, res)
-    if key not in _GRIDS:
-        _GRIDS[key] = build_sphere_grid(n, res)
-    return _GRIDS[key]
 
 
 def load_config(path: str) -> Config:
@@ -55,6 +44,4 @@ def load_config(path: str) -> Config:
             kw[name] = float(raw[name])
     if "seed" in raw:
         kw["seed"] = int(raw["seed"])
-    if "out_dir" in raw:
-        kw["out_dir"] = str(raw["out_dir"])
     return Config(**kw)

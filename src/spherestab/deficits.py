@@ -111,18 +111,12 @@ def signed_volume(u: SphereMap, grid: SphereGrid | None = None) -> float:
 
 
 def _poly_volume_integrand(u: SphereMap) -> Poly:
-    """det(J P + u x^t) as an exact polynomial (n = 3)."""
-    n = u.n
-    comps = u.components
-    xs = [Poly.coordinate(n, i) for i in range(n)]
-    B = [[None] * n for _ in range(n)]
-    for i in range(n):
-        grad = comps[i].gradient()
-        radial = Poly(n)
-        for b in range(n):
-            radial = radial + grad[b] * xs[b]
-        for l in range(n):
-            B[i][l] = grad[l] - radial * xs[l] + comps[i] * xs[l]
+    """det(J P + u x^t) as an exact polynomial (n = 3).
+
+    Entry (i, l) is d_l u^i - <x, grad u^i> x_l + u^i x_l, and <x, grad u^i>
+    is the Euler operator applied to u^i.
+    """
+    B = [[c.diff(l) - c.euler().xmul(l) + c.xmul(l) for l in range(3)] for c in u.components]
     return _det3(B)
 
 

@@ -39,8 +39,31 @@ __all__ = [
     "rate_fit",
     "FamilySweep",
     "stability_sweep",
+    "sweep_input_error",
     "expansion_suite",
 ]
+
+
+# open parameter interval of each family
+_DOMAINS = {
+    "flip": (0.0, 2.0 * np.pi),
+    "stretch": (0.0, 0.5),
+    "ellipsoid": (0.0, 1.0),
+    "homothety": (0.0, 1.0),
+}
+
+
+def _domain_error(family: str, sigma: float) -> str | None:
+    lo, hi = _DOMAINS[family]
+    if lo < sigma < hi:
+        return None
+    return f"{family} parameter {float(sigma):g} must lie in ({lo:g}, {hi:g})"
+
+
+def _check_parameter(family: str, sigma: float) -> None:
+    problem = _domain_error(family, sigma)
+    if problem:
+        raise ValueError(problem)
 
 
 def _circle_map(theta_breaks, u_of_theta, du_of_theta, points_per_segment=48) -> SphereMap:
@@ -56,8 +79,7 @@ def _circle_map(theta_breaks, u_of_theta, du_of_theta, points_per_segment=48) ->
 def flip_family(sigma: float) -> SphereMap:
     """Circle map equal to the identity except on the sigma-arc at the
     south point, where it flips across the horizontal chord."""
-    if not 0.0 < sigma < 2.0 * np.pi:
-        raise ValueError("flip parameter must lie in (0, 2 pi)")
+    _check_parameter("flip", sigma)
     a = 1.5 * np.pi - 0.5 * sigma
     b = 1.5 * np.pi + 0.5 * sigma
     y0 = np.sin(a)
@@ -75,8 +97,7 @@ def flip_family(sigma: float) -> SphereMap:
 
 def stretch_family(sigma: float) -> SphereMap:
     """Circle map from the triple-cover profile f_sigma on [0, 1]."""
-    if not 0.0 < sigma < 0.5:
-        raise ValueError("stretch parameter must lie in (0, 1/2)")
+    _check_parameter("stretch", sigma)
 
     def f(t):
         return np.where(t < sigma, t, np.where(t < 2.0 * sigma, 2.0 * sigma - t, (t - 2.0 * sigma) / (1.0 - 2.0 * sigma)))
@@ -99,8 +120,7 @@ def stretch_family(sigma: float) -> SphereMap:
 
 def ellipsoid_family(sigma: float, n: int = 3) -> SphereMap:
     """diag(1, ..., 1, 1+sigma) x; closed forms D = (n-1+(1+sigma)^2)/n etc."""
-    if not 0.0 < sigma < 1.0:
-        raise ValueError("ellipsoid parameter must lie in (0, 1)")
+    _check_parameter("ellipsoid", sigma)
     d = np.ones(n)
     d[-1] = 1.0 + sigma
     return linear_map(np.diag(d))
@@ -108,8 +128,7 @@ def ellipsoid_family(sigma: float, n: int = 3) -> SphereMap:
 
 def homothety_family(sigma: float, n: int = 3) -> SphereMap:
     """(1 - sigma) id: a globally short map with pure volume deficit."""
-    if not 0.0 < sigma < 1.0:
-        raise ValueError("homothety parameter must lie in (0, 1)")
+    _check_parameter("homothety", sigma)
     return linear_map((1.0 - sigma) * np.eye(n))
 
 
@@ -152,12 +171,30 @@ def rate_fit(pairs) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), resid
 
 
+# builder, default theorem, dimension n of the domain sphere S^{n-1}
 _FAMILIES = {
     "flip": (flip_family, "isometric", 2),
     "stretch": (stretch_family, "isometric", 2),
     "homothety": (homothety_family, "isometric", 3),
     "ellipsoid": (ellipsoid_family, "conformal", 3),
 }
+
+
+def sweep_input_error(family: str, sigmas, theorem: str | None = None) -> str | None:
+    """Why :func:`stability_sweep` cannot run on these inputs, or None if it can."""
+    if family not in _FAMILIES:
+        return f"unknown family {family!r}; choose from {sorted(_FAMILIES)}"
+    _, default_thm, n = _FAMILIES[family]
+    for s in sigmas:
+        problem = _domain_error(family, s)
+        if problem:
+            return problem
+    theorem = theorem or default_thm
+    if theorem not in ("isometric", "conformal"):
+        return "theorem must be 'isometric' or 'conformal'"
+    if theorem == "conformal" and n != 3:
+        return f"the conformal theorem needs maps of S^2 into R^3; the {family} family maps S^{n - 1}"
+    return None
 
 
 @dataclass
@@ -192,11 +229,12 @@ def stability_sweep(family: str, sigmas, theorem: str | None = None,
     ratio lhs/(delta + epsilon).  theorem = "conformal": lhs is the
     nearest-Moebius value, ratio lhs/E.
     """
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
+    sig = sorted(float(s) for s in sigmas)
+    problem = sweep_input_error(family, sig, theorem)
+    if problem:
+        raise ValueError(problem)
     builder, default_thm, _n = _FAMILIES[family]
     theorem = theorem or default_thm
-    sig = sorted(float(s) for s in sigmas)
     reports, lhs, energies, ratios = [], [], [], []
     for s in sig:
         u = builder(s)
@@ -218,8 +256,6 @@ def stability_sweep(family: str, sigmas, theorem: str | None = None,
             res = nearest_moebius(u, grid)
             lhs.append(res.value)
             rhs = rep.combined
-        else:
-            raise ValueError("theorem must be 'isometric' or 'conformal'")
         ratios.append(lhs[-1] / rhs if rhs and rhs > 0 else float("inf"))
     sweep = FamilySweep(family, theorem, sig, reports, lhs, energies, ratios)
     try:

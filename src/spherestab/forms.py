@@ -18,7 +18,6 @@ import numpy as np
 from .errors import IntegrityError
 from .homogeneous import (
     field_a_operator,
-    field_from_map,
     field_inner_x,
     field_pair,
     field_pjp_entries,
@@ -70,7 +69,7 @@ def _node_data(u: SphereMap, grid: SphereGrid | None):
 def tangential_energy(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """Integral of |grad_T u|^2 (normalized measure)."""
     if u.is_poly:
-        return field_tangential_energy(field_from_map(u))
+        return field_tangential_energy(u.components)
     g, X, U, J = _node_data(u, grid)
     TJ = tangential_jacobians(J, X)
     return float(g.weights @ np.einsum("aik,aik->a", TJ, TJ))
@@ -79,7 +78,7 @@ def tangential_energy(u: SphereMap, grid: SphereGrid | None = None) -> float:
 def surface_div_sq(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """Integral of (div_S u)^2."""
     if u.is_poly:
-        d = field_surface_div(field_from_map(u))
+        d = field_surface_div(u.components)
         return d.pair(d)
     g, X, U, J = _node_data(u, grid)
     d = surface_divergence(J, X)
@@ -92,7 +91,7 @@ def q_vol(v: SphereMap, w: SphereMap, grid: SphereGrid | None = None) -> float:
         raise ValueError("q_vol needs two maps into R^n")
     n = v.n
     if v.is_poly and w.is_poly:
-        return 0.5 * n * field_pair(field_from_map(v), field_a_operator(field_from_map(w)))
+        return 0.5 * n * field_pair(v.components, field_a_operator(w.components))
     g, X, U, J = _node_data(w, grid)
     Vv = v.eval(X) if not v.is_sampled else v.sample(g)[1]
     av = a_operator_values(U, J, X)
@@ -104,7 +103,7 @@ def q_vol_alt(w: SphereMap, grid: SphereGrid | None = None) -> float:
     (n/2) * integral of (2 div_S w <w,x> - n <w,x>^2 + |w|^2)."""
     n = w.n
     if w.is_poly:
-        f = field_from_map(w)
+        f = w.components
         d = field_surface_div(f)
         r = field_inner_x(f)
         return 0.5 * n * (2.0 * d.pair(r) - n * r.pair(r) + field_pair(f, f))
@@ -118,7 +117,7 @@ def q_vol_alt(w: SphereMap, grid: SphereGrid | None = None) -> float:
 def _sym_energy(u: SphereMap, grid: SphereGrid | None) -> float:
     """Integral of |(P J P)_sym|^2."""
     if u.is_poly:
-        S = field_pjp_sym(field_from_map(u))
+        S = field_pjp_sym(u.components)
         return matrix_frobenius_pair(S, S)
     g, X, U, J = _node_data(u, grid)
     S = sym_tangential_part(J, X)
@@ -128,7 +127,7 @@ def _sym_energy(u: SphereMap, grid: SphereGrid | None) -> float:
 def _pjp_energy(u: SphereMap, grid: SphereGrid | None) -> float:
     """Integral of |P J P|^2 (unsymmetrized tangential block)."""
     if u.is_poly:
-        M = field_pjp_entries(field_from_map(u))
+        M = field_pjp_entries(u.components)
         return matrix_frobenius_pair(M, M)
     g, X, U, J = _node_data(u, grid)
     P = projectors(X)
@@ -199,8 +198,8 @@ def mixed_div_term(a: EigenField, b: EigenField, grid: SphereGrid | None = None)
         raise TypeError("mixed_div_term needs labeled eigenfields")
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    da = field_surface_div(field_from_map(a.map))
-    db = field_surface_div(field_from_map(b.map))
+    da = field_surface_div(a.map.components)
+    db = field_surface_div(b.map.components)
     return da.pair(db)
 
 

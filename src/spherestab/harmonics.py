@@ -17,8 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IntegrityError
-from .homogeneous import diff_matrix, exps, field_from_map, gram, gram_rect, pv_from_poly
-from .polynomials import Poly
+from .polynomials import Poly, diff_matrix, evaluate, exps, gram, gram_rect
 from .quadrature import SphereGrid
 from .spheremap import SphereMap, poly_map
 
@@ -79,25 +78,17 @@ class Subspace:
     @property
     def maps(self) -> list[SphereMap]:
         if self._maps is None:
-            ms = []
-            for a in range(self.dim):
-                comps = []
-                for i in range(self.n):
-                    comps.append(_poly_from_coeffs(self.n, self.k, self.coeffs[a, i]))
-                ms.append(poly_map(self.n, comps))
-            self._maps = ms
+            self._maps = [self._field(c) for c in self.coeffs]
         return self._maps
 
     def element(self, combo: np.ndarray) -> SphereMap:
         """Linear combination of basis fields with the given coefficients."""
         combo = np.asarray(combo, dtype=float)
-        vec = np.einsum("a,aim->im", combo, self.coeffs)
-        comps = [_poly_from_coeffs(self.n, self.k, vec[i]) for i in range(self.n)]
-        return poly_map(self.n, comps)
+        return self._field(np.einsum("a,aim->im", combo, self.coeffs))
 
-
-def _poly_from_coeffs(n: int, k: int, vec: np.ndarray) -> Poly:
-    return Poly(n, {e: c for e, c in zip(exps(n, k), vec) if c != 0.0})
+    def _field(self, vec: np.ndarray) -> SphereMap:
+        """The map whose component i has the degree-k block vec[i]."""
+        return poly_map(self.n, [Poly.from_blocks(self.n, {self.k: v}) for v in vec])
 
 
 def laplace_eigenvalue(n: int, k: int) -> int:
@@ -160,7 +151,7 @@ def _mgs(rows: np.ndarray, G: np.ndarray) -> np.ndarray:
 def scalar_basis(n: int, k: int) -> list[HarmonicPoly]:
     """L2-orthonormal scalar spherical harmonics of degree k (normalized measure)."""
     C = scalar_basis_coeffs(n, k)
-    return [HarmonicPoly(n, k, _poly_from_coeffs(n, k, row)) for row in C]
+    return [HarmonicPoly(n, k, Poly.from_blocks(n, {k: row})) for row in C]
 
 
 @lru_cache(maxsize=None)
@@ -181,13 +172,10 @@ def vector_space_coeffs(n: int, k: int) -> np.ndarray:
             cand[i * G_cnt + j, i] = S[j]
     if k == 1:
         # constraint: sum_i integral(w^i x_i) = 0
-        from .moments import sphere_moment
-
-        e1 = exps(n, 1)
+        e1, G1 = exps(n, 1), gram(n, 1)
         con = np.zeros(n * G_cnt)
         for i in range(n):
-            unit = tuple(1 if l == i else 0 for l in range(n))
-            mom = np.array([float(sphere_moment(n, tuple(a + b for a, b in zip(e, unit)))) for e in e1])
+            mom = G1[e1.index(tuple(1 if l == i else 0 for l in range(n)))]  # moments of x_i x^e
             for j in range(G_cnt):
                 con[i * G_cnt + j] = mom @ S[j]
         _, s, vh = np.linalg.svd(con[None, :])
@@ -234,12 +222,11 @@ def analyze(u: SphereMap, kmax: int, grid: SphereGrid | None = None) -> Harmonic
     blocks: dict[int, np.ndarray] = {}
     warn_flag = False
     if u.is_poly:
-        comps = [pv_from_poly(c) for c in u.components]
         for k in range(kmax + 1):
             S = scalar_basis_coeffs(n, k)
             blk = np.zeros((m, S.shape[0]))
-            for i, pv in enumerate(comps):
-                for d, v in pv.parts.items():
+            for i, c in enumerate(u.components):
+                for d, v in c.blocks.items():
                     if (d + k) % 2 == 0:
                         blk[i] += S @ gram_rect(n, k, d) @ v
             blocks[k] = blk
@@ -259,22 +246,17 @@ def analyze(u: SphereMap, kmax: int, grid: SphereGrid | None = None) -> Harmonic
             )
         w = grid.weights
         for k in range(kmax + 1):
-            basis = scalar_basis(n, k)
-            vals = np.stack([b(X) for b in basis], axis=0)  # (G, N)
-            blocks[k] = (U.T * w) @ vals.T
+            vals = evaluate([b.poly for b in scalar_basis(n, k)], X)  # (N, G)
+            blocks[k] = (U.T * w) @ vals
     return HarmonicExpansion(n, m, kmax, blocks, warn_flag)
 
 
 def synthesize(e: HarmonicExpansion) -> SphereMap:
     """Poly-backed map whose components are the expansion's harmonic sums."""
-    comps = []
-    for i in range(e.m):
-        p = Poly(e.n)
-        for k, blk in e.blocks.items():
-            S = scalar_basis_coeffs(e.n, k)
-            vec = blk[i] @ S
-            p = p + _poly_from_coeffs(e.n, k, vec)
-        comps.append(p)
+    comps = [
+        Poly.from_blocks(e.n, {k: blk[i] @ scalar_basis_coeffs(e.n, k) for k, blk in e.blocks.items()})
+        for i in range(e.m)
+    ]
     return poly_map(e.n, comps)
 
 
@@ -293,9 +275,8 @@ def grad_origin(u: SphereMap, grid: SphereGrid | None = None) -> np.ndarray:
     if u.is_poly:
         out = np.empty((u.m, n))
         for i, c in enumerate(u.components):
-            pv = pv_from_poly(c)
             for j in range(n):
-                out[i, j] = n * pv.xmul(j).sphere_integral()
+                out[i, j] = n * c.xmul(j).sphere_integral()
         return out
     if grid is None:
         grid = u.grid
@@ -313,8 +294,7 @@ def harmonic_extension_eval(e: HarmonicExpansion, point: np.ndarray) -> np.ndarr
         if k == 0:
             out += blk[:, 0]  # constant harmonic is identically 1
             continue
-        basis = scalar_basis(e.n, k)
-        vals = np.array([b.poly(point) for b in basis])
+        vals = evaluate([b.poly for b in scalar_basis(e.n, k)], point)[0]
         out += blk @ vals
     return out
 
@@ -329,7 +309,7 @@ def poincare_deficit(u: SphereMap, grid: SphereGrid | None = None) -> float:
     if u.is_poly:
         from .homogeneous import field_tangential_energy
 
-        f = field_from_map(u)
+        f = u.components
         energy = field_tangential_energy(f)
         var = 0.0
         for c in f:

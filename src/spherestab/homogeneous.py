@@ -1,193 +1,72 @@
-"""Coefficient-space calculus for polynomials split into homogeneous parts.
+"""Field operators: exact surface calculus on polynomial vector fields.
 
-Everything polynomial in this package reduces to linear algebra over
-monomial coefficient vectors: differentiation and coordinate
-multiplication are sparse matrices between degree spaces, and sphere
-integrals of products are bilinear forms with exact moment Gram matrices.
-This keeps the quadratic-form evaluations (energies, divergences, the
-volume-form operator) both exact and fast.
+A vector field is a sequence of :class:`~spherestab.polynomials.Poly`
+components, one per ambient coordinate, as in ``u.components`` of a
+poly-backed map.  The operators below assemble the surface divergence,
+the volume-form operator A, the tangential Jacobian blocks and their
+energies from the block algebra of :mod:`spherestab.polynomials`, so the
+quadratic-form evaluations (energies, divergences, the volume-form
+operator) are both exact and fast.
 
-`PV` ("poly vector") is a scalar polynomial stored as {degree: coefficient
-vector}; vector fields are lists of PVs, one per component.
+``exps``, ``gram`` and ``gram_rect`` are re-exported from
+:mod:`spherestab.polynomials`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .moments import sphere_moment
-from .polynomials import Poly, monomial_exponents
+from .polynomials import Poly, exps, gram, gram_rect
 
-__all__ = ["PV", "pv_from_poly", "field_from_map", "exps", "diff_matrix", "xmul_matrix", "gram", "gram_rect"]
+__all__ = [
+    "exps",
+    "gram",
+    "gram_rect",
+    "field_radials",
+    "field_inner_x",
+    "field_surface_div",
+    "field_a_operator",
+    "field_pair",
+    "field_mean",
+    "field_tangential_energy",
+    "field_pjp_entries",
+    "field_pjp_sym",
+    "matrix_frobenius_pair",
+]
 
-
-@lru_cache(maxsize=None)
-def exps(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(monomial_exponents(n, k))
-
-
-@lru_cache(maxsize=None)
-def _index(n: int, k: int) -> dict[tuple[int, ...], int]:
-    return {e: i for i, e in enumerate(exps(n, k))}
-
-
-@lru_cache(maxsize=None)
-def diff_matrix(n: int, k: int, i: int) -> np.ndarray:
-    """d/dx_i as a (M_{k-1} x M_k) matrix on monomial coefficients."""
-    src, dst = exps(n, k), _index(n, k - 1)
-    D = np.zeros((len(dst), len(src)))
-    for col, e in enumerate(src):
-        if e[i] > 0:
-            e2 = list(e)
-            e2[i] -= 1
-            D[dst[tuple(e2)], col] = e[i]
-    return D
-
-
-@lru_cache(maxsize=None)
-def xmul_matrix(n: int, k: int, i: int) -> np.ndarray:
-    """Multiplication by x_i as a (M_{k+1} x M_k) matrix."""
-    src, dst = exps(n, k), _index(n, k + 1)
-    X = np.zeros((len(dst), len(src)))
-    for col, e in enumerate(src):
-        e2 = list(e)
-        e2[i] += 1
-        X[dst[tuple(e2)], col] = 1.0
-    return X
-
-
-@lru_cache(maxsize=None)
-def gram(n: int, k: int) -> np.ndarray:
-    return gram_rect(n, k, k)
-
-
-@lru_cache(maxsize=None)
-def gram_rect(n: int, k1: int, k2: int) -> np.ndarray:
-    """Moments of x^(p+q) for deg-k1 p against deg-k2 q (exact, as floats)."""
-    e1, e2 = exps(n, k1), exps(n, k2)
-    G = np.zeros((len(e1), len(e2)))
-    if (k1 + k2) % 2 == 1:
-        return G
-    for a, p in enumerate(e1):
-        for b, q in enumerate(e2):
-            G[a, b] = float(sphere_moment(n, tuple(x + y for x, y in zip(p, q))))
-    return G
-
-
-class PV:
-    """Scalar polynomial as {degree: coefficient vector over exps(n, degree)}."""
-
-    __slots__ = ("n", "parts")
-
-    def __init__(self, n: int, parts: dict[int, np.ndarray] | None = None):
-        self.n = n
-        self.parts: dict[int, np.ndarray] = {}
-        if parts:
-            for d, v in parts.items():
-                v = np.asarray(v, dtype=float)
-                if np.any(v != 0.0):
-                    self.parts[d] = self.parts.get(d, 0.0) + v
-
-    def copy(self) -> "PV":
-        return PV(self.n, {d: v.copy() for d, v in self.parts.items()})
-
-    def __add__(self, other: "PV") -> "PV":
-        out = {d: v.copy() for d, v in self.parts.items()}
-        for d, v in other.parts.items():
-            out[d] = out[d] + v if d in out else v.copy()
-        return PV(self.n, out)
-
-    def __sub__(self, other: "PV") -> "PV":
-        return self + other.scale(-1.0)
-
-    def scale(self, a: float) -> "PV":
-        return PV(self.n, {d: a * v for d, v in self.parts.items()})
-
-    def diff(self, i: int) -> "PV":
-        out = {}
-        for d, v in self.parts.items():
-            if d >= 1:
-                out[d - 1] = out.get(d - 1, 0.0) + diff_matrix(self.n, d, i) @ v
-        return PV(self.n, out)
-
-    def xmul(self, i: int) -> "PV":
-        return PV(self.n, {d + 1: xmul_matrix(self.n, d, i) @ v for d, v in self.parts.items()})
-
-    def euler(self) -> "PV":
-        """sum_i x_i d/dx_i, i.e. degree-weighting of homogeneous parts."""
-        return PV(self.n, {d: d * v for d, v in self.parts.items()})
-
-    def pair(self, other: "PV") -> float:
-        """Exact normalized sphere integral of the product."""
-        total = 0.0
-        for d1, v1 in self.parts.items():
-            for d2, v2 in other.parts.items():
-                if (d1 + d2) % 2 == 0:
-                    total += v1 @ gram_rect(self.n, d1, d2) @ v2
-        return float(total)
-
-    def sphere_integral(self) -> float:
-        total = 0.0
-        for d, v in self.parts.items():
-            if d % 2 == 0:
-                m = np.array([float(sphere_moment(self.n, e)) for e in exps(self.n, d)])
-                total += m @ v
-        return float(total)
-
-    def to_poly(self) -> Poly:
-        coeffs = {}
-        for d, v in self.parts.items():
-            for e, c in zip(exps(self.n, d), v):
-                if c != 0.0:
-                    coeffs[e] = coeffs.get(e, 0.0) + c
-        return Poly(self.n, coeffs)
-
-
-def pv_from_poly(p: Poly) -> PV:
-    parts: dict[int, np.ndarray] = {}
-    for e, c in p.coeffs.items():
-        d = sum(e)
-        if d not in parts:
-            parts[d] = np.zeros(len(exps(p.n, d)))
-        parts[d][_index(p.n, d)[e]] += c
-    return PV(p.n, parts)
-
-
-def field_from_map(u) -> list[PV]:
-    """Components of a poly-backed SphereMap as PVs."""
-    return [pv_from_poly(c) for c in u.components]
+Field = Sequence[Poly]
 
 
 # ---------------------------------------------------------------------------
 # first-order surface operators on poly vector fields (exact)
 # ---------------------------------------------------------------------------
 
-def field_radials(f: list[PV]) -> list[PV]:
+def field_radials(f: Field) -> Field:
     """r_i = <x, grad f^i> = Euler operator on each component."""
     return [c.euler() for c in f]
 
 
-def field_inner_x(f: list[PV]) -> PV:
-    """<f, x> as a PV."""
-    out = PV(f[0].n)
+def field_inner_x(f: Field) -> Poly:
+    """<f, x> as a Poly."""
+    out = Poly(f[0].n)
     for i, c in enumerate(f):
         out = out + c.xmul(i)
     return out
 
 
-def field_surface_div(f: list[PV]) -> PV:
+def field_surface_div(f: Field) -> Poly:
     """div_S f = tr(J P) = div f - <x, (grad f) x> for an n-component field."""
     n = f[0].n
-    out = PV(n)
+    out = Poly(n)
     for i in range(n):
         out = out + f[i].diff(i)
     return out - field_inner_x(field_radials(f))
 
 
-def field_a_operator(f: list[PV]) -> list[PV]:
-    """A(f) = (div_S f) x - sum_j x_j grad_T f^j, componentwise PVs."""
+def field_a_operator(f: Field) -> Field:
+    """A(f) = (div_S f) x - sum_j x_j grad_T f^j, componentwise Polys."""
     n = f[0].n
     div_s = field_surface_div(f)
     radials = field_radials(f)
@@ -201,16 +80,16 @@ def field_a_operator(f: list[PV]) -> list[PV]:
     return out
 
 
-def field_pair(f: list[PV], g: list[PV]) -> float:
+def field_pair(f: Field, g: Field) -> float:
     """Exact integral of <f, g> over the sphere."""
     return sum(a.pair(b) for a, b in zip(f, g))
 
 
-def field_mean(f: list[PV]) -> np.ndarray:
+def field_mean(f: Field) -> np.ndarray:
     return np.array([c.sphere_integral() for c in f])
 
 
-def field_tangential_energy(f: list[PV]) -> float:
+def field_tangential_energy(f: Field) -> float:
     """Integral of |grad_T f|^2 = sum_i (|grad f^i|^2 - <x, grad f^i>^2)."""
     n = f[0].n
     total = 0.0
@@ -223,14 +102,14 @@ def field_tangential_energy(f: list[PV]) -> float:
     return total
 
 
-def field_pjp_entries(f: list[PV]) -> list[list[PV]]:
-    """Entries of P J P as PVs (the tangential-tangential block of the
+def field_pjp_entries(f: Field) -> list[Field]:
+    """Entries of P J P as Polys (the tangential-tangential block of the
     Jacobian, expressed in ambient coordinates)."""
     n = f[0].n
     radials = field_radials(f)          # r_i = <x, grad f^i>, per component
     rho = []                            # rho_l = sum_a x_a d_l f^a
     for l in range(n):
-        p = PV(n)
+        p = Poly(n)
         for a in range(n):
             p = p + f[a].diff(l).xmul(a)
         rho.append(p)
@@ -242,12 +121,12 @@ def field_pjp_entries(f: list[PV]) -> list[list[PV]]:
     return M
 
 
-def field_pjp_sym(f: list[PV]) -> list[list[PV]]:
-    """Entries of (P J P)_sym as PVs."""
+def field_pjp_sym(f: Field) -> list[Field]:
+    """Entries of (P J P)_sym as Polys."""
     n = f[0].n
     M = field_pjp_entries(f)
     return [[(M[i][l] + M[l][i]).scale(0.5) for l in range(n)] for i in range(n)]
 
 
-def matrix_frobenius_pair(M1: list[list[PV]], M2: list[list[PV]]) -> float:
+def matrix_frobenius_pair(M1: list[Field], M2: list[Field]) -> float:
     return sum(M1[i][l].pair(M2[i][l]) for i in range(len(M1)) for l in range(len(M1)))

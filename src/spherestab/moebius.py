@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import SolverError
 from .harmonics import scalar_basis
+from .polynomials import evaluate
 from .quadrature import SphereGrid, build_sphere_grid, default_sphere_grid
 from .spheremap import SphereMap, callable_map, projectors, tangential_jacobians
 
@@ -241,22 +242,13 @@ class InfMoebius:
 
     def field_map(self) -> SphereMap:
         from .polynomials import Poly
-        from .spheremap import poly_map
+        from .spheremap import linear_map, poly_map
 
         n = self.S.shape[0]
-        comps = []
-        for i in range(n):
-            p = Poly(n)
-            for l in range(n):
-                if self.S[i, l] != 0.0:
-                    p = p + Poly.coordinate(n, l).scale(self.S[i, l])
-            inner = Poly(n)
-            for l in range(n):
-                inner = inner + Poly.coordinate(n, l).scale(self.mu * self.xi[l])
-            p = p + inner * Poly.coordinate(n, i)
-            p = p + Poly.constant(n, -self.mu * self.xi[i])
-            comps.append(p)
-        return poly_map(n, comps)
+        rotation = linear_map(self.S).components                        # S x
+        inner = linear_map(self.mu * self.xi[None, :]).components[0]   # mu <x, xi>
+        return poly_map(n, [rotation[i] + inner.xmul(i) + Poly.constant(n, -self.mu * self.xi[i])
+                            for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +297,7 @@ def psi_functional(v: SphereMap, grid: SphereGrid) -> np.ndarray:
     n = v.n
     if grid not in _PSI_CACHE:
         basis, dcoef = _psi_parts(n)
-        vals = np.stack([b(grid.nodes) for b in basis], axis=0)
+        vals = evaluate([b.poly for b in basis], grid.nodes).T
         _PSI_CACHE[grid] = (vals, dcoef)
     vals, dcoef = _PSI_CACHE[grid]
     X = grid.nodes
@@ -504,9 +496,9 @@ def nearest_rotation(u: SphereMap, grid: SphereGrid | None = None) -> tuple[np.n
     from .forms import tangential_energy
 
     if u.is_poly:
-        from .homogeneous import field_from_map, field_radials
+        from .homogeneous import field_radials
 
-        f = field_from_map(u)
+        f = u.components
         radials = field_radials(f)
         M = np.empty((n, n))
         for i in range(n):

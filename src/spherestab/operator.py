@@ -17,17 +17,8 @@ import numpy as np
 
 from .errors import IntegrityError
 from .harmonics import Subspace, laplace_eigenvalue, vector_space_coeffs
-from .homogeneous import (
-    diff_matrix,
-    exps,
-    field_a_operator,
-    field_from_map,
-    field_inner_x,
-    field_mean,
-    field_pair,
-    gram,
-    xmul_matrix,
-)
+from .homogeneous import field_a_operator, field_inner_x, field_mean, field_pair
+from .polynomials import Poly, diff_matrix, exps, gram, xmul_matrix
 from .spheremap import (
     SphereMap,
     a_operator_values,
@@ -58,9 +49,7 @@ def apply_A(w: SphereMap) -> SphereMap:
     if w.m != w.n:
         raise ValueError("operator needs a map into R^n")
     if w.is_poly:
-        f = field_from_map(w)
-        av = field_a_operator(f)
-        return poly_map(w.n, [a.to_poly() for a in av])
+        return poly_map(w.n, field_a_operator(w.components))
     X, U, J = w.sample(w.grid)
     vals = a_operator_values(U, J, X)
     return sampled_map(w.grid, vals, None)
@@ -201,7 +190,7 @@ def project_h_n(w: SphereMap, grid=None) -> tuple[SphereMap, dict]:
     """
     n = w.n
     if w.is_poly:
-        f = field_from_map(w)
+        f = w.components
         mean = field_mean(f)
         radial = field_inner_x(f).sphere_integral()
     else:
@@ -213,8 +202,6 @@ def project_h_n(w: SphereMap, grid=None) -> tuple[SphereMap, dict]:
     if np.max(np.abs(mean)) < 1e-15 and abs(radial) < 1e-15:
         return w, report
     if w.is_poly:
-        from .polynomials import Poly
-
         comps = []
         for i, c in enumerate(w.components):
             p = c + Poly.constant(n, -float(mean[i])) + Poly.coordinate(n, i).scale(-radial)
@@ -233,21 +220,14 @@ def project_kernel(w: SphereMap, grid=None) -> SphereMap:
     w, _ = project_h_n(w, grid=grid)
     k12, k23 = kernel_subspaces(n)
     if w.is_poly:
-        from .harmonics import _poly_from_coeffs
-
-        f = field_from_map(w)
         acc = []
         for S in (k12, k23):
             block = np.zeros_like(S.coeffs[0])
             for a in range(S.dim):
-                c = field_pair(f, field_from_map(S.maps[a]))
+                c = field_pair(w.components, S.maps[a].components)
                 block += c * S.coeffs[a]
             acc.append(block)
-        comps = [
-            _poly_from_coeffs(n, 1, acc[0][i]) + _poly_from_coeffs(n, 2, acc[1][i])
-            for i in range(n)
-        ]
-        return poly_map(n, comps)
+        return poly_map(n, [Poly.from_blocks(n, {1: acc[0][i], 2: acc[1][i]}) for i in range(n)])
     g = grid or w.grid
     X, U, J = w.sample(g)
     vals = np.zeros_like(U)
@@ -276,11 +256,9 @@ def kernel_characterization_residual(w: SphereMap) -> tuple[float, float]:
     B = grad_origin(w)
     skew = float(np.max(np.abs(B - B.T)))
     wh = harmonicize(w)
-    from .homogeneous import pv_from_poly
-
     div = None
     for i, c in enumerate(wh.components):
-        d = pv_from_poly(c).diff(i)
+        d = c.diff(i)
         div = d if div is None else div + d
     divmom = max(abs(div.xmul(k).sphere_integral()) for k in range(w.n))
     return skew, divmom

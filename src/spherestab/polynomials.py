@@ -1,41 +1,176 @@
-"""Dense-dict polynomials in n ambient variables.
+"""The polynomial type: polynomials in n variables as homogeneous blocks.
 
-A polynomial is a map from exponent multi-indices (length-n tuples) to real
-coefficients.  Products, derivatives and Laplacians stay in this
-representation; integrals over S^{n-1} / B_1 reduce to the exact moments of
-:mod:`spherestab.moments`.  Two polynomials that agree on the sphere (e.g.
-representatives differing by a multiple of |x|^2 - 1) have equal sphere
-integrals, so any smooth extension may be used as a representative.
+A :class:`Poly` stores one coefficient vector per degree d, over the
+monomials ``exps(n, d)`` in a fixed order.  Every operation is linear
+algebra on these blocks: differentiation and coordinate multiplication
+are cached sparse-pattern matrices between degree spaces, products
+scatter each pair of blocks through a cached index map, and integrals
+over S^{n-1} / B_1 contract the blocks with the exact moments of
+:mod:`spherestab.moments` (the Gram matrices of :func:`gram_rect` for
+products of two polynomials).  Two polynomials that agree on the sphere
+(e.g. representatives differing by a multiple of |x|^2 - 1) have equal
+sphere integrals, so any smooth extension may be used as a
+representative.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from typing import Sequence
 
 import numpy as np
 
 from .moments import ball_moment, sphere_moment
 
-__all__ = ["Poly", "monomial_exponents", "moment_gram"]
+__all__ = [
+    "Poly",
+    "evaluate",
+    "exps",
+    "monomial_exponents",
+    "diff_matrix",
+    "xmul_matrix",
+    "gram",
+    "gram_rect",
+]
 
 Exponent = tuple[int, ...]
 
+# nodes per monomial power table in `evaluate`: the table (nodes x
+# monomials) then stays in cache and adds little to peak memory on the
+# large n = 4 grids; larger chunks measured slower, not faster
+_CHUNK = 1024
+
+
+# ---------------------------------------------------------------------------
+# monomial spaces and the cached linear maps between them
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def exps(n: int, k: int) -> tuple[Exponent, ...]:
+    """All exponent multi-indices of total degree exactly k, in sorted order."""
+    out = []
+    for combo in combinations_with_replacement(range(n), k):
+        e = [0] * n
+        for i in combo:
+            e[i] += 1
+        out.append(tuple(e))
+    return tuple(sorted(out))
+
+
+def monomial_exponents(n: int, k: int) -> list[Exponent]:
+    """:func:`exps` as a list."""
+    return list(exps(n, k))
+
+
+@lru_cache(maxsize=None)
+def _index(n: int, k: int) -> dict[Exponent, int]:
+    return {e: i for i, e in enumerate(exps(n, k))}
+
+
+@lru_cache(maxsize=None)
+def diff_matrix(n: int, k: int, i: int) -> np.ndarray:
+    """d/dx_i as a (M_{k-1} x M_k) matrix on monomial coefficients."""
+    src, dst = exps(n, k), _index(n, k - 1)
+    D = np.zeros((len(dst), len(src)))
+    for col, e in enumerate(src):
+        if e[i] > 0:
+            e2 = list(e)
+            e2[i] -= 1
+            D[dst[tuple(e2)], col] = e[i]
+    return D
+
+
+@lru_cache(maxsize=None)
+def xmul_matrix(n: int, k: int, i: int) -> np.ndarray:
+    """Multiplication by x_i as a (M_{k+1} x M_k) matrix."""
+    src, dst = exps(n, k), _index(n, k + 1)
+    X = np.zeros((len(dst), len(src)))
+    for col, e in enumerate(src):
+        e2 = list(e)
+        e2[i] += 1
+        X[dst[tuple(e2)], col] = 1.0
+    return X
+
+
+@lru_cache(maxsize=None)
+def _product_index(n: int, k1: int, k2: int) -> np.ndarray:
+    """Position in exps(n, k1+k2) of p + q, for (p, q) over exps(n, k1) x exps(n, k2) row-major."""
+    dst = _index(n, k1 + k2)
+    return np.array([dst[tuple(a + b for a, b in zip(p, q))] for p in exps(n, k1) for q in exps(n, k2)])
+
+
+@lru_cache(maxsize=None)
+def _moments(n: int, k: int, ball: bool) -> np.ndarray:
+    moment = ball_moment if ball else sphere_moment
+    return np.array([float(moment(n, e)) for e in exps(n, k)])
+
+
+@lru_cache(maxsize=None)
+def gram(n: int, k: int) -> np.ndarray:
+    return gram_rect(n, k, k)
+
+
+@lru_cache(maxsize=None)
+def gram_rect(n: int, k1: int, k2: int) -> np.ndarray:
+    """Moments of x^(p+q) for deg-k1 p against deg-k2 q (exact, as floats)."""
+    e1, e2 = exps(n, k1), exps(n, k2)
+    G = np.zeros((len(e1), len(e2)))
+    if (k1 + k2) % 2 == 1:
+        return G
+    for a, p in enumerate(e1):
+        for b, q in enumerate(e2):
+            G[a, b] = float(sphere_moment(n, tuple(x + y for x, y in zip(p, q))))
+    return G
+
+
+@lru_cache(maxsize=None)
+def _exponent_table(n: int, kmax: int) -> np.ndarray:
+    """Exponents of all monomials of degree <= kmax, blocks stacked by degree."""
+    return np.array([e for d in range(kmax + 1) for e in exps(n, d)], dtype=np.intp).reshape(-1, n)
+
+
+# ---------------------------------------------------------------------------
+# the polynomial type
+# ---------------------------------------------------------------------------
 
 class Poly:
-    """Polynomial in n variables stored as {exponent tuple: coefficient}."""
+    """Polynomial in n variables stored as {degree: coefficient vector over exps(n, degree)}.
 
-    __slots__ = ("n", "coeffs")
+    ``Poly(n, {exponent: coeff})`` builds one from monomial terms and
+    :meth:`from_blocks` from degree blocks.  Identically zero blocks are
+    not stored.  Operations never modify a block in place.
+    """
+
+    __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, coeffs: dict[Exponent, float] | None = None):
         self.n = n
-        self.coeffs: dict[Exponent, float] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c != 0.0:
-                    self.coeffs[tuple(e)] = self.coeffs.get(tuple(e), 0.0) + c
+        blocks: dict[int, np.ndarray] = {}
+        for e, c in (coeffs or {}).items():
+            if c == 0.0:
+                continue
+            e = tuple(e)
+            d = sum(e)
+            if d not in blocks:
+                blocks[d] = np.zeros(len(exps(n, d)))
+            blocks[d][_index(n, d)[e]] += c
+        self.blocks = {d: v for d, v in blocks.items() if np.any(v != 0.0)}
 
     # -- constructors -------------------------------------------------
+    @classmethod
+    def from_blocks(cls, n: int, blocks: dict[int, np.ndarray]) -> "Poly":
+        """Poly from {degree d: coefficient vector over exps(n, d)}; the vectors are not copied."""
+        p = cls.__new__(cls)
+        p.n = n
+        p.blocks = {}
+        for d, v in blocks.items():
+            v = np.asarray(v, dtype=float)
+            if np.any(v != 0.0):
+                p.blocks[d] = v
+        return p
+
     @staticmethod
     def zero(n: int) -> "Poly":
         return Poly(n)
@@ -52,42 +187,43 @@ class Poly:
 
     # -- algebra -------------------------------------------------------
     def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0.0) + c
-        return Poly(self.n, out)
+        out = dict(self.blocks)
+        for d, v in other.blocks.items():
+            out[d] = out[d] + v if d in out else v
+        return Poly.from_blocks(self.n, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0.0) - c
-        return Poly(self.n, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.n, {e: -c for e, c in self.coeffs.items()})
+        out = dict(self.blocks)
+        for d, v in other.blocks.items():
+            out[d] = out[d] - v if d in out else -v
+        return Poly.from_blocks(self.n, out)
 
     def scale(self, a: float) -> "Poly":
-        if a == 0.0:
-            return Poly(self.n)
-        return Poly(self.n, {e: a * c for e, c in self.coeffs.items()})
+        return Poly.from_blocks(self.n, {d: a * v for d, v in self.blocks.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[Exponent, float] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0.0) + c1 * c2
-        return Poly(self.n, out)
+        n = self.n
+        out: dict[int, np.ndarray] = {}
+        for d1, v1 in self.blocks.items():
+            for d2, v2 in other.blocks.items():
+                d = d1 + d2
+                v = np.bincount(_product_index(n, d1, d2), weights=np.outer(v1, v2).ravel(),
+                                minlength=len(exps(n, d)))
+                out[d] = out[d] + v if d in out else v
+        return Poly.from_blocks(n, out)
 
     def diff(self, i: int) -> "Poly":
-        out: dict[Exponent, float] = {}
-        for e, c in self.coeffs.items():
-            if e[i] > 0:
-                e2 = list(e)
-                e2[i] -= 1
-                key = tuple(e2)
-                out[key] = out.get(key, 0.0) + c * e[i]
-        return Poly(self.n, out)
+        return Poly.from_blocks(
+            self.n, {d - 1: diff_matrix(self.n, d, i) @ v for d, v in self.blocks.items() if d >= 1}
+        )
+
+    def xmul(self, i: int) -> "Poly":
+        """Multiplication by the coordinate x_i."""
+        return Poly.from_blocks(self.n, {d + 1: xmul_matrix(self.n, d, i) @ v for d, v in self.blocks.items()})
+
+    def euler(self) -> "Poly":
+        """sum_i x_i d/dx_i, i.e. degree-weighting of homogeneous parts."""
+        return Poly.from_blocks(self.n, {d: d * v for d, v in self.blocks.items()})
 
     def laplacian(self) -> "Poly":
         out = Poly(self.n)
@@ -95,70 +231,84 @@ class Poly:
             out = out + self.diff(i).diff(i)
         return out
 
-    def gradient(self) -> list["Poly"]:
-        return [self.diff(i) for i in range(self.n)]
-
     # -- queries ---------------------------------------------------------
+    @property
+    def coeffs(self) -> dict[Exponent, float]:
+        """{exponent: coefficient} view of the nonzero terms."""
+        return {
+            e: c
+            for d, v in self.blocks.items()
+            for e, c in zip(exps(self.n, d), v.tolist())
+            if c != 0.0
+        }
+
     def degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(sum(e) for e in self.coeffs)
+        return max(self.blocks, default=0)
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.coeffs.values())
+        return all(np.all(np.abs(v) <= tol) for v in self.blocks.values())
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at points, shape (N, n) or (n,)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(pts.shape[0])
-        for e, c in self.coeffs.items():
-            term = np.full(pts.shape[0], c)
-            for i, ei in enumerate(e):
-                if ei:
-                    term = term * pts[:, i] ** ei
-            out += term
+        out = evaluate([self], points)[:, 0]
         if np.ndim(points) == 1:
             return out[0]
         return out
 
     # -- exact integrals ---------------------------------------------------
+    def pair(self, other: "Poly") -> float:
+        """Exact normalized sphere integral of the product."""
+        total = 0.0
+        for d1, v1 in self.blocks.items():
+            for d2, v2 in other.blocks.items():
+                if (d1 + d2) % 2 == 0:
+                    total += v1 @ gram_rect(self.n, d1, d2) @ v2
+        return float(total)
+
     def sphere_integral(self) -> float:
         """Normalized integral over S^{n-1}, exact moment sum."""
-        return float(sum(c * float(sphere_moment(self.n, e)) for e, c in self.coeffs.items()))
+        return self._moment_sum(ball=False)
 
     def ball_integral(self) -> float:
         """Normalized integral over B_1, exact moment sum."""
-        return float(sum(c * float(ball_moment(self.n, e)) for e, c in self.coeffs.items()))
+        return self._moment_sum(ball=True)
+
+    def _moment_sum(self, ball: bool) -> float:
+        total = 0.0
+        for d, v in self.blocks.items():
+            if d % 2 == 0:  # odd moments vanish
+                total += _moments(self.n, d, ball) @ v
+        return float(total)
 
     def __repr__(self) -> str:  # pragma: no cover
-        terms = sorted(self.coeffs.items())
-        return f"Poly(n={self.n}, {dict(terms)})"
+        return f"Poly(n={self.n}, {dict(sorted(self.coeffs.items()))})"
 
 
-def monomial_exponents(n: int, k: int) -> list[Exponent]:
-    """All exponent multi-indices of total degree exactly k, in a fixed order."""
-    out = []
-    for combo in combinations_with_replacement(range(n), k):
-        e = [0] * n
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    out.sort()
-    return out
+def evaluate(polys: Sequence[Poly], points: np.ndarray) -> np.ndarray:
+    """Values of several polynomials at points (N, n), shape (N, len(polys)).
 
-
-@lru_cache(maxsize=None)
-def moment_gram(n: int, k: int) -> np.ndarray:
-    """Gram matrix of degree-k monomials under the normalized sphere measure.
-
-    Entry (a, b) is the exact moment of x^(p_a + p_b), with the monomial
-    order of :func:`monomial_exponents`.
+    The coefficients are stacked into one matrix; per chunk of nodes, one
+    table of all monomials up to the top degree times that matrix gives
+    every value.
     """
-    exps = monomial_exponents(n, k)
-    m = len(exps)
-    G = np.empty((m, m))
-    for a in range(m):
-        for b in range(a, m):
-            e = tuple(pa + pb for pa, pb in zip(exps[a], exps[b]))
-            G[a, b] = G[b, a] = float(sphere_moment(n, e))
-    return G
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = pts.shape[1]
+    kmax = max((p.degree() for p in polys), default=0)
+    E = _exponent_table(n, kmax)
+    C = np.zeros((E.shape[0], len(polys)))
+    for j, p in enumerate(polys):
+        for d, v in p.blocks.items():
+            o = math.comb(n + d - 1, n)  # monomials of degree < d precede block d
+            C[o : o + v.shape[0], j] = v
+    out = np.empty((pts.shape[0], len(polys)))
+    for s in range(0, pts.shape[0], _CHUNK):
+        chunk = pts[s : s + _CHUNK]
+        powers = np.empty((chunk.shape[0], n, kmax + 1))
+        powers[:, :, 0] = 1.0
+        for j in range(1, kmax + 1):
+            powers[:, :, j] = powers[:, :, j - 1] * chunk
+        table = powers[:, 0, E[:, 0]]
+        for i in range(1, n):
+            table = table * powers[:, i, E[:, i]]
+        out[s : s + _CHUNK] = table @ C
+    return out

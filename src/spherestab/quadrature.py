@@ -36,6 +36,8 @@ __all__ = [
     "SphereGrid",
     "BallGrid",
     "build_sphere_grid",
+    "sphere_grid",
+    "default_sphere_grid",
     "build_ball_grid",
     "build_circle_grid_segmented",
     "integrate",
@@ -137,8 +139,13 @@ def build_sphere_grid(n: int, resolution: int) -> SphereGrid:
 
 
 @lru_cache(maxsize=None)
+def sphere_grid(n: int, resolution: int) -> SphereGrid:
+    """The grid of :func:`build_sphere_grid`, built once per (n, resolution)."""
+    return build_sphere_grid(n, resolution)
+
+
 def default_sphere_grid(n: int) -> SphereGrid:
-    return build_sphere_grid(n, DEFAULT_RESOLUTIONS[n])
+    return sphere_grid(n, DEFAULT_RESOLUTIONS[n])
 
 
 def build_ball_grid(n: int, resolution: int) -> BallGrid:

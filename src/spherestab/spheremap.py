@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .polynomials import Poly
+from .polynomials import Poly, evaluate
 from .quadrature import SphereGrid
 
 __all__ = [
@@ -46,9 +46,6 @@ __all__ = [
 @dataclass
 class PolyBacking:
     components: tuple[Poly, ...]
-
-    def jacobian_polys(self) -> list[list[Poly]]:
-        return [[c.diff(l) for l in range(c.n)] for c in self.components]
 
 
 @dataclass
@@ -91,7 +88,7 @@ class SphereMap:
         """Values at arbitrary points, shape (N, m)."""
         pts = np.atleast_2d(points)
         if self.is_poly:
-            return np.stack([c(pts) for c in self.backing.components], axis=1)
+            return evaluate(self.backing.components, pts)
         if isinstance(self.backing, CallableBacking):
             return np.asarray(self.backing.value_fn(pts))
         raise TypeError("sampled maps only carry values at their own grid nodes")
@@ -100,11 +97,8 @@ class SphereMap:
         """Ambient Jacobians at arbitrary points, shape (N, m, n)."""
         pts = np.atleast_2d(points)
         if self.is_poly:
-            J = np.empty((pts.shape[0], self.m, self.n))
-            for i, c in enumerate(self.backing.components):
-                for l in range(self.n):
-                    J[:, i, l] = c.diff(l)(pts)
-            return J
+            grads = [c.diff(l) for c in self.backing.components for l in range(self.n)]
+            return evaluate(grads, pts).reshape(-1, self.m, self.n)
         if isinstance(self.backing, CallableBacking):
             if self.backing.jacobian_fn is None:
                 raise TypeError("map has no gradient data")
@@ -166,14 +160,9 @@ def linear_map(A: np.ndarray) -> SphereMap:
     """The map x -> A x as a poly-backed SphereMap."""
     A = np.asarray(A, dtype=float)
     m, n = A.shape
-    comps = []
-    for i in range(m):
-        p = Poly(n)
-        for l in range(n):
-            if A[i, l] != 0.0:
-                p = p + Poly.coordinate(n, l).scale(A[i, l])
-        comps.append(p)
-    return SphereMap(n, m, PolyBacking(tuple(comps)))
+    units = [tuple(np.eye(n, dtype=int)[l].tolist()) for l in range(n)]
+    comps = tuple(Poly(n, dict(zip(units, A[i]))) for i in range(m))
+    return SphereMap(n, m, PolyBacking(comps))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from .harmonics import (
     scalar_basis_coeffs,
     synthesize,
 )
-from .homogeneous import field_from_map, field_pair, gram, gram_rect
+from .homogeneous import field_pair
 from .moebius import (
     as_sphere_map,
     compose,
@@ -72,16 +72,14 @@ from .operator import (
     random_h_field,
     self_adjointness_residual,
 )
-from .polynomials import Poly
-from .quadrature import build_ball_grid, integrate
+from .polynomials import Poly, exps, gram, gram_rect
+from .quadrature import ball_grid_moment_residual, build_ball_grid, grid_moment_residual, integrate
 from .spheremap import identity_map, poly_map
 
 __all__ = ["ALL_CHECKS", "run_checks"]
 
 
 def _random_poly_field(n, rng, kmax=3, scale=0.3):
-    from .homogeneous import exps
-
     comps = []
     for _ in range(n):
         coeffs = {}
@@ -97,14 +95,11 @@ def check_grid_exactness(cfg: Config):
     for n in (2, 3, 4):
         g = cfg.grid(n)
         rng = np.random.default_rng(cfg.seed)
-        from .moments import sphere_moment
-
         for _ in range(12):
             p = tuple(2 * rng.integers(0, 3, size=n))
             if sum(p) > g.exactness:
                 continue
-            vals = np.prod(g.nodes ** np.asarray(p), axis=1)
-            worst = max(worst, abs(integrate(g, vals) - float(sphere_moment(n, p))))
+            worst = max(worst, grid_moment_residual(g, p))
         worst = max(worst, abs(g.weights.sum() - 1.0))
         if g.weights.min() < 0:
             return False, f"negative weight on the n={n} grid"
@@ -122,13 +117,10 @@ def check_integrate_linearity(cfg: Config):
 
 
 def check_ball_grid(cfg: Config):
-    from .moments import ball_moment
-
     g = build_ball_grid(3, cfg.resolutions[3] // 2)
     worst = 0.0
     for p in [(2, 0, 0), (4, 2, 0), (1, 0, 0), (0, 0, 6)]:
-        vals = np.prod(g.nodes ** np.asarray(p), axis=1)
-        worst = max(worst, abs(float(g.weights @ vals) - float(ball_moment(3, p))))
+        worst = max(worst, ball_grid_moment_residual(g, p))
     return worst <= cfg.tol_exact, f"worst ball moment residual {worst:.3e}"
 
 
@@ -151,7 +143,7 @@ def check_laplace_eigen_identity(cfg: Config):
         for psi in scalar_basis(n, k):
             u = poly_map(n, [psi.poly])
             e = tangential_energy(u)
-            m = field_pair(field_from_map(u), field_from_map(u))
+            m = field_pair(u.components, u.components)
             worst = max(worst, abs(e - laplace_eigenvalue(n, k) * m))
     return worst <= cfg.tol_exact, f"worst eigen-identity residual {worst:.3e}"
 
@@ -174,8 +166,6 @@ def check_grad_origin_block(cfg: Config):
     B = grad_origin(u)
     e = analyze(u, 1)
     S = scalar_basis_coeffs(3, 1)
-    from .homogeneous import exps
-
     # coefficient matrix of the degree-1 block in coordinates
     C = e.blocks[1] @ S  # (m, monomials of degree 1)
     order = [list(ee).index(1) for ee in exps(3, 1)]
@@ -251,11 +241,11 @@ def check_projection_idempotent(cfg: Config):
         w = random_h_field(3, 3, rng)
         p1 = project_kernel(w)
         p2 = project_kernel(p1)
-        d = [a - b for a, b in zip(field_from_map(p1), field_from_map(p2))]
+        d = [a - b for a, b in zip(p1.components, p2.components)]
         worst = max(worst, np.sqrt(field_pair(d, d)))
         v = random_h_field(3, 3, rng)
-        s1 = field_pair(field_from_map(project_kernel(v)), field_from_map(w))
-        s2 = field_pair(field_from_map(v), field_from_map(p1))
+        s1 = field_pair(project_kernel(v).components, w.components)
+        s2 = field_pair(v.components, p1.components)
         worst = max(worst, abs(s1 - s2))
     return worst <= cfg.tol_exact, f"idempotency/symmetry residual {worst:.3e}"
 
@@ -371,7 +361,7 @@ def check_kernel_intersection(cfg: Config):
             basis_maps.extend(S.maps)
     pre = []
     for m in basis_maps:
-        f = field_from_map(m)
+        f = m.components
         pre.append({
             "f": f,
             "sym": field_pjp_sym(f),

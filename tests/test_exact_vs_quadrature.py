@@ -1,0 +1,82 @@
+"""Differential test: exact-moment branches against quadrature branches.
+
+Every functional with both a poly branch (exact rational moments) and a
+sampled branch (product quadrature) is evaluated both ways on the same
+polynomial map.  The grids' exactness covers every integrand degree that
+degree <= 3 maps produce, so the two results agree to roundoff.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spherestab.config import Config
+from spherestab.deficits import dirichlet, signed_volume
+from spherestab.forms import q_vol, surface_div_sq, tangential_energy
+from spherestab.harmonics import poincare_deficit
+from spherestab.moebius import nearest_rotation
+from spherestab.operator import project_h_n
+from spherestab.polynomials import Poly, monomial_exponents
+from spherestab.spheremap import poly_map, sampled_map, tangential_jacobians
+
+REL = 1e-12
+
+
+def _agree(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return float(np.max(np.abs(a - b))) <= REL * scale
+
+
+@st.composite
+def poly_maps(draw, n):
+    deg = draw(st.integers(0, 3))
+    exps = [e for d in range(deg + 1) for e in monomial_exponents(n, d)]
+    coeff = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    comps = []
+    for _ in range(n):
+        values = draw(st.lists(coeff, min_size=len(exps), max_size=len(exps)))
+        comps.append(Poly(n, dict(zip(exps, values))))
+    return poly_map(n, comps)
+
+
+def _check(u):
+    g = Config().grid(u.n)
+    X = g.nodes
+    s = sampled_map(g, u.eval(X), u.jac(X))
+    for f in (tangential_energy, surface_div_sq, poincare_deficit):
+        assert _agree(f(u), f(s)), f.__name__
+    assert _agree(q_vol(u, u), q_vol(s, s))
+
+    pu, ru = project_h_n(u)
+    ps, rs = project_h_n(s)
+    assert _agree(ru["removed_mean"], rs["removed_mean"])
+    assert _agree(ru["removed_radial"], rs["removed_radial"])
+    assert _agree(pu.eval(X), ps.sample(g)[1])
+
+    Ou, vu = nearest_rotation(u)
+    Os, vs = nearest_rotation(s)
+    assert _agree(vu, vs)
+    # the optimal rotation is unique only where the singular values of
+    # M = avg grad_T u are distinct and nonzero
+    sv = np.linalg.svd(np.einsum("a,ail->il", g.weights, tangential_jacobians(s.sample(g)[2], X)),
+                       compute_uv=False)
+    gap = min(float(np.min(-np.diff(sv))), float(sv[-1]))
+    if gap > 1e-6:
+        assert np.max(np.abs(Ou - Os)) <= REL / gap
+
+    if u.n == 3:
+        assert _agree(signed_volume(u), signed_volume(s))
+        assert _agree(dirichlet(u), dirichlet(s))
+
+
+@settings(max_examples=25, deadline=None)
+@given(poly_maps(3))
+def test_exact_vs_quadrature_n3(u):
+    _check(u)
+
+
+@settings(max_examples=15, deadline=None)
+@given(poly_maps(4))
+def test_exact_vs_quadrature_n4(u):
+    _check(u)

@@ -153,6 +153,10 @@ def test_cli_fit_moebius(tmp_path):
 
 def test_cli_bad_inputs(tmp_path):
     assert main(["rates", "--family", "flip", "--sigmas", "nonsense"]) == 2
+    # sigmas outside the family's domain, and a theorem the family cannot take
+    assert main(["rates", "--family", "stretch"]) == 2
+    assert main(["stability", "--family", "stretch"]) == 2
+    assert main(["stability", "--family", "flip", "--theorem", "conformal"]) == 2
     assert main(["deficits", "--map", str(tmp_path / "missing.json")]) == 2
     # sampled map without gradient data cannot produce a deficit report
     g = build_sphere_grid(3, 6)

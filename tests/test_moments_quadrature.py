@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherestab.config import Config
 from spherestab.moments import ball_moment, sphere_moment
 from spherestab.quadrature import (
     build_ball_grid,
     build_circle_grid_segmented,
     build_sphere_grid,
+    default_sphere_grid,
     integrate,
 )
 
@@ -60,6 +62,8 @@ def test_circle_grid_uniform():
 
 @pytest.mark.parametrize("n,res", [(2, 64), (3, 48), (4, 24)])
 def test_grid_invariants(n, res):
+    # the default resolutions: Config and the default grid share one cache
+    assert Config().grid(n) is default_sphere_grid(n)
     g = build_sphere_grid(n, res)
     assert abs(g.weights.sum() - 1.0) <= 1e-14
     assert g.weights.min() >= 0.0

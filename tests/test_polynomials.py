@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherestab.homogeneous import field_surface_div, pv_from_poly
+from spherestab.homogeneous import field_surface_div
 from spherestab.polynomials import Poly, monomial_exponents
 
 
@@ -46,23 +46,23 @@ def test_laplacian_examples():
 
 def test_sphere_integral_matches_pv(rng):
     p = _random_poly(rng)
-    pv = pv_from_poly(p)
+    pv = p
     assert abs(p.sphere_integral() - pv.sphere_integral()) < 1e-12
     q = _random_poly(rng)
     direct = (p * q).sphere_integral()
-    assert abs(pv.pair(pv_from_poly(q)) - direct) < 1e-10
+    assert abs(pv.pair(q) - direct) < 1e-10
 
 
 def test_pv_euler_identity(rng):
     # sum_i x_i d_i p has the degree-weighted coefficients of p
     p = _random_poly(rng, deg=4)
-    pv = pv_from_poly(p)
+    pv = p
     direct = None
     for i in range(3):
         term = pv.diff(i).xmul(i)
         direct = term if direct is None else direct + term
     X = rng.normal(size=(15, 3))
-    assert np.max(np.abs(direct.to_poly()(X) - pv.euler().to_poly()(X))) < 1e-9
+    assert np.max(np.abs(direct(X) - pv.euler()(X))) < 1e-9
 
 
 def test_surface_divergence_pv_vs_pointwise(rng):
@@ -70,7 +70,7 @@ def test_surface_divergence_pv_vs_pointwise(rng):
 
     comps = [_random_poly(rng, deg=3) for _ in range(3)]
     u = poly_map(3, comps)
-    d = field_surface_div([pv_from_poly(c) for c in comps]).to_poly()
+    d = field_surface_div(comps)
     X = rng.normal(size=(30, 3))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     J = u.jac(X)
