@@ -191,8 +191,8 @@ def cmd_fit_moebius(args) -> int:
     except (OSError, KeyError, ValueError) as exc:
         print(f"cannot read map: {exc}", file=sys.stderr)
         return 2
-    grid = cfg.grid(u.n)
     try:
+        grid = cfg.grid(u.n)
         res = nearest_moebius(u, grid)
         E = combined_deficit(u, grid)
     except ValueError as exc:
@@ -205,6 +205,8 @@ def cmd_fit_moebius(args) -> int:
         "value": res.value,
         "E": E,
         "ratio": ratio,
+        "nfev": res.nfev,
+        "converged": res.converged,
     }
     text = json.dumps(out, indent=1)
     if args.out:
@@ -226,8 +228,8 @@ def cmd_deficits(args) -> int:
     except (OSError, KeyError, ValueError) as exc:
         print(f"cannot read map: {exc}", file=sys.stderr)
         return 2
-    grid = u.grid or cfg.grid(u.n)
     try:
+        grid = u.grid or cfg.grid(u.n)
         rep = asdict(deficit_report(u, grid))
     except ValueError as exc:
         print(f"cannot evaluate deficits: {exc}", file=sys.stderr)

@@ -25,6 +25,8 @@ class Config:
                 raise ValueError("tolerances must be positive")
 
     def grid(self, n: int) -> SphereGrid:
+        if n not in self.resolutions:
+            raise ValueError(f"no grid resolution configured for n = {n}")
         return sphere_grid(n, self.resolutions[n])
 
     def with_tolerance(self, tol: float) -> "Config":
@@ -34,11 +36,16 @@ class Config:
 def load_config(path: str) -> Config:
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
     kw = {}
-    if "resolutions" in raw:
-        kw["resolutions"] = {int(k): int(v) for k, v in raw["resolutions"].items()}
-    if "kmax" in raw:
-        kw["kmax"] = {int(k): int(v) for k, v in raw["kmax"].items()}
+    # partial per-dimension tables override the defaults entry by entry
+    defaults = Config()
+    for name in ("resolutions", "kmax"):
+        if name in raw:
+            if not isinstance(raw[name], dict):
+                raise ValueError(f"{name} must be an object keyed by dimension")
+            kw[name] = {**getattr(defaults, name), **{int(k): int(v) for k, v in raw[name].items()}}
     for name in ("tol_exact", "tol_quad", "tol_solver"):
         if name in raw:
             kw[name] = float(raw[name])

@@ -15,12 +15,15 @@ The solvers are damped Newton iterations with finite-difference Jacobians:
 `recenter` zeroes the mean of u compose phi over the (xi, log lam) chart;
 `gauge_fix` zeroes the six-component first-moment functional (three
 antisymmetrized first moments and the first moment of the extension's
-divergence) over the full rotation x boost chart.
+divergence) over the full rotation x boost chart.  `nearest_moebius`
+solves the rotation in closed form (Kabsch/Umeyama) for each boost
+v = log(lam) xi and searches the three boost parameters with Nelder-Mead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,28 +92,35 @@ def identity_moebius(n: int = 3) -> MoebiusMap:
     return MoebiusMap(n, np.eye(n), xi, 1.0)
 
 
-def moebius_apply(phi: MoebiusMap, X: np.ndarray) -> np.ndarray:
-    """Apply the map to unit vectors, rows of X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    lam, xi = phi.lam, phi.xi
+def _dilation_parts(X: np.ndarray, xi: np.ndarray, lam: float):
+    """phi_{xi,lam} = N / D at the M rows of X, with JN the Jacobian of N.
+
+    Returns (D, N, JN): D = <x, xi> (1 - lam^2) + 1 + lam^2 of shape (M,),
+    the numerator N of shape (M, n) and the constant (n, n) matrix
+    JN = 2 lam I + (lam - 1)^2 xi xi^t.
+    """
     c = X @ xi
     D = c * (1.0 - lam**2) + (1.0 + lam**2)
     if np.any(np.abs(D) <= 1e-14):
         raise ValueError("degenerate denominator (point off the sphere?)")
     g = c * (lam - 1.0) ** 2 + (1.0 - lam**2)
-    Y = (2.0 * lam * X + g[:, None] * xi) / D[:, None]
-    return Y @ phi.O.T
+    N = 2.0 * lam * X + g[:, None] * xi
+    JN = 2.0 * lam * np.eye(len(xi)) + (lam - 1.0) ** 2 * np.outer(xi, xi)
+    return D, N, JN
+
+
+def moebius_apply(phi: MoebiusMap, X: np.ndarray) -> np.ndarray:
+    """Apply the map to unit vectors, rows of X."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    D, N, _ = _dilation_parts(X, phi.xi, phi.lam)
+    return (N / D[:, None]) @ phi.O.T
 
 
 def moebius_jacobian(phi: MoebiusMap, X: np.ndarray) -> np.ndarray:
     """Analytic ambient Jacobians at unit vectors, shape (N, n, n)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, lam, xi = phi.n, phi.lam, phi.xi
-    c = X @ xi
-    D = c * (1.0 - lam**2) + (1.0 + lam**2)
-    g = c * (lam - 1.0) ** 2 + (1.0 - lam**2)
-    N = 2.0 * lam * X + g[:, None] * xi
-    JN = 2.0 * lam * np.eye(n)[None, :, :] + (lam - 1.0) ** 2 * np.einsum("i,j->ij", xi, xi)[None, :, :]
+    lam, xi = phi.lam, phi.xi
+    D, N, JN = _dilation_parts(X, xi, lam)
     J = JN / D[:, None, None] - np.einsum("ai,j->aij", N, (1.0 - lam**2) * xi) / (D**2)[:, None, None]
     return np.einsum("ij,ajk->aik", phi.O, J)
 
@@ -279,7 +289,11 @@ def _psi_parts(n: int):
     return basis, dcoef
 
 
-_PSI_CACHE: "weakref.WeakKeyDictionary" = None
+@lru_cache(maxsize=8)
+def _psi_tables(grid: SphereGrid):
+    """Degree-2 basis values on the grid nodes and the divergence coefficients."""
+    basis, dcoef = _psi_parts(grid.n)
+    return evaluate([b.poly for b in basis], grid.nodes).T, dcoef
 
 
 def psi_functional(v: SphereMap, grid: SphereGrid) -> np.ndarray:
@@ -289,17 +303,8 @@ def psi_functional(v: SphereMap, grid: SphereGrid) -> np.ndarray:
     (i,j) in ((1,2),(1,3),(2,3)); last three: avg (div v_h) x, evaluated from
     the degree-2 block in closed form.
     """
-    global _PSI_CACHE
-    if _PSI_CACHE is None:
-        import weakref
-
-        _PSI_CACHE = weakref.WeakKeyDictionary()
     n = v.n
-    if grid not in _PSI_CACHE:
-        basis, dcoef = _psi_parts(n)
-        vals = evaluate([b.poly for b in basis], grid.nodes).T
-        _PSI_CACHE[grid] = (vals, dcoef)
-    vals, dcoef = _PSI_CACHE[grid]
+    vals, dcoef = _psi_tables(grid)
     X = grid.nodes
     w = grid.weights
     U = v.eval(X) if not v.is_sampled else v.sample(grid)[1]
@@ -442,12 +447,7 @@ def _skew_of(r: np.ndarray) -> np.ndarray:
 
 def _param_moebius(theta: np.ndarray) -> MoebiusMap:
     """(axis-angle, boost vector) chart of the identity component."""
-    R = _rotation_from_axis_angle(theta[:3])
-    v = theta[3:]
-    nv = np.linalg.norm(v)
-    if nv < 1e-14:
-        return MoebiusMap(3, R, _default_pole(3), 1.0)
-    return MoebiusMap(3, R, v / nv, float(np.exp(nv)))
+    return _boost_moebius(_rotation_from_axis_angle(theta[:3]), theta[3:])
 
 
 def gauge_fix(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-7) -> MoebiusMap:
@@ -523,15 +523,50 @@ class NearestMoebiusResult:
     lam: float
     value: float
     recentred: bool
+    nfev: int          # objective evaluations of the boost search
+    converged: bool    # the Nelder-Mead stopping test was met
+
+
+def _boost_moebius(O: np.ndarray, v: np.ndarray) -> MoebiusMap:
+    """O compose phi_{xi,lam} for the boost vector v = log(lam) xi."""
+    nv = np.linalg.norm(v)
+    if nv < 1e-14:
+        return MoebiusMap(len(v), O, _default_pole(len(v)), 1.0)
+    return MoebiusMap(len(v), O, v / nv, float(np.exp(nv)))
+
+
+def _fit_terms(v: np.ndarray, TJ_u: np.ndarray, X: np.ndarray, w: np.ndarray):
+    """Best rotation for the boost v: returns (O phi_v, b, c).
+
+    With J0 the ambient Jacobian of phi_v, b = max over O in SO(3) of
+    avg <grad_T u, O J0 P> is the Kabsch/Umeyama value of
+    K = avg grad_T u J0^t, and c = avg |grad_T phi_v|^2 = avg 8 lam^2 / D^2.
+    grad_T u is already tangential, so K needs the ambient J0 only.
+    """
+    phi0 = _boost_moebius(np.eye(3), v)
+    xi, lam = phi0.xi, phi0.lam
+    D, N, JN = _dilation_parts(X, xi, lam)
+    wD = w / D
+    TJ_xi = (TJ_u.reshape(-1, 3) @ ((1.0 - lam**2) * xi)).reshape(-1, 3)
+    K = (wD @ TJ_u.reshape(-1, 9)).reshape(3, 3) @ JN - (TJ_xi * (wD / D)[:, None]).T @ N
+    Uk, s, Vt = np.linalg.svd(K)
+    d = 1.0 if np.linalg.det(Uk @ Vt) > 0 else -1.0
+    O = (Uk * [1.0, 1.0, d]) @ Vt
+    b = float(s[0] + s[1] + d * s[2])
+    c = float(8.0 * lam**2 * (wD @ (1.0 / D)))
+    return MoebiusMap(3, O, xi, lam), b, c
 
 
 def nearest_moebius(u: SphereMap, grid: SphereGrid | None = None) -> NearestMoebiusResult:
     """Approximately minimize avg |(1/lam) grad_T u - grad_T phi|^2.
 
-    Pipeline: recenter a norm-normalized copy when possible, read the scale
-    from avg <u compose phi, x>, align with the nearest rotation, then
-    polish the six group parameters derivative-free.  The result is an
-    achieved upper bound, not a certified global minimum.
+    Over phi = O phi_{xi,lam} the value is c - b^2/a with a = avg |grad_T u|^2,
+    b = avg <grad_T u, grad_T phi> and c = avg |grad_T phi|^2, at the scale
+    lam = a/b.  For a fixed boost v = log(lam) xi the best rotation O is the
+    closed-form Procrustes solution (`_fit_terms`), so only the three boost
+    parameters are searched, derivative-free, from the inverse of the
+    recentring of a norm-normalized copy of u.  The result is an achieved
+    upper bound, not a certified global minimum.
     """
     from scipy.optimize import minimize
 
@@ -548,49 +583,30 @@ def nearest_moebius(u: SphereMap, grid: SphereGrid | None = None) -> NearestMoeb
     TJ_u = tangential_jacobians(J_u, X)
     a = float(w @ np.einsum("aik,aik->a", TJ_u, TJ_u))
 
-    def value_of(phi: MoebiusMap):
-        Jp = moebius_jacobian(phi, X)
-        TJp = tangential_jacobians(Jp, X)
-        b = float(w @ np.einsum("aik,aik->a", TJ_u, TJp))
-        c = float(w @ np.einsum("aik,aik->a", TJp, TJp))
-        if b <= 0:
-            return np.inf, np.inf
-        return c - b * b / a, a / b
-
-    # step 1: try to recenter a normalized copy of u
+    # start: the inverse of the recentring of a normalized copy of u
     recentred = False
-    phi1 = identity_moebius(3)
+    v0 = np.zeros(3)
     U = u.eval(X) if not u.is_sampled else u.sample(g)[1]
     radius = np.linalg.norm(U, axis=1)
     r0 = float(w @ radius)
     if r0 > 1e-10 and np.max(np.abs(radius / r0 - 1.0)) < 0.3:
         try:
             scaled = callable_map(3, 3, lambda P: u.eval(P) / r0, None)
-            phi1 = recenter(scaled, g, tol=1e-8, require_unit_norm=False)
+            start = inverse(recenter(scaled, g, tol=1e-8, require_unit_norm=False))
+            v0 = np.log(start.lam) * start.xi
             recentred = True
         except SolverError:
-            phi1 = identity_moebius(3)
-    v = compose_with_map(u, phi1)
-    lam0 = dilation_scale(v, g)
-    if lam0 <= 0:
-        lam0 = r0 if r0 > 0 else 1.0
-    O, _ = nearest_rotation(callable_map(3, 3, lambda P: v.eval(P) / lam0, lambda P: v.jac(P) / lam0), g)
-    if np.linalg.det(O) < 0:
-        # keep the candidate in the identity component; the polish handles the rest
-        O = O @ np.diag([1.0, 1.0, -1.0])
-    phi_star = compose(MoebiusMap(3, _orthonormalize(O), _default_pole(3), 1.0), inverse(phi1))
+            pass
 
-    def objective(theta):
+    def objective(v):
         try:
-            phi = compose(_param_moebius(theta), phi_star)
+            _, b, c = _fit_terms(v, TJ_u, X, w)
         except ValueError:
             return np.inf
-        val, _ = value_of(phi)
-        return val
+        return c - b * b / a if b > 0 else np.inf
 
-    res = minimize(objective, np.zeros(6), method="Nelder-Mead",
+    res = minimize(objective, v0, method="Nelder-Mead",
                    options={"maxiter": 400, "xatol": 1e-9, "fatol": 1e-12})
-    theta = res.x if res.fun <= objective(np.zeros(6)) else np.zeros(6)
-    phi_best = compose(_param_moebius(theta), phi_star)
-    val, lam = value_of(phi_best)
-    return NearestMoebiusResult(phi_best, float(lam), float(val), recentred)
+    phi, b, c = _fit_terms(res.x, TJ_u, X, w)
+    val, lam = (c - b * b / a, a / b) if b > 0 else (np.inf, np.inf)
+    return NearestMoebiusResult(phi, float(lam), float(val), recentred, int(res.nfev), bool(res.success))

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from spherestab.config import Config
 from spherestab.deficits import dirichlet, signed_volume
-from spherestab.forms import q_vol, surface_div_sq, tangential_energy
+from spherestab.forms import _pjp_energy, _sym_energy, q_vol, q_vol_alt, surface_div_sq, tangential_energy
 from spherestab.harmonics import poincare_deficit
 from spherestab.moebius import nearest_rotation
-from spherestab.operator import project_h_n
+from spherestab.operator import project_h_n, project_kernel
 from spherestab.polynomials import Poly, monomial_exponents
 from spherestab.spheremap import poly_map, sampled_map, tangential_jacobians
 
@@ -47,6 +47,9 @@ def _check(u):
     for f in (tangential_energy, surface_div_sq, poincare_deficit):
         assert _agree(f(u), f(s)), f.__name__
     assert _agree(q_vol(u, u), q_vol(s, s))
+    assert _agree(q_vol_alt(u), q_vol_alt(s))
+    for f in (_sym_energy, _pjp_energy):
+        assert _agree(f(u, None), f(s, None)), f.__name__
 
     pu, ru = project_h_n(u)
     ps, rs = project_h_n(s)
@@ -66,6 +69,9 @@ def _check(u):
         assert np.max(np.abs(Ou - Os)) <= REL / gap
 
     if u.n == 3:
+        ku, ks = project_kernel(u), project_kernel(s)
+        assert _agree(ku.eval(X), ks.sample(g)[1])
+        assert _agree(ku.jac(X), ks.sample(g)[2])
         assert _agree(signed_volume(u), signed_volume(s))
         assert _agree(dirichlet(u), dirichlet(s))
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spherestab.cli import main
+from spherestab.config import Config, load_config
 from spherestab.io import (
     grid_from_dict,
     grid_to_dict,
@@ -149,6 +150,7 @@ def test_cli_fit_moebius(tmp_path):
     fit = json.loads(out.read_text())
     assert fit["ratio"] < 100
     assert fit["value"] >= 0
+    assert fit["converged"] is True and fit["nfev"] > 0
 
 
 def test_cli_bad_inputs(tmp_path):
@@ -173,6 +175,29 @@ def test_cli_bad_inputs(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+
+
+def test_cli_partial_config(tmp_path, capsys):
+    # a partial resolutions table merges with the defaults
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"resolutions": {"3": 40}, "kmax": {"4": 5}}))
+    loaded = load_config(str(cfg))
+    assert loaded.resolutions == {**Config().resolutions, 3: 40}
+    assert loaded.kmax == {**Config().kmax, 4: 5}
+    m4 = tmp_path / "m4.json"
+    save_json(map_to_dict(identity_map(4)), str(m4))
+    assert main(["deficits", "--config", str(cfg), "--map", str(m4)]) == 0
+    # a dimension with no resolution at all is an input error
+    m5 = tmp_path / "m5.json"
+    save_json(map_to_dict(linear_map(np.eye(5))), str(m5))
+    capsys.readouterr()
+    assert main(["deficits", "--config", str(cfg), "--map", str(m5)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n = 5" in err
+    # malformed tables are input errors, not silently ignored
+    for bad in ([40], {"resolutions": [40]}):
+        cfg.write_text(json.dumps(bad))
+        assert main(["deficits", "--config", str(cfg), "--map", str(m4)]) == 2
 
 
 def test_cli_stability_sweep(tmp_path):

@@ -252,13 +252,48 @@ def test_nearest_moebius_requires_volume(grid3):
         nearest_moebius(linear_map(np.diag([1.0, 1.0, 0.0])), grid3)
 
 
+# fit values of the earlier six-parameter Nelder-Mead search on Config().grid(3);
+# the value is an achieved upper bound, so it may improve but not worsen
+_ELLIPSOID_FIT_VALUES = {0.01: 4.4148648497222e-05, 0.1: 0.004153686396675127,
+                         0.3: 0.03252032520325199}
+
+
 def test_nearest_moebius_ellipsoid_ratio_sweep(grid3):
     from spherestab.deficits import combined_deficit
 
     ratios = []
-    for s in (0.01, 0.1, 0.3):
+    for s, previous in _ELLIPSOID_FIT_VALUES.items():
         u = linear_map(np.diag([1.0, 1.0, 1.0 + s]))
         res = nearest_moebius(u, grid3)
+        assert res.value <= previous * (1.0 + 1e-9)
+        assert res.converged and res.nfev > 0
         ratios.append(res.value / combined_deficit(u, grid3))
     assert max(ratios) < 100
     assert max(ratios) / min(ratios) < 10
+
+
+def test_fit_terms_match_generic_quadrature(grid3, rng):
+    # the O(N) contraction of the per-boost step against the (N,3,3) path
+    from spherestab.moebius import _fit_terms
+    from spherestab.spheremap import tangential_jacobians
+
+    X, w = grid3.nodes, grid3.weights
+    u = identity_map(3) + random_h_field(3, 3, rng).scale(0.3)
+    assert u.is_poly
+    TJ_u = tangential_jacobians(u.jac(X), X)
+    for _ in range(8):
+        xi = rng.normal(size=3)
+        xi /= np.linalg.norm(xi)
+        v = np.log(rng.uniform(0.3, 3.0)) * xi
+        phi, b, c = _fit_terms(v, TJ_u, X, w)
+        TJp = tangential_jacobians(moebius_jacobian(phi, X), X)
+        b_ref = float(w @ np.einsum("aik,aik->a", TJ_u, TJp))
+        c_ref = float(w @ np.einsum("aik,aik->a", TJp, TJp))
+        assert abs(b - b_ref) <= 1e-12 * abs(b_ref)
+        assert abs(c - c_ref) <= 1e-12 * abs(c_ref)
+        # no rotation beats the closed-form one
+        for _ in range(3):
+            R = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            R *= np.sign(np.linalg.det(R))
+            TJr = tangential_jacobians(moebius_jacobian(MoebiusMap(3, R @ phi.O, phi.xi, phi.lam), X), X)
+            assert float(w @ np.einsum("aik,aik->a", TJ_u, TJr)) <= b + 1e-12
