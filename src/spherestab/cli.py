@@ -4,7 +4,9 @@ Subcommands: verify (full invariant suite, JSON report, exit 0/1),
 spectrum (per-(k,i) constant table as CSV), rates / stability (family
 sweeps as CSV), fit-moebius and deficits (per-map reports).  Exit codes:
 0 pass, 1 invariant failure, 2 usage or input error.  With a fixed seed
-the CSV outputs are byte-identical across runs on one platform.
+the CSV outputs are byte-identical across runs on one platform.  The
+``ratio_residual`` column of spectrum is a roundoff residual: its digits
+depend on the summation order inside the kernels, not only on the seed.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -44,10 +47,21 @@ def _parse_sigmas(spec: str) -> list[float]:
     raise ValueError("spacing must be 'geometric' or 'linear'")
 
 
-def _sweep_sigmas(args) -> list[float] | None:
-    """The parsed --sigmas, or None after printing why the sweep cannot run."""
-    from .families import sweep_input_error
+def _sweep_inputs(args):
+    """The parsed --sigmas and the sweep grid, or None after printing why the sweep cannot run.
 
+    Only the sphere families (n = 3) read a grid; the circle families carry their own.
+    """
+    from .families import family_dimension, sweep_input_error
+
+    n = family_dimension(args.family)
+    unused = [f"--{name}" for name in ("seed", "tol") if getattr(args, name) is not None]
+    if n == 2 and args.resolution is not None:
+        unused.append("--resolution")
+    if unused:
+        print(f"the {args.family} sweep does not use {', '.join(unused)}", file=sys.stderr)
+        return None
+    cfg = _load_cfg(args)  # a bad --config exits 2 for every family
     try:
         sigmas = _parse_sigmas(args.sigmas)
     except ValueError as exc:
@@ -57,7 +71,13 @@ def _sweep_sigmas(args) -> list[float] | None:
     if problem:
         print(f"bad sweep: {problem}", file=sys.stderr)
         return None
-    return sigmas
+    if n == 2:
+        return sigmas, None
+    try:
+        return sigmas, cfg.grid(n)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return None
 
 
 def _write_csv(path, header, rows):
@@ -75,17 +95,12 @@ def _write_csv(path, header, rows):
 def _load_cfg(args) -> Config:
     try:
         cfg = load_config(args.config) if getattr(args, "config", None) else Config()
-        if getattr(args, "tol", None):
+        if getattr(args, "tol", None) is not None:
             cfg = cfg.with_tolerance(float(args.tol))
-        if getattr(args, "resolution", None):
-            res = dict(cfg.resolutions)
-            res[args.n if hasattr(args, "n") and args.n else 3] = int(args.resolution)
-            from dataclasses import replace
-
-            cfg = replace(cfg, resolutions=res)
+        if getattr(args, "resolution", None) is not None:
+            n = getattr(args, "n", None) or 3
+            cfg = replace(cfg, resolutions={**cfg.resolutions, n: int(args.resolution)})
         if getattr(args, "seed", None) is not None:
-            from dataclasses import replace
-
             cfg = replace(cfg, seed=int(args.seed))
         return cfg
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -120,6 +135,7 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from .constants import constants, sigma_value
+    from .errors import IntegrityError
     from .forms import q_n, q_vol, surface_div_sq, tangential_energy
     from .operator import eigenspaces, random_eigenfield
 
@@ -128,13 +144,17 @@ def cmd_spectrum(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for k in range(1, kmax + 1):
-        spaces = eigenspaces(n, k)
+        try:
+            spaces = eigenspaces(n, k)
+        except IntegrityError as exc:
+            # past the degree ceiling the float basis loses the known spectrum
+            print(f"spectrum fails at (n, k) = ({n}, {k}): {exc}", file=sys.stderr)
+            return 2
         for i in (1, 2, 3):
             S = spaces[i - 1]
             if S.dim == 0:
                 continue
             c, a, C, Cp, Ct = constants(n, k, i)
-            resid = 0.0
             ef = random_eigenfield(n, k, i, rng)
             e = tangential_energy(ef.map)
             resid = max(
@@ -149,34 +169,24 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def cmd_rates(args) -> int:
+def cmd_sweep(args) -> int:
+    """rates and stability: one family sweep as CSV; rates adds the energy and its fitted slope."""
     from .families import stability_sweep
 
-    cfg = _load_cfg(args)
-    sigmas = _sweep_sigmas(args)
-    if sigmas is None:
+    inputs = _sweep_inputs(args)
+    if inputs is None:
         return 2
-    sweep = stability_sweep(args.family, sigmas, grid=None)
-    slope = sweep.energy_slope[0] if sweep.energy_slope else float("nan")
-    rows = []
-    for r, en in zip(sweep.rows(), sweep.energies):
-        rows.append([r["sigma"], r["lhs"], r["delta"], r["epsilon"], r["E"], r["ratio"], en, slope])
-    _write_csv(args.out, ["sigma", "lhs", "delta", "epsilon", "E", "ratio", "energy", "slope"], rows)
-    return 0
-
-
-def cmd_stability(args) -> int:
-    from .families import stability_sweep
-
-    cfg = _load_cfg(args)
-    sigmas = _sweep_sigmas(args)
-    if sigmas is None:
-        return 2
-    sweep = stability_sweep(args.family, sigmas, theorem=args.theorem, grid=None)
-    rows = [[r["sigma"], r["lhs"], r["delta"], r["epsilon"], r["E"], r["ratio"]] for r in sweep.rows()]
-    _write_csv(args.out, ["sigma", "lhs", "delta", "epsilon", "E", "ratio"], rows)
-    max_ratio = max(sweep.ratios)
-    print(f"max ratio {max_ratio:.4f} over {len(rows)} samples")
+    sigmas, grid = inputs
+    sweep = stability_sweep(args.family, sigmas, theorem=getattr(args, "theorem", None), grid=grid)
+    header = ["sigma", "lhs", "delta", "epsilon", "E", "ratio"]
+    rows = [[r[h] for h in header] for r in sweep.rows()]
+    if args.command == "rates":
+        slope = sweep.energy_slope[0] if sweep.energy_slope else float("nan")
+        header += ["energy", "slope"]
+        rows = [row + [en, slope] for row, en in zip(rows, sweep.energies)]
+    _write_csv(args.out, header, rows)
+    if args.command == "stability":
+        print(f"max ratio {max(sweep.ratios):.4f} over {len(rows)} samples")
     return 0
 
 
@@ -271,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("flip", "stretch", "ellipsoid", "homothety"))
     sp.add_argument("--sigmas", default="0.05:0.8:geometric:8",
                     help="start:stop:spacing:count")
-    sp.set_defaults(fn=cmd_rates)
+    sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("stability", help="stability-ratio sweep")
     common(sp)
@@ -279,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("flip", "stretch", "ellipsoid", "homothety"))
     sp.add_argument("--theorem", choices=("isometric", "conformal"))
     sp.add_argument("--sigmas", default="0.05:0.5:geometric:6")
-    sp.set_defaults(fn=cmd_stability)
+    sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("fit-moebius", help="nearest-Moebius fit for a map file")
     common(sp)

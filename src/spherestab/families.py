@@ -40,6 +40,7 @@ __all__ = [
     "FamilySweep",
     "stability_sweep",
     "sweep_input_error",
+    "family_dimension",
     "expansion_suite",
 ]
 
@@ -178,6 +179,11 @@ _FAMILIES = {
     "homothety": (homothety_family, "isometric", 3),
     "ellipsoid": (ellipsoid_family, "conformal", 3),
 }
+
+
+def family_dimension(family: str) -> int:
+    """n for a family of maps S^{n-1} -> R^n; the circle families (n = 2) carry their own grids."""
+    return _FAMILIES[family][2]
 
 
 def sweep_input_error(family: str, sigmas, theorem: str | None = None) -> str | None:

@@ -112,9 +112,7 @@ def scalar_basis_coeffs(n: int, k: int) -> np.ndarray:
         kernel = np.eye(M)
     else:
         # Laplacian as a (M_{k-2} x M_k) matrix; kernel = harmonic coefficients
-        L = np.zeros((len(exps(n, k - 2)), M))
-        for i in range(n):
-            L += diff_matrix(n, k - 1, i) @ diff_matrix(n, k, i)
+        L = sum(diff_matrix(n, k - 1, i) @ diff_matrix(n, k, i) for i in range(n))
         _, s, vh = np.linalg.svd(L)
         ncon = int(np.sum(s > _NULL_TOL * s[0]))
         kernel = vh[ncon:]
@@ -168,8 +166,7 @@ def vector_space_coeffs(n: int, k: int) -> np.ndarray:
     G_cnt, M = S.shape
     cand = np.zeros((n * G_cnt, n, M))
     for i in range(n):
-        for j in range(G_cnt):
-            cand[i * G_cnt + j, i] = S[j]
+        cand[i * G_cnt : (i + 1) * G_cnt, i] = S
     if k == 1:
         # constraint: sum_i integral(w^i x_i) = 0
         e1, G1 = exps(n, 1), gram(n, 1)

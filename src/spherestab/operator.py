@@ -18,7 +18,7 @@ import numpy as np
 from .errors import IntegrityError
 from .harmonics import Subspace, laplace_eigenvalue, vector_space_coeffs
 from .homogeneous import field_a_operator, field_inner_x, field_mean, field_pair
-from .polynomials import Poly, diff_matrix, exps, gram, xmul_matrix
+from .polynomials import Poly, diff_matrix, gram, xmul_matrix
 from .spheremap import (
     SphereMap,
     a_operator_values,
@@ -55,20 +55,20 @@ def apply_A(w: SphereMap) -> SphereMap:
     return sampled_map(w.grid, vals, None)
 
 
-@lru_cache(maxsize=None)
 def _a_coefficient_matrix(n: int, k: int) -> np.ndarray:
     """A on degree-k harmonic coefficient space, block (i,j) = X_i D_j - X_j D_i.
 
     Valid because harmonic components coincide with their harmonic
     extensions, where A(w) = (div w_h) x - sum_j x_j grad w_h^j.
     """
-    M = len(exps(n, k))
-    A = np.zeros((n * M, n * M))
-    for i in range(n):
-        for j in range(n):
-            blk = xmul_matrix(n, k - 1, i) @ diff_matrix(n, k, j) - xmul_matrix(n, k - 1, j) @ diff_matrix(n, k, i)
-            A[i * M : (i + 1) * M, j * M : (j + 1) * M] = blk
-    return A
+    X = [xmul_matrix(n, k - 1, i) for i in range(n)]
+    D = [diff_matrix(n, k, i) for i in range(n)]
+    return np.block([[X[i] @ D[j] - X[j] @ D[i] for j in range(n)] for i in range(n)])
+
+
+def _field_pairs(C1: np.ndarray, C2: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """L2 pairings sum_{i,m,p} C1[a,i,m] G[m,p] C2[b,i,p] of two stacks of fields, as one matmul."""
+    return (C1 @ G).reshape(len(C1), -1) @ C2.reshape(len(C2), -1).T
 
 
 @lru_cache(maxsize=None)
@@ -76,10 +76,8 @@ def a_matrix(n: int, k: int) -> np.ndarray:
     """Matrix of A on the orthonormal basis of H_{n,k} (L2 inner products)."""
     B = vector_space_coeffs(n, k)          # (dim, n, M)
     dim, _, M = B.shape
-    Aco = _a_coefficient_matrix(n, k)
-    AB = (Aco @ B.reshape(dim, n * M).T).T.reshape(dim, n, M)
-    G = gram(n, k)
-    return np.einsum("aim,mp,bip->ab", B, G, AB)
+    AB = (_a_coefficient_matrix(n, k) @ B.reshape(dim, n * M).T).T.reshape(dim, n, M)
+    return _field_pairs(B, AB, gram(n, k))
 
 
 def self_adjointness_residual(n: int, k: int) -> float:
@@ -96,19 +94,11 @@ def helmholtz_split(n: int, k: int) -> tuple[Subspace, Subspace]:
     threshold 1e-10), never by sampling.
     """
     B = vector_space_coeffs(n, k)
-    dim, _, M = B.shape
-    Mdiv = len(exps(n, k - 1))
-    Dmap = np.zeros((Mdiv, dim))
-    for a in range(dim):
-        for i in range(n):
-            Dmap[:, a] += diff_matrix(n, k, i) @ B[a, i]
-    u, s, vh = np.linalg.svd(Dmap)
+    Dmap = sum(diff_matrix(n, k, i) @ B[:, i, :].T for i in range(n))
+    _, s, vh = np.linalg.svd(Dmap)
     rank = int(np.sum(s > 1e-10))  # basis coefficients are O(1)
-    sol_combos = vh[rank:]
-    perp_combos = vh[:rank]
-    sol = Subspace(n, k, "sol", np.einsum("ab,bim->aim", sol_combos, B))
-    perp = Subspace(n, k, "sol_perp", np.einsum("ab,bim->aim", perp_combos, B),
-                    eigenvalue=float(k + n - 2))
+    sol = Subspace(n, k, "sol", np.einsum("ab,bim->aim", vh[rank:], B))
+    perp = Subspace(n, k, "sol_perp", np.einsum("ab,bim->aim", vh[:rank], B), eigenvalue=float(k + n - 2))
     return sol, perp
 
 
@@ -123,29 +113,20 @@ def eigenspaces(n: int, k: int) -> tuple[Subspace, Subspace, Subspace]:
     """
     B = vector_space_coeffs(n, k)
     M = a_matrix(n, k)
-    M = 0.5 * (M + M.T)
-    evals, evecs = np.linalg.eigh(M)
+    evals, evecs = np.linalg.eigh(0.5 * (M + M.T))
     centers = [float(-k), 1.0, float(k + n - 2)]
-    groups: list[list[int]] = [[], [], []]
-    for idx, ev in enumerate(evals):
-        dists = [abs(ev - c) for c in centers]
-        j = int(np.argmin(dists))
-        if dists[j] > _CLUSTER_TOL:
-            raise IntegrityError(
-                f"eigenvalue {ev} of A on H_({n},{k}) is not near any of {centers}"
-            )
-        if j == 2 and k == 1:
-            # H_{n,1,3} is trivial; for n=2, k=1 the centers 1 and k+n-2 collide
-            j = 1
-        groups[j].append(idx)
-    out = []
-    labels = ["eig1", "eig2", "eig3"]
-    for j, (label, center) in enumerate(zip(labels, centers)):
-        idxs = groups[j]
-        combos = evecs[:, idxs].T
-        coeffs = np.einsum("ab,bim->aim", combos, B) if len(idxs) else np.zeros((0, n, B.shape[2]))
-        out.append(Subspace(n, k, label, coeffs, eigenvalue=center))
-    eig1, eig2, eig3 = out
+    dists = np.abs(evals[:, None] - np.array(centers))
+    far = np.flatnonzero(dists.min(axis=1) > _CLUSTER_TOL)
+    if far.size:
+        raise IntegrityError(f"eigenvalue {evals[far[0]]} of A on H_({n},{k}) is not near any of {centers}")
+    which = np.argmin(dists, axis=1)
+    if k == 1:
+        # H_{n,1,3} is trivial; for n=2, k=1 the centers 1 and k+n-2 collide
+        which[which == 2] = 1
+    eig1, eig2, eig3 = (
+        Subspace(n, k, f"eig{j + 1}", np.einsum("ab,bim->aim", evecs[:, which == j].T, B), eigenvalue=c)
+        for j, c in enumerate(centers)
+    )
     sol, perp = helmholtz_split(n, k)
     if eig3.dim != perp.dim:
         raise IntegrityError(f"sol-complement dim {perp.dim} != eigenvalue-{centers[2]} dim {eig3.dim}")
@@ -164,8 +145,7 @@ def subspace_angle(S1: Subspace, S2: Subspace) -> float:
         return 1.0
     if S1.dim == 0:
         return 0.0
-    G = gram(S1.n, S1.k)
-    C = np.einsum("aim,mp,bip->ab", S1.coeffs, G, S2.coeffs)
+    C = _field_pairs(S1.coeffs, S2.coeffs, gram(S1.n, S1.k))
     s = np.linalg.svd(C, compute_uv=False)
     return float(np.max(np.abs(1.0 - s)))
 

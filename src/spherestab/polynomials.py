@@ -96,9 +96,17 @@ def xmul_matrix(n: int, k: int, i: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _product_index(n: int, k1: int, k2: int) -> np.ndarray:
-    """Position in exps(n, k1+k2) of p + q, for (p, q) over exps(n, k1) x exps(n, k2) row-major."""
-    dst = _index(n, k1 + k2)
-    return np.array([dst[tuple(a + b for a, b in zip(p, q))] for p in exps(n, k1) for q in exps(n, k2)])
+    """Position in exps(n, k1+k2) of p + q, for (p, q) over exps(n, k1) x exps(n, k2) row-major.
+
+    Exponents are coded as base-(k1+k2+1) numbers, leading digit e[0]: sums
+    never carry, and the sorted :func:`exps` have ascending codes.
+    """
+    weights = (k1 + k2 + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+    def code(k: int) -> np.ndarray:
+        return np.array(exps(n, k), dtype=np.int64).reshape(-1, n) @ weights
+
+    return np.searchsorted(code(k1 + k2), np.add.outer(code(k1), code(k2)).ravel())
 
 
 @lru_cache(maxsize=None)
@@ -115,14 +123,8 @@ def gram(n: int, k: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def gram_rect(n: int, k1: int, k2: int) -> np.ndarray:
     """Moments of x^(p+q) for deg-k1 p against deg-k2 q (exact, as floats)."""
-    e1, e2 = exps(n, k1), exps(n, k2)
-    G = np.zeros((len(e1), len(e2)))
-    if (k1 + k2) % 2 == 1:
-        return G
-    for a, p in enumerate(e1):
-        for b, q in enumerate(e2):
-            G[a, b] = float(sphere_moment(n, tuple(x + y for x, y in zip(p, q))))
-    return G
+    G = _moments(n, k1 + k2, False)[_product_index(n, k1, k2)]
+    return G.reshape(len(exps(n, k1)), len(exps(n, k2)))
 
 
 @lru_cache(maxsize=None)

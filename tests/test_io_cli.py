@@ -125,8 +125,38 @@ def test_cli_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
         assert main(["rates", "--family", "stretch", "--sigmas", "0.004:0.04:geometric:5",
-                     "--seed", "7", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_spectrum_past_degree_ceiling(tmp_path, capsys):
+    # n = 3, k = 12 is the first block whose float basis loses the spectrum
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--n", "3", "--kmax", "12", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "(n, k) = (3, 12)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--family", "flip", "--seed", "7"],
+    ["rates", "--family", "ellipsoid", "--tol", "1e-3"],
+    ["stability", "--family", "homothety", "--seed", "1"],
+    ["rates", "--family", "flip", "--resolution", "8"],
+    ["stability", "--family", "stretch", "--sigmas", "0.01:0.1:geometric:3", "--resolution", "8"],
+])
+def test_cli_sweeps_refuse_unused_flags(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "does not use --" in err
+
+
+def test_cli_sweep_resolution_takes_effect(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    base = ["rates", "--family", "ellipsoid", "--sigmas", "0.1:0.2:geometric:2"]
+    assert main(base + ["--out", str(a)]) == 0
+    assert main(base + ["--resolution", "8", "--out", str(b)]) == 0
+    assert a.read_text().splitlines()[0] == b.read_text().splitlines()[0]
+    assert a.read_bytes() != b.read_bytes()
 
 
 def test_cli_deficits_identity(tmp_path):

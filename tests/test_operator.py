@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from spherestab.harmonics import analyze
+from spherestab.harmonics import analyze, harmonic_dimension, vector_space_coeffs
 from spherestab.homogeneous import field_pair
 from spherestab.operator import (
+    _a_coefficient_matrix,
+    a_matrix,
     apply_A,
     eigenspaces,
     helmholtz_split,
@@ -18,7 +20,7 @@ from spherestab.operator import (
     self_adjointness_residual,
     subspace_angle,
 )
-from spherestab.polynomials import Poly
+from spherestab.polynomials import Poly, gram
 from spherestab.spheremap import linear_map, poly_map, surface_divergence
 
 SKEW = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -60,6 +62,40 @@ def test_spectrum_clusters(n, k, expected):
     spaces = eigenspaces(n, k)
     got = {int(round(s.eigenvalue)) for s in spaces if s.dim > 0}
     assert got == expected
+
+
+def _einsum_pairs(C1, C2, G):
+    """Reference contraction sum_{i,m,p} C1[a,i,m] G[m,p] C2[b,i,p]."""
+    return np.einsum("aim,mp,bip->ab", C1, G, C2)
+
+
+@pytest.mark.parametrize("n,kmax", [(3, 8), (4, 5)])
+def test_a_matrix_and_subspace_angle_match_einsum(n, kmax):
+    for k in range(1, kmax + 1):
+        B = vector_space_coeffs(n, k)
+        dim, _, M = B.shape
+        AB = (_a_coefficient_matrix(n, k) @ B.reshape(dim, n * M).T).T.reshape(dim, n, M)
+        ref = _einsum_pairs(B, AB, gram(n, k))
+        assert np.max(np.abs(a_matrix(n, k) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        spaces = eigenspaces(n, k)
+        for S1, S2 in [(spaces[2], helmholtz_split(n, k)[1]), (spaces[0], spaces[0]), (spaces[1], spaces[1])]:
+            if S1.dim == 0:
+                continue
+            C = _einsum_pairs(S1.coeffs, S2.coeffs, gram(n, k))
+            want = float(np.max(np.abs(1.0 - np.linalg.svd(C, compute_uv=False))))
+            assert abs(subspace_angle(S1, S2) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("n,k", [(3, k) for k in range(1, 12)] + [(4, k) for k in range(1, 9)])
+def test_spectrum_up_to_the_degree_ceiling(n, k):
+    # dims h(n,k+1), n h(n,k) - h(n,k+1) - h(n,k-1), h(n,k-1); the top block is empty at k = 1
+    h = lambda d: harmonic_dimension(n, d)
+    top = h(k - 1) if k >= 2 else 0
+    dims = [h(k + 1), n * h(k) - h(k + 1) - h(k - 1), top]
+    assert [S.dim for S in eigenspaces(n, k)] == dims
+    centres = np.repeat([-k, 1.0, k + n - 2], dims)
+    evals = np.linalg.eigvalsh(0.5 * (a_matrix(n, k) + a_matrix(n, k).T))
+    assert np.max(np.abs(evals - np.sort(centres))) < 1e-8
 
 
 def test_eigenvalue_residuals(rng):

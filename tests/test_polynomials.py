@@ -84,3 +84,18 @@ def test_moment_equals_poly_integral(a, b, c):
 
     p = Poly(3, {(a, b, c): 1.0})
     assert abs(p.sphere_integral() - float(sphere_moment(3, (a, b, c)))) < 1e-15
+
+
+def test_gram_rect_and_product_index_equal_exponent_sums():
+    # oracle: position of p + q found by lookup, moment of p + q summed exactly
+    from spherestab.moments import sphere_moment
+    from spherestab.polynomials import _product_index, exps, gram_rect
+
+    for n in range(2, 6):
+        for k1 in range(7):
+            for k2 in range(7):
+                pos = {e: i for i, e in enumerate(exps(n, k1 + k2))}
+                sums = [tuple(a + b for a, b in zip(p, q)) for p in exps(n, k1) for q in exps(n, k2)]
+                assert np.array_equal(_product_index(n, k1, k2), [pos[s] for s in sums])
+                want = np.array([float(sphere_moment(n, s)) for s in sums])
+                assert np.array_equal(gram_rect(n, k1, k2), want.reshape(len(exps(n, k1)), len(exps(n, k2))))
