@@ -47,6 +47,10 @@ def _parse_sigmas(spec: str) -> list[float]:
     raise ValueError("spacing must be 'geometric' or 'linear'")
 
 
+def _unused_flags(args, names) -> list[str]:
+    return [f"--{name}" for name in names if getattr(args, name) is not None]
+
+
 def _sweep_inputs(args):
     """The parsed --sigmas and the sweep grid, or None after printing why the sweep cannot run.
 
@@ -55,9 +59,7 @@ def _sweep_inputs(args):
     from .families import family_dimension, sweep_input_error
 
     n = family_dimension(args.family)
-    unused = [f"--{name}" for name in ("seed", "tol") if getattr(args, name) is not None]
-    if n == 2 and args.resolution is not None:
-        unused.append("--resolution")
+    unused = _unused_flags(args, ("seed", "tol") + (("resolution",) if n == 2 else ()))
     if unused:
         print(f"the {args.family} sweep does not use {', '.join(unused)}", file=sys.stderr)
         return None
@@ -139,6 +141,10 @@ def cmd_spectrum(args) -> int:
     from .forms import q_n, q_vol, surface_div_sq, tangential_energy
     from .operator import eigenspaces, random_eigenfield
 
+    unused = _unused_flags(args, ("resolution", "tol"))
+    if unused:
+        print(f"spectrum does not use {', '.join(unused)}", file=sys.stderr)
+        return 2
     cfg = _load_cfg(args)
     n, kmax = args.n, args.kmax
     rng = np.random.default_rng(cfg.seed)

@@ -8,6 +8,14 @@ positively oriented frame this gives V(id) = +1 in every dimension, and
 V(Ax) = det A by multilinearity.  For n = 3 polynomial maps it is
 evaluated exactly through moments, and the bulk identity
 avg_{B_1} det grad(u_h) = V_3(u) is available as an independent check.
+
+`deficit_report` and `combined_deficit` sample the map once and build the
+tangential Jacobians once.  The report takes every quadrature integrand
+from the principal stretches s_i (square roots of the eigenvalues of the
+first fundamental form): the perimeter density is prod s_i and the
+Dirichlet density (sum s_i^2 / (n-1))^((n-1)/2).  The volume and the
+Dirichlet energy of n = 3 polynomial maps keep their exact moment routes,
+so every field equals its standalone functional.
 """
 
 from __future__ import annotations
@@ -19,12 +27,17 @@ import numpy as np
 from .errors import UndefinedDeficitError
 from .harmonics import harmonicize
 from .polynomials import Poly
-from .quadrature import SphereGrid, default_sphere_grid
+from .quadrature import SphereGrid
 from .spheremap import (
     SphereMap,
+    _dirichlet_density,
+    _node_data,
+    _stretches,
+    _volume_density,
     area_integrand,
     dirichlet_integrand,
     principal_stretch_values,
+    tangential_jacobians,
     volume_integrand,
 )
 
@@ -47,16 +60,14 @@ __all__ = [
 _VOL_EPS = 1e-10
 
 
-def _grid_for(u: SphereMap, grid: SphereGrid | None) -> SphereGrid:
-    return grid or u.grid or default_sphere_grid(u.n)
+def _exact_route(u: SphereMap) -> bool:
+    """Poly maps of S^2 get V and D exactly through moments."""
+    return u.is_poly and u.n == 3
 
 
-def _node_data(u: SphereMap, grid: SphereGrid | None):
-    g = _grid_for(u, grid)
-    X, U, J = u.sample(g)
-    if J is None:
-        raise ValueError("deficits need gradient data")
-    return g, X, U, J
+def _check_square(u: SphereMap) -> None:
+    if u.m != u.n:
+        raise ValueError("signed volume needs a map into R^n")
 
 
 def principal_stretches(G: np.ndarray) -> np.ndarray:
@@ -102,9 +113,8 @@ def signed_volume(u: SphereMap, grid: SphereGrid | None = None) -> float:
     Exact for poly maps with n = 3 (moment route); quadrature otherwise,
     which is still exact whenever the integrand degree fits the grid.
     """
-    if u.m != u.n:
-        raise ValueError("signed volume needs a map into R^n")
-    if u.is_poly and u.n == 3:
+    _check_square(u)
+    if _exact_route(u):
         return _poly_volume_integrand(u).sphere_integral()
     g, X, U, J = _node_data(u, grid)
     return float(g.weights @ volume_integrand(U, J, X))
@@ -138,7 +148,7 @@ def dirichlet(u: SphereMap, grid: SphereGrid | None = None) -> float:
 
     For n = 3 this is half the tangential energy and is exact on poly maps.
     """
-    if u.n == 3 and u.is_poly:
+    if _exact_route(u):
         from .forms import tangential_energy
 
         return 0.5 * tangential_energy(u)
@@ -155,10 +165,16 @@ def perimeter(u: SphereMap, grid: SphereGrid | None = None) -> float:
 def combined_deficit(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """E_{n-1}(u) = D^{n/(n-1)} / |V| - 1; undefined when V vanishes."""
     n = u.n
-    V = signed_volume(u, grid)
+    if _exact_route(u):
+        V, D = signed_volume(u), dirichlet(u)
+    else:
+        _check_square(u)
+        g, X, U, J = _node_data(u, grid)
+        TJ = tangential_jacobians(J, X)
+        V = float(g.weights @ _volume_density(U, TJ, X))
+        D = float(g.weights @ _dirichlet_density(np.sum(TJ * TJ, axis=(1, 2)), n))
     if abs(V) <= _VOL_EPS:
         raise UndefinedDeficitError("signed volume vanishes; combined deficit undefined")
-    D = dirichlet(u, grid)
     return D ** (n / (n - 1)) / abs(V) - 1.0
 
 
@@ -218,22 +234,29 @@ class DeficitReport:
 def deficit_report(u: SphereMap, grid: SphereGrid | None = None) -> DeficitReport:
     """Assemble every deficit for one map on one grid pass."""
     n = u.n
+    _check_square(u)
     g, X, U, J = _node_data(u, grid)
-    s = principal_stretch_values(J, X)
+    w = g.weights
+    TJ = tangential_jacobians(J, X)
+    s = _stretches(TJ)
+    sq = np.sum(s * s, axis=1)
     top = s[:, -1] - 1.0
-    delta = float(np.sqrt(g.weights @ np.clip(top, 0.0, None) ** 2))
-    sgap = float(np.sqrt(g.weights @ (top * top)))
-    disom = float(np.sqrt(g.weights @ np.sum((s - 1.0) ** 2, axis=1)))
-    V = signed_volume(u, grid)
+    delta = float(np.sqrt(w @ np.clip(top, 0.0, None) ** 2))
+    sgap = float(np.sqrt(w @ (top * top)))
+    disom = float(np.sqrt(w @ np.sum((s - 1.0) ** 2, axis=1)))
+    if _exact_route(u):
+        V, D = signed_volume(u), dirichlet(u)
+    else:
+        V = float(w @ _volume_density(U, TJ, X))
+        D = float(w @ _dirichlet_density(sq, n))
     eps = max(0.0, 1.0 - abs(V))
-    D = dirichlet(u, grid)
-    P = perimeter(u, grid)
+    P = float(w @ np.prod(s, axis=1))
     defined = abs(V) > _VOL_EPS
     E = D ** (n / (n - 1)) / abs(V) - 1.0 if defined else None
     unit = bool(np.max(np.abs(np.linalg.norm(U, axis=1) - 1.0)) <= 1e-6)
     degree = int(round(V)) if unit and defined else None
     p = 2 * (n - 2) if n >= 3 else 2
-    gnorm = float((g.weights @ (np.sum(s * s, axis=1) ** (p / 2.0))) ** (1.0 / p))
+    gnorm = float((w @ sq ** (p / 2.0)) ** (1.0 / p))
     return DeficitReport(
         n=n, delta=delta, delta_isom=disom, stretch_gap_norm=sgap, epsilon=eps,
         dirichlet=D, perimeter=P, volume=V, combined=E, combined_defined=defined,

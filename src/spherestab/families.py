@@ -26,8 +26,16 @@ import numpy as np
 from .deficits import DeficitReport, deficit_report
 from .forms import q_n, tangential_energy
 from .moebius import nearest_moebius, nearest_rotation
-from .quadrature import SphereGrid, build_circle_grid_segmented, default_sphere_grid
-from .spheremap import SphereMap, identity_map, linear_map, sampled_map, volume_integrand
+from .quadrature import SphereGrid, build_circle_grid_segmented
+from .spheremap import (
+    SphereMap,
+    _node_data,
+    identity_map,
+    linear_map,
+    sampled_map,
+    tangential_jacobians,
+    volume_integrand,
+)
 
 __all__ = [
     "flip_family",
@@ -135,10 +143,7 @@ def homothety_family(sigma: float, n: int = 3) -> SphereMap:
 
 def grad_gap_to_identity(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """Integral of |grad_T u - grad_T id|^2."""
-    g = grid or u.grid or default_sphere_grid(u.n)
-    X, U, J = u.sample(g)
-    from .spheremap import tangential_jacobians
-
+    g, X, U, J = _node_data(u, grid)
     TJ = tangential_jacobians(J - np.eye(u.n), X)
     return float(g.weights @ np.einsum("aik,aik->a", TJ, TJ))
 

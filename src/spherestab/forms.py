@@ -27,11 +27,12 @@ from .homogeneous import (
     matrix_frobenius_pair,
 )
 from .operator import EigenField, project_h_n, project_kernel
-from .quadrature import SphereGrid, default_sphere_grid
+from .quadrature import SphereGrid
 from .spheremap import (
     SphereMap,
+    _node_data,
+    _pjp,
     a_operator_values,
-    projectors,
     surface_divergence,
     sym_tangential_part,
     tangential_jacobians,
@@ -52,18 +53,6 @@ __all__ = [
     "mixed_term_allowed",
     "coercivity_ratio",
 ]
-
-
-def _grid_for(u: SphereMap, grid: SphereGrid | None) -> SphereGrid:
-    return grid or u.grid or default_sphere_grid(u.n)
-
-
-def _node_data(u: SphereMap, grid: SphereGrid | None):
-    g = _grid_for(u, grid)
-    X, U, J = u.sample(g)
-    if J is None:
-        raise ValueError("quadratic forms need gradient data")
-    return g, X, U, J
 
 
 def tangential_energy(u: SphereMap, grid: SphereGrid | None = None) -> float:
@@ -130,8 +119,7 @@ def _pjp_energy(u: SphereMap, grid: SphereGrid | None) -> float:
         M = field_pjp_entries(u.components)
         return matrix_frobenius_pair(M, M)
     g, X, U, J = _node_data(u, grid)
-    P = projectors(X)
-    M = np.einsum("aij,ajk,akl->ail", P, J, P)
+    M = _pjp(J, X)
     return float(g.weights @ np.einsum("aik,aik->a", M, M))
 
 
@@ -229,8 +217,7 @@ def coercivity_ratio(w: SphereMap, grid: SphereGrid | None = None) -> float:
         resid = w + pk.scale(-1.0)
         denom = tangential_energy(resid)
     else:
-        g = _grid_for(w, grid)
-        X, U, J = w.sample(g)
+        g, X, U, J = _node_data(w, grid)
         Jk = pk.jac(X) if not pk.is_sampled else pk.sample(g)[2]
         TJ = tangential_jacobians(J - Jk, X)
         denom = float(g.weights @ np.einsum("aik,aik->a", TJ, TJ))

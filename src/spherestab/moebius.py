@@ -31,7 +31,7 @@ from .errors import SolverError
 from .harmonics import scalar_basis
 from .polynomials import evaluate
 from .quadrature import SphereGrid, build_sphere_grid, default_sphere_grid
-from .spheremap import SphereMap, callable_map, projectors, tangential_jacobians
+from .spheremap import SphereMap, _node_data, callable_map, projectors, tangential_jacobians
 
 __all__ = [
     "MoebiusMap",
@@ -506,8 +506,7 @@ def nearest_rotation(u: SphereMap, grid: SphereGrid | None = None) -> tuple[np.n
                 M[i, l] = (f[i].diff(l) - radials[i].xmul(l)).sphere_integral()
         energy = tangential_energy(u)
     else:
-        g = grid or u.grid or default_sphere_grid(n)
-        X, U, J = u.sample(g)
+        g, X, U, J = _node_data(u, grid)
         TJ = tangential_jacobians(J, X)
         M = np.einsum("a,ail->il", g.weights, TJ)
         energy = float(g.weights @ np.einsum("aik,aik->a", TJ, TJ))

@@ -6,13 +6,15 @@ Moebius maps and compositions; not serializable).  All geometric
 quantities are assembled frame-invariantly from the ambient Jacobian J
 and the projector P = I - x x^t:
 
-    tangential Jacobian      J P
+    tangential Jacobian      J P = J - (J x) x^t
+    first fundamental form   H = (J P)^t (J P), with H x = 0
     surface divergence       tr(J P)
-    principal stretches      singular values of J P (largest n-1)
+    principal stretches      square roots of the n-1 largest eigenvalues of H
     volume-form integrand    det(J P + u x^t)
 
-so no local tangent frame is ever chosen.  The determinant convention is
-fixed so that the identity map has signed volume +1 in every dimension.
+so no local tangent frame is ever chosen.  The kernels contract with
+broadcasts and batched matmuls.  The determinant convention is fixed so
+that the identity map has signed volume +1 in every dimension.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .polynomials import Poly, evaluate
-from .quadrature import SphereGrid
+from .quadrature import SphereGrid, default_sphere_grid
 
 __all__ = [
     "SphereMap",
@@ -165,6 +167,16 @@ def linear_map(A: np.ndarray) -> SphereMap:
     return SphereMap(n, m, PolyBacking(comps))
 
 
+def _node_data(u: SphereMap, grid: SphereGrid | None):
+    """(grid, nodes, values, Jacobians) of u on the given grid, else on its
+    own grid, else on the default grid of its dimension."""
+    g = grid or u.grid or default_sphere_grid(u.n)
+    X, U, J = u.sample(g)
+    if J is None:
+        raise ValueError("map has no gradient data")
+    return g, X, U, J
+
+
 # ---------------------------------------------------------------------------
 # pointwise geometry kernels (vectorized over nodes)
 # ---------------------------------------------------------------------------
@@ -172,47 +184,66 @@ def linear_map(A: np.ndarray) -> SphereMap:
 def projectors(X: np.ndarray) -> np.ndarray:
     """P = I - x x^t per node, shape (N, n, n)."""
     n = X.shape[1]
-    return np.eye(n)[None, :, :] - np.einsum("ai,aj->aij", X, X)
+    return np.eye(n) - X[:, :, None] * X[:, None, :]
 
 
 def tangential_jacobians(J: np.ndarray, X: np.ndarray) -> np.ndarray:
     """J P per node."""
-    return J - np.einsum("ail,al,ak->aik", J, X, X)
+    return J - (J @ X[:, :, None]) * X[:, None, :]
+
+
+def _pjp(J: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """P J P = J P - x (x^t J P) per node (square J)."""
+    TJ = tangential_jacobians(J, X)
+    return TJ - X[:, :, None] * (X[:, None, :] @ TJ)
+
+
+def _stretches(TJ: np.ndarray) -> np.ndarray:
+    """Principal stretches (ascending) from tangential Jacobians, shape (N, n-1).
+
+    H = TJ^t TJ annihilates x, so the squared stretches are its n-1
+    largest eigenvalues.
+    """
+    H = np.swapaxes(TJ, 1, 2) @ TJ
+    return np.sqrt(np.clip(np.linalg.eigvalsh(H)[:, 1:], 0.0, None))
 
 
 def surface_divergence(J: np.ndarray, X: np.ndarray) -> np.ndarray:
     """tr(J P) = tr J - x^t J x per node (square J)."""
-    return np.einsum("aii->a", J) - np.einsum("ai,ail,al->a", X, J, X)
+    Jx = (J @ X[:, :, None])[:, :, 0]
+    return np.trace(J, axis1=1, axis2=2) - np.sum(X * Jx, axis=1)
 
 
 def principal_stretch_values(J: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Sorted principal stretches (ascending), shape (N, n-1)."""
-    TJ = tangential_jacobians(J, X)
-    s = np.linalg.svd(TJ, compute_uv=False)  # descending, last one ~ 0
-    s = s[:, : X.shape[1] - 1]
-    return s[:, ::-1]
+    return _stretches(tangential_jacobians(J, X))
+
+
+def _volume_density(U: np.ndarray, TJ: np.ndarray, X: np.ndarray) -> np.ndarray:
+    return np.linalg.det(TJ + U[:, :, None] * X[:, None, :])
+
+
+def _dirichlet_density(sq: np.ndarray, n: int) -> np.ndarray:
+    """(|grad_T u|^2 / (n-1))^((n-1)/2) from |grad_T u|^2 per node."""
+    return (sq / (n - 1)) ** ((n - 1) / 2.0)
 
 
 def volume_integrand(U: np.ndarray, J: np.ndarray, X: np.ndarray) -> np.ndarray:
     """det(J P + u x^t) per node; integrates to the signed volume V_n."""
-    B = tangential_jacobians(J, X) + np.einsum("ai,aj->aij", U, X)
-    return np.linalg.det(B)
+    return _volume_density(U, tangential_jacobians(J, X), X)
 
 
 def area_integrand(J: np.ndarray, X: np.ndarray) -> np.ndarray:
     """sqrt(det of the tangential first fundamental form) per node."""
     TJ = tangential_jacobians(J, X)
-    G = np.einsum("aki,akj->aij", TJ, TJ) + np.einsum("ai,aj->aij", X, X)
-    d = np.linalg.det(G)
-    return np.sqrt(np.clip(d, 0.0, None))
+    G = np.swapaxes(TJ, 1, 2) @ TJ + X[:, :, None] * X[:, None, :]
+    return np.sqrt(np.clip(np.linalg.det(G), 0.0, None))
 
 
 def dirichlet_integrand(J: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(|grad_T u|^2 / (n-1))^((n-1)/2) per node."""
-    n = X.shape[1]
     TJ = tangential_jacobians(J, X)
-    e = np.einsum("aik,aik->a", TJ, TJ) / (n - 1)
-    return e ** ((n - 1) / 2.0)
+    return _dirichlet_density(np.sum(TJ * TJ, axis=(1, 2)), X.shape[1])
 
 
 def a_operator_values(U: np.ndarray, J: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -224,6 +255,5 @@ def a_operator_values(U: np.ndarray, J: np.ndarray, X: np.ndarray) -> np.ndarray
 
 def sym_tangential_part(J: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(P J P)_sym per node: the symmetrized tangential-tangential block."""
-    P = projectors(X)
-    PJP = np.einsum("aij,ajk,akl->ail", P, J, P)
-    return 0.5 * (PJP + np.transpose(PJP, (0, 2, 1)))
+    PJP = _pjp(J, X)
+    return 0.5 * (PJP + np.swapaxes(PJP, 1, 2))

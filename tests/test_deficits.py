@@ -203,3 +203,107 @@ def test_report_norm_fields(grid3):
     rep4 = deficit_report(identity_map(4))
     assert rep4.grad_lp_exponent == 4
     assert abs(rep4.grad_lp_norm - 3.0 ** 0.5) < 1e-9
+
+
+def _report_maps(rng):
+    maps = []
+    for n in (3, 4):
+        for _ in range(2):
+            w = random_h_field(n, 3, rng)
+            maps.append(identity_map(n) + w.scale(0.3 / np.sqrt(tangential_energy(w))))
+    maps.append(as_sphere_map(random_moebius(rng, lam_range=(0.5, 2.0))))
+    return maps
+
+
+def test_report_fields_equal_standalone_functionals(rng):
+    from spherestab.quadrature import default_sphere_grid
+
+    for u in _report_maps(rng):
+        g = default_sphere_grid(u.n)
+        rep = deficit_report(u, g)
+        pairs = [
+            (rep.volume, signed_volume(u, g)),
+            (rep.dirichlet, dirichlet(u, g)),
+            (rep.perimeter, perimeter(u, g)),
+            (rep.delta, isometric_deficit(u, g)),
+            (rep.stretch_gap_norm, stretch_norm(u, g)),
+            (rep.delta_isom, full_isometric_deficit(u, g)),
+            (rep.epsilon, isoperimetric_deficit(u, g)),
+            (rep.combined, combined_deficit(u, g)),
+        ]
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-12 * abs(want) + 1e-15, (u.n, got, want)
+
+
+def test_principal_stretch_values_match_svd(rng):
+    from spherestab.families import ellipsoid_family
+    from spherestab.quadrature import default_sphere_grid
+    from spherestab.spheremap import principal_stretch_values, tangential_jacobians
+
+    maps = [m for m in _report_maps(rng) if m.is_poly]
+    maps += [ellipsoid_family(s, n) for s in (0.05, 0.4) for n in (3, 4)]
+    maps.append(linear_map(np.diag([1.0, 1.0, 0.0])))
+    for u in maps:
+        X, U, J = u.sample(default_sphere_grid(u.n))
+        s = principal_stretch_values(J, X)
+        sv = np.linalg.svd(tangential_jacobians(J, X), compute_uv=False)[:, : u.n - 1][:, ::-1]
+        assert s.shape == sv.shape
+        assert np.max(np.abs(s - sv)) <= 1e-12 * np.max(sv)
+
+
+def test_report_and_combined_sample_once(grid3, rng):
+    from spherestab.spheremap import callable_map
+
+    phi = as_sphere_map(random_moebius(rng, lam_range=(0.5, 2.0)))
+    calls = {"value": 0, "jacobian": 0}
+
+    def value(X):
+        calls["value"] += 1
+        return phi.eval(X)
+
+    def jacobian(X):
+        calls["jacobian"] += 1
+        return phi.jac(X)
+
+    u = callable_map(3, 3, value, jacobian)
+    for fn in (deficit_report, combined_deficit):
+        calls.update(value=0, jacobian=0)
+        fn(u, grid3)
+        assert calls == {"value": 1, "jacobian": 1}, fn.__name__
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kernels_match_einsum_reference(n, rng):
+    # the einsum forms are the definitions; the kernels contract by matmuls
+    from spherestab.spheremap import (
+        _pjp,
+        area_integrand,
+        dirichlet_integrand,
+        projectors,
+        surface_divergence,
+        sym_tangential_part,
+        tangential_jacobians,
+        volume_integrand,
+    )
+
+    X = rng.normal(size=(50, n))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    J, U = rng.normal(size=(50, n, n)), rng.normal(size=(50, n))
+    P = np.eye(n)[None] - np.einsum("ai,aj->aij", X, X)
+    TJ = J - np.einsum("ail,al,ak->aik", J, X, X)
+    PJP = np.einsum("aij,ajk,akl->ail", P, J, P)
+    G = np.einsum("aki,akj->aij", TJ, TJ) + np.einsum("ai,aj->aij", X, X)
+    pairs = [
+        (projectors(X), P),
+        (tangential_jacobians(J, X), TJ),
+        (tangential_jacobians(J[:, :2], X), TJ[:, :2]),
+        (surface_divergence(J, X), np.einsum("aii->a", J) - np.einsum("ai,ail,al->a", X, J, X)),
+        (_pjp(J, X), PJP),
+        (sym_tangential_part(J, X), 0.5 * (PJP + np.transpose(PJP, (0, 2, 1)))),
+        (volume_integrand(U, J, X), np.linalg.det(TJ + np.einsum("ai,aj->aij", U, X))),
+        (area_integrand(J, X), np.sqrt(np.clip(np.linalg.det(G), 0.0, None))),
+        (dirichlet_integrand(J, X), (np.einsum("aik,aik->a", TJ, TJ) / (n - 1)) ** ((n - 1) / 2.0)),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))

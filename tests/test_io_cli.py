@@ -150,6 +150,21 @@ def test_cli_sweeps_refuse_unused_flags(argv, capsys):
     assert err.count("\n") == 1 and "does not use --" in err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--resolution", "8"], "--resolution"),
+    (["--tol", "1e-3"], "--tol"),
+    (["--resolution", "8", "--tol", "1e-3"], "--resolution, --tol"),
+])
+def test_cli_spectrum_refuses_unused_flags(flags, named, tmp_path, capsys):
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--n", "3", "--kmax", "3", "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err == f"spectrum does not use {named}\n"
+    assert not out.exists()
+    # the seed is read: it picks the eigenfield draws
+    assert main(["spectrum", "--n", "3", "--kmax", "3", "--seed", "7", "--out", str(out)]) == 0
+
+
 def test_cli_sweep_resolution_takes_effect(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ["rates", "--family", "ellipsoid", "--sigmas", "0.1:0.2:geometric:2"]
