@@ -63,7 +63,7 @@ def _sweep_inputs(args):
     if unused:
         print(f"the {args.family} sweep does not use {', '.join(unused)}", file=sys.stderr)
         return None
-    cfg = _load_cfg(args)  # a bad --config exits 2 for every family
+    cfg = _load_cfg(args, n)  # a bad --config exits 2 for every family
     try:
         sigmas = _parse_sigmas(args.sigmas)
     except ValueError as exc:
@@ -94,13 +94,14 @@ def _write_csv(path, header, rows):
             out.close()
 
 
-def _load_cfg(args) -> Config:
+def _load_cfg(args, n: int = 3) -> Config:
+    """The config of --config with the --tol, --seed and --resolution
+    overrides; --resolution sets the grid of S^{n-1}."""
     try:
         cfg = load_config(args.config) if getattr(args, "config", None) else Config()
         if getattr(args, "tol", None) is not None:
             cfg = cfg.with_tolerance(float(args.tol))
         if getattr(args, "resolution", None) is not None:
-            n = getattr(args, "n", None) or 3
             cfg = replace(cfg, resolutions={**cfg.resolutions, n: int(args.resolution)})
         if getattr(args, "seed", None) is not None:
             cfg = replace(cfg, seed=int(args.seed))
@@ -108,6 +109,34 @@ def _load_cfg(args) -> Config:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _map_and_grid(args):
+    """The map of --map and the grid it is evaluated on (its own grid if it
+    is sampled, else the config grid of its dimension), or None after
+    printing why there is none."""
+    from .io import load_json, map_from_dict
+
+    unused = _unused_flags(args, ("seed", "tol"))
+    if unused:
+        print(f"{args.command} does not use {', '.join(unused)}", file=sys.stderr)
+        return None
+    try:
+        u = map_from_dict(load_json(args.map))
+    except (OSError, KeyError, ValueError) as exc:
+        print(f"cannot read map: {exc}", file=sys.stderr)
+        return None
+    if u.is_sampled and args.resolution is not None:
+        print("a sampled map carries its own grid; --resolution does not apply", file=sys.stderr)
+        return None
+    cfg = _load_cfg(args, u.n)
+    if u.is_sampled:
+        return u, u.grid
+    try:
+        return u, cfg.grid(u.n)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_verify(args) -> int:
@@ -198,17 +227,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_fit_moebius(args) -> int:
     from .deficits import combined_deficit
-    from .io import load_json, map_from_dict, moebius_to_dict
+    from .io import moebius_to_dict
     from .moebius import nearest_moebius
 
-    cfg = _load_cfg(args)
-    try:
-        u = map_from_dict(load_json(args.map))
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"cannot read map: {exc}", file=sys.stderr)
+    inputs = _map_and_grid(args)
+    if inputs is None:
         return 2
+    u, grid = inputs
     try:
-        grid = cfg.grid(u.n)
         res = nearest_moebius(u, grid)
         E = combined_deficit(u, grid)
     except ValueError as exc:
@@ -224,11 +250,7 @@ def cmd_fit_moebius(args) -> int:
         "nfev": res.nfev,
         "converged": res.converged,
     }
-    text = json.dumps(out, indent=1)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    print(text)
+    _write_json(args.out, out)
     return 0
 
 
@@ -236,26 +258,26 @@ def cmd_deficits(args) -> int:
     from dataclasses import asdict
 
     from .deficits import deficit_report
-    from .io import load_json, map_from_dict
 
-    cfg = _load_cfg(args)
-    try:
-        u = map_from_dict(load_json(args.map))
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"cannot read map: {exc}", file=sys.stderr)
+    inputs = _map_and_grid(args)
+    if inputs is None:
         return 2
+    u, grid = inputs
     try:
-        grid = u.grid or cfg.grid(u.n)
         rep = asdict(deficit_report(u, grid))
     except ValueError as exc:
         print(f"cannot evaluate deficits: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(rep, indent=1)
-    if args.out:
-        with open(args.out, "w") as fh:
+    _write_json(args.out, rep)
+    return 0
+
+
+def _write_json(path, obj):
+    text = json.dumps(obj, indent=1)
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     print(text)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

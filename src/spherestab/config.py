@@ -1,4 +1,4 @@
-"""Run configuration: grid resolutions, expansion depths, tolerances, seed."""
+"""Run configuration: grid resolutions, tolerances, seed."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ __all__ = ["Config", "load_config"]
 @dataclass(frozen=True)
 class Config:
     resolutions: dict[int, int] = field(default_factory=lambda: dict(DEFAULT_RESOLUTIONS))
-    kmax: dict[int, int] = field(default_factory=lambda: {2: 8, 3: 8, 4: 6})
     tol_exact: float = 1e-10
     tol_quad: float = 1e-6
     tol_solver: float = 1e-8
@@ -33,19 +32,23 @@ class Config:
         return replace(self, tol_exact=tol, tol_quad=tol, tol_solver=tol)
 
 
+_KEYS = ("resolutions", "tol_exact", "tol_quad", "tol_solver", "seed")
+
+
 def load_config(path: str) -> Config:
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
+    unknown = sorted(set(raw) - set(_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config keys {', '.join(unknown)}; known keys are {', '.join(_KEYS)}")
     kw = {}
-    # partial per-dimension tables override the defaults entry by entry
-    defaults = Config()
-    for name in ("resolutions", "kmax"):
-        if name in raw:
-            if not isinstance(raw[name], dict):
-                raise ValueError(f"{name} must be an object keyed by dimension")
-            kw[name] = {**getattr(defaults, name), **{int(k): int(v) for k, v in raw[name].items()}}
+    if "resolutions" in raw:
+        if not isinstance(raw["resolutions"], dict):
+            raise ValueError("resolutions must be an object keyed by dimension")
+        # a partial table overrides the defaults entry by entry
+        kw["resolutions"] = {**Config().resolutions, **{int(k): int(v) for k, v in raw["resolutions"].items()}}
     for name in ("tol_exact", "tol_quad", "tol_solver"):
         if name in raw:
             kw[name] = float(raw[name])

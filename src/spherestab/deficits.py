@@ -2,20 +2,21 @@
 energy, generalized perimeter, and the combined conformal-isoperimetric
 deficit.
 
-The signed volume is computed frame-free as the integral of
-det(J P + u x^t); with the convention that the outward normal closes a
-positively oriented frame this gives V(id) = +1 in every dimension, and
-V(Ax) = det A by multilinearity.  For n = 3 polynomial maps it is
-evaluated exactly through moments, and the bulk identity
-avg_{B_1} det grad(u_h) = V_3(u) is available as an independent check.
+The signed volume is the integral of det(J P + u x^t); with the convention
+that the outward normal closes a positively oriented frame this gives
+V(id) = +1 in every dimension, and V(Ax) = det A by multilinearity.  The
+bulk identity avg_{B_1} det grad(u_h) = V_3(u) is available as an
+independent check.
 
-`deficit_report` and `combined_deficit` sample the map once and build the
-tangential Jacobians once.  The report takes every quadrature integrand
-from the principal stretches s_i (square roots of the eigenvalues of the
-first fundamental form): the perimeter density is prod s_i and the
-Dirichlet density (sum s_i^2 / (n-1))^((n-1)/2).  The volume and the
-Dirichlet energy of n = 3 polynomial maps keep their exact moment routes,
-so every field equals its standalone functional.
+Every functional integrates a density of the node bundle of
+:func:`spherestab.spheremap.node_bundle`, so a poly map is sampled once
+per grid however many functionals ask for it, `deficit_report` and
+`combined_deficit` sample any map once, and each field of the report
+equals its standalone functional.  Each deficit has one route: for a
+degree-d poly map the volume density is a polynomial of degree n(d+1),
+and at n = 3 the Dirichlet density one of degree 2d; when the grid's
+exactness is below that degree, the density is integrated on the
+smallest grid that covers it, so these values are exact on any grid.
 """
 
 from __future__ import annotations
@@ -26,20 +27,8 @@ import numpy as np
 
 from .errors import UndefinedDeficitError
 from .harmonics import harmonicize
-from .polynomials import Poly
-from .quadrature import SphereGrid
-from .spheremap import (
-    SphereMap,
-    _dirichlet_density,
-    _node_data,
-    _stretches,
-    _volume_density,
-    area_integrand,
-    dirichlet_integrand,
-    principal_stretch_values,
-    tangential_jacobians,
-    volume_integrand,
-)
+from .quadrature import SphereGrid, covering_sphere_grid
+from .spheremap import NodeBundle, SphereMap, node_bundle
 
 __all__ = [
     "principal_stretches",
@@ -60,14 +49,48 @@ __all__ = [
 _VOL_EPS = 1e-10
 
 
-def _exact_route(u: SphereMap) -> bool:
-    """Poly maps of S^2 get V and D exactly through moments."""
-    return u.is_poly and u.n == 3
-
-
 def _check_square(u: SphereMap) -> None:
     if u.m != u.n:
         raise ValueError("signed volume needs a map into R^n")
+
+
+def _exact(u: SphereMap, b: NodeBundle, degree: int) -> NodeBundle:
+    """b, or the bundle on the smallest grid exact to the degree of a
+    polynomial density when b's grid is not."""
+    if degree > b.grid.exactness:
+        return node_bundle(u, covering_sphere_grid(u.n, degree))
+    return b
+
+
+def _volume(u: SphereMap, b: NodeBundle) -> float:
+    if u.is_poly:
+        b = _exact(u, b, u.n * (u.degree() + 1))
+    return b.volume
+
+
+def _dirichlet(u: SphereMap, b: NodeBundle) -> float:
+    if u.is_poly and u.n == 3:
+        b = _exact(u, b, 2 * u.degree())
+    return b.dirichlet
+
+
+def _top_gap(b: NodeBundle) -> np.ndarray:
+    """Largest stretch - 1 per node."""
+    return b.stretches[:, -1] - 1.0
+
+
+def _delta(b: NodeBundle) -> float:
+    top = np.clip(_top_gap(b), 0.0, None)
+    return float(np.sqrt(b.integral(top * top)))
+
+
+def _stretch_norm(b: NodeBundle) -> float:
+    top = _top_gap(b)
+    return float(np.sqrt(b.integral(top * top)))
+
+
+def _delta_isom(b: NodeBundle) -> float:
+    return float(np.sqrt(b.integral(np.sum((b.stretches - 1.0) ** 2, axis=1))))
 
 
 def principal_stretches(G: np.ndarray) -> np.ndarray:
@@ -85,57 +108,23 @@ def principal_stretches(G: np.ndarray) -> np.ndarray:
 
 def isometric_deficit(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """delta(u): L2 norm of the positive part of (largest stretch - 1)."""
-    g, X, U, J = _node_data(u, grid)
-    s = principal_stretch_values(J, X)
-    top = np.clip(s[:, -1] - 1.0, 0.0, None)
-    return float(np.sqrt(g.weights @ (top * top)))
+    return _delta(node_bundle(u, grid))
 
 
 def stretch_norm(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """L2 norm of (largest stretch - 1), without the positive part."""
-    g, X, U, J = _node_data(u, grid)
-    s = principal_stretch_values(J, X)
-    d = s[:, -1] - 1.0
-    return float(np.sqrt(g.weights @ (d * d)))
+    return _stretch_norm(node_bundle(u, grid))
 
 
 def full_isometric_deficit(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """L2 distance of sqrt(grad_T u^t grad_T u) from the identity."""
-    g, X, U, J = _node_data(u, grid)
-    s = principal_stretch_values(J, X)
-    d = np.sum((s - 1.0) ** 2, axis=1)
-    return float(np.sqrt(g.weights @ d))
+    return _delta_isom(node_bundle(u, grid))
 
 
 def signed_volume(u: SphereMap, grid: SphereGrid | None = None) -> float:
-    """V_n(u): normalized integral of det(J P + u x^t).
-
-    Exact for poly maps with n = 3 (moment route); quadrature otherwise,
-    which is still exact whenever the integrand degree fits the grid.
-    """
+    """V_n(u): normalized integral of det(J P + u x^t); exact for poly maps."""
     _check_square(u)
-    if _exact_route(u):
-        return _poly_volume_integrand(u).sphere_integral()
-    g, X, U, J = _node_data(u, grid)
-    return float(g.weights @ volume_integrand(U, J, X))
-
-
-def _poly_volume_integrand(u: SphereMap) -> Poly:
-    """det(J P + u x^t) as an exact polynomial (n = 3).
-
-    Entry (i, l) is d_l u^i - <x, grad u^i> x_l + u^i x_l, and <x, grad u^i>
-    is the Euler operator applied to u^i.
-    """
-    B = [[c.diff(l) - c.euler().xmul(l) + c.xmul(l) for l in range(3)] for c in u.components]
-    return _det3(B)
-
-
-def _det3(B) -> Poly:
-    return (
-        B[0][0] * (B[1][1] * B[2][2] - B[1][2] * B[2][1])
-        - B[0][1] * (B[1][0] * B[2][2] - B[1][2] * B[2][0])
-        + B[0][2] * (B[1][0] * B[2][1] - B[1][1] * B[2][0])
-    )
+    return _volume(u, node_bundle(u, grid))
 
 
 def isoperimetric_deficit(u: SphereMap, grid: SphereGrid | None = None) -> float:
@@ -148,34 +137,31 @@ def dirichlet(u: SphereMap, grid: SphereGrid | None = None) -> float:
 
     For n = 3 this is half the tangential energy and is exact on poly maps.
     """
-    if _exact_route(u):
-        from .forms import tangential_energy
-
-        return 0.5 * tangential_energy(u)
-    g, X, U, J = _node_data(u, grid)
-    return float(g.weights @ dirichlet_integrand(J, X))
+    return _dirichlet(u, node_bundle(u, grid))
 
 
 def perimeter(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """Generalized area: integral of sqrt(det(grad_T u^t grad_T u))."""
-    g, X, U, J = _node_data(u, grid)
-    return float(g.weights @ area_integrand(J, X))
+    return node_bundle(u, grid).perimeter
 
 
 def combined_deficit(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """E_{n-1}(u) = D^{n/(n-1)} / |V| - 1; undefined when V vanishes."""
-    n = u.n
-    if _exact_route(u):
-        V, D = signed_volume(u), dirichlet(u)
-    else:
-        _check_square(u)
-        g, X, U, J = _node_data(u, grid)
-        TJ = tangential_jacobians(J, X)
-        V = float(g.weights @ _volume_density(U, TJ, X))
-        D = float(g.weights @ _dirichlet_density(np.sum(TJ * TJ, axis=(1, 2)), n))
+    _check_square(u)
+    b = node_bundle(u, grid)
+    V = _volume(u, b)
     if abs(V) <= _VOL_EPS:
         raise UndefinedDeficitError("signed volume vanishes; combined deficit undefined")
-    return D ** (n / (n - 1)) / abs(V) - 1.0
+    return _dirichlet(u, b) ** (u.n / (u.n - 1)) / abs(V) - 1.0
+
+
+def _det3(B):
+    """Determinant of a 3 x 3 array of polynomials."""
+    return (
+        B[0][0] * (B[1][1] * B[2][2] - B[1][2] * B[2][1])
+        - B[0][1] * (B[1][0] * B[2][2] - B[1][2] * B[2][0])
+        + B[0][2] * (B[1][0] * B[2][1] - B[1][1] * B[2][0])
+    )
 
 
 def bulk_volume(u: SphereMap) -> float:
@@ -232,33 +218,20 @@ class DeficitReport:
 
 
 def deficit_report(u: SphereMap, grid: SphereGrid | None = None) -> DeficitReport:
-    """Assemble every deficit for one map on one grid pass."""
+    """Assemble every deficit for one map from one node bundle."""
     n = u.n
     _check_square(u)
-    g, X, U, J = _node_data(u, grid)
-    w = g.weights
-    TJ = tangential_jacobians(J, X)
-    s = _stretches(TJ)
-    sq = np.sum(s * s, axis=1)
-    top = s[:, -1] - 1.0
-    delta = float(np.sqrt(w @ np.clip(top, 0.0, None) ** 2))
-    sgap = float(np.sqrt(w @ (top * top)))
-    disom = float(np.sqrt(w @ np.sum((s - 1.0) ** 2, axis=1)))
-    if _exact_route(u):
-        V, D = signed_volume(u), dirichlet(u)
-    else:
-        V = float(w @ _volume_density(U, TJ, X))
-        D = float(w @ _dirichlet_density(sq, n))
+    b = node_bundle(u, grid)
+    V, D = _volume(u, b), _dirichlet(u, b)
     eps = max(0.0, 1.0 - abs(V))
-    P = float(w @ np.prod(s, axis=1))
     defined = abs(V) > _VOL_EPS
     E = D ** (n / (n - 1)) / abs(V) - 1.0 if defined else None
-    unit = bool(np.max(np.abs(np.linalg.norm(U, axis=1) - 1.0)) <= 1e-6)
-    degree = int(round(V)) if unit and defined else None
+    degree = int(round(V)) if b.unit_norm and defined else None
     p = 2 * (n - 2) if n >= 3 else 2
-    gnorm = float((w @ sq ** (p / 2.0)) ** (1.0 / p))
+    gnorm = b.integral(b.trace ** (p / 2.0)) ** (1.0 / p)
     return DeficitReport(
-        n=n, delta=delta, delta_isom=disom, stretch_gap_norm=sgap, epsilon=eps,
-        dirichlet=D, perimeter=P, volume=V, combined=E, combined_defined=defined,
-        degree_estimate=degree, unit_norm=unit, grad_lp_norm=gnorm, grad_lp_exponent=p,
+        n=n, delta=_delta(b), delta_isom=_delta_isom(b), stretch_gap_norm=_stretch_norm(b),
+        epsilon=eps, dirichlet=D, perimeter=b.perimeter, volume=V, combined=E,
+        combined_defined=defined, degree_estimate=degree, unit_norm=b.unit_norm,
+        grad_lp_norm=gnorm, grad_lp_exponent=p,
     )

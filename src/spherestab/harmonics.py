@@ -278,7 +278,7 @@ def grad_origin(u: SphereMap, grid: SphereGrid | None = None) -> np.ndarray:
     if grid is None:
         grid = u.grid
     X, U, _ = u.sample(grid)
-    return n * np.einsum("a,ai,aj->ij", grid.weights, U, X)
+    return n * ((U.T * grid.weights) @ X)
 
 
 def harmonic_extension_eval(e: HarmonicExpansion, point: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from .errors import SolverError
 from .harmonics import scalar_basis
 from .polynomials import evaluate
 from .quadrature import SphereGrid, build_sphere_grid, default_sphere_grid
-from .spheremap import SphereMap, _node_data, callable_map, projectors, tangential_jacobians
+from .spheremap import SphereMap, _grid_for, _node_data, callable_map, projectors, tangential_jacobians
 
 __all__ = [
     "MoebiusMap",
@@ -267,7 +267,7 @@ class InfMoebius:
 
 def dilation_scale(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """lambda_u = avg <u, x>, the linearization-compatible scale."""
-    g = grid or u.grid or default_sphere_grid(u.n)
+    g = _grid_for(u, grid)
     X, U, _ = u.sample(g)
     return float(g.weights @ np.einsum("ai,ai->a", U, X))
 
@@ -308,9 +308,10 @@ def psi_functional(v: SphereMap, grid: SphereGrid) -> np.ndarray:
     X = grid.nodes
     w = grid.weights
     U = v.eval(X) if not v.is_sampled else v.sample(grid)[1]
-    M = np.einsum("a,ai,aj->ij", w, U, X)
+    Uw = U.T * w
+    M = Uw @ X
     skew = np.array([M[0, 1] - M[1, 0], M[0, 2] - M[2, 0], M[1, 2] - M[2, 1]])
-    alpha = (U.T * w) @ vals.T               # (n, G2)
+    alpha = Uw @ vals.T                      # (n, G2)
     c = np.einsum("ig,igl->l", alpha, dcoef)  # div of extension = sum_l c_l x_l
     divmom = c / n
     return np.concatenate([skew, divmom])
@@ -359,7 +360,7 @@ def recenter(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-8,
     n = u.n
     if n != 3:
         raise ValueError("recentering implemented on S^2")
-    g = grid or u.grid or default_sphere_grid(3)
+    g = _grid_for(u, grid)
     X, w = g.nodes, g.weights
     if require_unit_norm:
         U = u.eval(X)
@@ -460,7 +461,7 @@ def gauge_fix(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-7) -
     """
     if u.n != 3 or u.m != 3:
         raise ValueError("gauge fixing implemented for maps of S^2 into R^3")
-    g = grid or u.grid or default_sphere_grid(3)
+    g = _grid_for(u, grid)
 
     def F(theta):
         return psi_functional(compose_with_map(u, _param_moebius(theta)), g)
@@ -564,31 +565,30 @@ def nearest_moebius(u: SphereMap, grid: SphereGrid | None = None) -> NearestMoeb
     lam = a/b.  For a fixed boost v = log(lam) xi the best rotation O is the
     closed-form Procrustes solution (`_fit_terms`), so only the three boost
     parameters are searched, derivative-free, from the inverse of the
-    recentring of a norm-normalized copy of u.  The result is an achieved
-    upper bound, not a certified global minimum.
+    recentring of a norm-normalized copy of u (from v = 0 for a sampled u,
+    which has no values off its grid).  The result is an achieved upper
+    bound, not a certified global minimum.
     """
     from scipy.optimize import minimize
 
     if u.n != 3 or u.m != 3:
         raise ValueError("nearest Moebius implemented for maps of S^2 into R^3")
-    g = grid or u.grid or default_sphere_grid(3)
-    X, w = g.nodes, g.weights
     from .deficits import signed_volume
 
-    if abs(signed_volume(u, g)) <= 1e-10:
+    if abs(signed_volume(u, grid)) <= 1e-10:
         raise ValueError("signed volume vanishes; no Moebius fit")
 
-    J_u = u.jac(X) if not u.is_sampled else u.sample(g)[2]
+    g, X, U, J_u = _node_data(u, grid)
+    w = g.weights
     TJ_u = tangential_jacobians(J_u, X)
     a = float(w @ np.einsum("aik,aik->a", TJ_u, TJ_u))
 
     # start: the inverse of the recentring of a normalized copy of u
     recentred = False
     v0 = np.zeros(3)
-    U = u.eval(X) if not u.is_sampled else u.sample(g)[1]
     radius = np.linalg.norm(U, axis=1)
     r0 = float(w @ radius)
-    if r0 > 1e-10 and np.max(np.abs(radius / r0 - 1.0)) < 0.3:
+    if not u.is_sampled and r0 > 1e-10 and np.max(np.abs(radius / r0 - 1.0)) < 0.3:
         try:
             scaled = callable_map(3, 3, lambda P: u.eval(P) / r0, None)
             start = inverse(recenter(scaled, g, tol=1e-8, require_unit_norm=False))

@@ -38,6 +38,7 @@ __all__ = [
     "build_sphere_grid",
     "sphere_grid",
     "default_sphere_grid",
+    "covering_sphere_grid",
     "build_ball_grid",
     "build_circle_grid_segmented",
     "integrate",
@@ -146,6 +147,13 @@ def sphere_grid(n: int, resolution: int) -> SphereGrid:
 
 def default_sphere_grid(n: int) -> SphereGrid:
     return sphere_grid(n, DEFAULT_RESOLUTIONS[n])
+
+
+def covering_sphere_grid(n: int, degree: int) -> SphereGrid:
+    """The smallest :func:`sphere_grid` of S^{n-1} exact to the given degree."""
+    if n == 2:
+        return sphere_grid(2, max(2, degree + 1))
+    return sphere_grid(n, max(2, (degree + 2) // 2))
 
 
 def build_ball_grid(n: int, resolution: int) -> BallGrid:

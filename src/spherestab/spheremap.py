@@ -2,24 +2,36 @@
 
 A map is backed either by exact polynomials per component, by sampled
 values + ambient Jacobians on a fixed grid, or by callables (used for
-Moebius maps and compositions; not serializable).  All geometric
-quantities are assembled frame-invariantly from the ambient Jacobian J
-and the projector P = I - x x^t:
+Moebius maps and compositions; not serializable).
 
-    tangential Jacobian      J P = J - (J x) x^t
-    first fundamental form   H = (J P)^t (J P), with H x = 0
-    surface divergence       tr(J P)
-    principal stretches      square roots of the n-1 largest eigenvalues of H
-    volume-form integrand    det(J P + u x^t)
+The deficit densities are taken in a tangent frame built per node from
+X on the fly: with s = sign(x_n) and v = s x + e_n (so |v|^2 >= 2), E is
+the first n-1 columns of the Householder reflection I - 2 v v^t / |v|^2.
+Its columns are an orthonormal basis of x^perp and det[E | x] = s.  With
+A = J E = J[:, :-1] - (2/|v|^2) (J v) v[:-1]^t:
 
-so no local tangent frame is ever chosen.  The kernels contract with
-broadcasts and batched matmuls.  The determinant convention is fixed so
-that the identity map has signed volume +1 in every dimension.
+    first fundamental form   G = A^t A, (n-1) x (n-1)
+    principal stretches      square roots of the eigenvalues of G
+    perimeter density        sqrt(det G)
+    Dirichlet density        (tr G / (n-1))^((n-1)/2)
+    volume-form integrand    det([A | u]) s = det(J P + u x^t)
+
+The linear kernels stay frame-free, with the projector P = I - x x^t:
+tangential Jacobian J P = J - (J x) x^t, surface divergence tr(J P) and
+P J P; they contract with broadcasts and batched matmuls.  The
+determinant convention is fixed so that the identity map has signed
+volume +1 in every dimension.
+
+:func:`node_bundle` computes the densities of one map on one grid once;
+the bundle of the last poly-backed map asked for is kept in a single
+slot, so the report and the standalone functionals sample it once.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -29,6 +41,8 @@ from .quadrature import SphereGrid, default_sphere_grid
 
 __all__ = [
     "SphereMap",
+    "NodeBundle",
+    "node_bundle",
     "identity_map",
     "poly_map",
     "sampled_map",
@@ -45,25 +59,31 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolyBacking:
     components: tuple[Poly, ...]
 
+    @cached_property
+    def gradients(self) -> tuple[Poly, ...]:
+        """d u^i / d x_l, row-major over (i, l); built once per map."""
+        n = self.components[0].n
+        return tuple(c.diff(l) for c in self.components for l in range(n))
 
-@dataclass
+
+@dataclass(frozen=True)
 class SampledBacking:
     grid: SphereGrid
     values: np.ndarray              # (N, m)
     jacobians: np.ndarray | None    # (N, m, n) ambient Jacobians
 
 
-@dataclass
+@dataclass(frozen=True)
 class CallableBacking:
     value_fn: Callable[[np.ndarray], np.ndarray]
     jacobian_fn: Callable[[np.ndarray], np.ndarray] | None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)  # identity semantics: node bundles are keyed on the map object
 class SphereMap:
     """A map S^{n-1} -> R^m with one of three backings."""
 
@@ -86,6 +106,10 @@ class SphereMap:
             raise TypeError("components only available for poly-backed maps")
         return self.backing.components
 
+    def degree(self) -> int:
+        """Top degree of the components of a poly-backed map."""
+        return max(c.degree() for c in self.components)
+
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Values at arbitrary points, shape (N, m)."""
         pts = np.atleast_2d(points)
@@ -99,8 +123,7 @@ class SphereMap:
         """Ambient Jacobians at arbitrary points, shape (N, m, n)."""
         pts = np.atleast_2d(points)
         if self.is_poly:
-            grads = [c.diff(l) for c in self.backing.components for l in range(self.n)]
-            return evaluate(grads, pts).reshape(-1, self.m, self.n)
+            return evaluate(self.backing.gradients, pts).reshape(-1, self.m, self.n)
         if isinstance(self.backing, CallableBacking):
             if self.backing.jacobian_fn is None:
                 raise TypeError("map has no gradient data")
@@ -116,6 +139,11 @@ class SphereMap:
                     raise ValueError("sampled map is bound to its own grid")
             return b.grid.nodes, b.values, b.jacobians
         X = grid.nodes
+        if self.is_poly:
+            # one monomial table for the values and the Jacobians
+            table = evaluate(self.backing.components + self.backing.gradients, X)
+            m = self.m
+            return X, table[:, :m], table[:, m:].reshape(-1, m, self.n)
         U = self.eval(X)
         try:
             J = self.jac(X)
@@ -167,14 +195,94 @@ def linear_map(A: np.ndarray) -> SphereMap:
     return SphereMap(n, m, PolyBacking(comps))
 
 
+def _grid_for(u: SphereMap, grid: SphereGrid | None) -> SphereGrid:
+    """The given grid, else the map's own grid, else the default grid of its dimension."""
+    return grid or u.grid or default_sphere_grid(u.n)
+
+
 def _node_data(u: SphereMap, grid: SphereGrid | None):
-    """(grid, nodes, values, Jacobians) of u on the given grid, else on its
-    own grid, else on the default grid of its dimension."""
-    g = grid or u.grid or default_sphere_grid(u.n)
+    """(grid, nodes, values, Jacobians) of u on the grid of :func:`_grid_for`."""
+    g = _grid_for(u, grid)
     X, U, J = u.sample(g)
     if J is None:
         raise ValueError("map has no gradient data")
     return g, X, U, J
+
+
+# ---------------------------------------------------------------------------
+# node bundles: the per-node densities of one map on one grid
+# ---------------------------------------------------------------------------
+
+class NodeBundle:
+    """The deficit densities of one map on one grid, each computed once.
+
+    On construction the frame Jacobians give the first fundamental forms
+    and, integrated at once, the perimeter, the Dirichlet energy and (for
+    maps into R^n) the signed volume; the per-node |grad_T u|^2 is kept.
+    The principal stretches, which need an eigen-solve for n >= 4, are
+    computed on first use, after which the forms are dropped.  The bundle
+    holds no reference to the map.
+    """
+
+    def __init__(self, grid: SphereGrid, X: np.ndarray, U: np.ndarray, J: np.ndarray):
+        n = X.shape[1]
+        self.grid = grid
+        A, s = _frame_jacobians(J, X)
+        self._forms = _forms(A)
+        self.trace = np.trace(self._forms)
+        self.perimeter = self.integral(_area_density(self._forms))
+        self.dirichlet = self.integral(_dirichlet_density(self.trace, n))
+        self.volume = self.integral(_volume_density(U, A, s)) if U.shape[1] == n else None
+        self.unit_norm = bool(np.max(np.abs(np.linalg.norm(U, axis=1) - 1.0)) <= 1e-6)
+
+    @cached_property
+    def stretches(self) -> np.ndarray:
+        """Principal stretches (ascending), shape (N, n-1)."""
+        stretches = _stretches(self._forms)
+        del self._forms
+        return stretches
+
+    def integral(self, density: np.ndarray) -> float:
+        """Normalized integral of a per-node density.
+
+        NumPy's pairwise sum rather than a BLAS dot: its error grows with
+        log N, not N (E of a homothety stays at 1e-16), and on the 27 648
+        nodes of the default n = 4 grid a threaded ddot spends milliseconds
+        waking its threads.
+        """
+        return float(np.sum(self.grid.weights * density))
+
+
+# (map weakref, bundle) of the last poly-backed map asked for: one slot for
+# the whole process, so a caller holding many maps keeps one bundle alive,
+# and none once that map is gone
+_slot: tuple[weakref.ref, NodeBundle] | None = None
+
+
+def _drop_slot(ref: weakref.ref) -> None:
+    global _slot
+    if _slot is not None and _slot[0] is ref:
+        _slot = None
+
+
+def node_bundle(u: SphereMap, grid: SphereGrid | None = None) -> NodeBundle:
+    """The node bundle of u on the grid of :func:`_grid_for`.
+
+    Poly-backed maps hit the slot when the same map object is asked for on
+    the same grid object.  Callable and sampled maps are bundled afresh on
+    every call (a callable may be impure).
+    """
+    global _slot
+    g = _grid_for(u, grid)
+    if not u.is_poly:
+        return NodeBundle(*_node_data(u, g))
+    hit = _slot
+    if hit is not None and hit[0]() is u and hit[1].grid is g:
+        return hit[1]
+    _slot = None  # free the old bundle before sampling
+    bundle = NodeBundle(*_node_data(u, g))
+    _slot = (weakref.ref(u, _drop_slot), bundle)
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +306,84 @@ def _pjp(J: np.ndarray, X: np.ndarray) -> np.ndarray:
     return TJ - X[:, :, None] * (X[:, None, :] @ TJ)
 
 
-def _stretches(TJ: np.ndarray) -> np.ndarray:
-    """Principal stretches (ascending) from tangential Jacobians, shape (N, n-1).
+# The frame kernels work node-last: an (r, c, N) stack keeps each entry's
+# N values contiguous, so every product of the small matrices is a
+# handful of vector operations.
 
-    H = TJ^t TJ annihilates x, so the squared stretches are its n-1
-    largest eigenvalues.
+def _frame_jacobians(J: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A = J E node-last, shape (m, n-1, N), and s = det[E | x] = sign(x_n)."""
+    m, n = J.shape[1:]
+    Jt = np.ascontiguousarray(np.moveaxis(J, 0, -1))
+    s = np.where(X[:, -1] < 0.0, -1.0, 1.0)
+    v = s * X.T
+    v[-1] += 1.0
+    c = 2.0 / np.sum(v * v, axis=0)
+    A = np.empty((m, n - 1, X.shape[0]))
+    for i in range(m):
+        Jv = sum(Jt[i, l] * v[l] for l in range(n)) * c
+        A[i] = Jt[i, :-1] - Jv * v[:-1]
+    return A, s
+
+
+def _forms(A: np.ndarray) -> np.ndarray:
+    """G = A^t A node-last, shape (n-1, n-1, N)."""
+    k = A.shape[1]
+    G = np.empty((k, k, A.shape[2]))
+    for i in range(k):
+        for j in range(i, k):
+            G[i, j] = G[j, i] = sum(A[r, i] * A[r, j] for r in range(A.shape[0]))
+    return G
+
+
+def _det(M: np.ndarray) -> np.ndarray:
+    """Determinants of a node-last stack of k x k matrices, in closed form for k <= 3."""
+    k = M.shape[0]
+    if k == 1:
+        return M[0, 0]
+    if k == 2:
+        return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    if k == 3:
+        return (M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
+                - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
+                + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0]))
+    return np.linalg.det(np.moveaxis(M, -1, 0))
+
+
+def _stretches(G: np.ndarray) -> np.ndarray:
+    """Principal stretches (ascending), shape (N, n-1), from node-last forms G.
+
+    For 2 x 2 forms [[a, b], [b, c]] the eigenvalues are m -+ hypot((a-c)/2, b)
+    with m = (a+c)/2, which has no cancellation near the identity.
     """
-    H = np.swapaxes(TJ, 1, 2) @ TJ
-    return np.sqrt(np.clip(np.linalg.eigvalsh(H)[:, 1:], 0.0, None))
+    k = G.shape[0]
+    if k == 1:
+        lam = G[0, 0][:, None]
+    elif k == 2:
+        m, h = 0.5 * (G[0, 0] + G[1, 1]), np.hypot(0.5 * (G[0, 0] - G[1, 1]), G[0, 1])
+        lam = np.stack([m - h, m + h], axis=1)
+    else:
+        lam = np.linalg.eigvalsh(np.moveaxis(G, -1, 0))
+    return np.sqrt(np.clip(lam, 0.0, None))
+
+
+def _volume_density(U: np.ndarray, A: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """det([A | u]) s per node, expanded along the column u."""
+    n = U.shape[1]
+    out = np.zeros(U.shape[0])
+    for i in range(n):
+        minor = _det(A[[r for r in range(n) if r != i]])
+        out += minor * U[:, i] if (n - 1 - i) % 2 == 0 else -minor * U[:, i]
+    return out * s
+
+
+def _area_density(G: np.ndarray) -> np.ndarray:
+    """sqrt(det G) per node from node-last forms G."""
+    return np.sqrt(np.clip(_det(G), 0.0, None))
+
+
+def _dirichlet_density(sq: np.ndarray, n: int) -> np.ndarray:
+    """(|grad_T u|^2 / (n-1))^((n-1)/2) from |grad_T u|^2 per node."""
+    return (sq / (n - 1)) ** ((n - 1) / 2.0)
 
 
 def surface_divergence(J: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -216,34 +394,22 @@ def surface_divergence(J: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def principal_stretch_values(J: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Sorted principal stretches (ascending), shape (N, n-1)."""
-    return _stretches(tangential_jacobians(J, X))
-
-
-def _volume_density(U: np.ndarray, TJ: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return np.linalg.det(TJ + U[:, :, None] * X[:, None, :])
-
-
-def _dirichlet_density(sq: np.ndarray, n: int) -> np.ndarray:
-    """(|grad_T u|^2 / (n-1))^((n-1)/2) from |grad_T u|^2 per node."""
-    return (sq / (n - 1)) ** ((n - 1) / 2.0)
+    return _stretches(_forms(_frame_jacobians(J, X)[0]))
 
 
 def volume_integrand(U: np.ndarray, J: np.ndarray, X: np.ndarray) -> np.ndarray:
     """det(J P + u x^t) per node; integrates to the signed volume V_n."""
-    return _volume_density(U, tangential_jacobians(J, X), X)
+    return _volume_density(U, *_frame_jacobians(J, X))
 
 
 def area_integrand(J: np.ndarray, X: np.ndarray) -> np.ndarray:
     """sqrt(det of the tangential first fundamental form) per node."""
-    TJ = tangential_jacobians(J, X)
-    G = np.swapaxes(TJ, 1, 2) @ TJ + X[:, :, None] * X[:, None, :]
-    return np.sqrt(np.clip(np.linalg.det(G), 0.0, None))
+    return _area_density(_forms(_frame_jacobians(J, X)[0]))
 
 
 def dirichlet_integrand(J: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(|grad_T u|^2 / (n-1))^((n-1)/2) per node."""
-    TJ = tangential_jacobians(J, X)
-    return _dirichlet_density(np.sum(TJ * TJ, axis=(1, 2)), X.shape[1])
+    return _dirichlet_density(np.trace(_forms(_frame_jacobians(J, X)[0])), X.shape[1])
 
 
 def a_operator_values(U: np.ndarray, J: np.ndarray, X: np.ndarray) -> np.ndarray:

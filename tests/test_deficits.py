@@ -307,3 +307,107 @@ def test_kernels_match_einsum_reference(n, rng):
     for got, want in pairs:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+def _near_identity(n, rng, scale=0.3):
+    w = random_h_field(n, 3, rng)
+    return identity_map(n) + w.scale(scale / np.sqrt(tangential_energy(w)))
+
+
+def _count_evaluate(monkeypatch):
+    import spherestab.spheremap as sm
+
+    calls = []
+    real = sm.evaluate
+
+    def counting(polys, points):
+        calls.append(len(points))
+        return real(polys, points)
+
+    monkeypatch.setattr(sm, "evaluate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_poly_map_sampled_once_per_grid(n, rng, monkeypatch):
+    from spherestab.quadrature import default_sphere_grid
+
+    u, g = _near_identity(n, rng), default_sphere_grid(n)
+    calls = _count_evaluate(monkeypatch)
+    rep = deficit_report(u, g)
+    values = [dirichlet(u, g), perimeter(u, g), signed_volume(u, g), isometric_deficit(u, g),
+              stretch_norm(u, g), full_isometric_deficit(u, g), combined_deficit(u, g)]
+    assert calls == [g.size]
+    assert values == [rep.dirichlet, rep.perimeter, rep.volume, rep.delta, rep.stretch_gap_norm,
+                      rep.delta_isom, rep.combined]
+
+
+def _fresh_volume(u, g):
+    from spherestab.spheremap import volume_integrand
+
+    X, U, J = u.sample(g)
+    return float(g.weights @ volume_integrand(U, J, X))
+
+
+def test_node_bundle_never_stale(grid3, rng, monkeypatch):
+    from spherestab.quadrature import build_sphere_grid
+
+    u, v = _near_identity(3, rng), _near_identity(3, rng)
+    signed_volume(u, grid3)
+    calls = _count_evaluate(monkeypatch)
+    g2 = build_sphere_grid(3, 48)  # equal nodes, another grid object
+    cases = [(u, g2), (v, grid3), (u.scale(2.0), grid3), (u, grid3)]
+    for w, g in cases:
+        before = len(calls)
+        got = signed_volume(w, g)
+        assert len(calls) == before + 1
+        assert abs(got - _fresh_volume(w, g)) <= 1e-13 * abs(got)
+    assert abs(signed_volume(u.scale(2.0), grid3) - 8.0 * signed_volume(u, grid3)) <= 1e-12 * 8.0
+
+
+def test_node_bundle_does_not_keep_the_map_alive(grid3, rng):
+    import gc
+    import weakref
+
+    u = _near_identity(3, rng)
+    deficit_report(u, grid3)
+    ref = weakref.ref(u)
+    del u
+    gc.collect()
+    assert ref() is None
+
+
+def test_callable_map_sampled_on_every_call(grid3, rng):
+    from spherestab.spheremap import callable_map
+
+    phi = as_sphere_map(random_moebius(rng, lam_range=(0.5, 2.0)))
+    calls = {"value": 0, "jacobian": 0}
+
+    def value(X):
+        calls["value"] += 1
+        return phi.eval(X)
+
+    def jacobian(X):
+        calls["jacobian"] += 1
+        return phi.jac(X)
+
+    u = callable_map(3, 3, value, jacobian)
+    fns = (deficit_report, combined_deficit, dirichlet, perimeter, signed_volume,
+           isometric_deficit, stretch_norm, full_isometric_deficit)
+    for fn in fns + fns:
+        calls.update(value=0, jacobian=0)
+        fn(u, grid3)
+        assert calls == {"value": 1, "jacobian": 1}, fn.__name__
+
+
+def test_stretches_with_a_repeated_stretch_match_svd(rng, grid4):
+    # every tangent space meets the b-eigenspace in two dimensions or more
+    from spherestab.spheremap import principal_stretch_values, tangential_jacobians
+
+    for a, b in ((1.3, 0.7), (0.5, 2.0), (1.0, 1.0 + 1e-9)):
+        Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        u = linear_map(Q @ np.diag([a, b, b, b]) @ Q.T)
+        X, U, J = u.sample(grid4)
+        s = principal_stretch_values(J, X)
+        sv = np.linalg.svd(tangential_jacobians(J, X), compute_uv=False)[:, :3][:, ::-1]
+        assert np.max(np.abs(s - sv)) <= 1e-12 * np.max(sv)

@@ -3,10 +3,14 @@
 Every functional with both a poly branch (exact rational moments) and a
 sampled branch (product quadrature) is evaluated both ways on the same
 polynomial map.  The grids' exactness covers every integrand degree that
-degree <= 3 maps produce, so the two results agree to roundoff.
+degree <= 3 maps produce, so the two results agree to roundoff.  The
+signed volume and the n = 3 Dirichlet energy have a single quadrature
+route; they are checked against the moment values of their polynomial
+densities, also on grids too coarse to integrate those densities.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +21,8 @@ from spherestab.harmonics import poincare_deficit
 from spherestab.moebius import nearest_rotation
 from spherestab.operator import project_h_n, project_kernel
 from spherestab.polynomials import Poly, monomial_exponents
-from spherestab.spheremap import poly_map, sampled_map, tangential_jacobians
+from spherestab.quadrature import sphere_grid
+from spherestab.spheremap import identity_map, poly_map, sampled_map, tangential_jacobians, volume_integrand
 
 REL = 1e-12
 
@@ -26,6 +31,27 @@ def _agree(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     return float(np.max(np.abs(a - b))) <= REL * scale
+
+
+def _poly_det(B) -> Poly:
+    """Determinant of a square array of polynomials, by Laplace expansion."""
+    if len(B) == 1:
+        return B[0][0]
+    out = Poly(B[0][0].n)
+    for j, entry in enumerate(B[0]):
+        term = entry * _poly_det([row[:j] + row[j + 1:] for row in B[1:]])
+        out = out + term if j % 2 == 0 else out - term
+    return out
+
+
+def _poly_volume_integrand(u) -> Poly:
+    """det(J P + u x^t) as an exact polynomial.
+
+    Entry (i, l) is d_l u^i - <x, grad u^i> x_l + u^i x_l, and <x, grad u^i>
+    is the Euler operator applied to u^i.
+    """
+    B = [[c.diff(l) - c.euler().xmul(l) + c.xmul(l) for l in range(u.n)] for c in u.components]
+    return _poly_det(B)
 
 
 @st.composite
@@ -72,8 +98,10 @@ def _check(u):
         ku, ks = project_kernel(u), project_kernel(s)
         assert _agree(ku.eval(X), ks.sample(g)[1])
         assert _agree(ku.jac(X), ks.sample(g)[2])
-        assert _agree(signed_volume(u), signed_volume(s))
         assert _agree(dirichlet(u), dirichlet(s))
+        assert _agree(dirichlet(u), 0.5 * tangential_energy(u))
+    assert _agree(signed_volume(u), signed_volume(s))
+    assert _agree(signed_volume(u), _poly_volume_integrand(u).sphere_integral())
 
 
 @settings(max_examples=25, deadline=None)
@@ -86,3 +114,22 @@ def test_exact_vs_quadrature_n3(u):
 @given(poly_maps(4))
 def test_exact_vs_quadrature_n4(u):
     _check(u)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_volume_and_dirichlet_exact_on_coarse_grids(n):
+    # sphere_grid(n, 3) is exact to degree 5 only; the volume density of a
+    # degree-3 map has degree 4n and the n = 3 Dirichlet density degree 6
+    rng = np.random.default_rng(7)
+    exps = [e for d in range(4) for e in monomial_exponents(n, d)]
+    w = poly_map(n, [Poly(n, dict(zip(exps, rng.uniform(-0.2, 0.2, len(exps))))) for _ in range(n)])
+    u = identity_map(n) + w
+    g = sphere_grid(n, 3)
+    assert g.exactness == 5 and u.degree() == 3
+    exact = _poly_volume_integrand(u).sphere_integral()
+    X, U, J = u.sample(g)
+    assert abs(g.weights @ volume_integrand(U, J, X) - exact) > 1e-8  # the grid alone is not exact
+    assert abs(signed_volume(u, g) - exact) <= 1e-12 * max(1.0, abs(exact))
+    if n == 3:
+        half = 0.5 * tangential_energy(u)
+        assert abs(dirichlet(u, g) - half) <= 1e-12 * max(1.0, half)

@@ -225,10 +225,9 @@ def test_cli_bad_inputs(tmp_path):
 def test_cli_partial_config(tmp_path, capsys):
     # a partial resolutions table merges with the defaults
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"resolutions": {"3": 40}, "kmax": {"4": 5}}))
+    cfg.write_text(json.dumps({"resolutions": {"3": 40}}))
     loaded = load_config(str(cfg))
     assert loaded.resolutions == {**Config().resolutions, 3: 40}
-    assert loaded.kmax == {**Config().kmax, 4: 5}
     m4 = tmp_path / "m4.json"
     save_json(map_to_dict(identity_map(4)), str(m4))
     assert main(["deficits", "--config", str(cfg), "--map", str(m4)]) == 0
@@ -243,6 +242,72 @@ def test_cli_partial_config(tmp_path, capsys):
     for bad in ([40], {"resolutions": [40]}):
         cfg.write_text(json.dumps(bad))
         assert main(["deficits", "--config", str(cfg), "--map", str(m4)]) == 2
+
+
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"resolutions": {"3": 40}, "kmax": {"4": 5}}))
+    with pytest.raises(ValueError, match="kmax"):
+        load_config(str(cfg))
+    assert not hasattr(Config(), "kmax")
+    mp = tmp_path / "id.json"
+    save_json(map_to_dict(identity_map(3)), str(mp))
+    capsys.readouterr()
+    assert main(["deficits", "--config", str(cfg), "--map", str(mp)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "kmax" in err
+
+
+@pytest.mark.parametrize("command", ["deficits", "fit-moebius"])
+@pytest.mark.parametrize("flags, named", [
+    (["--seed", "3"], "--seed"),
+    (["--tol", "1e-2"], "--tol"),
+    (["--seed", "3", "--tol", "1e-2"], "--seed, --tol"),
+])
+def test_cli_map_commands_refuse_unused_flags(command, flags, named, tmp_path, capsys):
+    mp = tmp_path / "ell.json"
+    save_json(map_to_dict(linear_map(np.diag([1.0, 1.0, 1.1]))), str(mp))
+    capsys.readouterr()
+    assert main([command, "--map", str(mp)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"does not use {named}" in err
+
+
+def test_cli_deficits_resolution_applies_to_the_map_dimension(tmp_path):
+    from dataclasses import asdict
+
+    from spherestab.deficits import deficit_report
+    from spherestab.io import load_json
+    from spherestab.operator import random_h_field
+    from spherestab.quadrature import sphere_grid
+
+    w = random_h_field(4, 3, np.random.default_rng(5))
+    mp = tmp_path / "m4.json"
+    save_json(map_to_dict(identity_map(4) + w.scale(0.1)), str(mp))
+    u = map_from_dict(load_json(str(mp)))
+    reports = {}
+    for res in (None, 6):
+        out = tmp_path / f"rep{res}.json"
+        flags = [] if res is None else ["--resolution", str(res)]
+        assert main(["deficits", "--map", str(mp), "--out", str(out)] + flags) == 0
+        reports[res] = json.loads(out.read_text())
+    assert reports[6] == json.loads(json.dumps(asdict(deficit_report(u, sphere_grid(4, 6)))))
+    assert reports[6]["perimeter"] != reports[None]["perimeter"]
+
+
+@pytest.mark.parametrize("command", ["deficits", "fit-moebius"])
+def test_cli_map_commands_refuse_resolution_for_sampled_maps(command, tmp_path, capsys):
+    from spherestab.moebius import as_sphere_map
+
+    g = build_sphere_grid(3, 12)
+    phi = as_sphere_map(random_moebius(np.random.default_rng(3), lam_range=(0.8, 1.2)))
+    mp = tmp_path / "sampled.json"
+    save_json(map_to_dict(sampled_map(g, phi.eval(g.nodes), phi.jac(g.nodes))), str(mp))
+    assert main([command, "--map", str(mp)]) == 0
+    capsys.readouterr()
+    assert main([command, "--map", str(mp), "--resolution", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--resolution" in err
 
 
 def test_cli_stability_sweep(tmp_path):
