@@ -1,47 +1,28 @@
 #!/usr/bin/env python3
-"""Reproduce the optimality-rate sweeps: flip and stretch circle families,
-the short homothety, and the conformal ellipsoid family."""
+"""Reproduce the optimality-rate sweeps as CSV files: the flip and stretch
+circle families, the short homothety and the conformal ellipsoid family.
+
+    python3 scripts/optimality_rates.py out/
+"""
 
 import pathlib
 import sys
 
-import numpy as np
+from spherestab.cli import main
 
-from spherestab.families import stability_sweep
+SWEEPS = (
+    ("flip", "0.05:1.0:geometric:8"),
+    ("stretch", "0.004:0.04:geometric:8"),
+    ("homothety", "0.1:0.5:geometric:6"),
+    ("ellipsoid", "0.01:0.3:geometric:6"),
+)
 
-OUT = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path("out")
-OUT.mkdir(parents=True, exist_ok=True)
-
-SWEEPS = [
-    ("flip", np.geomspace(0.05, 1.0, 8), "isometric"),
-    ("stretch", np.geomspace(0.004, 0.04, 8), "isometric"),
-    ("homothety", np.geomspace(0.1, 0.5, 6), "isometric"),
-    ("ellipsoid", np.geomspace(0.01, 0.3, 6), "conformal"),
-]
-
-for family, sigmas, thm in SWEEPS:
-    sw = stability_sweep(family, sigmas, theorem=thm)
-    path = OUT / f"rates_{family}.csv"
-    with open(path, "w") as fh:
-        fh.write("sigma,lhs,delta,epsilon,E,ratio,energy\n")
-        for row, en in zip(sw.rows(), sw.energies):
-            fh.write(",".join(repr(v) for v in
-                              [row["sigma"], row["lhs"], row["delta"], row["epsilon"],
-                               row["E"], row["ratio"], en]) + "\n")
-    slope = sw.energy_slope[0] if sw.energy_slope else float("nan")
-    print(f"{family:10s} energy slope {slope:6.3f}   "
-          f"ratio range [{min(sw.ratios):.3f}, {max(sw.ratios):.3f}]   -> {path}")
-
-# convergence of E2/t^2 toward the sharp constant on the extremal row
-from spherestab.deficits import combined_deficit
-from spherestab.forms import tangential_energy
-from spherestab.operator import random_eigenfield
-from spherestab.spheremap import identity_map
-
-rng = np.random.default_rng(0)
-w = random_eigenfield(3, 3, 3, rng).map
-w = w.scale(1.0 / np.sqrt(tangential_energy(w)))
-iden = identity_map(3)
-print("\nE2(id + t w)/t^2 on the extremal (3,3) row (limit 1/4):")
-for t in (1e-1, 1e-2, 1e-3):
-    print(f"  t = {t:g}: {combined_deficit(iden + w.scale(t)) / t**2:.6f}")
+if __name__ == "__main__":
+    out = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path("out")
+    out.mkdir(parents=True, exist_ok=True)
+    for family, sigmas in SWEEPS:
+        path = out / f"rates_{family}.csv"
+        rc = main(["rates", "--family", family, "--sigmas", sigmas, "--out", str(path)])
+        if rc != 0:
+            raise SystemExit(rc)
+        print(f"wrote {path}")

@@ -249,6 +249,8 @@ def cmd_fit_moebius(args) -> int:
         "ratio": ratio,
         "nfev": res.nfev,
         "converged": res.converged,
+        "iterations": res.iterations,
+        "grad_norm": res.grad_norm,
     }
     _write_json(args.out, out)
     return 0

@@ -17,11 +17,13 @@ The solvers are damped Newton iterations with finite-difference Jacobians:
 antisymmetrized first moments and the first moment of the extension's
 divergence) over the full rotation x boost chart.  `nearest_moebius`
 solves the rotation in closed form (Kabsch/Umeyama) for each boost
-v = log(lam) xi and searches the three boost parameters with Nelder-Mead.
+v = log(lam) xi and searches the three boost parameters by BFGS on an
+analytic gradient, in a chart of phi_v that is smooth through v = 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -523,8 +525,10 @@ class NearestMoebiusResult:
     lam: float
     value: float
     recentred: bool
-    nfev: int          # objective evaluations of the boost search
-    converged: bool    # the Nelder-Mead stopping test was met
+    nfev: int          # objective-and-gradient evaluations of the boost search
+    converged: bool    # the gradient-norm test was met
+    iterations: int    # accepted BFGS steps
+    grad_norm: float   # |grad| of the fit value at the returned boost
 
 
 def _boost_moebius(O: np.ndarray, v: np.ndarray) -> MoebiusMap:
@@ -535,26 +539,132 @@ def _boost_moebius(O: np.ndarray, v: np.ndarray) -> MoebiusMap:
     return MoebiusMap(len(v), O, v / nv, float(np.exp(nv)))
 
 
-def _fit_terms(v: np.ndarray, TJ_u: np.ndarray, X: np.ndarray, w: np.ndarray):
-    """Best rotation for the boost v: returns (O phi_v, b, c).
+# below this |v| the boost coefficients come from their Taylor series, which
+# are exact to roundoff there; the closed forms cancel like 1/|v|^4
+_SERIES_CUTOFF = 0.1
+# Taylor coefficients in s^0, s^2, ..., s^8 of h, beta, gamma and delta
+_BOOST_SERIES = (
+    (1.0, 1 / 6, 1 / 120, 1 / 5040, 1 / 362880),
+    (1 / 2, 1 / 24, 1 / 720, 1 / 40320, 1 / 3628800),
+    (1 / 3, 1 / 30, 1 / 840, 1 / 45360, 1 / 3991680),
+    (1 / 12, 1 / 180, 1 / 6720, 1 / 453600, 1 / 47900160),
+)
 
-    With J0 the ambient Jacobian of phi_v, b = max over O in SO(3) of
-    avg <grad_T u, O J0 P> is the Kabsch/Umeyama value of
-    K = avg grad_T u J0^t, and c = avg |grad_T phi_v|^2 = avg 8 lam^2 / D^2.
-    grad_T u is already tangential, so K needs the ambient J0 only.
+
+def _boost_coefficients(s: float) -> tuple[float, float, float, float]:
+    """(h, beta, gamma, delta) at s = |v|, all even and smooth in s.
+
+    h = sinh s / s, beta = (cosh s - 1) / s^2 and their radial derivatives
+    gamma = h'(s) / s, delta = beta'(s) / s.
     """
-    phi0 = _boost_moebius(np.eye(3), v)
-    xi, lam = phi0.xi, phi0.lam
-    D, N, JN = _dilation_parts(X, xi, lam)
-    wD = w / D
-    TJ_xi = (TJ_u.reshape(-1, 3) @ ((1.0 - lam**2) * xi)).reshape(-1, 3)
-    K = (wD @ TJ_u.reshape(-1, 9)).reshape(3, 3) @ JN - (TJ_xi * (wD / D)[:, None]).T @ N
-    Uk, s, Vt = np.linalg.svd(K)
+    if s < _SERIES_CUTOFF:
+        t = s * s
+        return tuple(c0 + t * (c1 + t * (c2 + t * (c3 + t * c4))) for c0, c1, c2, c3, c4 in _BOOST_SERIES)
+    sh, ch = math.sinh(s), math.cosh(s)
+    half = 2.0 * math.sinh(0.5 * s) ** 2       # cosh s - 1 without cancellation
+    return sh / s, half / s**2, (s * ch - sh) / s**3, (s * sh - 2.0 * half) / s**4
+
+
+def _fit_terms(v: np.ndarray, TJ_u: np.ndarray, X: np.ndarray, w: np.ndarray):
+    """Best rotation for the boost v and the fit terms: returns (O, b, c, db, dc).
+
+    In the chart v = log(lam) xi, phi_v = N'/D' with N' = x + beta <v, x> v - alpha,
+    D' = cosh|v| - <alpha, x> and alpha = h v (N and D of `_dilation_parts`
+    divided by 2 lam), so the ambient Jacobian is J0 = q (I + beta v v^t) + q^2 N' alpha^t,
+    q = 1/D'.  b = max over O in SO(3) of avg <grad_T u, O J0> is the
+    Kabsch/Umeyama value of K = avg grad_T u J0^t (grad_T u is already
+    tangential, so K needs the ambient J0 only), and
+    c = avg |grad_T phi_v|^2 = 2 avg q^2.  db and dc are the gradients in v;
+    by the envelope argument db = <O, dK/dv> at the optimal O.
+    """
+    s = math.sqrt(float(v @ v))
+    h, beta, gamma, delta = _boost_coefficients(s)
+    alpha = h * v
+    ch = math.cosh(s)
+    Dp = ch - X @ alpha
+    if np.min(Dp) <= 1e-14 * ch:
+        raise ValueError("degenerate denominator (boost too large)")
+    q = 1.0 / Dp
+    wq = w * q
+    wq2 = wq * q
+    wq3 = wq2 * q
+    xv = X @ v
+    Np = X + (beta * xv)[:, None] * v - alpha
+    P = np.eye(3) + beta * np.outer(v, v)
+    TJ_rows = TJ_u.reshape(-1, 3)
+    Y = (TJ_rows @ alpha).reshape(-1, 3)          # grad_T u alpha per node
+    A = (wq @ TJ_u.reshape(-1, 9)).reshape(3, 3)
+    K = A @ P + (Y * wq2[:, None]).T @ Np
+    Uk, sv, Vt = np.linalg.svd(K)
     d = 1.0 if np.linalg.det(Uk @ Vt) > 0 else -1.0
     O = (Uk * [1.0, 1.0, d]) @ Vt
-    b = float(s[0] + s[1] + d * s[2])
-    c = float(8.0 * lam**2 * (wD @ (1.0 / D)))
-    return MoebiusMap(3, O, xi, lam), b, c
+    b = float(sv[0] + sv[1] + d * sv[2])
+    c = 2.0 * float(wq @ q)
+
+    # per node, <O^t grad_T u, J0> = q t1 + q^2 s2; grad D' = alpha - h x - gamma <v, x> v
+    t1 = TJ_u.reshape(-1, 9) @ (O @ P).ravel()
+    m = Np @ O.T                                  # O N' per node
+    s2 = np.sum(m * Y, axis=1)
+    k = wq2 * t1 + 2.0 * wq3 * s2                 # weight of -grad D'
+    vz = Y @ (O @ v)                              # <v, O^t grad_T u alpha>
+    rv = np.sum(m * (TJ_rows @ v).reshape(-1, 3), axis=1)   # <v, grad_T u^t O N'>
+    C = O.T @ A
+    db = (-float(np.sum(k)) * alpha
+          + (h * k + beta * wq2 * vz) @ X
+          + ((wq2 * (beta * xv - h)) @ Y) @ O
+          + h * ((wq2[:, None] * m).ravel() @ TJ_rows)
+          + (gamma * float(k @ xv) + float(wq2 @ (gamma * rv + (delta * xv - gamma) * vz))
+             + delta * float(v @ C @ v)) * v
+          + beta * ((C + C.T) @ v))
+    dc = -4.0 * (float(np.sum(wq3)) * alpha - h * (wq3 @ X) - gamma * float(wq3 @ xv) * v)
+    return O, b, c, db, dc
+
+
+def _bfgs(fun, x0: np.ndarray, gtol: float, fslack: float):
+    """Minimize by BFGS with Armijo backtracking from the inverse Hessian (3/8) I.
+
+    fun(x) returns (f, grad, extra) and f = inf where x is outside the domain.
+    The Armijo test allows f to rise by fslack, the roundoff of f, so that
+    steps near the minimum are judged by the gradient, which stays accurate
+    far below that level.  At most 100 steps are taken.  Returns (x, f, grad,
+    extra, iterations, nfev, converged); converged means |grad| <= gtol.  The
+    (3/8) I start is the inverse of the Hessian of the fit value at a
+    conformal map, about (8/3) I.
+    """
+    x = np.asarray(x0, dtype=float)
+    f, g, extra = fun(x)
+    nfev = 1
+    if not np.isfinite(f):
+        raise ValueError("fit objective is not finite at the start")
+    H0 = (3.0 / 8.0) * np.eye(len(x))
+    H = H0
+    it = 0
+    while np.linalg.norm(g) > gtol and it < 100:
+        p = -H @ g
+        slope = float(g @ p)
+        if slope >= 0.0:                           # lost descent: restart from H0
+            H = H0
+            p = -H @ g
+            slope = float(g @ p)
+        t = 1.0
+        for _ in range(30):
+            xn = x + t * p
+            fn, gn, en = fun(xn)
+            nfev += 1
+            if fn <= f + 1e-4 * t * slope + fslack:
+                break
+            t *= 0.5
+        else:
+            break                                  # no decrease left at roundoff
+        step, dg = xn - x, gn - g
+        sy = float(step @ dg)
+        if sy > 0.0:
+            Hy = H @ dg
+            H = H + ((sy + dg @ Hy) / sy**2) * np.outer(step, step) \
+                - (np.outer(Hy, step) + np.outer(step, Hy)) / sy
+        x, f, g, extra = xn, fn, gn, en
+        it += 1
+    return x, f, g, extra, it, nfev, bool(np.linalg.norm(g) <= gtol)
 
 
 def nearest_moebius(u: SphereMap, grid: SphereGrid | None = None) -> NearestMoebiusResult:
@@ -564,13 +674,11 @@ def nearest_moebius(u: SphereMap, grid: SphereGrid | None = None) -> NearestMoeb
     b = avg <grad_T u, grad_T phi> and c = avg |grad_T phi|^2, at the scale
     lam = a/b.  For a fixed boost v = log(lam) xi the best rotation O is the
     closed-form Procrustes solution (`_fit_terms`), so only the three boost
-    parameters are searched, derivative-free, from the inverse of the
-    recentring of a norm-normalized copy of u (from v = 0 for a sampled u,
-    which has no values off its grid).  The result is an achieved upper
-    bound, not a certified global minimum.
+    parameters are searched, by BFGS on the analytic gradient (stopping at
+    |grad| <= 1e-9), from the inverse of the recentring of a norm-normalized
+    copy of u (from v = 0 for a sampled u, which has no values off its grid).
+    The result is an achieved upper bound, not a certified global minimum.
     """
-    from scipy.optimize import minimize
-
     if u.n != 3 or u.m != 3:
         raise ValueError("nearest Moebius implemented for maps of S^2 into R^3")
     from .deficits import signed_volume
@@ -599,13 +707,15 @@ def nearest_moebius(u: SphereMap, grid: SphereGrid | None = None) -> NearestMoeb
 
     def objective(v):
         try:
-            _, b, c = _fit_terms(v, TJ_u, X, w)
+            O, b, c, db, dc = _fit_terms(v, TJ_u, X, w)
         except ValueError:
-            return np.inf
-        return c - b * b / a if b > 0 else np.inf
+            return np.inf, None, None
+        if not b > 0:
+            return np.inf, None, None
+        return c - b * b / a, dc - (2.0 * b / a) * db, (O, b)
 
-    res = minimize(objective, v0, method="Nelder-Mead",
-                   options={"maxiter": 400, "xatol": 1e-9, "fatol": 1e-12})
-    phi, b, c = _fit_terms(res.x, TJ_u, X, w)
-    val, lam = (c - b * b / a, a / b) if b > 0 else (np.inf, np.inf)
-    return NearestMoebiusResult(phi, float(lam), float(val), recentred, int(res.nfev), bool(res.success))
+    # c is about 2 (the Dirichlet energy of a Moebius map of S^2), so f = c - b^2/a
+    # carries an absolute roundoff of a few 1e-14 at every scale of u
+    v, val, grad, (O, b), iterations, nfev, converged = _bfgs(objective, v0, gtol=1e-9, fslack=1e-13)
+    return NearestMoebiusResult(_boost_moebius(O, v), float(a / b), float(val), recentred, nfev,
+                                converged, iterations, float(np.linalg.norm(grad)))

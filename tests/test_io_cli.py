@@ -196,6 +196,39 @@ def test_cli_fit_moebius(tmp_path):
     assert fit["ratio"] < 100
     assert fit["value"] >= 0
     assert fit["converged"] is True and fit["nfev"] > 0
+    # the diagonal ellipsoid is symmetric about v = 0: one evaluation, no step
+    assert fit["iterations"] == 0 and 0 <= fit["grad_norm"] <= 1e-9
+
+
+_FIT_PATH_SCRIPT = """
+import json, sys
+from spherestab.cli import main
+from spherestab.families import stability_sweep
+stability_sweep("ellipsoid", [0.1], theorem="conformal")
+assert main(["fit-moebius", "--map", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy.optimize"))))
+"""
+
+
+def test_fit_path_does_not_import_scipy_optimize(tmp_path):
+    # importing scipy.optimize costs a process about 0.2 s and 20 MB; the
+    # nearest-Moebius fit must not need it
+    import os
+    import subprocess
+    import sys
+
+    import spherestab
+
+    mp = tmp_path / "map.json"
+    save_json(map_to_dict(linear_map(np.array([[1.0, 0.1, 0.0], [0.0, 1.1, 0.05], [0.02, 0.0, 0.95]]))),
+              str(mp))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spherestab.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _FIT_PATH_SCRIPT, str(mp), str(tmp_path / "fit.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+    assert json.loads((tmp_path / "fit.json").read_text())["converged"] is True
 
 
 def test_cli_bad_inputs(tmp_path):

@@ -266,7 +266,8 @@ def test_nearest_moebius_ellipsoid_ratio_sweep(grid3):
         u = linear_map(np.diag([1.0, 1.0, 1.0 + s]))
         res = nearest_moebius(u, grid3)
         assert res.value <= previous * (1.0 + 1e-9)
-        assert res.converged and res.nfev > 0
+        assert res.converged and 0 < res.nfev <= 30
+        assert res.grad_norm <= 1e-9
         ratios.append(res.value / combined_deficit(u, grid3))
     assert max(ratios) < 100
     assert max(ratios) / min(ratios) < 10
@@ -274,7 +275,7 @@ def test_nearest_moebius_ellipsoid_ratio_sweep(grid3):
 
 def test_fit_terms_match_generic_quadrature(grid3, rng):
     # the O(N) contraction of the per-boost step against the (N,3,3) path
-    from spherestab.moebius import _fit_terms
+    from spherestab.moebius import _boost_moebius, _fit_terms
     from spherestab.spheremap import tangential_jacobians
 
     X, w = grid3.nodes, grid3.weights
@@ -285,7 +286,8 @@ def test_fit_terms_match_generic_quadrature(grid3, rng):
         xi = rng.normal(size=3)
         xi /= np.linalg.norm(xi)
         v = np.log(rng.uniform(0.3, 3.0)) * xi
-        phi, b, c = _fit_terms(v, TJ_u, X, w)
+        O, b, c, _, _ = _fit_terms(v, TJ_u, X, w)
+        phi = _boost_moebius(O, v)
         TJp = tangential_jacobians(moebius_jacobian(phi, X), X)
         b_ref = float(w @ np.einsum("aik,aik->a", TJ_u, TJp))
         c_ref = float(w @ np.einsum("aik,aik->a", TJp, TJp))
@@ -297,3 +299,67 @@ def test_fit_terms_match_generic_quadrature(grid3, rng):
             R *= np.sign(np.linalg.det(R))
             TJr = tangential_jacobians(moebius_jacobian(MoebiusMap(3, R @ phi.O, phi.xi, phi.lam), X), X)
             assert float(w @ np.einsum("aik,aik->a", TJ_u, TJr)) <= b + 1e-12
+
+
+def _perturbed_moebius(rng, eps):
+    """A callable map: a random Moebius map plus eps times a unit-energy h-field."""
+    psi = random_moebius(rng, lam_range=(0.5, 2.0))
+    w = random_h_field(3, 3, rng)
+    w = w.scale(eps / np.sqrt(tangential_energy(w)))
+    return callable_map(3, 3, lambda P: moebius_apply(psi, P) + w.eval(P),
+                        lambda P: moebius_jacobian(psi, P) + w.jac(P))
+
+
+def test_fit_gradient_matches_finite_differences(grid3, rng):
+    from spherestab.moebius import _SERIES_CUTOFF, _boost_coefficients, _fit_terms
+    from spherestab.spheremap import tangential_jacobians
+
+    # the Taylor branch of the boost coefficients meets the closed forms
+    below = np.array(_boost_coefficients(_SERIES_CUTOFF * (1.0 - 1e-12)))
+    above = np.array(_boost_coefficients(_SERIES_CUTOFF))
+    assert np.max(np.abs(below - above) / above) <= 1e-10
+
+    X, w = grid3.nodes, grid3.weights
+    xi = rng.normal(size=3)
+    tgt = MoebiusMap(3, np.eye(3), xi / np.linalg.norm(xi), 2.0)
+    maps = [linear_map(np.diag([1.0, 1.0, 1.3])),
+            callable_map(3, 3, lambda P: 3.0 * moebius_apply(tgt, P),
+                         lambda P: 3.0 * moebius_jacobian(tgt, P)),
+            _perturbed_moebius(rng, 0.2)]
+    # v = 0, |v| below the series cutoff, |v| about 1, and |v| = 3 (lam = 20),
+    # where c = avg |grad_T phi_v|^2 departs from its constant value 2 by
+    # quadrature error only, so that its gradient is not zero
+    radii = (0.0, 0.5 * _SERIES_CUTOFF, 1.0, 3.0)
+    h = 1e-5
+    for u in maps:
+        TJ_u = tangential_jacobians(u.jac(X), X)
+        for r in radii:
+            d = rng.normal(size=3)
+            v = r * d / np.linalg.norm(d)
+            _, _, _, db, dc = _fit_terms(v, TJ_u, X, w)
+            fd = np.empty((2, 3))
+            for j in range(3):
+                e = np.zeros(3)
+                e[j] = h
+                _, bp, cp, _, _ = _fit_terms(v + e, TJ_u, X, w)
+                _, bm, cm, _, _ = _fit_terms(v - e, TJ_u, X, w)
+                fd[:, j] = (bp - bm) / (2 * h), (cp - cm) / (2 * h)
+            for grad, ref in ((db, fd[0]), (dc, fd[1])):
+                assert np.max(np.abs(grad - ref)) <= 1e-6 * max(1.0, np.linalg.norm(ref))
+        assert np.linalg.norm(dc) > 1e-3    # the last case, |v| = 3, resolves dc
+
+
+def test_nearest_moebius_value_survives_node_permutation(grid3, rng):
+    # the fit value does not depend on the order of the nodes; phi is not
+    # compared, because the minimiser need not be unique
+    from spherestab.quadrature import SphereGrid
+
+    perm = rng.permutation(grid3.size)
+    shuffled = SphereGrid(grid3.n, grid3.nodes[perm], grid3.weights[perm], grid3.exactness)
+    maps = [linear_map(np.diag([1.0, 1.0, 1.2])), _perturbed_moebius(rng, 0.05),
+            identity_map(3) + random_h_field(3, 4, rng).scale(0.1)]
+    for u in maps:
+        ref = nearest_moebius(u, grid3)
+        res = nearest_moebius(u, shuffled)
+        assert res.converged and ref.converged
+        assert abs(res.value - ref.value) <= 1e-12
