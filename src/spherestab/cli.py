@@ -142,6 +142,11 @@ def _map_and_grid(args):
 def cmd_verify(args) -> int:
     from .verify import ALL_CHECKS, run_checks
 
+    if args.resolution is not None:
+        # its checks run grids of several dimensions; one flag cannot name them all
+        print("verify does not use --resolution; set the grid of each dimension "
+              "in the resolutions table of --config", file=sys.stderr)
+        return 2
     cfg = _load_cfg(args)
     if args.only:
         known = {name for name, _ in ALL_CHECKS}

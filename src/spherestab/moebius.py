@@ -11,14 +11,14 @@ with analytic Jacobian.  Composition goes through the Lorentz-group
 representation (boost of rapidity -log lam along xi), which returns exact
 standard-form parameters without any stereographic algebra.
 
-The solvers are damped Newton iterations with finite-difference Jacobians:
-`recenter` zeroes the mean of u compose phi over the (xi, log lam) chart;
-`gauge_fix` zeroes the six-component first-moment functional (three
-antisymmetrized first moments and the first moment of the extension's
-divergence) over the full rotation x boost chart.  `nearest_moebius`
-solves the rotation in closed form (Kabsch/Umeyama) for each boost
-v = log(lam) xi and searches the three boost parameters by BFGS on an
-analytic gradient, in a chart of phi_v that is smooth through v = 0.
+The solvers work in the boost chart phi_v = N'/D' (v = log(lam) xi),
+smooth through v = 0, on analytic derivatives.  `recenter` zeroes the mean
+of u compose phi_v by damped Newton over v; `gauge_fix` zeroes the
+six-component first-moment functional (antisymmetrized first moments and
+the first moment of the extension's divergence) of u compose R phi_v by
+damped Newton with steps R <- exp(omega) R, v <- v + dv.  `nearest_moebius`
+solves the rotation in closed form (Kabsch/Umeyama) for each boost v and
+searches v by BFGS.
 """
 
 from __future__ import annotations
@@ -89,9 +89,7 @@ class MoebiusMap:
 
 
 def identity_moebius(n: int = 3) -> MoebiusMap:
-    xi = np.zeros(n)
-    xi[-1] = 1.0
-    return MoebiusMap(n, np.eye(n), xi, 1.0)
+    return MoebiusMap(n, np.eye(n), _default_pole(n), 1.0)
 
 
 def _dilation_parts(X: np.ndarray, xi: np.ndarray, lam: float):
@@ -119,12 +117,16 @@ def moebius_apply(phi: MoebiusMap, X: np.ndarray) -> np.ndarray:
 
 
 def moebius_jacobian(phi: MoebiusMap, X: np.ndarray) -> np.ndarray:
-    """Analytic ambient Jacobians at unit vectors, shape (N, n, n)."""
+    """Analytic ambient Jacobians at unit vectors, shape (N, n, n):
+    O (JN / D - N c^t / D^2) with c = (1 - lam^2) xi the gradient of D."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    lam, xi = phi.lam, phi.xi
-    D, N, JN = _dilation_parts(X, xi, lam)
-    J = JN / D[:, None, None] - np.einsum("ai,j->aij", N, (1.0 - lam**2) * xi) / (D**2)[:, None, None]
-    return np.einsum("ij,ajk->aik", phi.O, J)
+    D, N, JN = _dilation_parts(X, phi.xi, phi.lam)
+    J = (phi.O @ JN) / D[:, None, None]
+    ON = N @ phi.O.T
+    ON /= (D * D)[:, None]
+    for k, c in enumerate((1.0 - phi.lam**2) * phi.xi):
+        J[:, :, k] -= ON * c
+    return J
 
 
 def as_sphere_map(phi: MoebiusMap) -> SphereMap:
@@ -133,14 +135,8 @@ def as_sphere_map(phi: MoebiusMap) -> SphereMap:
 
 def compose_with_map(u: SphereMap, phi: MoebiusMap) -> SphereMap:
     """u compose phi as a callable-backed map (chain rule on Jacobians)."""
-    def value(X):
-        return u.eval(moebius_apply(phi, X))
-
-    def jac(X):
-        Y = moebius_apply(phi, X)
-        return np.einsum("aij,ajk->aik", u.jac(Y), moebius_jacobian(phi, X))
-
-    return callable_map(u.n, u.m, value, jac)
+    return callable_map(u.n, u.m, lambda X: u.eval(moebius_apply(phi, X)),
+                        lambda X: np.matmul(u.jac(moebius_apply(phi, X)), moebius_jacobian(phi, X)))
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +146,7 @@ def compose_with_map(u: SphereMap, phi: MoebiusMap) -> SphereMap:
 def _boost(xi: np.ndarray, s: float, n: int) -> np.ndarray:
     B = np.eye(n + 1)
     B[:n, :n] += (np.cosh(s) - 1.0) * np.outer(xi, xi)
-    B[:n, n] = np.sinh(s) * xi
-    B[n, :n] = np.sinh(s) * xi
+    B[:n, n] = B[n, :n] = np.sinh(s) * xi
     B[n, n] = np.cosh(s)
     return B
 
@@ -165,7 +160,6 @@ def _lorentz(phi: MoebiusMap) -> np.ndarray:
 
 
 def _from_lorentz(L: np.ndarray, n: int) -> MoebiusMap:
-    gamma = L[n, n]
     a = L[:n, n]
     na = np.linalg.norm(a)
     if na < 1e-14:
@@ -173,8 +167,7 @@ def _from_lorentz(L: np.ndarray, n: int) -> MoebiusMap:
         return MoebiusMap(n, O, _default_pole(n), 1.0)
     ahat = a / na
     s = np.arcsinh(na)
-    Rfull = _boost(ahat, -s, n) @ L
-    O = _orthonormalize(Rfull[:n, :n])
+    O = _orthonormalize((_boost(ahat, -s, n) @ L)[:n, :n])
     xi = O.T @ ahat
     xi = xi / np.linalg.norm(xi)
     return MoebiusMap(n, O, xi, float(np.exp(-s)))
@@ -219,15 +212,11 @@ def random_moebius(rng: np.random.Generator, n: int = 3, lam_range=(0.5, 2.0),
 
 def conformality_residual(phi: MoebiusMap, grid: SphereGrid | None = None) -> float:
     """Max-node deviation of grad^t grad from (|grad|^2/(n-1)) I on T_xS."""
-    g = grid or default_sphere_grid(phi.n)
-    X = g.nodes
-    J = moebius_jacobian(phi, X)
-    TJ = tangential_jacobians(J, X)
-    P = projectors(X)
-    G = np.einsum("aki,akj->aij", TJ, TJ)
-    e = np.einsum("aik,aik->a", TJ, TJ) / (phi.n - 1)
-    R = G - e[:, None, None] * P
-    return float(np.max(np.sqrt(np.einsum("aij,aij->a", R, R))))
+    X = (grid or default_sphere_grid(phi.n)).nodes
+    TJ = tangential_jacobians(moebius_jacobian(phi, X), X)
+    G = np.matmul(TJ.transpose(0, 2, 1), TJ)
+    R = G - (np.sum(TJ * TJ, axis=(1, 2)) / (phi.n - 1))[:, None, None] * projectors(X)
+    return float(np.max(np.sqrt(np.sum(R * R, axis=(1, 2)))))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +252,77 @@ class InfMoebius:
                             for i in range(n)])
 
 
+def _boost_moebius(O: np.ndarray, v: np.ndarray) -> MoebiusMap:
+    """O compose phi_{xi,lam} for the boost vector v = log(lam) xi."""
+    nv = np.linalg.norm(v)
+    if nv < 1e-14:
+        return MoebiusMap(len(v), O, _default_pole(len(v)), 1.0)
+    return MoebiusMap(len(v), O, v / nv, float(np.exp(nv)))
+
+
+# below this |v| the boost coefficients come from their Taylor series, which
+# are exact to roundoff there; the closed forms cancel like 1/|v|^4
+_SERIES_CUTOFF = 0.1
+# Taylor coefficients in s^0, s^2, ..., s^8 of h, beta, gamma and delta
+_BOOST_SERIES = (
+    (1.0, 1 / 6, 1 / 120, 1 / 5040, 1 / 362880),
+    (1 / 2, 1 / 24, 1 / 720, 1 / 40320, 1 / 3628800),
+    (1 / 3, 1 / 30, 1 / 840, 1 / 45360, 1 / 3991680),
+    (1 / 12, 1 / 180, 1 / 6720, 1 / 453600, 1 / 47900160),
+)
+
+
+def _boost_coefficients(s: float) -> tuple[float, float, float, float]:
+    """(h, beta, gamma, delta) at s = |v|, all even and smooth in s.
+
+    h = sinh s / s, beta = (cosh s - 1) / s^2 and their radial derivatives
+    gamma = h'(s) / s, delta = beta'(s) / s.
+    """
+    if s < _SERIES_CUTOFF:
+        t = s * s
+        return tuple(c0 + t * (c1 + t * (c2 + t * (c3 + t * c4))) for c0, c1, c2, c3, c4 in _BOOST_SERIES)
+    sh, ch = math.sinh(s), math.cosh(s)
+    half = 2.0 * math.sinh(0.5 * s) ** 2       # cosh s - 1 without cancellation
+    return sh / s, half / s**2, (s * ch - sh) / s**3, (s * sh - 2.0 * half) / s**4
+
+
+def _boost_parts(v: np.ndarray, X: np.ndarray):
+    """phi_v = N'/D' at the rows of X: returns ((h, beta, gamma, delta), <v, x>, q, N').
+
+    N' = x + beta <v, x> v - alpha and D' = cosh|v| - <alpha, x> with
+    alpha = h v are N and D of `_dilation_parts` divided by 2 lam; q = 1/D'.
+    """
+    s = math.sqrt(float(v @ v))
+    coef = _boost_coefficients(s)
+    ch, alpha = math.cosh(s), coef[0] * v
+    Dp = ch - X @ alpha
+    if np.min(Dp) <= 1e-14 * ch:
+        raise ValueError("degenerate denominator (boost too large)")
+    xv = X @ v
+    return coef, xv, 1.0 / Dp, X + (coef[1] * xv)[:, None] * v - alpha
+
+
+def _jv(J: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """J c per node for Jacobians J (N, m, 3) and a 3-vector or (N, 3) rows c."""
+    return J[:, :, 0] * c[..., 0:1] + J[:, :, 1] * c[..., 1:2] + J[:, :, 2] * c[..., 2:3]
+
+
+def _grid_sample(u: SphereMap, grid: SphereGrid, unit_norm: bool = False):
+    """u and a thunk for its Jacobians at the nodes; fails at once without gradient data."""
+    _, _, U, J = _node_data(u, grid)
+    if unit_norm and np.max(np.abs(np.linalg.norm(U, axis=1) - 1.0)) > 1e-6:
+        raise ValueError("recentering expects a unit-norm map")
+    return U, lambda: J
+
+
+def _values_and_jacobians(u: SphereMap, Y: np.ndarray):
+    """u at the rows of Y and a thunk for its Jacobians there; one monomial table for a poly u."""
+    if u.is_poly:
+        table = evaluate(u.backing.components + u.backing.gradients, Y)
+        return table[:, :u.m], lambda: table[:, u.m:].reshape(-1, u.m, u.n)
+    return u.eval(Y), lambda: u.jac(Y)
+
+
 # ---------------------------------------------------------------------------
 # gauge functionals and solvers
 # ---------------------------------------------------------------------------
@@ -274,27 +334,17 @@ def dilation_scale(u: SphereMap, grid: SphereGrid | None = None) -> float:
     return float(g.weights @ np.einsum("ai,ai->a", U, X))
 
 
-def _psi_parts(n: int):
-    """Cache degree-2 basis values on a grid plus divergence coefficient maps."""
-    basis = scalar_basis(n, 2)
-    # divergence of the extension of alpha_{i,g} psi_g e_i is
-    # sum_i d_i(alpha_{i,g} psi_g); psi_g quadratic => d_i psi_g linear:
-    # coefficient of x_l in d_i psi_g:
-    G2 = len(basis)
-    dcoef = np.zeros((n, G2, n))  # (i, g, l)
-    for gidx, b in enumerate(basis):
-        for i in range(n):
-            dp = b.poly.diff(i)
-            for e, cc in dp.coeffs.items():
-                l = list(e).index(1)
-                dcoef[i, gidx, l] = cc
-    return basis, dcoef
-
-
 @lru_cache(maxsize=8)
 def _psi_tables(grid: SphereGrid):
-    """Degree-2 basis values on the grid nodes and the divergence coefficients."""
-    basis, dcoef = _psi_parts(grid.n)
+    """Degree-2 basis values psi_g on the grid nodes and the divergence coefficients:
+    the extension of alpha_{i,g} psi_g e_i has divergence sum_i alpha_{i,g} d_i psi_g,
+    and dcoef[i, g, l] is the x_l coefficient of the linear d_i psi_g."""
+    n, basis = grid.n, scalar_basis(grid.n, 2)
+    dcoef = np.zeros((n, len(basis), n))
+    for gidx, b in enumerate(basis):
+        for i in range(n):
+            for e, cc in b.poly.diff(i).coeffs.items():
+                dcoef[i, gidx, list(e).index(1)] = cc
     return evaluate([b.poly for b in basis], grid.nodes).T, dcoef
 
 
@@ -305,142 +355,140 @@ def psi_functional(v: SphereMap, grid: SphereGrid) -> np.ndarray:
     (i,j) in ((1,2),(1,3),(2,3)); last three: avg (div v_h) x, evaluated from
     the degree-2 block in closed form.
     """
-    n = v.n
+    return _psi(v.eval(grid.nodes) if not v.is_sampled else v.sample(grid)[1], grid)
+
+
+def _psi(U: np.ndarray, grid: SphereGrid) -> np.ndarray:
+    """psi_functional of the values U (N, 3) at the grid nodes; linear in U."""
     vals, dcoef = _psi_tables(grid)
-    X = grid.nodes
-    w = grid.weights
-    U = v.eval(X) if not v.is_sampled else v.sample(grid)[1]
-    Uw = U.T * w
-    M = Uw @ X
+    Uw = U.T * grid.weights
+    M = Uw @ grid.nodes
     skew = np.array([M[0, 1] - M[1, 0], M[0, 2] - M[2, 0], M[1, 2] - M[2, 1]])
-    alpha = Uw @ vals.T                      # (n, G2)
-    c = np.einsum("ig,igl->l", alpha, dcoef)  # div of extension = sum_l c_l x_l
-    divmom = c / n
-    return np.concatenate([skew, divmom])
+    alpha = Uw @ vals.T                      # (n, G2); div of the extension = sum_l c_l x_l
+    return np.concatenate([skew, np.einsum("ig,igl->l", alpha, dcoef) / grid.n])
 
 
-def _damped_newton(F, x0: np.ndarray, tol: float, max_iter: int = 40,
-                   fd_step: float = 1e-6):
-    """Damped Newton with forward-difference Jacobian; returns (x, |F|, ok)."""
-    x = np.asarray(x0, dtype=float).copy()
-    fx = F(x)
-    norm = np.linalg.norm(fx)
-    for _ in range(max_iter):
-        if norm <= tol:
-            return x, norm, True
-        J = np.empty((len(fx), len(x)))
-        for j in range(len(x)):
-            xp = x.copy()
-            xp[j] += fd_step
-            J[:, j] = (F(xp) - fx) / fd_step
+def _damped_newton(residual, move, x, first, tol: float, max_iter: int = 40):
+    """Damped Newton on residual(x) = (f, jac), jac() the Jacobian of f with
+    respect to the step d of move(x, d).
+
+    From x with first = residual(x), each step solves J d = -f (least squares
+    if J is singular) and halves d, at most 12 times, until |f| decreases (a
+    ValueError of residual counts as no decrease).  Returns (x, |f|,
+    iterations, nfev, njev): steps taken, residual and Jacobian evaluations.
+    """
+    (f, jac), first = first, None
+    norm = float(np.linalg.norm(f))
+    it = nfev = njev = 0
+    while norm > tol and it < max_iter:
+        J = jac()
+        jac = jn = None                      # drop the point's samples before the line search
+        njev += 1
         try:
-            step = np.linalg.solve(J, -fx)
+            step = np.linalg.solve(J, -f)
         except np.linalg.LinAlgError:
-            step = -np.linalg.lstsq(J, fx, rcond=None)[0]
-        t = 1.0
-        for _ in range(12):
-            xn = x + t * step
-            fn = F(xn)
-            nn = np.linalg.norm(fn)
+            step = -np.linalg.lstsq(J, f, rcond=None)[0]
+        if not (np.all(np.isfinite(step)) and np.any(step)):
+            break
+        for t in 0.5 ** np.arange(12):
+            xn = move(x, t * step)
+            nfev += 1
+            try:
+                fn, jn = residual(xn)
+            except ValueError:
+                continue
+            nn = float(np.linalg.norm(fn))
             if nn < norm:
-                x, fx, norm = xn, fn, nn
                 break
-            t *= 0.5
         else:
-            return x, norm, norm <= tol
-    return x, norm, norm <= tol
+            break
+        x, f, jac, norm = xn, fn, jn, nn
+        it += 1
+    return x, norm, it, nfev, njev
+
+
+def _chart_residual(u: SphereMap, grid: SphereGrid, reduce, turns: bool):
+    """(R, v) -> (F, jac) for F = reduce(u(y)) at y = R phi_v(x), reduce linear.
+
+    jac() is the Jacobian in the step (omega, dv) of R <- exp(omega) R,
+    v <- v + dv (in dv alone unless turns), with the columns reduce(Du(y) (e_k x y))
+    and reduce(Du(y) R dphi_v/dv_k), contracted one (N, 3) array at a time:
+    dphi_v/dv_k = q ((beta <v, x> - h) e_k + (beta x_k + (delta <v, x> - gamma) v_k) v - (dD'/dv_k) phi)
+    with dD'/dv_k = h v_k - h x_k - gamma <v, x> v_k.  residual(state, sample)
+    takes the values and Jacobian thunk of u at y when they are known.
+    """
+    X = grid.nodes
+
+    def residual(state, sample=None):
+        R, v = state
+        (h, beta, gamma, delta), xv, q, Y = _boost_parts(v, X)
+        qc = q[:, None]
+        Y *= qc                              # phi_v, in place of N'
+        Y = Y @ R.T
+        U, jac = sample or _values_and_jacobians(u, Y)
+
+        def jacobian():
+            J = jac()
+            cols = [reduce(_jv(J, np.cross(e, Y))) for e in np.eye(3)] if turns else []
+            Av, Ay, a = qc * _jv(J, R @ v), qc * _jv(J, Y), qc * (beta * xv - h)[:, None]
+            for k in range(3):
+                cols.append(reduce(a * _jv(J, R[:, k]) + (beta * X[:, k] + (delta * xv - gamma) * v[k])[:, None] * Av
+                                   - (h * (v[k] - X[:, k]) - gamma * xv * v[k])[:, None] * Ay))
+            return np.column_stack(cols)
+
+        return reduce(U), jacobian
+
+    return residual
 
 
 def recenter(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-8,
              require_unit_norm: bool = True) -> MoebiusMap:
-    """Find phi_{xi, lam} with avg u compose phi = 0.
+    """Find phi_v with avg u compose phi_v = 0, in the boost chart v = log(lam) xi.
 
-    For unit-norm degree +-1 maps a zero exists; the solver runs damped
-    Newton over the (pole chart, log lam) parameters from a heuristic
-    start, falling back to a coarse pole x dilation sweep.
+    For unit-norm degree +-1 maps a zero exists.  Damped Newton on the
+    analytic Jacobian starts at v = 0; only if that fails does it restart
+    from the best 4 of a pole x dilation ladder along the mean, then from the
+    best point of a coarse pole x dilation sweep.  Needs the Jacobians of u.
     """
-    n = u.n
-    if n != 3:
+    if u.n != 3:
         raise ValueError("recentering implemented on S^2")
     g = _grid_for(u, grid)
-    X, w = g.nodes, g.weights
-    if require_unit_norm:
-        U = u.eval(X)
-        if np.max(np.abs(np.linalg.norm(U, axis=1) - 1.0)) > 1e-6:
-            raise ValueError("recentering expects a unit-norm map")
+    residual = _chart_residual(u, g, lambda U: g.weights @ U, turns=False)
+    I = np.eye(3)
+    counts = np.zeros(3, dtype=int)            # Newton steps, residual and Jacobian evaluations
 
-    def mean_of(xi, s):
-        phi = MoebiusMap(3, np.eye(3), xi, float(np.exp(s)))
-        return w @ u.eval(moebius_apply(phi, X))
+    def newton(v0, start=None):               # start() samples u at v0; not held by the solve
+        (_, v), nrm, *run = _damped_newton(residual, lambda x, d: (I, x[1] + d), (I, v0),
+                                           start() if start else residual((I, v0)), tol)
+        counts[:] += [run[0], run[1] + 1, run[2]]
+        return v, nrm
 
-    b = w @ u.eval(X)
-    if np.linalg.norm(b) <= tol:
-        return identity_moebius(3)
-
-    def solve_from(xi0, s0):
-        # Newton in a pole chart re-centered after every solve, so the
-        # chart stays a local diffeomorphism even for large pole moves
-        xi = np.asarray(xi0, dtype=float) / np.linalg.norm(xi0)
-        s = s0
-        nrm = np.inf
-        for _ in range(6):
-            t1, t2 = _tangent_frame(xi)
-
-            def F(p, xi=xi, t1=t1, t2=t2, s=s):
-                xin = xi + p[0] * t1 + p[1] * t2
-                xin /= np.linalg.norm(xin)
-                return mean_of(xin, s + p[2])
-
-            p, nrm, ok = _damped_newton(F, np.zeros(3), tol, max_iter=15)
-            xin = xi + p[0] * t1 + p[1] * t2
-            xi = xin / np.linalg.norm(xin)
-            s = s + p[2]
-            if ok:
-                break
-        return MoebiusMap(3, np.eye(3), xi, float(np.exp(s))), nrm
-
-    bhat = b / np.linalg.norm(b)
-    candidates = []
-    for xi0 in (-bhat, bhat):
-        for s0 in np.log(np.geomspace(0.15, 6.0, 9)):
-            candidates.append((np.linalg.norm(mean_of(xi0, s0)), xi0, s0))
-    candidates.sort(key=lambda t: t[0])
-    for _, xi0, s0 in candidates[:4]:
-        phi, nrm = solve_from(xi0, s0)
-        if nrm <= tol:
-            return phi
-    # full coarse sweep fallback
-    coarse = build_sphere_grid(3, 8)
-    best = None
-    for xi0 in coarse.nodes[:: max(1, coarse.size // 64)]:
-        for s0 in np.log(np.geomspace(0.1, 10.0, 11)):
-            r = np.linalg.norm(mean_of(xi0, s0))
-            if best is None or r < best[0]:
-                best = (r, xi0.copy(), s0)
-    phi, nrm = solve_from(best[1], best[2])
-    if nrm <= tol:
-        return phi
-    raise SolverError(
-        f"recentering failed (residual {nrm:.2e}); is the map degree +-1 unit-norm?"
-    )
-
-
-def _tangent_frame(xi: np.ndarray):
-    a = np.zeros_like(xi)
-    a[int(np.argmin(np.abs(xi)))] = 1.0
-    t1 = np.cross(xi, a)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(xi, t1)
-    return t1, t2
+    v, nrm = newton(np.zeros(3), lambda: residual((I, np.zeros(3)), _grid_sample(u, g, require_unit_norm)))
+    if nrm > tol:
+        b = residual((I, np.zeros(3)))[0]
+        ladder = np.outer([-1.0, 1.0], b / np.linalg.norm(b))
+        counts[1] += 1
+        coarse = build_sphere_grid(3, 8).nodes
+        for poles, scales, tries in ((ladder, (0.15, 6.0, 9), 4), (coarse[:: len(coarse) // 64], (0.1, 10.0, 11), 1)):
+            starts = [s0 * xi0 for xi0 in poles for s0 in np.log(np.geomspace(*scales))]
+            counts[1] += len(starts)
+            for v0 in sorted(starts, key=lambda v0: np.linalg.norm(residual((I, v0))[0]))[:tries]:
+                v, nrm = newton(v0)
+                if nrm <= tol:
+                    return _boost_moebius(I, v)
+        raise SolverError(
+            f"recentering failed after {counts[0]} Newton steps, {counts[1]} residual and "
+            f"{counts[2]} Jacobian evaluations (residual {nrm:.2e}); is the map degree +-1 unit-norm?"
+        )
+    return _boost_moebius(I, v)
 
 
 def _rotation_from_axis_angle(r: np.ndarray) -> np.ndarray:
+    """exp of the skew matrix of r (Rodrigues)."""
     theta = np.linalg.norm(r)
     if theta < 1e-14:
-        K = _skew_of(r)
-        return np.eye(3) + K
-    k = r / theta
-    K = _skew_of(k)
+        return np.eye(3) + _skew_of(r)
+    K = _skew_of(r / theta)
     return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
 
 
@@ -448,39 +496,31 @@ def _skew_of(r: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -r[2], r[1]], [r[2], 0.0, -r[0]], [-r[1], r[0], 0.0]])
 
 
-def _param_moebius(theta: np.ndarray) -> MoebiusMap:
-    """(axis-angle, boost vector) chart of the identity component."""
-    return _boost_moebius(_rotation_from_axis_angle(theta[:3]), theta[3:])
-
-
 def gauge_fix(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-7) -> MoebiusMap:
-    """Find phi in the identity component with Psi_{u}(phi) = 0.
+    """Find phi = R phi_v in the identity component with Psi_{u}(phi) = 0.
 
     Zeroing the six first-moment components is equivalent to killing the
     projection of u compose phi onto the kernel block (skew fields plus the
-    degree-2 complement).  Needs u reasonably W^{1,2}-close to the
-    identity; the initial distance is reported on failure.
+    degree-2 complement).  Damped Newton from the identity on the analytic
+    Jacobian of `_chart_residual`, evaluating a poly u once per step.  Needs
+    the Jacobians of u, and u W^{1,2}-close to the identity.
     """
     if u.n != 3 or u.m != 3:
         raise ValueError("gauge fixing implemented for maps of S^2 into R^3")
     g = _grid_for(u, grid)
-
-    def F(theta):
-        return psi_functional(compose_with_map(u, _param_moebius(theta)), g)
-
-    theta, nrm, ok = _damped_newton(F, np.zeros(6), tol, max_iter=40)
-    if not ok:
-        X = g.nodes
-        J = u.jac(X)
-        P = projectors(X)
-        dist = float(
-            np.sqrt(g.weights @ np.einsum("aik,aik->a", tangential_jacobians(J, X) - P, tangential_jacobians(J, X) - P))
-        )
+    residual = _chart_residual(u, g, lambda U: _psi(U, g), turns=True)
+    start = (np.eye(3), np.zeros(3))
+    (R, v), nrm, it, nfev, njev = _damped_newton(
+        residual, lambda x, d: (_rotation_from_axis_angle(d[:3]) @ x[0], x[1] + d[3:]),
+        start, residual(start, _grid_sample(u, g)), tol)
+    if nrm > tol:
+        D = tangential_jacobians(u.jac(g.nodes), g.nodes) - projectors(g.nodes)
+        dist = math.sqrt(float(g.weights @ np.sum(D * D, axis=(1, 2))))
         raise SolverError(
-            f"gauge Newton stalled at residual {nrm:.2e}; "
-            f"initial W12 gradient distance to the identity was {dist:.3f}"
+            f"gauge Newton stalled at residual {nrm:.2e} after {it} steps, {nfev} residual and "
+            f"{njev} Jacobian evaluations; initial W12 gradient distance to the identity was {dist:.3f}"
         )
-    return _param_moebius(theta)
+    return _boost_moebius(R, v)
 
 
 # ---------------------------------------------------------------------------
@@ -531,65 +571,21 @@ class NearestMoebiusResult:
     grad_norm: float   # |grad| of the fit value at the returned boost
 
 
-def _boost_moebius(O: np.ndarray, v: np.ndarray) -> MoebiusMap:
-    """O compose phi_{xi,lam} for the boost vector v = log(lam) xi."""
-    nv = np.linalg.norm(v)
-    if nv < 1e-14:
-        return MoebiusMap(len(v), O, _default_pole(len(v)), 1.0)
-    return MoebiusMap(len(v), O, v / nv, float(np.exp(nv)))
-
-
-# below this |v| the boost coefficients come from their Taylor series, which
-# are exact to roundoff there; the closed forms cancel like 1/|v|^4
-_SERIES_CUTOFF = 0.1
-# Taylor coefficients in s^0, s^2, ..., s^8 of h, beta, gamma and delta
-_BOOST_SERIES = (
-    (1.0, 1 / 6, 1 / 120, 1 / 5040, 1 / 362880),
-    (1 / 2, 1 / 24, 1 / 720, 1 / 40320, 1 / 3628800),
-    (1 / 3, 1 / 30, 1 / 840, 1 / 45360, 1 / 3991680),
-    (1 / 12, 1 / 180, 1 / 6720, 1 / 453600, 1 / 47900160),
-)
-
-
-def _boost_coefficients(s: float) -> tuple[float, float, float, float]:
-    """(h, beta, gamma, delta) at s = |v|, all even and smooth in s.
-
-    h = sinh s / s, beta = (cosh s - 1) / s^2 and their radial derivatives
-    gamma = h'(s) / s, delta = beta'(s) / s.
-    """
-    if s < _SERIES_CUTOFF:
-        t = s * s
-        return tuple(c0 + t * (c1 + t * (c2 + t * (c3 + t * c4))) for c0, c1, c2, c3, c4 in _BOOST_SERIES)
-    sh, ch = math.sinh(s), math.cosh(s)
-    half = 2.0 * math.sinh(0.5 * s) ** 2       # cosh s - 1 without cancellation
-    return sh / s, half / s**2, (s * ch - sh) / s**3, (s * sh - 2.0 * half) / s**4
-
-
 def _fit_terms(v: np.ndarray, TJ_u: np.ndarray, X: np.ndarray, w: np.ndarray):
     """Best rotation for the boost v and the fit terms: returns (O, b, c, db, dc).
 
-    In the chart v = log(lam) xi, phi_v = N'/D' with N' = x + beta <v, x> v - alpha,
-    D' = cosh|v| - <alpha, x> and alpha = h v (N and D of `_dilation_parts`
-    divided by 2 lam), so the ambient Jacobian is J0 = q (I + beta v v^t) + q^2 N' alpha^t,
-    q = 1/D'.  b = max over O in SO(3) of avg <grad_T u, O J0> is the
+    With phi_v = N'/D' of `_boost_parts`, the ambient Jacobian is
+    J0 = q (I + beta v v^t) + q^2 N' alpha^t.  b = max over O in SO(3) of avg <grad_T u, O J0> is the
     Kabsch/Umeyama value of K = avg grad_T u J0^t (grad_T u is already
     tangential, so K needs the ambient J0 only), and
     c = avg |grad_T phi_v|^2 = 2 avg q^2.  db and dc are the gradients in v;
     by the envelope argument db = <O, dK/dv> at the optimal O.
     """
-    s = math.sqrt(float(v @ v))
-    h, beta, gamma, delta = _boost_coefficients(s)
+    (h, beta, gamma, delta), xv, q, Np = _boost_parts(v, X)
     alpha = h * v
-    ch = math.cosh(s)
-    Dp = ch - X @ alpha
-    if np.min(Dp) <= 1e-14 * ch:
-        raise ValueError("degenerate denominator (boost too large)")
-    q = 1.0 / Dp
     wq = w * q
     wq2 = wq * q
     wq3 = wq2 * q
-    xv = X @ v
-    Np = X + (beta * xv)[:, None] * v - alpha
     P = np.eye(3) + beta * np.outer(v, v)
     TJ_rows = TJ_u.reshape(-1, 3)
     Y = (TJ_rows @ alpha).reshape(-1, 3)          # grad_T u alpha per node
@@ -689,17 +685,18 @@ def nearest_moebius(u: SphereMap, grid: SphereGrid | None = None) -> NearestMoeb
     g, X, U, J_u = _node_data(u, grid)
     w = g.weights
     TJ_u = tangential_jacobians(J_u, X)
+    radius = np.linalg.norm(U, axis=1)
+    del U, J_u                               # not held through the recentring
     a = float(w @ np.einsum("aik,aik->a", TJ_u, TJ_u))
 
-    # start: the inverse of the recentring of a normalized copy of u
+    # start: the inverse of the recentring of u/r0
     recentred = False
     v0 = np.zeros(3)
-    radius = np.linalg.norm(U, axis=1)
     r0 = float(w @ radius)
     if not u.is_sampled and r0 > 1e-10 and np.max(np.abs(radius / r0 - 1.0)) < 0.3:
         try:
-            scaled = callable_map(3, 3, lambda P: u.eval(P) / r0, None)
-            start = inverse(recenter(scaled, g, tol=1e-8, require_unit_norm=False))
+            # the mean of u/r0 is below 1e-8 where the mean of u is below 1e-8 r0
+            start = inverse(recenter(u, g, tol=1e-8 * r0, require_unit_norm=False))
             v0 = np.log(start.lam) * start.xi
             recentred = True
         except SolverError:

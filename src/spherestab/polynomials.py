@@ -311,6 +311,6 @@ def evaluate(polys: Sequence[Poly], points: np.ndarray) -> np.ndarray:
             powers[:, :, j] = powers[:, :, j - 1] * chunk
         table = powers[:, 0, E[:, 0]]
         for i in range(1, n):
-            table = table * powers[:, i, E[:, i]]
+            table *= powers[:, i, E[:, i]]
         out[s : s + _CHUNK] = table @ C
     return out

@@ -368,3 +368,17 @@ def test_cli_verify_subset_and_tolerance(tmp_path):
     # an impossible tolerance must fail with exit code 1
     rc = main(["verify", "--tol", "1e-20", "--only", "quadrature.exactness"])
     assert rc == 1
+
+
+def test_cli_verify_refuses_resolution(tmp_path, capsys):
+    # verify runs grids of n = 2, 3 and 4; the resolutions table of --config
+    # sets each of them, a single --resolution cannot
+    rep = tmp_path / "report.json"
+    assert main(["verify", "--resolution", "8", "--only", "quadrature.exactness", "--out", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("verify does not use --resolution")
+    assert "resolutions table of --config" in err
+    assert not rep.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"resolutions": {"3": 8}}))
+    assert main(["verify", "--config", str(cfg), "--only", "quadrature.exactness", "--out", str(rep)]) == 0

@@ -363,3 +363,163 @@ def test_nearest_moebius_value_survives_node_permutation(grid3, rng):
         res = nearest_moebius(u, shuffled)
         assert res.converged and ref.converged
         assert abs(res.value - ref.value) <= 1e-12
+
+
+def _einsum_moebius_jacobian(phi, X):
+    # the einsum formulation that moebius_jacobian replaced, kept as the reference
+    from spherestab.moebius import _dilation_parts
+
+    D, N, JN = _dilation_parts(X, phi.xi, phi.lam)
+    J = JN / D[:, None, None] - np.einsum("ai,j->aij", N, (1.0 - phi.lam**2) * phi.xi) / (D**2)[:, None, None]
+    return np.einsum("ij,ajk->aik", phi.O, J)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_moebius_kernels_match_einsum_reference(n, rng):
+    from spherestab.quadrature import sphere_grid
+    from spherestab.spheremap import projectors, tangential_jacobians
+
+    g = sphere_grid(n, 6)
+    X = g.nodes
+    for _ in range(3):
+        phi = random_moebius(rng, n=n, lam_range=(0.3, 3.0))
+        ref = _einsum_moebius_jacobian(phi, X)
+        assert np.max(np.abs(moebius_jacobian(phi, X) - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+        A = rng.normal(size=(n, n))
+        comp = compose_with_map(linear_map(A), phi)
+        ref_c = np.einsum("aij,ajk->aik", np.broadcast_to(A, (len(X), n, n)), ref)
+        assert np.max(np.abs(comp.jac(X) - ref_c)) <= 1e-13 * max(1.0, np.max(np.abs(ref_c)))
+        TJ = tangential_jacobians(ref, X)
+        R = np.einsum("aki,akj->aij", TJ, TJ) - (np.einsum("aik,aik->a", TJ, TJ) / (n - 1))[:, None, None] * projectors(X)
+        ref_r = float(np.max(np.sqrt(np.einsum("aij,aij->a", R, R))))
+        assert abs(conformality_residual(phi, g) - ref_r) <= 1e-13
+    # D = <x, xi> (1 - lam^2) + 1 + lam^2 vanishes at <x, xi> = 5/3 for lam = 2
+    phi = MoebiusMap(n, np.eye(n), np.eye(n)[0], 2.0)
+    with pytest.raises(ValueError, match="degenerate denominator"):
+        moebius_jacobian(phi, (5.0 / 3.0) * np.eye(n)[:1])
+
+
+def _rotation(rng):
+    from spherestab.moebius import _rotation_from_axis_angle
+
+    return _rotation_from_axis_angle(rng.normal(size=3))
+
+
+def test_chart_jacobians_match_central_differences(grid3, rng):
+    # d phi_v / dv itself (u = identity, values kept per node), the recentering
+    # Jacobian (mean of a Moebius map) and the gauge Jacobian (Psi of a poly
+    # map, rotation columns by R <- exp(omega) R), at |v| = 0, below the series
+    # cutoff, about 1 and 3
+    from spherestab.moebius import _SERIES_CUTOFF, _chart_residual, _psi, _rotation_from_axis_angle
+
+    w = random_h_field(3, 4, rng)
+    u = identity_map(3) + w.scale(0.2 / np.sqrt(tangential_energy(w)))
+    cases = [
+        (_chart_residual(identity_map(3), grid3, lambda U: U.ravel(), turns=False), False),
+        (_chart_residual(as_sphere_map(random_moebius(rng)), grid3, lambda U: grid3.weights @ U, turns=False), False),
+        (_chart_residual(u, grid3, lambda U: _psi(U, grid3), turns=True), True),
+    ]
+    h = 1e-6
+    for residual, turns in cases:
+        R = _rotation(rng) if turns else np.eye(3)
+        for r in (0.0, 0.5 * _SERIES_CUTOFF, 1.0, 3.0):
+            d = rng.normal(size=3)
+            v = r * d / np.linalg.norm(d)
+            J = residual((R, v))[1]()
+            fd = [(residual((R, v + h * e))[0] - residual((R, v - h * e))[0]) / (2 * h) for e in np.eye(3)]
+            if turns:
+                fd = [(residual((_rotation_from_axis_angle(h * e) @ R, v))[0]
+                       - residual((_rotation_from_axis_angle(-h * e) @ R, v))[0]) / (2 * h) for e in np.eye(3)] + fd
+            fd = np.column_stack(fd)
+            assert J.shape == fd.shape
+            assert np.max(np.abs(J - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+
+def _counting_moebius(tgt, counts):
+    def value(P):
+        counts["value"] += 1
+        counts["value_on_grid"] += P.shape[0] > 1000 and bool(np.all(P == counts["grid"]))
+        return moebius_apply(tgt, P)
+
+    def jac(P):
+        counts["jac"] += 1
+        return moebius_jacobian(tgt, P)
+
+    return callable_map(3, 3, value, jac)
+
+
+def test_recenter_converges_on_wide_dilations(grid3, rng):
+    for _ in range(6):
+        tgt = random_moebius(rng, lam_range=(0.15, 6.0), rotate=True)
+        u = as_sphere_map(tgt)
+        phi = recenter(u, grid3)
+        assert np.linalg.norm(grid3.weights @ u.eval(moebius_apply(phi, grid3.nodes))) <= 1e-8
+
+
+def test_recenter_map_calls(grid3, rng):
+    # Newton on the analytic Jacobian from v = 0: a few value and Jacobian
+    # calls per target, and the values on the grid are taken once
+    for _ in range(8):
+        tgt = random_moebius(rng, lam_range=(0.5, 2.0), rotate=True)
+        counts = {"value": 0, "jac": 0, "value_on_grid": 0, "grid": grid3.nodes}
+        phi = recenter(_counting_moebius(tgt, counts), grid3)
+        assert counts["value"] + counts["jac"] <= 20
+        assert counts["value_on_grid"] == 1
+        assert np.linalg.norm(grid3.weights @ moebius_apply(tgt, moebius_apply(phi, grid3.nodes))) <= 1e-8
+
+
+def test_gauge_fix_evaluates_once_per_step(grid3, rng, monkeypatch):
+    import spherestab.moebius as moebius
+    import spherestab.spheremap as spheremap
+    from spherestab.polynomials import evaluate
+
+    psi_functional(identity_map(3), grid3)       # the Psi tables are cached per grid
+    calls = []
+
+    def counting(polys, points):
+        calls.append(len(polys))
+        return evaluate(polys, points)
+
+    monkeypatch.setattr(moebius, "evaluate", counting)
+    monkeypatch.setattr(spheremap, "evaluate", counting)
+    for _ in range(4):
+        w = random_h_field(3, 4, rng)
+        u = identity_map(3) + w.scale(0.05 / np.sqrt(tangential_energy(w)))
+        calls.clear()
+        phi = gauge_fix(u, grid3)
+        assert 1 <= len(calls) <= 5
+        assert set(calls) == {12}                  # values and derivatives in one table
+        assert np.linalg.norm(psi_functional(compose_with_map(u, phi), grid3)) < 1e-7
+
+
+def test_solvers_refuse_maps_without_gradient_data(grid3):
+    calls = []
+
+    def value(P):
+        calls.append(len(P))
+        return np.asarray(P, dtype=float)
+
+    u = callable_map(3, 3, value)
+    for solve in (recenter, gauge_fix, nearest_moebius):
+        calls.clear()
+        with pytest.raises(ValueError, match="^map has no gradient data$"):
+            solve(u, grid3)
+        assert len(calls) <= 1                     # the grid values, no solver step
+
+
+def test_nearest_moebius_recentres_callable_maps(grid3, rng):
+    # the recentring start needs the Jacobians of u, which the callable map carries
+    res = nearest_moebius(_perturbed_moebius(rng, 0.05), grid3)
+    assert res.recentred and res.converged
+
+
+def test_recenter_failure_reports_the_solve(grid3):
+    from spherestab.errors import SolverError
+    from spherestab.polynomials import Poly
+    from spherestab.spheremap import poly_map
+
+    # a constant unit map: its mean is e_1 for every Moebius map
+    u = poly_map(3, [Poly.constant(3, 1.0), Poly.zero(3), Poly.zero(3)])
+    with pytest.raises(SolverError, match=r"after \d+ Newton steps, \d+ residual and \d+ Jacobian "
+                                          r"evaluations \(residual 1\.00e\+00\)"):
+        recenter(u, grid3)
