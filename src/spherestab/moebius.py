@@ -33,7 +33,8 @@ from .errors import SolverError
 from .harmonics import scalar_basis
 from .polynomials import evaluate
 from .quadrature import SphereGrid, build_sphere_grid, default_sphere_grid
-from .spheremap import SphereMap, _grid_for, _node_data, callable_map, projectors, tangential_jacobians
+from .spheremap import (SphereMap, _grid_for, _node_data, callable_map, projectors, tangential_jacobians,
+                        volume_integrand)
 
 __all__ = [
     "MoebiusMap",
@@ -679,11 +680,14 @@ def nearest_moebius(u: SphereMap, grid: SphereGrid | None = None) -> NearestMoeb
         raise ValueError("nearest Moebius implemented for maps of S^2 into R^3")
     from .deficits import signed_volume
 
-    if abs(signed_volume(u, grid)) <= 1e-10:
-        raise ValueError("signed volume vanishes; no Moebius fit")
-
     g, X, U, J_u = _node_data(u, grid)
     w = g.weights
+    if u.is_poly:   # from the cached node bundle, which a sweep's deficit report has just made
+        volume = signed_volume(u, g)
+    else:           # from this sample, not from a second one
+        volume = float(np.sum(w * volume_integrand(U, J_u, X)))
+    if abs(volume) <= 1e-10:
+        raise ValueError("signed volume vanishes; no Moebius fit")
     TJ_u = tangential_jacobians(J_u, X)
     radius = np.linalg.norm(U, axis=1)
     del U, J_u                               # not held through the recentring

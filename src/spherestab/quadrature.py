@@ -9,10 +9,10 @@ Grid recipes
 n = 2   uniform angles (trapezoid rule), exact for trig polynomials of
         degree < resolution;
 n = 3   Gauss-Legendre in the polar cosine x uniform azimuth;
-n = 4   Gauss-Jacobi (weight sqrt(1-t^2)) in the first polar cosine x
-        Gauss-Legendre in the second x uniform azimuth.  The Jacobi rule
-        absorbs the sin^2 surface Jacobian exactly, which a plain
-        Legendre rule cannot.
+n = 4   Gauss-Chebyshev of the second kind (weight sqrt(1-t^2)), in
+        closed form, in the first polar cosine x Gauss-Legendre in the
+        second x uniform azimuth.  The Chebyshev rule absorbs the sin^2
+        surface Jacobian exactly, which a plain Legendre rule cannot.
 
 For the piecewise-defined circle maps there is a segmented grid whose
 panels align with the breakpoints, so per-segment Gauss quadrature keeps
@@ -26,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .moments import ball_moment, sphere_moment
 
@@ -35,6 +34,7 @@ DEFAULT_RESOLUTIONS = {2: 64, 3: 48, 4: 24}
 __all__ = [
     "SphereGrid",
     "BallGrid",
+    "chebyshev_u_rule",
     "build_sphere_grid",
     "sphere_grid",
     "default_sphere_grid",
@@ -87,6 +87,17 @@ def integrate(grid: SphereGrid | BallGrid, samples: np.ndarray) -> float:
     return float(grid.weights @ samples)
 
 
+def chebyshev_u_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss rule for the weight sqrt(1-t^2) on [-1, 1], normalized to mass 1.
+
+    Gauss-Chebyshev of the second kind in closed form: t_i = cos(theta_i) and
+    w_i = pi/(m+1) sin^2(theta_i) / (pi/2) at theta_i = i pi/(m+1), taken for
+    i = m .. 1 so that the nodes ascend.  Exact to degree 2m - 1.
+    """
+    theta = np.arange(m, 0, -1) * np.pi / (m + 1)
+    return np.cos(theta), np.pi / (m + 1) * np.sin(theta) ** 2 / (np.pi / 2.0)
+
+
 def build_sphere_grid(n: int, resolution: int) -> SphereGrid:
     """Product quadrature grid on S^{n-1} for n in {2, 3, 4}."""
     if resolution < 2:
@@ -101,41 +112,30 @@ def build_sphere_grid(n: int, resolution: int) -> SphereGrid:
         nphi = 2 * resolution
         phi = 2.0 * np.pi * np.arange(nphi) / nphi
         st = np.sqrt(1.0 - t**2)
-        nodes = np.empty((resolution * nphi, 3))
-        weights = np.empty(resolution * nphi)
-        idx = 0
-        for i in range(resolution):
-            nodes[idx : idx + nphi, 0] = st[i] * np.cos(phi)
-            nodes[idx : idx + nphi, 1] = st[i] * np.sin(phi)
-            nodes[idx : idx + nphi, 2] = t[i]
-            weights[idx : idx + nphi] = 0.5 * wt[i] / nphi
-            idx += nphi
-        return SphereGrid(3, nodes, weights, exactness=min(2 * resolution - 1, nphi - 1))
+        nodes = np.empty((resolution, nphi, 3))
+        nodes[..., 0] = st[:, None] * np.cos(phi)
+        nodes[..., 1] = st[:, None] * np.sin(phi)
+        nodes[..., 2] = t[:, None]
+        weights = np.repeat(0.5 * wt / nphi, nphi)
+        return SphereGrid(3, nodes.reshape(-1, 3), weights, exactness=min(2 * resolution - 1, nphi - 1))
     if n == 4:
         # measure: sin^2(theta1) sin(theta2) dtheta1 dtheta2 dphi
-        t1, w1 = roots_jacobi(resolution, 0.5, 0.5)  # weight sqrt(1-t^2)
+        t1, w1 = chebyshev_u_rule(resolution)
         t2, w2 = leggauss(resolution)
         nphi = 2 * resolution
         phi = 2.0 * np.pi * np.arange(nphi) / nphi
-        w1 = w1 / (np.pi / 2.0)  # total mass of sqrt(1-t^2) on [-1,1]
         w2 = w2 / 2.0
         s1 = np.sqrt(1.0 - t1**2)
         s2 = np.sqrt(1.0 - t2**2)
-        N = resolution * resolution * nphi
-        nodes = np.empty((N, 4))
-        weights = np.empty(N)
-        idx = 0
-        for i in range(resolution):
-            for j in range(resolution):
-                r12 = s1[i] * s2[j]
-                nodes[idx : idx + nphi, 0] = r12 * np.cos(phi)
-                nodes[idx : idx + nphi, 1] = r12 * np.sin(phi)
-                nodes[idx : idx + nphi, 2] = s1[i] * t2[j]
-                nodes[idx : idx + nphi, 3] = t1[i]
-                weights[idx : idx + nphi] = w1[i] * w2[j] / nphi
-                idx += nphi
+        r12 = (s1[:, None] * s2)[:, :, None]
+        nodes = np.empty((resolution, resolution, nphi, 4))
+        nodes[..., 0] = r12 * np.cos(phi)
+        nodes[..., 1] = r12 * np.sin(phi)
+        nodes[..., 2] = (s1[:, None] * t2)[:, :, None]
+        nodes[..., 3] = t1[:, None, None]
+        weights = np.repeat((w1[:, None] * w2 / nphi).ravel(), nphi)
         exact = min(2 * resolution - 1, nphi - 1)
-        return SphereGrid(4, nodes, weights, exactness=exact)
+        return SphereGrid(4, nodes.reshape(-1, 4), weights, exactness=exact)
     raise ValueError(f"unsupported dimension n={n} (grids exist for n in {{2,3,4}})")
 
 

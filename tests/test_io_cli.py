@@ -231,6 +231,37 @@ def test_fit_path_does_not_import_scipy_optimize(tmp_path):
     assert json.loads((tmp_path / "fit.json").read_text())["converged"] is True
 
 
+_NO_SCIPY_SCRIPT = """
+import importlib, json, pkgutil, sys
+import spherestab
+from spherestab.cli import main
+for mod in pkgutil.iter_modules(spherestab.__path__):
+    importlib.import_module("spherestab." + mod.name)
+spherestab.quadrature.default_sphere_grid(4)
+assert main(["spectrum", "--n", "4", "--kmax", "2", "--out", sys.argv[1]]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_package_does_not_import_scipy(tmp_path):
+    # NumPy is the only runtime dependency: importing scipy.special alone
+    # costs a cold process about 0.3 s
+    import os
+    import subprocess
+    import sys
+
+    import spherestab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spherestab.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "spec.csv"
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+    assert out.read_text().count("\n") > 1
+
+
 def test_cli_bad_inputs(tmp_path):
     assert main(["rates", "--family", "flip", "--sigmas", "nonsense"]) == 2
     # sigmas outside the family's domain, and a theorem the family cannot take

@@ -241,6 +241,26 @@ def test_nearest_moebius_exact_target(grid3, rng):
     assert abs(res.lam - 3.0) < 1e-4
 
 
+def test_nearest_moebius_samples_a_callable_map_once_before_recentring(grid3, rng):
+    # one grid sample (values and Jacobians) gives the fit data and the
+    # signed-volume check; the recentring samples again from v = 0
+    xi = rng.normal(size=3)
+    tgt = MoebiusMap(3, np.eye(3), xi / np.linalg.norm(xi), 2.0)
+    evals = {"map_evals": 0}
+
+    def counted(f):
+        def call(P):
+            evals["map_evals"] += 1
+            return f(P)
+        return call
+
+    u = callable_map(3, 3, counted(lambda P: 3.0 * moebius_apply(tgt, P)),
+                     counted(lambda P: 3.0 * moebius_jacobian(tgt, P)))
+    res = nearest_moebius(u, grid3)
+    assert res.recentred and res.converged and abs(res.lam - 3.0) < 1e-12
+    assert evals["map_evals"] <= 9
+
+
 def test_nearest_moebius_identity(grid3):
     res = nearest_moebius(identity_map(3), grid3)
     assert res.value < 1e-10

@@ -1,6 +1,7 @@
 """Exact moments and quadrature grids."""
 
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from spherestab.quadrature import (
     build_ball_grid,
     build_circle_grid_segmented,
     build_sphere_grid,
+    chebyshev_u_rule,
     default_sphere_grid,
     integrate,
 )
@@ -75,6 +77,43 @@ def test_grid_invariants(n, res):
             continue
         vals = np.prod(g.nodes ** np.asarray(p), axis=1)
         assert abs(integrate(g, vals) - float(sphere_moment(n, p))) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 24, 40])
+def test_chebyshev_u_rule_moments(m):
+    # int t^(2k) sqrt(1-t^2) dt / (pi/2) = (2k)! / (k! (k+1)! 4^k), odd moments 0,
+    # for every degree the m-point rule claims (<= 2m - 1)
+    t, w = chebyshev_u_rule(m)
+    assert t.shape == w.shape == (m,)
+    assert np.all(np.diff(t) > 0.0) and np.all(w > 0.0)
+    for j in range(2 * m):
+        k = j // 2
+        exact = Fraction(factorial(2 * k), factorial(k) * factorial(k + 1) * 4**k) if j % 2 == 0 else 0
+        assert abs(float(np.sum(w * t**j)) - float(exact)) <= 1e-15, j
+
+
+def _loop_sphere_grid_3(resolution):
+    """The n = 3 product grid assembled one polar ring at a time."""
+    t, wt = np.polynomial.legendre.leggauss(resolution)
+    nphi = 2 * resolution
+    phi = 2.0 * np.pi * np.arange(nphi) / nphi
+    s = np.sqrt(1.0 - t**2)
+    nodes = np.empty((resolution * nphi, 3))
+    weights = np.empty(resolution * nphi)
+    for i in range(resolution):
+        ring = slice(i * nphi, (i + 1) * nphi)
+        nodes[ring, 0] = s[i] * np.cos(phi)
+        nodes[ring, 1] = s[i] * np.sin(phi)
+        nodes[ring, 2] = t[i]
+        weights[ring] = 0.5 * wt[i] / nphi
+    return nodes, weights
+
+
+@pytest.mark.parametrize("resolution", [2, 5, 48])
+def test_sphere_grid_3_matches_loop_reference(resolution):
+    g = build_sphere_grid(3, resolution)
+    nodes, weights = _loop_sphere_grid_3(resolution)
+    assert np.array_equal(g.nodes, nodes) and np.array_equal(g.weights, weights)
 
 
 def test_grid_odd_symmetry():
