@@ -26,7 +26,7 @@ import numpy as np
 from .deficits import DeficitReport, deficit_report
 from .forms import q_n, tangential_energy
 from .moebius import nearest_moebius, nearest_rotation
-from .quadrature import SphereGrid, build_circle_grid_segmented
+from .quadrature import SphereGrid, build_circle_grid_segmented, integrate
 from .spheremap import (
     SphereMap,
     _node_data,
@@ -145,7 +145,7 @@ def grad_gap_to_identity(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """Integral of |grad_T u - grad_T id|^2."""
     g, X, U, J = _node_data(u, grid)
     TJ = tangential_jacobians(J - np.eye(u.n), X)
-    return float(g.weights @ np.einsum("aik,aik->a", TJ, TJ))
+    return integrate(g, np.einsum("aik,aik->a", TJ, TJ))
 
 
 def signed_speed_gap(u: SphereMap, grid: SphereGrid | None = None) -> float:
@@ -156,7 +156,7 @@ def signed_speed_gap(u: SphereMap, grid: SphereGrid | None = None) -> float:
     g = grid or u.grid
     X, U, J = u.sample(g)
     omega = volume_integrand(U, J, X)
-    return float(g.weights @ (omega - 1.0) ** 2)
+    return integrate(g, (omega - 1.0) ** 2)
 
 
 def rate_fit(pairs) -> tuple[float, float, float]:

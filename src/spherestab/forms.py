@@ -27,7 +27,7 @@ from .homogeneous import (
     matrix_frobenius_pair,
 )
 from .operator import EigenField, project_h_n, project_kernel
-from .quadrature import SphereGrid
+from .quadrature import SphereGrid, integrate
 from .spheremap import (
     SphereMap,
     _node_data,
@@ -61,7 +61,7 @@ def tangential_energy(u: SphereMap, grid: SphereGrid | None = None) -> float:
         return field_tangential_energy(u.components)
     g, X, U, J = _node_data(u, grid)
     TJ = tangential_jacobians(J, X)
-    return float(g.weights @ np.einsum("aik,aik->a", TJ, TJ))
+    return integrate(g, np.einsum("aik,aik->a", TJ, TJ))
 
 
 def surface_div_sq(u: SphereMap, grid: SphereGrid | None = None) -> float:
@@ -71,7 +71,7 @@ def surface_div_sq(u: SphereMap, grid: SphereGrid | None = None) -> float:
         return d.pair(d)
     g, X, U, J = _node_data(u, grid)
     d = surface_divergence(J, X)
-    return float(g.weights @ (d * d))
+    return integrate(g, d * d)
 
 
 def q_vol(v: SphereMap, w: SphereMap, grid: SphereGrid | None = None) -> float:
@@ -84,7 +84,7 @@ def q_vol(v: SphereMap, w: SphereMap, grid: SphereGrid | None = None) -> float:
     g, X, U, J = _node_data(w, grid)
     Vv = v.eval(X) if not v.is_sampled else v.sample(g)[1]
     av = a_operator_values(U, J, X)
-    return 0.5 * n * float(g.weights @ np.einsum("ai,ai->a", Vv, av))
+    return 0.5 * n * integrate(g, np.einsum("ai,ai->a", Vv, av))
 
 
 def q_vol_alt(w: SphereMap, grid: SphereGrid | None = None) -> float:
@@ -100,7 +100,7 @@ def q_vol_alt(w: SphereMap, grid: SphereGrid | None = None) -> float:
     d = surface_divergence(J, X)
     r = np.einsum("ai,ai->a", U, X)
     vals = 2.0 * d * r - n * r * r + np.einsum("ai,ai->a", U, U)
-    return 0.5 * n * float(g.weights @ vals)
+    return 0.5 * n * integrate(g, vals)
 
 
 def _sym_energy(u: SphereMap, grid: SphereGrid | None) -> float:
@@ -110,7 +110,7 @@ def _sym_energy(u: SphereMap, grid: SphereGrid | None) -> float:
         return matrix_frobenius_pair(S, S)
     g, X, U, J = _node_data(u, grid)
     S = sym_tangential_part(J, X)
-    return float(g.weights @ np.einsum("aik,aik->a", S, S))
+    return integrate(g, np.einsum("aik,aik->a", S, S))
 
 
 def _pjp_energy(u: SphereMap, grid: SphereGrid | None) -> float:
@@ -120,7 +120,7 @@ def _pjp_energy(u: SphereMap, grid: SphereGrid | None) -> float:
         return matrix_frobenius_pair(M, M)
     g, X, U, J = _node_data(u, grid)
     M = _pjp(J, X)
-    return float(g.weights @ np.einsum("aik,aik->a", M, M))
+    return integrate(g, np.einsum("aik,aik->a", M, M))
 
 
 def q_n(w: SphereMap, grid: SphereGrid | None = None, project: bool = True) -> float:
@@ -220,7 +220,7 @@ def coercivity_ratio(w: SphereMap, grid: SphereGrid | None = None) -> float:
         g, X, U, J = _node_data(w, grid)
         Jk = pk.jac(X) if not pk.is_sampled else pk.sample(g)[2]
         TJ = tangential_jacobians(J - Jk, X)
-        denom = float(g.weights @ np.einsum("aik,aik->a", TJ, TJ))
+        denom = integrate(g, np.einsum("aik,aik->a", TJ, TJ))
     if denom < 1e-12:
         raise IntegrityError("field lies in the kernel; coercivity ratio undefined")
     return q_n(w, grid, project=False) / denom

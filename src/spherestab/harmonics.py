@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import IntegrityError
 from .polynomials import Poly, diff_matrix, evaluate, exps, gram, gram_rect
-from .quadrature import SphereGrid
+from .quadrature import SphereGrid, integrate
 from .spheremap import SphereMap, poly_map
 
 __all__ = [
@@ -319,9 +319,9 @@ def poincare_deficit(u: SphereMap, grid: SphereGrid | None = None) -> float:
     from .spheremap import tangential_jacobians
 
     TJ = tangential_jacobians(J, X)
-    energy = float(grid.weights @ np.einsum("aik,aik->a", TJ, TJ))
+    energy = integrate(grid, np.einsum("aik,aik->a", TJ, TJ))
     mean = grid.weights @ U
-    var = float(grid.weights @ np.einsum("ai,ai->a", U - mean, U - mean))
+    var = integrate(grid, np.einsum("ai,ai->a", U - mean, U - mean))
     return energy / (n - 1) - var
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import SolverError
 from .harmonics import scalar_basis
 from .polynomials import evaluate
-from .quadrature import SphereGrid, build_sphere_grid, default_sphere_grid
+from .quadrature import SphereGrid, build_sphere_grid, default_sphere_grid, integrate
 from .spheremap import (SphereMap, _grid_for, _node_data, callable_map, projectors, tangential_jacobians,
                         volume_integrand)
 
@@ -332,7 +332,7 @@ def dilation_scale(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """lambda_u = avg <u, x>, the linearization-compatible scale."""
     g = _grid_for(u, grid)
     X, U, _ = u.sample(g)
-    return float(g.weights @ np.einsum("ai,ai->a", U, X))
+    return integrate(g, np.einsum("ai,ai->a", U, X))
 
 
 @lru_cache(maxsize=8)
@@ -516,7 +516,7 @@ def gauge_fix(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-7) -
         start, residual(start, _grid_sample(u, g)), tol)
     if nrm > tol:
         D = tangential_jacobians(u.jac(g.nodes), g.nodes) - projectors(g.nodes)
-        dist = math.sqrt(float(g.weights @ np.sum(D * D, axis=(1, 2))))
+        dist = math.sqrt(integrate(g, np.sum(D * D, axis=(1, 2))))
         raise SolverError(
             f"gauge Newton stalled at residual {nrm:.2e} after {it} steps, {nfev} residual and "
             f"{njev} Jacobian evaluations; initial W12 gradient distance to the identity was {dist:.3f}"
@@ -553,7 +553,7 @@ def nearest_rotation(u: SphereMap, grid: SphereGrid | None = None) -> tuple[np.n
         g, X, U, J = _node_data(u, grid)
         TJ = tangential_jacobians(J, X)
         M = np.einsum("a,ail->il", g.weights, TJ)
-        energy = float(g.weights @ np.einsum("aik,aik->a", TJ, TJ))
+        energy = integrate(g, np.einsum("aik,aik->a", TJ, TJ))
     Um, s, Vt = np.linalg.svd(M)
     O = Um @ Vt
     value = energy + (n - 1) - 2.0 * float(np.sum(s))
@@ -685,18 +685,18 @@ def nearest_moebius(u: SphereMap, grid: SphereGrid | None = None) -> NearestMoeb
     if u.is_poly:   # from the cached node bundle, which a sweep's deficit report has just made
         volume = signed_volume(u, g)
     else:           # from this sample, not from a second one
-        volume = float(np.sum(w * volume_integrand(U, J_u, X)))
+        volume = integrate(g, volume_integrand(U, J_u, X))
     if abs(volume) <= 1e-10:
         raise ValueError("signed volume vanishes; no Moebius fit")
     TJ_u = tangential_jacobians(J_u, X)
     radius = np.linalg.norm(U, axis=1)
     del U, J_u                               # not held through the recentring
-    a = float(w @ np.einsum("aik,aik->a", TJ_u, TJ_u))
+    a = integrate(g, np.einsum("aik,aik->a", TJ_u, TJ_u))
 
     # start: the inverse of the recentring of u/r0
     recentred = False
     v0 = np.zeros(3)
-    r0 = float(w @ radius)
+    r0 = integrate(g, radius)
     if not u.is_sampled and r0 > 1e-10 and np.max(np.abs(radius / r0 - 1.0)) < 0.3:
         try:
             # the mean of u/r0 is below 1e-8 where the mean of u is below 1e-8 r0

@@ -19,6 +19,7 @@ from .errors import IntegrityError
 from .harmonics import Subspace, laplace_eigenvalue, vector_space_coeffs
 from .homogeneous import field_a_operator, field_inner_x, field_mean, field_pair
 from .polynomials import Poly, diff_matrix, gram, xmul_matrix
+from .quadrature import integrate
 from .spheremap import (
     SphereMap,
     a_operator_values,
@@ -177,7 +178,7 @@ def project_h_n(w: SphereMap, grid=None) -> tuple[SphereMap, dict]:
         g = grid or w.grid
         X, U, _ = w.sample(g)
         mean = g.weights @ U
-        radial = float(g.weights @ np.einsum("ai,ai->a", U, X))
+        radial = integrate(g, np.einsum("ai,ai->a", U, X))
     report = {"removed_mean": np.asarray(mean), "removed_radial": float(radial)}
     if np.max(np.abs(mean)) < 1e-15 and abs(radial) < 1e-15:
         return w, report
@@ -215,7 +216,7 @@ def project_kernel(w: SphereMap, grid=None) -> SphereMap:
     for S in kernel_subspaces(n):
         for bmap in S.maps:
             BV = bmap.eval(X)
-            c = float(g.weights @ np.einsum("ai,ai->a", U, BV))
+            c = integrate(g, np.einsum("ai,ai->a", U, BV))
             vals += c * BV
             if jac is not None:
                 jac += c * bmap.jac(X)

@@ -37,8 +37,8 @@ __all__ = [
 
 Exponent = tuple[int, ...]
 
-# nodes per monomial power table in `evaluate`: the table (nodes x
-# monomials) then stays in cache and adds little to peak memory on the
+# nodes per monomial power table in `evaluate`: the table (monomials x
+# nodes) then stays in cache and adds little to peak memory on the
 # large n = 4 grids; larger chunks measured slower, not faster
 _CHUNK = 1024
 
@@ -291,7 +291,9 @@ def evaluate(polys: Sequence[Poly], points: np.ndarray) -> np.ndarray:
 
     The coefficients are stacked into one matrix; per chunk of nodes, one
     table of all monomials up to the top degree times that matrix gives
-    every value.
+    every value.  The table is built node-last, (monomials, nodes), from
+    powers laid out (n, kmax+1, nodes), so every gather copies a row; its
+    entries are the products x_0^e0 x_1^e1 ... taken in that order.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[1]
@@ -304,13 +306,13 @@ def evaluate(polys: Sequence[Poly], points: np.ndarray) -> np.ndarray:
             C[o : o + v.shape[0], j] = v
     out = np.empty((pts.shape[0], len(polys)))
     for s in range(0, pts.shape[0], _CHUNK):
-        chunk = pts[s : s + _CHUNK]
-        powers = np.empty((chunk.shape[0], n, kmax + 1))
-        powers[:, :, 0] = 1.0
+        chunk = pts[s : s + _CHUNK].T
+        powers = np.empty((n, kmax + 1, chunk.shape[1]))
+        powers[:, 0] = 1.0
         for j in range(1, kmax + 1):
-            powers[:, :, j] = powers[:, :, j - 1] * chunk
-        table = powers[:, 0, E[:, 0]]
+            powers[:, j] = powers[:, j - 1] * chunk
+        table = powers[0, E[:, 0]]
         for i in range(1, n):
-            table *= powers[:, i, E[:, i]]
-        out[s : s + _CHUNK] = table @ C
+            table *= powers[i, E[:, i]]
+        out[s : s + _CHUNK] = table.T @ C
     return out

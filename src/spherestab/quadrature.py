@@ -80,11 +80,16 @@ class BallGrid:
 
 
 def integrate(grid: SphereGrid | BallGrid, samples: np.ndarray) -> float:
-    """Weighted sum of per-node samples; samples length must match the grid."""
+    """Normalized integral of a per-node density; its length must match the grid.
+
+    NumPy's pairwise sum rather than a BLAS dot: its error grows with log N,
+    not N (E of a homothety stays at 1e-16), and on the 27 648 nodes of the
+    default n = 4 grid a threaded ddot spends milliseconds waking its threads.
+    """
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != grid.size:
         raise ValueError(f"expected {grid.size} samples, got {samples.shape[0]}")
-    return float(grid.weights @ samples)
+    return float(np.sum(grid.weights * samples))
 
 
 def chebyshev_u_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,4 +205,4 @@ def grid_moment_residual(grid: SphereGrid, p: tuple[int, ...]) -> float:
 
 def ball_grid_moment_residual(grid: BallGrid, p: tuple[int, ...]) -> float:
     vals = np.prod(grid.nodes ** np.asarray(p), axis=1)
-    return abs(float(grid.weights @ vals) - float(ball_moment(grid.n, p)))
+    return abs(integrate(grid, vals) - float(ball_moment(grid.n, p)))

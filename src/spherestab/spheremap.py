@@ -11,7 +11,9 @@ Its columns are an orthonormal basis of x^perp and det[E | x] = s.  With
 A = J E = J[:, :-1] - (2/|v|^2) (J v) v[:-1]^t:
 
     first fundamental form   G = A^t A, (n-1) x (n-1)
-    principal stretches      square roots of the eigenvalues of G
+    principal stretches      square roots of the eigenvalues of G: one
+                             hypot rotation at n = 3, cyclic Jacobi
+                             sweeps over all nodes at once for n >= 4
     perimeter density        sqrt(det G)
     Dirichlet density        (tr G / (n-1))^((n-1)/2)
     volume-form integrand    det([A | u]) s = det(J P + u x^t)
@@ -36,8 +38,9 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import SolverError
 from .polynomials import Poly, evaluate
-from .quadrature import SphereGrid, default_sphere_grid
+from .quadrature import SphereGrid, default_sphere_grid, integrate
 
 __all__ = [
     "SphereMap",
@@ -243,14 +246,8 @@ class NodeBundle:
         return stretches
 
     def integral(self, density: np.ndarray) -> float:
-        """Normalized integral of a per-node density.
-
-        NumPy's pairwise sum rather than a BLAS dot: its error grows with
-        log N, not N (E of a homothety stays at 1e-16), and on the 27 648
-        nodes of the default n = 4 grid a threaded ddot spends milliseconds
-        waking its threads.
-        """
-        return float(np.sum(self.grid.weights * density))
+        """Normalized integral of a per-node density (:func:`quadrature.integrate`)."""
+        return integrate(self.grid, density)
 
 
 # (map weakref, bundle) of the last poly-backed map asked for: one slot for
@@ -313,15 +310,17 @@ def _pjp(J: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _frame_jacobians(J: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A = J E node-last, shape (m, n-1, N), and s = det[E | x] = sign(x_n)."""
     m, n = J.shape[1:]
-    Jt = np.ascontiguousarray(np.moveaxis(J, 0, -1))
     s = np.where(X[:, -1] < 0.0, -1.0, 1.0)
     v = s * X.T
     v[-1] += 1.0
     c = 2.0 / np.sum(v * v, axis=0)
     A = np.empty((m, n - 1, X.shape[0]))
     for i in range(m):
-        Jv = sum(Jt[i, l] * v[l] for l in range(n)) * c
-        A[i] = Jt[i, :-1] - Jv * v[:-1]
+        # row i of J node-last, copied one row at a time: a copy of the whole
+        # stack sets the peak memory of an n = 4 report
+        Ji = np.ascontiguousarray(J[:, i].T)
+        Jv = sum(Ji[l] * v[l] for l in range(n)) * c
+        A[i] = Ji[:-1] - Jv * v[:-1]
     return A, s
 
 
@@ -353,7 +352,8 @@ def _stretches(G: np.ndarray) -> np.ndarray:
     """Principal stretches (ascending), shape (N, n-1), from node-last forms G.
 
     For 2 x 2 forms [[a, b], [b, c]] the eigenvalues are m -+ hypot((a-c)/2, b)
-    with m = (a+c)/2, which has no cancellation near the identity.
+    with m = (a+c)/2, which has no cancellation near the identity: one exact
+    Jacobi rotation.  Larger forms take :func:`_jacobi_eigenvalues`.
     """
     k = G.shape[0]
     if k == 1:
@@ -362,8 +362,55 @@ def _stretches(G: np.ndarray) -> np.ndarray:
         m, h = 0.5 * (G[0, 0] + G[1, 1]), np.hypot(0.5 * (G[0, 0] - G[1, 1]), G[0, 1])
         lam = np.stack([m - h, m + h], axis=1)
     else:
-        lam = np.linalg.eigvalsh(np.moveaxis(G, -1, 0))
+        lam = _jacobi_eigenvalues(G)[0]
     return np.sqrt(np.clip(lam, 0.0, None))
+
+
+# cyclic Jacobi converges quadratically: the forms of n = 4 maps settle in
+# about 4 sweeps, so reaching this cap means a bug, not a hard input
+_JACOBI_SWEEPS = 30
+
+
+def _jacobi_eigenvalues(G: np.ndarray) -> tuple[np.ndarray, int]:
+    """Eigenvalues (ascending, shape (N, k)) of node-last symmetric k x k forms,
+    and the number of sweeps taken.
+
+    One cyclic Jacobi run over all nodes at once, eigenvalues only.  Each
+    rotation zeroes the (p, q) entry b with t = b / (d + copysign(hypot(d, b), d)),
+    d = (a_qq - a_pp) / 2 (t = 0 when d = b = 0), c = 1/sqrt(1 + t^2) and
+    s = t c.  Sweeps stop once sum |off-diagonal| <= eps sum |diagonal| at
+    every node; a node holding a NaN returns NaN, as LAPACK does.
+    """
+    k = G.shape[0]
+    A = G.copy()
+    pairs = [(p, q) for p in range(k) for q in range(p + 1, k)]
+    eps = np.finfo(float).eps
+    sweeps = 0
+    while True:
+        off = sum(np.abs(A[p, q]) for p, q in pairs)
+        if not np.any(off > eps * sum(np.abs(A[p, p]) for p in range(k))):
+            break
+        if sweeps == _JACOBI_SWEEPS:
+            raise SolverError(f"Jacobi eigen-solve did not converge in {_JACOBI_SWEEPS} sweeps")
+        sweeps += 1
+        for p, q in pairs:
+            b = A[p, q]
+            d = 0.5 * (A[q, q] - A[p, p])
+            den = d + np.copysign(np.hypot(d, b), d)
+            t = b / np.where(den == 0.0, 1.0, den)  # den = 0 only where d = b = 0
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            tb = t * b
+            A[p, p] -= tb
+            A[q, q] += tb
+            A[p, q] = A[q, p] = 0.0
+            for r in range(k):
+                if r != p and r != q:
+                    arp, arq = A[r, p], A[r, q]
+                    A[r, p], A[r, q] = c * arp - s * arq, s * arp + c * arq
+                    A[p, r], A[q, r] = A[r, p], A[r, q]
+    lam = np.stack([A[p, p] for p in range(k)], axis=1) + 0.0 * off[:, None]  # keeps a NaN a NaN
+    return np.sort(lam, axis=1), sweeps
 
 
 def _volume_density(U: np.ndarray, A: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -415,8 +462,8 @@ def dirichlet_integrand(J: np.ndarray, X: np.ndarray) -> np.ndarray:
 def a_operator_values(U: np.ndarray, J: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(div_S w) x - sum_j x_j grad_T w^j per node (m == n)."""
     TJ = tangential_jacobians(J, X)
-    div = np.einsum("aii->a", TJ)
-    return div[:, None] * X - np.einsum("aj,ajl->al", X, TJ)
+    div = np.trace(TJ, axis1=1, axis2=2)
+    return div[:, None] * X - (X[:, None, :] @ TJ)[:, 0]
 
 
 def sym_tangential_part(J: np.ndarray, X: np.ndarray) -> np.ndarray:

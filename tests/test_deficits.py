@@ -277,6 +277,7 @@ def test_kernels_match_einsum_reference(n, rng):
     # the einsum forms are the definitions; the kernels contract by matmuls
     from spherestab.spheremap import (
         _pjp,
+        a_operator_values,
         area_integrand,
         dirichlet_integrand,
         projectors,
@@ -303,6 +304,7 @@ def test_kernels_match_einsum_reference(n, rng):
         (volume_integrand(U, J, X), np.linalg.det(TJ + np.einsum("ai,aj->aij", U, X))),
         (area_integrand(J, X), np.sqrt(np.clip(np.linalg.det(G), 0.0, None))),
         (dirichlet_integrand(J, X), (np.einsum("aik,aik->a", TJ, TJ) / (n - 1)) ** ((n - 1) / 2.0)),
+        (a_operator_values(U, J, X), np.einsum("aii->a", TJ)[:, None] * X - np.einsum("aj,ajl->al", X, TJ)),
     ]
     for got, want in pairs:
         assert got.shape == want.shape
@@ -411,3 +413,60 @@ def test_stretches_with_a_repeated_stretch_match_svd(rng, grid4):
         s = principal_stretch_values(J, X)
         sv = np.linalg.svd(tangential_jacobians(J, X), compute_uv=False)[:, :3][:, ::-1]
         assert np.max(np.abs(s - sv)) <= 1e-12 * np.max(sv)
+
+
+def _psd_stack(k, spectra, rng):
+    """Node-last (k, k, N) stack Q diag(spectrum) Q^t over random orthogonal Q."""
+    G = []
+    for lam in spectra:
+        Q = np.linalg.qr(rng.normal(size=(k, k)))[0]
+        G.append((Q * lam) @ Q.T)
+    return np.ascontiguousarray(np.moveaxis(np.array(G), 0, -1))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_jacobi_eigenvalues_match_eigvalsh(k, rng):
+    from spherestab.spheremap import _JACOBI_SWEEPS, _jacobi_eigenvalues
+
+    spectra = [rng.uniform(0.0, 2.0, size=k) for _ in range(200)]
+    spectra += [np.full(k, 1.3), np.r_[0.7, np.full(k - 1, 1.3)], np.r_[np.full(k - 1, 1.3), 0.7]]
+    spectra += [np.r_[0.0, rng.uniform(0.5, 2.0, size=k - 1)], np.zeros(k), np.r_[1.0, 1.0, 2.0, 2.0][:k]]
+    base = _psd_stack(k, spectra, rng)
+    diagonal = np.zeros((k, k, 3))
+    for j, lam in enumerate((np.arange(1.0, k + 1), np.full(k, 2.0), np.zeros(k))):
+        diagonal[np.arange(k), np.arange(k), j] = lam
+    # swept alongside the full forms, the diagonal ones meet d = b = 0
+    mixed = np.concatenate([diagonal, base], axis=2)
+    for G in (base, 1e-8 * base, 1e8 * base, diagonal, mixed):
+        lam, sweeps = _jacobi_eigenvalues(G)
+        want = np.linalg.eigvalsh(np.moveaxis(G, -1, 0))
+        norm = np.max(np.abs(want), axis=1, keepdims=True)
+        assert lam.shape == want.shape
+        assert np.all(np.abs(lam - want) <= 32 * np.finfo(float).eps * norm)
+        assert sweeps < _JACOBI_SWEEPS
+    assert _jacobi_eigenvalues(diagonal)[1] == 0
+    assert _jacobi_eigenvalues(base)[1] <= 6
+
+
+def test_jacobi_raises_at_the_sweep_cap(rng, monkeypatch):
+    import spherestab.spheremap as sm
+    from spherestab.errors import SolverError
+
+    G = _psd_stack(3, [rng.uniform(0.5, 2.0, size=3) for _ in range(20)], rng)
+    monkeypatch.setattr(sm, "_JACOBI_SWEEPS", 1)
+    with pytest.raises(SolverError, match="did not converge in 1 sweeps"):
+        sm._jacobi_eigenvalues(G)
+
+
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_jacobi_keeps_a_nan_form_nan(diagonal, rng):
+    # with diagonal forms elsewhere no sweep runs, so no rotation spreads the NaN
+    from spherestab.spheremap import _jacobi_eigenvalues
+
+    spectra = [rng.uniform(0.5, 2.0, size=3) for _ in range(4)]
+    G = np.stack([np.diag(lam) for lam in spectra], axis=-1) if diagonal else _psd_stack(3, spectra, rng)
+    want = _jacobi_eigenvalues(G)[0]
+    G[0, 1, 2] = G[1, 0, 2] = np.nan
+    lam = _jacobi_eigenvalues(G)[0]
+    assert np.all(np.isnan(lam[2]))
+    assert np.array_equal(np.delete(lam, 2, axis=0), np.delete(want, 2, axis=0))

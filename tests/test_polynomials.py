@@ -1,11 +1,14 @@
 """Polynomial layer and its coefficient-space twin."""
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherestab.homogeneous import field_surface_div
-from spherestab.polynomials import Poly, monomial_exponents
+from spherestab.polynomials import Poly, _exponent_table, evaluate, monomial_exponents
 
 
 def _random_poly(rng, n=3, deg=3):
@@ -99,3 +102,40 @@ def test_gram_rect_and_product_index_equal_exponent_sums():
                 assert np.array_equal(_product_index(n, k1, k2), [pos[s] for s in sums])
                 want = np.array([float(sphere_moment(n, s)) for s in sums])
                 assert np.array_equal(gram_rect(n, k1, k2), want.reshape(len(exps(n, k1)), len(exps(n, k2))))
+
+
+def _evaluate_row_major(polys, points, chunk=1024):
+    """`evaluate` with its monomial table laid out (nodes, monomials): the reference."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = pts.shape[1]
+    kmax = max(p.degree() for p in polys)
+    E = _exponent_table(n, kmax)
+    C = np.zeros((E.shape[0], len(polys)))
+    for j, p in enumerate(polys):
+        for d, v in p.blocks.items():
+            o = math.comb(n + d - 1, n)
+            C[o : o + v.shape[0], j] = v
+    out = np.empty((pts.shape[0], len(polys)))
+    for s in range(0, pts.shape[0], chunk):
+        part = pts[s : s + chunk]
+        powers = np.empty((part.shape[0], n, kmax + 1))
+        powers[:, :, 0] = 1.0
+        for j in range(1, kmax + 1):
+            powers[:, :, j] = powers[:, :, j - 1] * part
+        table = powers[:, 0, E[:, 0]]
+        for i in range(1, n):
+            table *= powers[:, i, E[:, i]]
+        out[s : s + chunk] = table @ C
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_evaluate_bit_identical_to_row_major_table(n, rng):
+    for deg in range(7):
+        polys = [_random_poly(rng, n, deg) for _ in range(1 + deg % 4)]
+        for N in (1, 1023, 1024, 1025, 4608):
+            X = rng.normal(size=(N, n))
+            X /= np.linalg.norm(X, axis=1, keepdims=True)
+            got = evaluate(polys, X)
+            assert got.shape == (N, len(polys))
+            assert np.array_equal(got, _evaluate_row_major(polys, X)), (deg, N)
