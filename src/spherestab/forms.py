@@ -7,8 +7,11 @@ divergence energies and vanishes exactly on the span of skew linear
 fields and the degree-2 complement.  Korn's identity ties the symmetrized
 tangential gradient to the full one through q_vol.
 
-Polynomial maps evaluate through exact moments; sampled or callable maps
-fall back to quadrature on their grid (or the default grid).
+Polynomial maps evaluate exactly on their coefficient stacks
+(:mod:`spherestab.homogeneous`): each form is a sum of Gram-matrix
+pairings of the field's Jacobian, J x, J^t x, <f, x>, div_S and A blocks,
+with the one exact A.  Sampled or callable maps fall back to quadrature
+on their grid (or the default grid).
 """
 
 from __future__ import annotations
@@ -16,16 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IntegrityError
-from .homogeneous import (
-    field_a_operator,
-    field_inner_x,
-    field_pair,
-    field_pjp_entries,
-    field_pjp_sym,
-    field_surface_div,
-    field_tangential_energy,
-    matrix_frobenius_pair,
-)
+from .homogeneous import Stack, a_gram, div_gram, energy_gram, l2_gram, pair, pjp_gram, sym_gram
 from .operator import EigenField, project_h_n, project_kernel
 from .quadrature import SphereGrid, integrate
 from .spheremap import (
@@ -58,7 +52,7 @@ __all__ = [
 def tangential_energy(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """Integral of |grad_T u|^2 (normalized measure)."""
     if u.is_poly:
-        return field_tangential_energy(u.components)
+        return float(energy_gram(u.stack, u.stack)[0, 0])
     g, X, U, J = _node_data(u, grid)
     TJ = tangential_jacobians(J, X)
     return integrate(g, np.einsum("aik,aik->a", TJ, TJ))
@@ -67,8 +61,7 @@ def tangential_energy(u: SphereMap, grid: SphereGrid | None = None) -> float:
 def surface_div_sq(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """Integral of (div_S u)^2."""
     if u.is_poly:
-        d = field_surface_div(u.components)
-        return d.pair(d)
+        return float(div_gram(u.stack, u.stack)[0, 0])
     g, X, U, J = _node_data(u, grid)
     d = surface_divergence(J, X)
     return integrate(g, d * d)
@@ -80,7 +73,7 @@ def q_vol(v: SphereMap, w: SphereMap, grid: SphereGrid | None = None) -> float:
         raise ValueError("q_vol needs two maps into R^n")
     n = v.n
     if v.is_poly and w.is_poly:
-        return 0.5 * n * field_pair(v.components, field_a_operator(w.components))
+        return 0.5 * n * float(a_gram(v.stack, w.stack)[0, 0])
     g, X, U, J = _node_data(w, grid)
     Vv = v.eval(X) if not v.is_sampled else v.sample(g)[1]
     av = a_operator_values(U, J, X)
@@ -92,10 +85,9 @@ def q_vol_alt(w: SphereMap, grid: SphereGrid | None = None) -> float:
     (n/2) * integral of (2 div_S w <w,x> - n <w,x>^2 + |w|^2)."""
     n = w.n
     if w.is_poly:
-        f = w.components
-        d = field_surface_div(f)
-        r = field_inner_x(f)
-        return 0.5 * n * (2.0 * d.pair(r) - n * r.pair(r) + field_pair(f, f))
+        S = w.stack
+        dr, rr = (float(pair(n, P, S.inner_x, (1, 1))[0, 0]) for P in (S.div_s, S.inner_x))
+        return 0.5 * n * (2.0 * dr - n * rr + float(l2_gram(S, S)[0, 0]))
     g, X, U, J = _node_data(w, grid)
     d = surface_divergence(J, X)
     r = np.einsum("ai,ai->a", U, X)
@@ -106,8 +98,7 @@ def q_vol_alt(w: SphereMap, grid: SphereGrid | None = None) -> float:
 def _sym_energy(u: SphereMap, grid: SphereGrid | None) -> float:
     """Integral of |(P J P)_sym|^2."""
     if u.is_poly:
-        S = field_pjp_sym(u.components)
-        return matrix_frobenius_pair(S, S)
+        return float(sym_gram(u.stack, u.stack)[0, 0])
     g, X, U, J = _node_data(u, grid)
     S = sym_tangential_part(J, X)
     return integrate(g, np.einsum("aik,aik->a", S, S))
@@ -116,8 +107,7 @@ def _sym_energy(u: SphereMap, grid: SphereGrid | None) -> float:
 def _pjp_energy(u: SphereMap, grid: SphereGrid | None) -> float:
     """Integral of |P J P|^2 (unsymmetrized tangential block)."""
     if u.is_poly:
-        M = field_pjp_entries(u.components)
-        return matrix_frobenius_pair(M, M)
+        return float(pjp_gram(u.stack, u.stack)[0, 0])
     g, X, U, J = _node_data(u, grid)
     M = _pjp(J, X)
     return integrate(g, np.einsum("aik,aik->a", M, M))
@@ -186,9 +176,7 @@ def mixed_div_term(a: EigenField, b: EigenField, grid: SphereGrid | None = None)
         raise TypeError("mixed_div_term needs labeled eigenfields")
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    da = field_surface_div(a.map.components)
-    db = field_surface_div(b.map.components)
-    return da.pair(db)
+    return float(div_gram(a.map.stack, b.map.stack)[0, 0])
 
 
 def mixed_term_allowed(k: int, i: int, l: int, j: int) -> bool:
@@ -214,8 +202,8 @@ def coercivity_ratio(w: SphereMap, grid: SphereGrid | None = None) -> float:
     w, _ = project_h_n(w, grid=grid)
     pk = project_kernel(w, grid=grid)
     if w.is_poly and pk.is_poly:
-        resid = w + pk.scale(-1.0)
-        denom = tangential_energy(resid)
+        resid = Stack.of([w.components, pk.components]).combine([1.0, -1.0])
+        denom = float(energy_gram(resid, resid)[0, 0])
     else:
         g, X, U, J = _node_data(w, grid)
         Jk = pk.jac(X) if not pk.is_sampled else pk.sample(g)[2]

@@ -304,15 +304,12 @@ def poincare_deficit(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """(1/(n-1)) * tangential energy - variance; nonnegative up to roundoff."""
     n = u.n
     if u.is_poly:
-        from .homogeneous import field_tangential_energy
+        from .homogeneous import energy_gram, l2_gram
 
-        f = u.components
-        energy = field_tangential_energy(f)
-        var = 0.0
-        for c in f:
-            mean = c.sphere_integral()
-            var += c.pair(c) - mean * mean
-        return energy / (n - 1) - var
+        S = u.stack
+        mean = S.integral()[0]
+        var = float(l2_gram(S, S)[0, 0]) - float(mean @ mean)
+        return float(energy_gram(S, S)[0, 0]) / (n - 1) - var
     if grid is None:
         grid = u.grid
     X, U, J = u.sample(grid)

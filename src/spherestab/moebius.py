@@ -528,6 +528,18 @@ def gauge_fix(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-7) -
 # nearest rotation / nearest Moebius
 # ---------------------------------------------------------------------------
 
+def _poly_tangential_mean(u: SphereMap) -> np.ndarray:
+    """avg grad_T u = avg J - avg (J x) x^t of a poly map, from its coefficient stacks."""
+    from .homogeneous import Stack, gram_rect
+
+    n, S = u.n, u.stack
+    M = Stack(n, 1, n * n, S.jac).integral().reshape(n, n)
+    for d, R in S.jx.items():
+        if d % 2:
+            M -= R[0] @ gram_rect(n, d, 1)[:, ::-1]  # column l pairs with x_l, exps(n, 1)[n-1-l]
+    return M
+
+
 def nearest_rotation(u: SphereMap, grid: SphereGrid | None = None) -> tuple[np.ndarray, float]:
     """Closed-form minimizer of avg |grad_T u - O P_T|^2 over O(n).
 
@@ -540,14 +552,7 @@ def nearest_rotation(u: SphereMap, grid: SphereGrid | None = None) -> tuple[np.n
     from .forms import tangential_energy
 
     if u.is_poly:
-        from .homogeneous import field_radials
-
-        f = u.components
-        radials = field_radials(f)
-        M = np.empty((n, n))
-        for i in range(n):
-            for l in range(n):
-                M[i, l] = (f[i].diff(l) - radials[i].xmul(l)).sphere_integral()
+        M = _poly_tangential_mean(u)
         energy = tangential_energy(u)
     else:
         g, X, U, J = _node_data(u, grid)

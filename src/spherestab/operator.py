@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import IntegrityError
 from .harmonics import Subspace, laplace_eigenvalue, vector_space_coeffs
-from .homogeneous import field_a_operator, field_inner_x, field_mean, field_pair
-from .polynomials import Poly, diff_matrix, gram, xmul_matrix
+from .homogeneous import Stack, l2_gram
+from .polynomials import diff_matrix, exps, gram
 from .quadrature import integrate
 from .spheremap import (
     SphereMap,
@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _CLUSTER_TOL = 1e-8
+# unit coefficient stacks pushed through A at once when assembling its matrix
+_UNIT_CHUNK = 32
 
 
 def apply_A(w: SphereMap) -> SphereMap:
@@ -50,21 +52,29 @@ def apply_A(w: SphereMap) -> SphereMap:
     if w.m != w.n:
         raise ValueError("operator needs a map into R^n")
     if w.is_poly:
-        return poly_map(w.n, field_a_operator(w.components))
+        return poly_map(w.n, w.stack.apply_a().polys())
     X, U, J = w.sample(w.grid)
     vals = a_operator_values(U, J, X)
     return sampled_map(w.grid, vals, None)
 
 
 def _a_coefficient_matrix(n: int, k: int) -> np.ndarray:
-    """A on degree-k harmonic coefficient space, block (i,j) = X_i D_j - X_j D_i.
+    """A on degree-k coefficient stacks as an (n M_k)^2 matrix, block (i,j) = X_i D_j - X_j D_i.
 
-    Valid because harmonic components coincide with their harmonic
-    extensions, where A(w) = (div w_h) x - sum_j x_j grad w_h^j.
+    This is :meth:`Stack.apply_a` on the unit stacks.  It equals the
+    volume-form operator on every homogeneous degree-k representative,
+    harmonic or not: (A w)_i = (div w) x_i - sum_j x_j d_i w^j holds as a
+    polynomial identity, and each term maps degree k to degree k.
     """
-    X = [xmul_matrix(n, k - 1, i) for i in range(n)]
-    D = [diff_matrix(n, k, i) for i in range(n)]
-    return np.block([[X[i] @ D[j] - X[j] @ D[i] for j in range(n)] for i in range(n)])
+    N = n * len(exps(n, k))
+    out = np.empty((N, N))
+    for c in range(0, N, _UNIT_CHUNK):   # a few unit stacks at a time keep the transients small
+        m = min(_UNIT_CHUNK, N - c)
+        units = np.zeros((m, N))
+        units[np.arange(m), c + np.arange(m)] = 1.0
+        images = Stack(n, m, n, {k: units.reshape(m, n, -1)}).apply_a().blocks[k]
+        out[:, c : c + m] = images.reshape(m, N).T
+    return out
 
 
 def _field_pairs(C1: np.ndarray, C2: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -171,9 +181,9 @@ def project_h_n(w: SphereMap, grid=None) -> tuple[SphereMap, dict]:
     """
     n = w.n
     if w.is_poly:
-        f = w.components
-        mean = field_mean(f)
-        radial = field_inner_x(f).sphere_integral()
+        S = w.stack
+        mean = S.integral()[0]
+        radial = float(Stack(n, 1, 1, S.inner_x).integral()[0, 0])
     else:
         g = grid or w.grid
         X, U, _ = w.sample(g)
@@ -183,11 +193,10 @@ def project_h_n(w: SphereMap, grid=None) -> tuple[SphereMap, dict]:
     if np.max(np.abs(mean)) < 1e-15 and abs(radial) < 1e-15:
         return w, report
     if w.is_poly:
-        comps = []
-        for i, c in enumerate(w.components):
-            p = c + Poly.constant(n, -float(mean[i])) + Poly.coordinate(n, i).scale(-radial)
-            comps.append(p)
-        return poly_map(n, comps), report
+        blocks = dict(S.blocks)
+        blocks[0] = blocks.get(0, np.zeros((1, n, 1))) - mean[:, None]
+        blocks[1] = blocks.get(1, np.zeros((1, n, n))) - radial * np.eye(n)[::-1]  # x_i is exps(n, 1)[n-1-i]
+        return poly_map(n, Stack(n, 1, n, blocks).polys()), report
     g = grid or w.grid
     X, U, J = w.sample(g)
     U2 = U - mean - radial * X
@@ -201,14 +210,11 @@ def project_kernel(w: SphereMap, grid=None) -> SphereMap:
     w, _ = project_h_n(w, grid=grid)
     k12, k23 = kernel_subspaces(n)
     if w.is_poly:
-        acc = []
+        blocks = {}
         for S in (k12, k23):
-            block = np.zeros_like(S.coeffs[0])
-            for a in range(S.dim):
-                c = field_pair(w.components, S.maps[a].components)
-                block += c * S.coeffs[a]
-            acc.append(block)
-        return poly_map(n, [Poly.from_blocks(n, {1: acc[0][i], 2: acc[1][i]}) for i in range(n)])
+            c = l2_gram(w.stack, Stack(n, S.dim, n, {S.k: S.coeffs}))[0]
+            blocks[S.k] = (c @ S.coeffs.reshape(S.dim, -1)).reshape(1, n, -1)
+        return poly_map(n, Stack(n, 1, n, blocks).polys())
     g = grid or w.grid
     X, U, J = w.sample(g)
     vals = np.zeros_like(U)

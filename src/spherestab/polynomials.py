@@ -3,7 +3,9 @@
 A :class:`Poly` stores one coefficient vector per degree d, over the
 monomials ``exps(n, d)`` in a fixed order.  Every operation is linear
 algebra on these blocks: differentiation and coordinate multiplication
-are cached sparse-pattern matrices between degree spaces, products
+are cached sparse-pattern matrices between degree spaces, stacked over
+the coordinates (:func:`grad_matrix`, :func:`xdot_matrix`) for the
+coefficient stacks of :mod:`spherestab.homogeneous`, products
 scatter each pair of blocks through a cached index map, and integrals
 over S^{n-1} / B_1 contract the blocks with the exact moments of
 :mod:`spherestab.moments` (the Gram matrices of :func:`gram_rect` for
@@ -31,6 +33,8 @@ __all__ = [
     "monomial_exponents",
     "diff_matrix",
     "xmul_matrix",
+    "grad_matrix",
+    "xdot_matrix",
     "gram",
     "gram_rect",
 ]
@@ -69,29 +73,39 @@ def _index(n: int, k: int) -> dict[Exponent, int]:
     return {e: i for i, e in enumerate(exps(n, k))}
 
 
-@lru_cache(maxsize=None)
 def diff_matrix(n: int, k: int, i: int) -> np.ndarray:
-    """d/dx_i as a (M_{k-1} x M_k) matrix on monomial coefficients."""
-    src, dst = exps(n, k), _index(n, k - 1)
-    D = np.zeros((len(dst), len(src)))
-    for col, e in enumerate(src):
-        if e[i] > 0:
-            e2 = list(e)
-            e2[i] -= 1
-            D[dst[tuple(e2)], col] = e[i]
-    return D
+    """d/dx_i as a (M_{k-1} x M_k) matrix on monomial coefficients: a row block of :func:`grad_matrix`."""
+    m = len(exps(n, k - 1))
+    return grad_matrix(n, k)[i * m : (i + 1) * m]
+
+
+def xmul_matrix(n: int, k: int, i: int) -> np.ndarray:
+    """Multiplication by x_i as a (M_{k+1} x M_k) matrix: a column block of :func:`xdot_matrix`."""
+    m = len(exps(n, k))
+    return xdot_matrix(n, k)[:, i * m : (i + 1) * m]
 
 
 @lru_cache(maxsize=None)
-def xmul_matrix(n: int, k: int, i: int) -> np.ndarray:
-    """Multiplication by x_i as a (M_{k+1} x M_k) matrix."""
-    src, dst = exps(n, k), _index(n, k + 1)
-    X = np.zeros((len(dst), len(src)))
-    for col, e in enumerate(src):
-        e2 = list(e)
-        e2[i] += 1
-        X[dst[tuple(e2)], col] = 1.0
-    return X
+def grad_matrix(n: int, k: int) -> np.ndarray:
+    """The gradient on degree-k coefficients, (n M_{k-1} x M_k): row block l is d/dx_l.
+
+    Row (l, q) has one nonzero, q_l + 1, in the column of the monomial q + e_l.
+    """
+    src = _product_index(n, 1, k - 1).reshape(n, -1)[::-1]   # exps(n, 1) lists e_{n-1} first
+    E = np.array(exps(n, k - 1), dtype=np.intp).reshape(-1, n)
+    G = np.zeros((n, E.shape[0], len(exps(n, k))))
+    G[np.arange(n)[:, None], np.arange(E.shape[0]), src] = E.T + 1
+    return G.reshape(n * E.shape[0], -1)
+
+
+@lru_cache(maxsize=None)
+def xdot_matrix(n: int, k: int) -> np.ndarray:
+    """f -> <f, x> on degree-k coefficient stacks, (M_{k+1} x n M_k): column block i is x_i."""
+    m = len(exps(n, k))
+    dst = _product_index(n, 1, k).reshape(n, m)[::-1]
+    X = np.zeros((len(exps(n, k + 1)), n, m))
+    X[dst, np.arange(n)[:, None], np.arange(m)] = 1.0
+    return X.reshape(-1, n * m)
 
 
 @lru_cache(maxsize=None)
@@ -111,8 +125,24 @@ def _product_index(n: int, k1: int, k2: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _moments(n: int, k: int, ball: bool) -> np.ndarray:
+    """Moments of the monomials exps(n, k) as floats of the exact fractions.
+
+    Only the monomials x^(2f), f in exps(n, k/2), have nonzero moments, and
+    a moment depends only on the multiset of exponents: each sorted pattern
+    is computed once, as the exact fraction, and scattered.
+    """
+    out = np.zeros(len(exps(n, k)))
+    if k % 2:
+        return out
     moment = ball_moment if ball else sphere_moment
-    return np.array([float(moment(n, e)) for e in exps(n, k)])
+    pos = _index(n, k)
+    values: dict[Exponent, float] = {}
+    for f in exps(n, k // 2):
+        key = tuple(sorted(f, reverse=True))          # zeros last, as sphere_moment caches them
+        if key not in values:
+            values[key] = float(moment(n, tuple(2 * p for p in key)))
+        out[pos[tuple(2 * p for p in f)]] = values[key]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -158,7 +188,7 @@ class Poly:
             if d not in blocks:
                 blocks[d] = np.zeros(len(exps(n, d)))
             blocks[d][_index(n, d)[e]] += c
-        self.blocks = {d: v for d, v in blocks.items() if np.any(v != 0.0)}
+        self.blocks = {d: v for d, v in blocks.items() if v.any()}
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -169,7 +199,7 @@ class Poly:
         p.blocks = {}
         for d, v in blocks.items():
             v = np.asarray(v, dtype=float)
-            if np.any(v != 0.0):
+            if v.any():
                 p.blocks[d] = v
         return p
 

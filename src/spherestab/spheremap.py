@@ -39,6 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SolverError
+from .homogeneous import Stack
 from .polynomials import Poly, evaluate
 from .quadrature import SphereGrid, default_sphere_grid, integrate
 
@@ -71,6 +72,11 @@ class PolyBacking:
         """d u^i / d x_l, row-major over (i, l); built once per map."""
         n = self.components[0].n
         return tuple(c.diff(l) for c in self.components for l in range(n))
+
+    @cached_property
+    def stack(self) -> Stack:
+        """The components as coefficient stacks (a batch of one); built once per map."""
+        return Stack.of([self.components])
 
 
 @dataclass(frozen=True)
@@ -108,6 +114,13 @@ class SphereMap:
         if not self.is_poly:
             raise TypeError("components only available for poly-backed maps")
         return self.backing.components
+
+    @property
+    def stack(self) -> Stack:
+        """Coefficient stacks of a poly-backed map, cached with the map."""
+        if not self.is_poly:
+            raise TypeError("coefficient stacks only available for poly-backed maps")
+        return self.backing.stack
 
     def degree(self) -> int:
         """Top degree of the components of a poly-backed map."""

@@ -50,7 +50,7 @@ from .harmonics import (
     scalar_basis_coeffs,
     synthesize,
 )
-from .homogeneous import field_pair
+from .homogeneous import Stack, a_gram, div_gram, energy_gram, l2_gram, sym_gram
 from .moebius import (
     as_sphere_map,
     compose,
@@ -143,7 +143,7 @@ def check_laplace_eigen_identity(cfg: Config):
         for psi in scalar_basis(n, k):
             u = poly_map(n, [psi.poly])
             e = tangential_energy(u)
-            m = field_pair(u.components, u.components)
+            m = float(l2_gram(u.stack, u.stack)[0, 0])
             worst = max(worst, abs(e - laplace_eigenvalue(n, k) * m))
     return worst <= cfg.tol_exact, f"worst eigen-identity residual {worst:.3e}"
 
@@ -241,11 +241,11 @@ def check_projection_idempotent(cfg: Config):
         w = random_h_field(3, 3, rng)
         p1 = project_kernel(w)
         p2 = project_kernel(p1)
-        d = [a - b for a, b in zip(p1.components, p2.components)]
-        worst = max(worst, np.sqrt(field_pair(d, d)))
+        d = Stack.of([p1.components, p2.components]).combine([1.0, -1.0])
+        worst = max(worst, np.sqrt(l2_gram(d, d)[0, 0]))
         v = random_h_field(3, 3, rng)
-        s1 = field_pair(project_kernel(v).components, w.components)
-        s2 = field_pair(v.components, p1.components)
+        s1 = float(l2_gram(project_kernel(v).stack, w.stack)[0, 0])
+        s2 = float(l2_gram(v.stack, p1.stack)[0, 0])
         worst = max(worst, abs(s1 - s2))
     return worst <= cfg.tol_exact, f"idempotency/symmetry residual {worst:.3e}"
 
@@ -349,42 +349,22 @@ def check_form_translation_invariance(cfg: Config):
 
 def check_kernel_intersection(cfg: Config):
     """Common null space of q_isom and q_isop inside constants + degrees <= 4."""
-    from .homogeneous import field_a_operator, field_pjp_sym, field_surface_div, matrix_frobenius_pair
-
     n = 3
-    basis_maps = []
-    for i in range(n):
-        basis_maps.append(poly_map(n, [Poly.constant(n, 1.0 if j == i else 0.0) for j in range(n)]))
-    for k in range(1, 5):
-        for i in (1, 2, 3):
-            S = eigenspaces(n, k)[i - 1]
-            basis_maps.extend(S.maps)
-    pre = []
-    for m in basis_maps:
-        f = m.components
-        pre.append({
-            "f": f,
-            "sym": field_pjp_sym(f),
-            "div": field_surface_div(f),
-            "a": field_a_operator(f),
-            "diffs": [[c.diff(l) for l in range(n)] for c in f],
-            "eulers": [c.euler() for c in f],
-        })
-    dim = len(pre)
+    # the basis as one stack: n constant fields, then the eigenspaces of degrees 1..4
+    spaces = [eigenspaces(n, k)[i - 1] for k in range(1, 5) for i in (1, 2, 3)]
+    dim = n + sum(S.dim for S in spaces)
+    blocks = {0: np.zeros((dim, n, 1)), **{k: np.zeros((dim, n, len(exps(n, k)))) for k in range(1, 5)}}
+    blocks[0][np.arange(n), np.arange(n), 0] = 1.0
+    row = n
+    for S in spaces:
+        blocks[S.k][row : row + S.dim] = S.coeffs
+        row += S.dim
+    B = Stack(n, dim, n, blocks)
     cc = n / (2.0 * (n - 1))
-    Gq = np.zeros((dim, dim))
-    for a in range(dim):
-        pa = pre[a]
-        for b in range(a, dim):
-            pb = pre[b]
-            sym = matrix_frobenius_pair(pa["sym"], pb["sym"])
-            energy = sum(
-                pa["diffs"][i][l].pair(pb["diffs"][i][l]) for i in range(n) for l in range(n)
-            ) - sum(pa["eulers"][i].pair(pb["eulers"][i]) for i in range(n))
-            dd = pa["div"].pair(pb["div"])
-            qv = 0.5 * n * field_pair(pa["f"], pb["a"])
-            isop = cc * (energy + dd - 2.0 * sym) - qv
-            Gq[a, b] = Gq[b, a] = sym + isop
+    sym = sym_gram(B, B)
+    isop = cc * (energy_gram(B, B) + div_gram(B, B) - 2.0 * sym) - 0.5 * n * a_gram(B, B)
+    Q = sym + isop
+    Gq = np.triu(Q) + np.triu(Q, 1).T  # row a pairs field a with A of field b, a <= b
     evals, _ = np.linalg.eigh(Gq)
     null_dim = int(np.sum(np.abs(evals) < 1e-8))
     expected = n * (n - 1) // 2 + n  # skew fields + constants

@@ -17,9 +17,11 @@ from spherestab.harmonics import (
     vector_basis,
     vector_space_coeffs,
 )
-from spherestab.homogeneous import field_pair, gram, gram_rect
+from spherestab.homogeneous import gram, gram_rect
 from spherestab.polynomials import Poly
 from spherestab.spheremap import identity_map, linear_map, poly_map
+
+from poly_oracle import field_pair
 
 
 @pytest.mark.parametrize("n,k,dim", [(3, 1, 3), (3, 2, 5), (2, 3, 2), (4, 2, 9), (2, 1, 2), (3, 0, 1)])

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherestab.homogeneous import field_surface_div
 from spherestab.polynomials import Poly, _exponent_table, evaluate, monomial_exponents
+
+from poly_oracle import field_surface_div
 
 
 def _random_poly(rng, n=3, deg=3):

@@ -1,0 +1,175 @@
+"""Coefficient stacks against the Poly-algebra oracle, and the tables they rest on."""
+
+import numpy as np
+import pytest
+
+import poly_oracle as oracle
+from spherestab.forms import (
+    _pjp_energy,
+    _sym_energy,
+    mixed_div_term,
+    q_vol,
+    q_vol_alt,
+    surface_div_sq,
+    tangential_energy,
+)
+from spherestab.harmonics import poincare_deficit
+from spherestab.homogeneous import Stack, a_gram, div_gram, energy_gram, sym_gram
+from spherestab.moebius import _poly_tangential_mean
+from spherestab.moments import ball_moment, sphere_moment
+from spherestab.operator import (
+    EigenField,
+    _a_coefficient_matrix,
+    apply_A,
+    eigenspaces,
+    project_h_n,
+    project_kernel,
+)
+from spherestab.polynomials import Poly, _index, _moments, diff_matrix, exps, xmul_matrix
+from spherestab.spheremap import poly_map
+
+REL = 1e-12
+
+
+def _random_field(rng, n, degrees):
+    return poly_map(n, [Poly.from_blocks(n, {d: rng.normal(size=len(exps(n, d))) for d in degrees})
+                        for _ in range(n)])
+
+
+def _fields(rng, n, count=6):
+    """Mixed-degree fields in degrees 0..6; the first ones always carry a constant
+    and a linear block, so the mean and the radial moment are nonzero."""
+    out = []
+    for j in range(count):
+        degrees = set(rng.choice(7, size=rng.integers(1, 5), replace=False).tolist())
+        if j < count // 2:
+            degrees |= {0, 1}
+        out.append(_random_field(rng, n, sorted(degrees)))
+    return out
+
+
+def _norm(f):
+    return np.sqrt(oracle.field_pair(f, f))
+
+
+def _close(got, want, scale):
+    assert abs(got - want) <= REL * scale, (got, want, scale)
+
+
+def _close_polys(got, want):
+    scale = max((np.max(np.abs(v)) for c in want for v in c.blocks.values()), default=0.0)
+    for a, b in zip(got, want):
+        for d in set(a.blocks) | set(b.blocks):
+            diff = np.max(np.abs(a.blocks.get(d, 0.0) - b.blocks.get(d, 0.0)))
+            assert diff <= REL * scale, (d, diff, scale)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_forms_match_the_poly_oracle(n, rng):
+    fields = _fields(rng, n)
+    for u, v in zip(fields, fields[1:] + fields[:1]):
+        f, g = u.components, v.components
+        te = oracle.tangential_energy(f)
+        d2 = oracle.surface_div_sq(f)
+        _close(tangential_energy(u), te, te)
+        _close(surface_div_sq(u), d2, d2)
+        _close(_pjp_energy(u, None), oracle.pjp_energy(f), oracle.pjp_energy(f))
+        _close(_sym_energy(u, None), oracle.sym_energy(f), oracle.sym_energy(f))
+        # pairings: relative to the Cauchy-Schwarz bound of the integrand
+        _close(q_vol(v, u), oracle.q_vol(g, f), 0.5 * n * _norm(g) * _norm(oracle.field_a_operator(f)))
+        r = oracle.field_inner_x(f)
+        rr = r.pair(r)
+        _close(q_vol_alt(u), oracle.q_vol_alt(f),
+               0.5 * n * (2.0 * np.sqrt(d2 * rr) + n * rr + _norm(f) ** 2))
+        _close(mixed_div_term(EigenField(u, n, 1, 1), EigenField(v, n, 1, 1)), oracle.mixed_div_term(f, g),
+               np.sqrt(d2 * oracle.surface_div_sq(g)))
+        _close(poincare_deficit(u), oracle.poincare_deficit(f), te / (n - 1) + _norm(f) ** 2)
+        M, want = _poly_tangential_mean(u), oracle.rotation_moment(f)
+        assert np.max(np.abs(M - want)) <= REL * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_operators_match_the_poly_oracle(n, rng):
+    removed = []
+    for u in _fields(rng, n):
+        f = u.components
+        _close_polys(apply_A(u).components, oracle.field_a_operator(f))
+        projected, report = project_h_n(u)
+        removed.append(min(abs(report["removed_radial"]), np.min(np.abs(report["removed_mean"]))))
+        _close_polys(projected.components, oracle.project_h_n(f))
+        _close_polys(project_kernel(u).components, oracle.project_kernel(f))
+    assert max(removed) > 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_coefficient_matrix_is_A_on_any_homogeneous_block(n, rng):
+    # harmonic or not: (A w)_i = (div w) x_i - sum_j x_j d_i w^j holds as polynomials
+    for d in range(1, 7):
+        M = len(exps(n, d))
+        C = rng.normal(size=(n, M))
+        want = oracle.field_a_operator([Poly.from_blocks(n, {d: c}) for c in C])
+        assert all(set(c.blocks) <= {d} for c in want)
+        got = (_a_coefficient_matrix(n, d) @ C.ravel()).reshape(n, M)
+        ref = np.array([c.blocks.get(d, np.zeros(M)) for c in want])
+        assert np.max(np.abs(got - ref)) <= REL * np.max(np.abs(ref))
+
+
+def test_kernel_gram_matches_the_pairwise_poly_loop():
+    # the bilinear forms between different fields of one batch, as in check_kernel_intersection
+    n = 3
+    maps = [poly_map(n, [Poly.constant(n, 1.0 if j == i else 0.0) for j in range(n)]) for i in range(n)]
+    for k in (1, 2, 3):
+        for S in eigenspaces(n, k):
+            maps.extend(S.maps[:4])
+    B = Stack.of([m.components for m in maps])
+    got = {"sym": sym_gram(B, B), "energy": energy_gram(B, B), "div": div_gram(B, B), "a": a_gram(B, B)}
+    pre = [{"f": f, "sym": oracle.field_pjp_sym(f), "div": oracle.field_surface_div(f),
+            "a": oracle.field_a_operator(f), "diffs": [[c.diff(l) for l in range(n)] for c in f],
+            "eulers": [c.euler() for c in f]} for f in (m.components for m in maps)]
+    for a, pa in enumerate(pre):
+        for b, pb in enumerate(pre):
+            want = {
+                "sym": oracle.matrix_frobenius_pair(pa["sym"], pb["sym"]),
+                "energy": sum(pa["diffs"][i][l].pair(pb["diffs"][i][l]) for i in range(n) for l in range(n))
+                - sum(pa["eulers"][i].pair(pb["eulers"][i]) for i in range(n)),
+                "div": pa["div"].pair(pb["div"]),
+                "a": oracle.field_pair(pa["f"], pb["a"]),
+            }
+            for key, w in want.items():
+                assert abs(got[key][a, b] - w) <= REL * max(1.0, abs(w)), (key, a, b)
+
+
+def test_moment_tables_are_the_exact_fractions_bit_for_bit():
+    for n in range(2, 6):
+        for k in range(31 if n <= 3 else 17):
+            for ball, moment in ((False, sphere_moment), (True, ball_moment)):
+                want = np.array([float(moment(n, e)) for e in exps(n, k)])
+                assert _moments(n, k, ball).tobytes() == want.tobytes(), (n, k, ball)
+
+
+def test_gradient_and_x_matrices_follow_the_monomial_rules():
+    for n in range(2, 6):
+        for k in range(7):
+            pos_down = _index(n, k - 1) if k else {}
+            pos_up = _index(n, k + 1)
+            for i in range(n):
+                D = np.zeros((len(pos_down), len(exps(n, k))))
+                X = np.zeros((len(pos_up), len(exps(n, k))))
+                for col, e in enumerate(exps(n, k)):
+                    up = tuple(p + (j == i) for j, p in enumerate(e))
+                    X[pos_up[up], col] = 1.0
+                    if e[i]:
+                        D[pos_down[tuple(p - (j == i) for j, p in enumerate(e))], col] = e[i]
+                assert np.array_equal(xmul_matrix(n, k, i), X)
+                if k:
+                    assert np.array_equal(diff_matrix(n, k, i), D)
+
+
+def test_zero_block_pruning_keeps_nan_and_drops_signed_zero():
+    nan = Poly(3, {(1, 0, 0): float("nan")})
+    assert list(nan.blocks) == [1] and np.isnan(nan.blocks[1]).any()
+    assert list(Poly.from_blocks(3, {2: np.array([0.0] * 5 + [np.nan])}).blocks) == [2]
+    assert Poly(3, {(1, 0, 0): -0.0, (0, 2, 0): 0.0}).blocks == {}
+    assert Poly.from_blocks(3, {0: np.array([-0.0]), 1: np.array([0.0, -0.0, 0.0])}).blocks == {}
+    p = Poly(2, {(1, 0): 1.0})
+    assert (p - p).blocks == {} and (p + p.scale(-1.0)).blocks == {}
