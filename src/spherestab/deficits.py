@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import UndefinedDeficitError
 from .harmonics import harmonicize
+from .homogeneous import Stack
 from .quadrature import SphereGrid, covering_sphere_grid
 from .spheremap import NodeBundle, SphereMap, node_bundle
 
@@ -174,9 +175,8 @@ def bulk_volume(u: SphereMap) -> float:
         raise ValueError("bulk volume implemented for maps of S^2 into R^3")
     if not u.is_poly:
         raise ValueError("bulk volume needs a poly-backed map")
-    uh = harmonicize(u)
-    J = [[c.diff(l) for l in range(3)] for c in uh.components]
-    return _det3(J).ball_integral()
+    J = Stack(3, 1, 9, harmonicize(u).stack.jac).polys()   # d_l u_h^i, row-major over (i, l)
+    return _det3([J[3 * i : 3 * i + 3] for i in range(3)]).ball_integral()
 
 
 def volume_expansion_check(w: SphereMap) -> tuple[float, float, float, float]:

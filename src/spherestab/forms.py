@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IntegrityError
-from .homogeneous import Stack, a_gram, div_gram, energy_gram, l2_gram, pair, pjp_gram, sym_gram
+from .homogeneous import a_gram, div_gram, energy_gram, l2_gram, pair, pjp_gram, sym_gram
 from .operator import EigenField, project_h_n, project_kernel
 from .quadrature import SphereGrid, integrate
 from .spheremap import (
@@ -202,7 +202,7 @@ def coercivity_ratio(w: SphereMap, grid: SphereGrid | None = None) -> float:
     w, _ = project_h_n(w, grid=grid)
     pk = project_kernel(w, grid=grid)
     if w.is_poly and pk.is_poly:
-        resid = Stack.of([w.components, pk.components]).combine([1.0, -1.0])
+        resid = (w + pk.scale(-1.0)).stack
         denom = float(energy_gram(resid, resid)[0, 0])
     else:
         g, X, U, J = _node_data(w, grid)

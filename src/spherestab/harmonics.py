@@ -17,9 +17,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IntegrityError
+from .homogeneous import Stack
 from .polynomials import Poly, diff_matrix, evaluate, exps, gram, gram_rect
 from .quadrature import SphereGrid, integrate
-from .spheremap import SphereMap, poly_map
+from .spheremap import SphereMap, _grid_for, stack_map
 
 __all__ = [
     "HarmonicPoly",
@@ -88,7 +89,7 @@ class Subspace:
 
     def _field(self, vec: np.ndarray) -> SphereMap:
         """The map whose component i has the degree-k block vec[i]."""
-        return poly_map(self.n, [Poly.from_blocks(self.n, {self.k: v}) for v in vec])
+        return stack_map(Stack(self.n, 1, self.n, {self.k: vec[None]}))
 
 
 def laplace_eigenvalue(n: int, k: int) -> int:
@@ -222,10 +223,9 @@ def analyze(u: SphereMap, kmax: int, grid: SphereGrid | None = None) -> Harmonic
         for k in range(kmax + 1):
             S = scalar_basis_coeffs(n, k)
             blk = np.zeros((m, S.shape[0]))
-            for i, c in enumerate(u.components):
-                for d, v in c.blocks.items():
-                    if (d + k) % 2 == 0:
-                        blk[i] += S @ gram_rect(n, k, d) @ v
+            for d, C in u.stack.blocks.items():
+                if (d + k) % 2 == 0:   # one product per component; one matrix product sums in another order
+                    blk += (S @ gram_rect(n, k, d) @ C[0, :, :, None])[..., 0]
             blocks[k] = blk
     else:
         if grid is None:
@@ -243,18 +243,17 @@ def analyze(u: SphereMap, kmax: int, grid: SphereGrid | None = None) -> Harmonic
             )
         w = grid.weights
         for k in range(kmax + 1):
-            vals = evaluate([b.poly for b in scalar_basis(n, k)], X)  # (N, G)
+            S = scalar_basis_coeffs(n, k)
+            vals = evaluate([(S.shape[0], {k: S})], X)  # (N, G)
             blocks[k] = (U.T * w) @ vals
     return HarmonicExpansion(n, m, kmax, blocks, warn_flag)
 
 
 def synthesize(e: HarmonicExpansion) -> SphereMap:
     """Poly-backed map whose components are the expansion's harmonic sums."""
-    comps = [
-        Poly.from_blocks(e.n, {k: blk[i] @ scalar_basis_coeffs(e.n, k) for k, blk in e.blocks.items()})
-        for i in range(e.m)
-    ]
-    return poly_map(e.n, comps)
+    # one product per component; one matrix product sums in another order
+    blocks = {k: (blk[:, None] @ scalar_basis_coeffs(e.n, k)).reshape(1, e.m, -1) for k, blk in e.blocks.items()}
+    return stack_map(Stack(e.n, 1, e.m, blocks))
 
 
 def harmonicize(u: SphereMap) -> SphereMap:
@@ -262,21 +261,15 @@ def harmonicize(u: SphereMap) -> SphereMap:
     itself represented as a polynomial map (exact)."""
     if not u.is_poly:
         raise TypeError("harmonicize requires a poly-backed map")
-    kmax = max(c.degree() for c in u.components)
-    return synthesize(analyze(u, kmax))
+    return synthesize(analyze(u, u.degree()))
 
 
 def grad_origin(u: SphereMap, grid: SphereGrid | None = None) -> np.ndarray:
     """grad u_h(0) = n * integral of u (x) x, an (m, n) matrix."""
     n = u.n
     if u.is_poly:
-        out = np.empty((u.m, n))
-        for i, c in enumerate(u.components):
-            for j in range(n):
-                out[i, j] = n * c.xmul(j).sphere_integral()
-        return out
-    if grid is None:
-        grid = u.grid
+        return n * u.stack.first_moments()[0]
+    grid = _grid_for(u, grid)
     X, U, _ = u.sample(grid)
     return n * ((U.T * grid.weights) @ X)
 
@@ -291,8 +284,8 @@ def harmonic_extension_eval(e: HarmonicExpansion, point: np.ndarray) -> np.ndarr
         if k == 0:
             out += blk[:, 0]  # constant harmonic is identically 1
             continue
-        vals = evaluate([b.poly for b in scalar_basis(e.n, k)], point)[0]
-        out += blk @ vals
+        S = scalar_basis_coeffs(e.n, k)
+        out += blk @ evaluate([(S.shape[0], {k: S})], point)[0]
     return out
 
 
@@ -310,8 +303,7 @@ def poincare_deficit(u: SphereMap, grid: SphereGrid | None = None) -> float:
         mean = S.integral()[0]
         var = float(l2_gram(S, S)[0, 0]) - float(mean @ mean)
         return float(energy_gram(S, S)[0, 0]) / (n - 1) - var
-    if grid is None:
-        grid = u.grid
+    grid = _grid_for(u, grid)
     X, U, J = u.sample(grid)
     from .spheremap import tangential_jacobians
 
@@ -341,7 +333,7 @@ def harmonic_energy_check(u: SphereMap, kmax: int | None = None,
     if kmax is None:
         if not u.is_poly:
             raise ValueError("kmax required for non-poly maps")
-        kmax = max(c.degree() for c in u.components)
+        kmax = u.degree()
     e = analyze(u, kmax, grid=grid)
     ball = surface = tang = 0.0
     for k, blk in e.blocks.items():

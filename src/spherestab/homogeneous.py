@@ -1,9 +1,11 @@
 """Coefficient stacks: exact surface calculus on polynomial vector fields.
 
-A batch of B polynomial fields with m components each (``u.components``
-of poly-backed maps) is held as a :class:`Stack`: one array
-``blocks[d]`` of shape (B, m, M_d) per degree d, row (b, i) holding the
-degree-d block of component i of field b over the monomials ``exps(n, d)``.
+A batch of B polynomial fields with m components each is held as a
+:class:`Stack`: one array ``blocks[d]`` of shape (B, m, M_d) per degree d,
+row (b, i) holding the degree-d block of component i of field b over the
+monomials ``exps(n, d)``.  A poly-backed map is a stack with B = 1, its
+one representation: its values, Jacobians, forms and projections are all
+read from these blocks and the derived stacks below.
 Every operator is a matmul of a block with a cached per-degree matrix of
 :mod:`spherestab.polynomials`, with D the gradient and X the pairing with x:
 
@@ -43,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomials import Poly, _moments, exps, grad_matrix, gram, gram_rect, xdot_matrix
+from .polynomials import Poly, _moments, exps, grad_matrix, gram, gram_rect, linear_order, xdot_matrix
 
 __all__ = [
     "exps",
@@ -110,18 +112,20 @@ class Stack:
         return [Poly.from_blocks(self.n, {d: C[b, i] for d, C in self.blocks.items()})
                 for i in range(self.width)]
 
-    def combine(self, weights: Sequence[float]) -> "Stack":
-        """The single field sum_b weights[b] * field b."""
-        w = np.asarray(weights, dtype=float)
-        return Stack(self.n, 1, self.width, {d: (w @ C.reshape(self.size, -1)).reshape(1, self.width, -1)
-                                              for d, C in self.blocks.items()})
-
     def integral(self) -> np.ndarray:
         """Sphere means of every component, shape (size, width)."""
         out = np.zeros((self.size, self.width))
         for d, C in self.blocks.items():
             if d % 2 == 0:
                 out += C @ _moments(self.n, d, False)
+        return out
+
+    def first_moments(self) -> np.ndarray:
+        """Sphere means of every component times x_l, shape (size, width, n)."""
+        out = np.zeros((self.size, self.width, self.n))
+        for d, C in self.blocks.items():
+            if d % 2:
+                out += C @ linear_order(gram_rect(self.n, d, 1))
         return out
 
     # -- first-order pieces (all need width == n except jac and inner_x) ------
@@ -184,7 +188,8 @@ class Stack:
         """(J + J^t) / 2, rows over (i, l)."""
         return {d: 0.5 * (J + self._jac_t[d].reshape(J.shape)) for d, J in self.jac.items()}
 
-    def apply_a(self) -> "Stack":
+    @cached_property
+    def a_field(self) -> "Stack":
         """A f = (tr J) x - J^t x, degree by degree: (A f)_i = sum_j (X_i D_j - X_j D_i) f^j."""
         n, B = self.n, self.size
         blocks = {}
@@ -221,7 +226,7 @@ def div_gram(a: Stack, b: Stack) -> np.ndarray:
 
 def a_gram(a: Stack, b: Stack) -> np.ndarray:
     """int <f, A g>."""
-    return pair(a.n, a.blocks, b.apply_a().blocks, _shape(a, b))
+    return pair(a.n, a.blocks, b.a_field.blocks, _shape(a, b))
 
 
 def pjp_gram(a: Stack, b: Stack) -> np.ndarray:

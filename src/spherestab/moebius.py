@@ -30,11 +30,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SolverError
-from .harmonics import scalar_basis
-from .polynomials import evaluate
+from .harmonics import scalar_basis_coeffs
+from .homogeneous import Stack
+from .polynomials import evaluate, grad_matrix, linear_order, xmul_matrix
 from .quadrature import SphereGrid, build_sphere_grid, default_sphere_grid, integrate
-from .spheremap import (SphereMap, _grid_for, _node_data, callable_map, projectors, tangential_jacobians,
-                        volume_integrand)
+from .spheremap import (SphereMap, _grid_for, _node_data, callable_map, linear_map, projectors,
+                        stack_map, tangential_jacobians, volume_integrand)
 
 __all__ = [
     "MoebiusMap",
@@ -243,14 +244,11 @@ class InfMoebius:
             raise ValueError("pole must be unit")
 
     def field_map(self) -> SphereMap:
-        from .polynomials import Poly
-        from .spheremap import linear_map, poly_map
-
         n = self.S.shape[0]
-        rotation = linear_map(self.S).components                        # S x
-        inner = linear_map(self.mu * self.xi[None, :]).components[0]   # mu <x, xi>
-        return poly_map(n, [rotation[i] + inner.xmul(i) + Poly.constant(n, -self.mu * self.xi[i])
-                            for i in range(n)])
+        inner = linear_order(self.mu * self.xi)        # mu <x, xi>
+        blocks = {0: -self.mu * self.xi[None, :, None],
+                  2: np.stack([xmul_matrix(n, 1, i) @ inner for i in range(n)])[None]}
+        return linear_map(self.S) + stack_map(Stack(n, 1, n, blocks))
 
 
 def _boost_moebius(O: np.ndarray, v: np.ndarray) -> MoebiusMap:
@@ -316,14 +314,6 @@ def _grid_sample(u: SphereMap, grid: SphereGrid, unit_norm: bool = False):
     return U, lambda: J
 
 
-def _values_and_jacobians(u: SphereMap, Y: np.ndarray):
-    """u at the rows of Y and a thunk for its Jacobians there; one monomial table for a poly u."""
-    if u.is_poly:
-        table = evaluate(u.backing.components + u.backing.gradients, Y)
-        return table[:, :u.m], lambda: table[:, u.m:].reshape(-1, u.m, u.n)
-    return u.eval(Y), lambda: u.jac(Y)
-
-
 # ---------------------------------------------------------------------------
 # gauge functionals and solvers
 # ---------------------------------------------------------------------------
@@ -340,13 +330,10 @@ def _psi_tables(grid: SphereGrid):
     """Degree-2 basis values psi_g on the grid nodes and the divergence coefficients:
     the extension of alpha_{i,g} psi_g e_i has divergence sum_i alpha_{i,g} d_i psi_g,
     and dcoef[i, g, l] is the x_l coefficient of the linear d_i psi_g."""
-    n, basis = grid.n, scalar_basis(grid.n, 2)
-    dcoef = np.zeros((n, len(basis), n))
-    for gidx, b in enumerate(basis):
-        for i in range(n):
-            for e, cc in b.poly.diff(i).coeffs.items():
-                dcoef[i, gidx, list(e).index(1)] = cc
-    return evaluate([b.poly for b in basis], grid.nodes).T, dcoef
+    n, S = grid.n, scalar_basis_coeffs(grid.n, 2)
+    grads = (S @ grad_matrix(n, 2).T).reshape(-1, n, n)      # [g, i]: d_i psi_g over exps(n, 1)
+    dcoef = np.ascontiguousarray(linear_order(grads.transpose(1, 0, 2)))
+    return evaluate([(S.shape[0], {2: S})], grid.nodes).T, dcoef
 
 
 def psi_functional(v: SphereMap, grid: SphereGrid) -> np.ndarray:
@@ -426,7 +413,7 @@ def _chart_residual(u: SphereMap, grid: SphereGrid, reduce, turns: bool):
         qc = q[:, None]
         Y *= qc                              # phi_v, in place of N'
         Y = Y @ R.T
-        U, jac = sample or _values_and_jacobians(u, Y)
+        U, jac = sample or u.values_and_jacobians(Y)
 
         def jacobian():
             J = jac()
@@ -530,14 +517,8 @@ def gauge_fix(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-7) -
 
 def _poly_tangential_mean(u: SphereMap) -> np.ndarray:
     """avg grad_T u = avg J - avg (J x) x^t of a poly map, from its coefficient stacks."""
-    from .homogeneous import Stack, gram_rect
-
     n, S = u.n, u.stack
-    M = Stack(n, 1, n * n, S.jac).integral().reshape(n, n)
-    for d, R in S.jx.items():
-        if d % 2:
-            M -= R[0] @ gram_rect(n, d, 1)[:, ::-1]  # column l pairs with x_l, exps(n, 1)[n-1-l]
-    return M
+    return Stack(n, 1, n * n, S.jac).integral().reshape(n, n) - Stack(n, 1, n, S.jx).first_moments()[0]
 
 
 def nearest_rotation(u: SphereMap, grid: SphereGrid | None = None) -> tuple[np.ndarray, float]:

@@ -18,14 +18,9 @@ import numpy as np
 from .errors import IntegrityError
 from .harmonics import Subspace, laplace_eigenvalue, vector_space_coeffs
 from .homogeneous import Stack, l2_gram
-from .polynomials import diff_matrix, exps, gram
+from .polynomials import diff_matrix, exps, gram, linear_order
 from .quadrature import integrate
-from .spheremap import (
-    SphereMap,
-    a_operator_values,
-    poly_map,
-    sampled_map,
-)
+from .spheremap import SphereMap, _grid_for, a_operator_values, sampled_map, stack_map
 
 __all__ = [
     "apply_A",
@@ -48,20 +43,21 @@ _UNIT_CHUNK = 32
 
 
 def apply_A(w: SphereMap) -> SphereMap:
-    """Apply the volume-form operator pointwise (sampled) or exactly (poly)."""
+    """Apply the volume-form operator exactly (poly) or pointwise on the grid of
+    :func:`spheremap._grid_for` (sampled or callable)."""
     if w.m != w.n:
         raise ValueError("operator needs a map into R^n")
     if w.is_poly:
-        return poly_map(w.n, w.stack.apply_a().polys())
-    X, U, J = w.sample(w.grid)
-    vals = a_operator_values(U, J, X)
-    return sampled_map(w.grid, vals, None)
+        return stack_map(w.stack.a_field)
+    g = _grid_for(w, None)
+    X, U, J = w.sample(g)
+    return sampled_map(g, a_operator_values(U, J, X), None)
 
 
 def _a_coefficient_matrix(n: int, k: int) -> np.ndarray:
     """A on degree-k coefficient stacks as an (n M_k)^2 matrix, block (i,j) = X_i D_j - X_j D_i.
 
-    This is :meth:`Stack.apply_a` on the unit stacks.  It equals the
+    This is :attr:`Stack.a_field` of the unit stacks.  It equals the
     volume-form operator on every homogeneous degree-k representative,
     harmonic or not: (A w)_i = (div w) x_i - sum_j x_j d_i w^j holds as a
     polynomial identity, and each term maps degree k to degree k.
@@ -72,7 +68,7 @@ def _a_coefficient_matrix(n: int, k: int) -> np.ndarray:
         m = min(_UNIT_CHUNK, N - c)
         units = np.zeros((m, N))
         units[np.arange(m), c + np.arange(m)] = 1.0
-        images = Stack(n, m, n, {k: units.reshape(m, n, -1)}).apply_a().blocks[k]
+        images = Stack(n, m, n, {k: units.reshape(m, n, -1)}).a_field.blocks[k]
         out[:, c : c + m] = images.reshape(m, N).T
     return out
 
@@ -185,8 +181,8 @@ def project_h_n(w: SphereMap, grid=None) -> tuple[SphereMap, dict]:
         mean = S.integral()[0]
         radial = float(Stack(n, 1, 1, S.inner_x).integral()[0, 0])
     else:
-        g = grid or w.grid
-        X, U, _ = w.sample(g)
+        g = _grid_for(w, grid)
+        X, U, J = w.sample(g)
         mean = g.weights @ U
         radial = integrate(g, np.einsum("ai,ai->a", U, X))
     report = {"removed_mean": np.asarray(mean), "removed_radial": float(radial)}
@@ -195,10 +191,8 @@ def project_h_n(w: SphereMap, grid=None) -> tuple[SphereMap, dict]:
     if w.is_poly:
         blocks = dict(S.blocks)
         blocks[0] = blocks.get(0, np.zeros((1, n, 1))) - mean[:, None]
-        blocks[1] = blocks.get(1, np.zeros((1, n, n))) - radial * np.eye(n)[::-1]  # x_i is exps(n, 1)[n-1-i]
-        return poly_map(n, Stack(n, 1, n, blocks).polys()), report
-    g = grid or w.grid
-    X, U, J = w.sample(g)
+        blocks[1] = blocks.get(1, np.zeros((1, n, n))) - radial * linear_order(np.eye(n))
+        return stack_map(Stack(n, 1, n, blocks)), report
     U2 = U - mean - radial * X
     J2 = None if J is None else J - radial * np.eye(n)
     return sampled_map(g, U2, J2), report
@@ -214,18 +208,18 @@ def project_kernel(w: SphereMap, grid=None) -> SphereMap:
         for S in (k12, k23):
             c = l2_gram(w.stack, Stack(n, S.dim, n, {S.k: S.coeffs}))[0]
             blocks[S.k] = (c @ S.coeffs.reshape(S.dim, -1)).reshape(1, n, -1)
-        return poly_map(n, Stack(n, 1, n, blocks).polys())
-    g = grid or w.grid
+        return stack_map(Stack(n, 1, n, blocks))
+    g = _grid_for(w, grid)
     X, U, J = w.sample(g)
     vals = np.zeros_like(U)
     jac = np.zeros((X.shape[0], n, n)) if J is not None else None
     for S in kernel_subspaces(n):
         for bmap in S.maps:
-            BV = bmap.eval(X)
+            BV, BJ = bmap.values_and_jacobians(X)
             c = integrate(g, np.einsum("ai,ai->a", U, BV))
             vals += c * BV
             if jac is not None:
-                jac += c * bmap.jac(X)
+                jac += c * BJ()
     return sampled_map(g, vals, jac)
 
 
@@ -242,12 +236,8 @@ def kernel_characterization_residual(w: SphereMap) -> tuple[float, float]:
         raise TypeError("characterization implemented for poly maps")
     B = grad_origin(w)
     skew = float(np.max(np.abs(B - B.T)))
-    wh = harmonicize(w)
-    div = None
-    for i, c in enumerate(wh.components):
-        d = c.diff(i)
-        div = d if div is None else div + d
-    divmom = max(abs(div.xmul(k).sphere_integral()) for k in range(w.n))
+    wh = harmonicize(w).stack
+    divmom = float(np.max(np.abs(Stack(w.n, 1, 1, wh.div).first_moments())))
     return skew, divmom
 
 

@@ -1,18 +1,24 @@
-"""The polynomial type: polynomials in n variables as homogeneous blocks.
+"""Monomial spaces, the cached matrices between them, and a scalar polynomial type.
 
-A :class:`Poly` stores one coefficient vector per degree d, over the
-monomials ``exps(n, d)`` in a fixed order.  Every operation is linear
-algebra on these blocks: differentiation and coordinate multiplication
-are cached sparse-pattern matrices between degree spaces, stacked over
-the coordinates (:func:`grad_matrix`, :func:`xdot_matrix`) for the
-coefficient stacks of :mod:`spherestab.homogeneous`, products
-scatter each pair of blocks through a cached index map, and integrals
-over S^{n-1} / B_1 contract the blocks with the exact moments of
+A homogeneous block of degree d in n variables is a coefficient vector
+over the monomials ``exps(n, d)`` in a fixed order.  On these blocks,
+differentiation and coordinate multiplication are cached sparse-pattern
+matrices between degree spaces, stacked over the coordinates
+(:func:`grad_matrix`, :func:`xdot_matrix`), and integrals over S^{n-1} /
+B_1 contract the blocks with the exact moments of
 :mod:`spherestab.moments` (the Gram matrices of :func:`gram_rect` for
-products of two polynomials).  Two polynomials that agree on the sphere
-(e.g. representatives differing by a multiple of |x|^2 - 1) have equal
-sphere integrals, so any smooth extension may be used as a
-representative.
+products of two polynomials).  The coefficient stacks of
+:mod:`spherestab.homogeneous`, which back every poly map, are built on
+these matrices, and :func:`evaluate` gives the values of any rows of
+blocks at points from one monomial table.
+
+:class:`Poly` is one scalar polynomial as ``{degree: block}``.  It is kept
+for serialization (``SphereMap.components`` views a map's stack as Polys),
+the scalar harmonics, the one polynomial product of the package (the bulk
+volume of :mod:`spherestab.deficits`) and the tests' reference routes.
+Two polynomials that agree on the sphere (e.g. representatives differing
+by a multiple of |x|^2 - 1) have equal sphere integrals, so any smooth
+extension may be used as a representative.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +37,7 @@ __all__ = [
     "evaluate",
     "exps",
     "monomial_exponents",
+    "linear_order",
     "diff_matrix",
     "xmul_matrix",
     "grad_matrix",
@@ -66,6 +73,12 @@ def exps(n: int, k: int) -> tuple[Exponent, ...]:
 def monomial_exponents(n: int, k: int) -> list[Exponent]:
     """:func:`exps` as a list."""
     return list(exps(n, k))
+
+
+def linear_order(a: np.ndarray) -> np.ndarray:
+    """a with its last axis reversed: coefficients of x_0, ..., x_{n-1} become a
+    degree-1 block over exps(n, 1), which lists x_{n-1} first, and back."""
+    return a[..., ::-1]
 
 
 @lru_cache(maxsize=None)
@@ -282,7 +295,7 @@ class Poly:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at points, shape (N, n) or (n,)."""
-        out = evaluate([self], points)[:, 0]
+        out = evaluate([(1, self.blocks)], points)[:, 0]
         if np.ndim(points) == 1:
             return out[0]
         return out
@@ -316,25 +329,30 @@ class Poly:
         return f"Poly(n={self.n}, {dict(sorted(self.coeffs.items()))})"
 
 
-def evaluate(polys: Sequence[Poly], points: np.ndarray) -> np.ndarray:
-    """Values of several polynomials at points (N, n), shape (N, len(polys)).
+def evaluate(parts: Sequence[tuple[int, Mapping[int, np.ndarray]]], points: np.ndarray) -> np.ndarray:
+    """Values at points (N, n) of batches of polynomials given by coefficient rows, shape (N, total width).
 
-    The coefficients are stacked into one matrix; per chunk of nodes, one
-    table of all monomials up to the top degree times that matrix gives
-    every value.  The table is built node-last, (monomials, nodes), from
-    powers laid out (n, kmax+1, nodes), so every gather copies a row; its
-    entries are the products x_0^e0 x_1^e1 ... taken in that order.
+    A part (w, blocks) holds w polynomials: ``blocks[d]``, reshaped to
+    (w, M_d), has in row j the degree-d block of polynomial j over
+    ``exps(n, d)``.  The parts fill consecutive columns of the result.  The
+    coefficients are stacked into one matrix; per chunk of nodes, one table
+    of all monomials up to the top degree times that matrix gives every
+    value.  The table is built node-last, (monomials, nodes), from powers
+    laid out (n, kmax+1, nodes), so every gather copies a row; its entries
+    are the products x_0^e0 x_1^e1 ... taken in that order.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[1]
-    kmax = max((p.degree() for p in polys), default=0)
+    kmax = max((d for _, blocks in parts for d in blocks), default=0)
     E = _exponent_table(n, kmax)
-    C = np.zeros((E.shape[0], len(polys)))
-    for j, p in enumerate(polys):
-        for d, v in p.blocks.items():
+    C = np.zeros((E.shape[0], sum(w for w, _ in parts)))
+    col = 0
+    for w, blocks in parts:
+        for d, v in blocks.items():
             o = math.comb(n + d - 1, n)  # monomials of degree < d precede block d
-            C[o : o + v.shape[0], j] = v
-    out = np.empty((pts.shape[0], len(polys)))
+            C[o : o + v.shape[-1], col : col + w] = v.reshape(w, -1).T
+        col += w
+    out = np.empty((pts.shape[0], C.shape[1]))
     for s in range(0, pts.shape[0], _CHUNK):
         chunk = pts[s : s + _CHUNK].T
         powers = np.empty((n, kmax + 1, chunk.shape[1]))

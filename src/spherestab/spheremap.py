@@ -1,8 +1,9 @@
 """Maps from S^{n-1} into R^m and their pointwise surface calculus.
 
-A map is backed either by exact polynomials per component, by sampled
-values + ambient Jacobians on a fixed grid, or by callables (used for
-Moebius maps and compositions; not serializable).
+A map is backed either by exact polynomials, held only as their coefficient
+stacks (:class:`spherestab.homogeneous.Stack`), by sampled values + ambient
+Jacobians on a fixed grid, or by callables (used for Moebius maps and
+compositions; not serializable).
 
 The deficit densities are taken in a tangent frame built per node from
 X on the fly: with s = sign(x_n) and v = s x + e_n (so |v|^2 >= 2), E is
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import SolverError
 from .homogeneous import Stack
-from .polynomials import Poly, evaluate
+from .polynomials import Poly, evaluate, linear_order
 from .quadrature import SphereGrid, default_sphere_grid, integrate
 
 __all__ = [
@@ -49,6 +50,8 @@ __all__ = [
     "node_bundle",
     "identity_map",
     "poly_map",
+    "stack_map",
+    "linear_map",
     "sampled_map",
     "callable_map",
     "projectors",
@@ -61,22 +64,6 @@ __all__ = [
     "a_operator_values",
     "sym_tangential_part",
 ]
-
-
-@dataclass(frozen=True)
-class PolyBacking:
-    components: tuple[Poly, ...]
-
-    @cached_property
-    def gradients(self) -> tuple[Poly, ...]:
-        """d u^i / d x_l, row-major over (i, l); built once per map."""
-        n = self.components[0].n
-        return tuple(c.diff(l) for c in self.components for l in range(n))
-
-    @cached_property
-    def stack(self) -> Stack:
-        """The components as coefficient stacks (a batch of one); built once per map."""
-        return Stack.of([self.components])
 
 
 @dataclass(frozen=True)
@@ -94,43 +81,47 @@ class CallableBacking:
 
 @dataclass(frozen=True, eq=False)  # identity semantics: node bundles are keyed on the map object
 class SphereMap:
-    """A map S^{n-1} -> R^m with one of three backings."""
+    """A map S^{n-1} -> R^m with one of three backings.
+
+    A poly map is backed by its coefficient stacks, a batch of one with no
+    all-zero degree block; one monomial table of its blocks and of its
+    Jacobian blocks gives its values and Jacobians at any points.
+    """
 
     n: int
     m: int
-    backing: PolyBacking | SampledBacking | CallableBacking
+    backing: Stack | SampledBacking | CallableBacking
 
     # -- queries -----------------------------------------------------------
     @property
     def is_poly(self) -> bool:
-        return isinstance(self.backing, PolyBacking)
+        return isinstance(self.backing, Stack)
 
     @property
     def is_sampled(self) -> bool:
         return isinstance(self.backing, SampledBacking)
 
     @property
-    def components(self) -> tuple[Poly, ...]:
-        if not self.is_poly:
-            raise TypeError("components only available for poly-backed maps")
-        return self.backing.components
-
-    @property
     def stack(self) -> Stack:
-        """Coefficient stacks of a poly-backed map, cached with the map."""
+        """Coefficient stacks of a poly-backed map: its one representation."""
         if not self.is_poly:
             raise TypeError("coefficient stacks only available for poly-backed maps")
-        return self.backing.stack
+        return self.backing
+
+    @property
+    def components(self) -> tuple[Poly, ...]:
+        """The components of a poly-backed map as Polys viewing the stack's blocks."""
+        return tuple(self.stack.polys())
 
     def degree(self) -> int:
         """Top degree of the components of a poly-backed map."""
-        return max(c.degree() for c in self.components)
+        return max(self.stack.blocks, default=0)
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Values at arbitrary points, shape (N, m)."""
         pts = np.atleast_2d(points)
         if self.is_poly:
-            return evaluate(self.backing.components, pts)
+            return evaluate([(self.m, self.backing.blocks)], pts)
         if isinstance(self.backing, CallableBacking):
             return np.asarray(self.backing.value_fn(pts))
         raise TypeError("sampled maps only carry values at their own grid nodes")
@@ -139,12 +130,24 @@ class SphereMap:
         """Ambient Jacobians at arbitrary points, shape (N, m, n)."""
         pts = np.atleast_2d(points)
         if self.is_poly:
-            return evaluate(self.backing.gradients, pts).reshape(-1, self.m, self.n)
+            return evaluate([(self.m * self.n, self.backing.jac)], pts).reshape(-1, self.m, self.n)
         if isinstance(self.backing, CallableBacking):
             if self.backing.jacobian_fn is None:
                 raise TypeError("map has no gradient data")
             return np.asarray(self.backing.jacobian_fn(pts))
         raise TypeError("sampled maps only carry gradients at their own grid nodes")
+
+    def values_and_jacobians(self, points: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+        """Values at arbitrary points and a thunk for the Jacobians there.
+
+        A poly map evaluates both in one monomial table; a callable map
+        calls its Jacobian function only when the thunk is called.
+        """
+        if self.is_poly:
+            m, S = self.m, self.backing
+            table = evaluate([(m, S.blocks), (m * self.n, S.jac)], points)
+            return table[:, :m], lambda: table[:, m:].reshape(-1, m, self.n)
+        return self.eval(points), lambda: self.jac(points)
 
     def sample(self, grid: SphereGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """(nodes, values, jacobians) on the given grid."""
@@ -156,10 +159,8 @@ class SphereMap:
             return b.grid.nodes, b.values, b.jacobians
         X = grid.nodes
         if self.is_poly:
-            # one monomial table for the values and the Jacobians
-            table = evaluate(self.backing.components + self.backing.gradients, X)
-            m = self.m
-            return X, table[:, :m], table[:, m:].reshape(-1, m, self.n)
+            U, jac = self.values_and_jacobians(X)
+            return X, U, jac()
         U = self.eval(X)
         try:
             J = self.jac(X)
@@ -175,18 +176,29 @@ class SphereMap:
     def __add__(self, other: "SphereMap") -> "SphereMap":
         if not (self.is_poly and other.is_poly):
             raise TypeError("map addition requires poly backing")
-        comps = tuple(a + b for a, b in zip(self.components, other.components))
-        return SphereMap(self.n, self.m, PolyBacking(comps))
+        if (self.n, self.m) != (other.n, other.m):
+            raise ValueError("map addition requires maps of one shape")
+        blocks = dict(self.stack.blocks)
+        for d, C in other.stack.blocks.items():
+            blocks[d] = blocks[d] + C if d in blocks else C
+        return stack_map(Stack(self.n, 1, self.m, blocks))
 
     def scale(self, a: float) -> "SphereMap":
         if not self.is_poly:
             raise TypeError("scaling requires poly backing")
-        return SphereMap(self.n, self.m, PolyBacking(tuple(c.scale(a) for c in self.components)))
+        return stack_map(Stack(self.n, 1, self.m, {d: a * C for d, C in self.stack.blocks.items()}))
+
+
+def stack_map(S: Stack) -> SphereMap:
+    """The poly map of a single field given as coefficient stacks; all-zero degree blocks are dropped."""
+    blocks = {d: C for d, C in S.blocks.items() if C.any()}
+    return SphereMap(S.n, S.width, Stack(S.n, 1, S.width, blocks))
 
 
 def poly_map(n: int, components) -> SphereMap:
+    """The poly map with the given Poly components."""
     comps = tuple(components)
-    return SphereMap(n, len(comps), PolyBacking(comps))
+    return stack_map(Stack.of([comps]) if comps else Stack(n, 1, 0, {}))
 
 
 def sampled_map(grid: SphereGrid, values: np.ndarray, jacobians: np.ndarray | None) -> SphereMap:
@@ -199,16 +211,14 @@ def callable_map(n: int, m: int, value_fn, jacobian_fn=None) -> SphereMap:
 
 
 def identity_map(n: int) -> SphereMap:
-    return poly_map(n, [Poly.coordinate(n, i) for i in range(n)])
+    return linear_map(np.eye(n))
 
 
 def linear_map(A: np.ndarray) -> SphereMap:
     """The map x -> A x as a poly-backed SphereMap."""
     A = np.asarray(A, dtype=float)
     m, n = A.shape
-    units = [tuple(np.eye(n, dtype=int)[l].tolist()) for l in range(n)]
-    comps = tuple(Poly(n, dict(zip(units, A[i]))) for i in range(m))
-    return SphereMap(n, m, PolyBacking(comps))
+    return stack_map(Stack(n, 1, m, {1: linear_order(A)[None].copy()}))
 
 
 def _grid_for(u: SphereMap, grid: SphereGrid | None) -> SphereGrid:

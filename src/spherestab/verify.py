@@ -46,7 +46,6 @@ from .harmonics import (
     harmonic_energy_check,
     laplace_eigenvalue,
     poincare_deficit,
-    scalar_basis,
     scalar_basis_coeffs,
     synthesize,
 )
@@ -72,22 +71,19 @@ from .operator import (
     random_h_field,
     self_adjointness_residual,
 )
-from .polynomials import Poly, exps, gram, gram_rect
+from .polynomials import exps, gram, gram_rect
 from .quadrature import ball_grid_moment_residual, build_ball_grid, grid_moment_residual, integrate
-from .spheremap import identity_map, poly_map
+from .spheremap import identity_map, stack_map
 
 __all__ = ["ALL_CHECKS", "run_checks"]
 
 
 def _random_poly_field(n, rng, kmax=3, scale=0.3):
-    comps = []
-    for _ in range(n):
-        coeffs = {}
+    blocks = {d: np.empty((1, n, len(exps(n, d)))) for d in range(kmax + 1)}
+    for i in range(n):
         for d in range(kmax + 1):
-            for e in exps(n, d):
-                coeffs[e] = rng.normal() * scale
-        comps.append(Poly(n, coeffs))
-    return poly_map(n, comps)
+            blocks[d][0, i] = [rng.normal() * scale for _ in exps(n, d)]
+    return stack_map(Stack(n, 1, n, blocks))
 
 
 def check_grid_exactness(cfg: Config):
@@ -140,8 +136,8 @@ def check_basis_orthonormal(cfg: Config):
 def check_laplace_eigen_identity(cfg: Config):
     worst = 0.0
     for n, k in ((3, 4), (4, 3), (2, 5)):
-        for psi in scalar_basis(n, k):
-            u = poly_map(n, [psi.poly])
+        for psi in scalar_basis_coeffs(n, k):
+            u = stack_map(Stack(n, 1, 1, {k: psi[None, None]}))
             e = tangential_energy(u)
             m = float(l2_gram(u.stack, u.stack)[0, 0])
             worst = max(worst, abs(e - laplace_eigenvalue(n, k) * m))
@@ -241,7 +237,7 @@ def check_projection_idempotent(cfg: Config):
         w = random_h_field(3, 3, rng)
         p1 = project_kernel(w)
         p2 = project_kernel(p1)
-        d = Stack.of([p1.components, p2.components]).combine([1.0, -1.0])
+        d = (p1 + p2.scale(-1.0)).stack
         worst = max(worst, np.sqrt(l2_gram(d, d)[0, 0]))
         v = random_h_field(3, 3, rng)
         s1 = float(l2_gram(project_kernel(v).stack, w.stack)[0, 0])
@@ -341,7 +337,7 @@ def check_form_translation_invariance(cfg: Config):
     for n in (3, 4):
         w = random_h_field(n, 3, rng)
         b = rng.normal(size=n)
-        shifted = poly_map(n, [c + Poly.constant(n, b[i]) for i, c in enumerate(w.components)])
+        shifted = w + stack_map(Stack(n, 1, n, {0: b[None, :, None]}))
         for f in (q_conf, q_isop, q_isom):
             worst = max(worst, abs(f(shifted) - f(w)))
     return worst <= 1e-10, f"worst translation drift {worst:.3e}"
@@ -427,15 +423,7 @@ def check_deficit_invariance(cfg: Config):
 
 
 def _compose_linear(R, u):
-    comps = []
-    n = u.n
-    for i in range(n):
-        p = Poly(n)
-        for j in range(n):
-            if R[i, j] != 0.0:
-                p = p + u.components[j].scale(R[i, j])
-        comps.append(p)
-    return poly_map(n, comps)
+    return stack_map(Stack(u.n, 1, u.n, {d: R @ C for d, C in u.stack.blocks.items()}))
 
 
 def check_bulk_surface(cfg: Config):

@@ -1,9 +1,12 @@
-"""Test-only oracle: the quadratic forms through per-call Poly algebra.
+"""Test-only oracle: the package's exact routes through per-call Poly algebra.
 
 Every operator here is a chain of ``Poly.diff``, ``Poly.xmul``, ``+``
 and ``Poly.pair`` on the components of a field, and the forms, projections
-and the nearest-rotation moment are built from them.  The package
-evaluates the same quantities on coefficient stacks
+and the nearest-rotation moment are built from them.  The last section
+treats a poly map as a tuple of Poly components: sampling through the
+components and their gradients, map arithmetic, harmonic analysis and
+synthesis, the first moments, and the infinitesimal Moebius fields.  The
+package evaluates the same quantities on coefficient stacks
 (:mod:`spherestab.homogeneous`); the tests hold it to these.
 """
 
@@ -13,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from spherestab.polynomials import Poly
+from spherestab.harmonics import scalar_basis, scalar_basis_coeffs
+from spherestab.polynomials import Poly, evaluate, gram_rect
 
 Field = Sequence[Poly]
 
@@ -189,3 +193,90 @@ def rotation_moment(f: Field) -> np.ndarray:
         for l in range(n):
             M[i, l] = (f[i].diff(l) - radials[i].xmul(l)).sphere_integral()
     return M
+
+
+# ---------------------------------------------------------------------------
+# poly maps as tuples of Poly components
+# ---------------------------------------------------------------------------
+
+def gradients(f: Field) -> list[Poly]:
+    """d f^i / d x_l, row-major over (i, l)."""
+    return [c.diff(l) for c in f for l in range(f[0].n)]
+
+
+def sample(f: Field, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and Jacobians at X from one table of the components and their gradients."""
+    m, n = len(f), f[0].n
+    table = evaluate([(1, p.blocks) for p in [*f, *gradients(f)]], X)
+    return table[:, :m], table[:, m:].reshape(-1, m, n)
+
+
+def add(f: Field, g: Field) -> list[Poly]:
+    return [a + b for a, b in zip(f, g)]
+
+
+def scale(f: Field, a: float) -> list[Poly]:
+    return [c.scale(a) for c in f]
+
+
+def linear_map(A: np.ndarray) -> list[Poly]:
+    """Components of x -> A x."""
+    m, n = A.shape
+    units = [tuple(np.eye(n, dtype=int)[l].tolist()) for l in range(n)]
+    return [Poly(n, dict(zip(units, A[i]))) for i in range(m)]
+
+
+def analyze(f: Field, kmax: int) -> dict[int, np.ndarray]:
+    """Blocks of coefficients against the orthonormal scalar harmonics, per component."""
+    n = f[0].n
+    blocks = {}
+    for k in range(kmax + 1):
+        S = scalar_basis_coeffs(n, k)
+        blk = np.zeros((len(f), S.shape[0]))
+        for i, c in enumerate(f):
+            for d, v in c.blocks.items():
+                if (d + k) % 2 == 0:
+                    blk[i] += S @ gram_rect(n, k, d) @ v
+        blocks[k] = blk
+    return blocks
+
+
+def synthesize(n: int, blocks: dict[int, np.ndarray]) -> list[Poly]:
+    m = next(iter(blocks.values())).shape[0]
+    return [Poly.from_blocks(n, {k: blk[i] @ scalar_basis_coeffs(n, k) for k, blk in blocks.items()})
+            for i in range(m)]
+
+
+def grad_origin(f: Field) -> np.ndarray:
+    """n * avg f x^t."""
+    n = f[0].n
+    return np.array([[n * c.xmul(j).sphere_integral() for j in range(n)] for c in f])
+
+
+def kernel_characterization_residual(f: Field) -> tuple[float, float]:
+    n = f[0].n
+    B = grad_origin(f)
+    wh = synthesize(n, analyze(f, max(c.degree() for c in f)))
+    div = Poly(n)
+    for i, c in enumerate(wh):
+        div = div + c.diff(i)
+    return float(np.max(np.abs(B - B.T))), max(abs(div.xmul(k).sphere_integral()) for k in range(n))
+
+
+def inf_moebius_field(S: np.ndarray, mu: float, xi: np.ndarray) -> list[Poly]:
+    """S x + mu (<x, xi> x - xi)."""
+    n = S.shape[0]
+    rotation = linear_map(S)
+    inner = linear_map(mu * xi[None, :])[0]
+    return [rotation[i] + inner.xmul(i) + Poly.constant(n, -mu * xi[i]) for i in range(n)]
+
+
+def psi_tables(grid) -> tuple[np.ndarray, np.ndarray]:
+    """Degree-2 harmonics at the nodes, and dcoef[i, g, l], the x_l coefficient of d_i psi_g."""
+    n, basis = grid.n, scalar_basis(grid.n, 2)
+    dcoef = np.zeros((n, len(basis), n))
+    for gidx, b in enumerate(basis):
+        for i in range(n):
+            for e, cc in b.poly.diff(i).coeffs.items():
+                dcoef[i, gidx, list(e).index(1)] = cc
+    return evaluate([(1, b.poly.blocks) for b in basis], grid.nodes).T, dcoef

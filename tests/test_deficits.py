@@ -322,9 +322,9 @@ def _count_evaluate(monkeypatch):
     calls = []
     real = sm.evaluate
 
-    def counting(polys, points):
+    def counting(parts, points):
         calls.append(len(points))
-        return real(polys, points)
+        return real(parts, points)
 
     monkeypatch.setattr(sm, "evaluate", counting)
     return calls

@@ -278,6 +278,11 @@ def test_cli_bad_inputs(tmp_path):
     flat = tmp_path / "flat.json"
     save_json(map_to_dict(linear_map(np.diag([1.0, 1.0, 0.0]))), str(flat))
     assert main(["fit-moebius", "--map", str(flat)]) == 2
+    # a poly map without components is no map into R^3
+    empty = tmp_path / "empty.json"
+    save_json({"n": 3, "m": 0, "backing": "poly", "components": []}, str(empty))
+    assert main(["deficits", "--map", str(empty)]) == 2
+    assert main(["fit-moebius", "--map", str(empty)]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["verify", "--config", str(bad), "--only"]) == 2

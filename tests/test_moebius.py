@@ -496,9 +496,9 @@ def test_gauge_fix_evaluates_once_per_step(grid3, rng, monkeypatch):
     psi_functional(identity_map(3), grid3)       # the Psi tables are cached per grid
     calls = []
 
-    def counting(polys, points):
-        calls.append(len(polys))
-        return evaluate(polys, points)
+    def counting(parts, points):
+        calls.append(sum(width for width, _ in parts))
+        return evaluate(parts, points)
 
     monkeypatch.setattr(moebius, "evaluate", counting)
     monkeypatch.setattr(spheremap, "evaluate", counting)

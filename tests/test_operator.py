@@ -216,3 +216,56 @@ def test_project_h_n_reports(rng):
 def test_trivial_eigenspace_raises(rng):
     with pytest.raises(ValueError):
         random_eigenfield(3, 1, 3, rng)
+
+
+def _on_callable_maps():
+    """Functions that integrate a map on a grid, each called as fn(u, grid); apply_A
+    takes no grid, so its explicit form is the map sampled on that grid."""
+    from spherestab.forms import q_n
+    from spherestab.harmonics import grad_origin, poincare_deficit
+    from spherestab.spheremap import sampled_map
+
+    return {
+        "apply_A": lambda u, g: apply_A(u if g is None else sampled_map(g, *u.sample(g)[1:])),
+        "project_h_n": lambda u, g: project_h_n(u, grid=g)[0],
+        "project_kernel": lambda u, g: project_kernel(u, grid=g),
+        "grad_origin": grad_origin,
+        "poincare_deficit": poincare_deficit,
+        "q_n": q_n,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_on_callable_maps()))
+def test_callable_maps_integrate_on_the_default_grid(name, rng):
+    from spherestab.moebius import as_sphere_map, random_moebius
+    from spherestab.quadrature import default_sphere_grid
+    from spherestab.spheremap import SphereMap
+
+    fn, g = _on_callable_maps()[name], default_sphere_grid(3)
+    u = as_sphere_map(random_moebius(rng))
+
+    def arrays(r):  # a map by its values and Jacobians on g
+        return list(r.sample(g)[1:]) if isinstance(r, SphereMap) else [r]
+
+    for a, b in zip(arrays(fn(u, None)), arrays(fn(u, g)), strict=True):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def test_project_h_n_samples_a_callable_map_once(grid3, rng):
+    from spherestab.moebius import moebius_apply, moebius_jacobian, random_moebius
+    from spherestab.spheremap import callable_map
+
+    phi, calls = random_moebius(rng), []
+
+    def value(X):
+        calls.append("value")
+        return moebius_apply(phi, X)
+
+    def jacobian(X):
+        calls.append("jacobian")
+        return moebius_jacobian(phi, X)
+
+    w, report = project_h_n(callable_map(3, 3, value, jacobian), grid3)
+    assert np.max(np.abs(report["removed_mean"])) > 1e-3
+    assert sorted(calls) == ["jacobian", "value"]
+    assert np.max(np.abs(grid3.weights @ w.sample(grid3)[1])) < 1e-14

@@ -137,6 +137,6 @@ def test_evaluate_bit_identical_to_row_major_table(n, rng):
         for N in (1, 1023, 1024, 1025, 4608):
             X = rng.normal(size=(N, n))
             X /= np.linalg.norm(X, axis=1, keepdims=True)
-            got = evaluate(polys, X)
+            got = evaluate([(1, p.blocks) for p in polys], X)
             assert got.shape == (N, len(polys))
             assert np.array_equal(got, _evaluate_row_major(polys, X)), (deg, N)

@@ -23,18 +23,19 @@ def test_optimality_rates_script_writes_four_csvs(tmp_path):
         assert len(rows) > 1
 
 
-def _load_bench_pairs():
+def _load_script(name):
     import importlib.util
 
-    spec = importlib.util.spec_from_file_location("bench_pairs", os.path.join(ROOT, "scripts", "bench_pairs.py"))
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "scripts", f"{name}.py"))
     mod = importlib.util.module_from_spec(spec)
+    sys.modules[name] = mod          # as an import would; dataclasses look their module up there
     spec.loader.exec_module(mod)
     return mod
 
 
 def test_bench_pairs_extracts_both_sides_at_equal_path_length(tmp_path):
     # the extraction step only; the benchmark itself is not run
-    bench = _load_bench_pairs()
+    bench = _load_script("bench_pairs")
     repo = tmp_path / "repo"
     repo.mkdir()
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
@@ -58,3 +59,31 @@ def test_bench_pairs_extracts_both_sides_at_equal_path_length(tmp_path):
     # a second extraction replaces the checkouts rather than mixing them
     dirs = bench.extract_pair(bench.resolve("HEAD", str(repo)), change, str(tmp_path / "work"), str(repo))
     assert open(os.path.join(dirs["parent"], "f.txt")).read() == "new"
+
+
+def test_output_diff_reports_the_largest_move_per_column_and_line():
+    # the comparison only; no command is run
+    diff = _load_script("output_diff")
+    moves = diff.compare_csv("k,x,c\n1,0.5,1/4\n2,1e-16,1/2\n3,4.0,-1\n",
+                             "k,x,c\n1,0.5,1/4\n2,3e-16,1/2\n3,4.5,-1\n")
+    assert moves["k"].identical and moves["c"].identical and moves["c"].count == 5
+    x = moves["x"]
+    assert (x.moved, x.count) == (2, 3)
+    assert x.max_abs == 0.5 and abs(x.max_rel - 2.0 / 3.0) < 1e-12
+    assert str(x) == "2/3 moved, max |d| 5.000e-01, max rel 6.667e-01"
+    assert diff.compare_csv("k\n1\n", "k\n1\n2\n")["rows"].mismatch == "1 rows -> 2 rows"
+
+    def report(resid, status, seconds):
+        return {"passed": True, "checks": [
+            {"name": "a.resid", "passed": True, "detail": f"worst residual {resid} at n=3", "seconds": seconds},
+            {"name": "b.status", "passed": True, "detail": status, "seconds": seconds}]}
+
+    moves = diff.compare_json(report("1.000e-16", "solver ok", 0.1), report("1.500e-16", "solver stalled", 2.0))
+    assert not any("seconds" in key for key in moves)
+    resid = moves["checks[a.resid].detail"]
+    assert (resid.moved, resid.count) == (1, 2) and resid.max_abs == 5e-17
+    assert moves["checks[b.status].detail"].mismatch == "'solver ok' -> 'solver stalled'"
+    assert moves["passed"].identical and moves["checks[a.resid].passed"].identical
+    moves = diff.compare_json({"E": 1.0, "phi": {"lambda": 2.0}}, {"E": 1.0, "nfev": 3})
+    assert moves["E"].identical
+    assert moves["phi.lambda"].mismatch == "only in the parent" and moves["nfev"].mismatch == "only in the change"

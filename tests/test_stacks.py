@@ -173,3 +173,16 @@ def test_zero_block_pruning_keeps_nan_and_drops_signed_zero():
     assert Poly.from_blocks(3, {0: np.array([-0.0]), 1: np.array([0.0, -0.0, 0.0])}).blocks == {}
     p = Poly(2, {(1, 0): 1.0})
     assert (p - p).blocks == {} and (p + p.scale(-1.0)).blocks == {}
+
+
+def test_a_is_applied_once_per_stack(rng):
+    # the spectrum ratio check takes q_vol(w, w) and q_n(w), which pairs w with A w again
+    from spherestab.forms import q_n
+    from spherestab.operator import random_eigenfield
+
+    w = random_eigenfield(3, 3, 2, rng).map
+    q_vol(w, w)
+    Aw = w.stack.a_field
+    q_n(w, project=False)
+    assert w.stack.a_field is Aw
+    assert all(apply_A(w).stack.blocks[d] is C for d, C in Aw.blocks.items())
