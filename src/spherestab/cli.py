@@ -187,7 +187,7 @@ def cmd_spectrum(args) -> int:
         try:
             spaces = eigenspaces(n, k)
         except IntegrityError as exc:
-            # past the degree ceiling the float basis loses the known spectrum
+            # past the degree ceiling (n = 3, k >= 29) the float basis loses the known spectrum
             print(f"spectrum fails at (n, k) = ({n}, {k}): {exc}", file=sys.stderr)
             return 2
         for i in (1, 2, 3):

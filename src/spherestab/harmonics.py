@@ -2,9 +2,12 @@
 
 Bases are built once per (n, k) by solving the Laplace constraint on
 monomial coefficients and orthonormalizing against the exact moment inner
-product, then cached.  Degree-k restrictions satisfy
--Lap_S psi = lambda_{n,k} psi with lambda_{n,k} = k(k+n-2), and the analyze /
-synthesize pair is exact on polynomial inputs.
+product, then cached.  The orthonormalization is CholQR2 (Fukaya et al.,
+2014): two passes of K <- L^-1 K, with L the Cholesky factor of the Gram
+matrix K G K^t of the rows K under the moment matrix G.  Degree-k
+restrictions satisfy -Lap_S psi = lambda_{n,k} psi with
+lambda_{n,k} = k(k+n-2), and the analyze / synthesize pair is exact on
+polynomial inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import IntegrityError
 from .homogeneous import Stack
-from .polynomials import Poly, diff_matrix, evaluate, exps, gram, gram_rect
+from .polynomials import Poly, diff_matrix, evaluate, exps, gram, gram_rect, linear_order
 from .quadrature import SphereGrid, integrate
 from .spheremap import SphereMap, _grid_for, stack_map
 
@@ -122,29 +125,35 @@ def scalar_basis_coeffs(n: int, k: int) -> np.ndarray:
         raise IntegrityError(
             f"harmonic space dim mismatch at (n={n}, k={k}): got {kernel.shape[0]}, want {expected}"
         )
-    G = gram(n, k)
-    basis = _mgs(kernel, G)
-    if basis.shape[0] != expected:
-        raise IntegrityError(f"orthonormalization lost rank at (n={n}, k={k})")
+    basis = _cholqr2(kernel, gram(n, k))
     if k == 0:
         basis = np.abs(basis)  # fix the constant to +1
     return basis
 
 
-def _mgs(rows: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt of row vectors under inner(u,v) = u G v^t."""
-    out = []
-    for v in rows:
-        w = v.copy()
-        for b in out:
-            w = w - (b @ G @ w) * b
-        # second pass for numerical orthogonality
-        for b in out:
-            w = w - (b @ G @ w) * b
-        nrm = math.sqrt(w @ G @ w)
-        if nrm > 1e-12:
-            out.append(w / nrm)
-    return np.array(out)
+def _field_pairs(C1: np.ndarray, C2: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """L2 pairings sum_{i,m,p} C1[a,i,m] G[m,p] C2[b,i,p] of two stacks of fields, as one matmul
+    (scalar rows (a, m) pair the same way)."""
+    return (C1 @ G).reshape(len(C1), -1) @ C2.reshape(len(C2), -1).T
+
+
+def _combine(W: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The combinations sum_b W[a,b] C[b] of a stack of fields, as one matmul."""
+    return (W @ C.reshape(len(C), -1)).reshape(len(W), *C.shape[1:])
+
+
+def _cholqr2(rows: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Rows of a stack orthonormalized under the moment Gram G: K <- L^-1 K with
+    L L^t = K G K^t, twice (the second pass restores orthogonality to roundoff).
+    The Gram matrix is symmetrized first, so both triangles inform L."""
+    for _ in range(2):
+        P = _field_pairs(rows, rows, G)
+        try:
+            L = np.linalg.cholesky(0.5 * (P + P.T))
+        except np.linalg.LinAlgError:
+            raise IntegrityError(f"orthonormalization lost rank: {len(rows)} rows") from None
+        rows = np.linalg.solve(L, rows.reshape(len(rows), -1)).reshape(rows.shape)
+    return rows
 
 
 def scalar_basis(n: int, k: int) -> list[HarmonicPoly]:
@@ -169,20 +178,10 @@ def vector_space_coeffs(n: int, k: int) -> np.ndarray:
     for i in range(n):
         cand[i * G_cnt : (i + 1) * G_cnt, i] = S
     if k == 1:
-        # constraint: sum_i integral(w^i x_i) = 0
-        e1, G1 = exps(n, 1), gram(n, 1)
-        con = np.zeros(n * G_cnt)
-        for i in range(n):
-            mom = G1[e1.index(tuple(1 if l == i else 0 for l in range(n)))]  # moments of x_i x^e
-            for j in range(G_cnt):
-                con[i * G_cnt + j] = mom @ S[j]
-        _, s, vh = np.linalg.svd(con[None, :])
-        null = vh[1:]
-        combo = np.einsum("ab,bim->aim", null, cand)
-        flat = combo.reshape(combo.shape[0], -1)
-        Gblock = np.kron(np.eye(n), gram(n, k))
-        ortho = _mgs(flat, Gblock)
-        return ortho.reshape(-1, n, M)
+        # constraint: sum_i integral(w^i x_i) = 0; con[i, j] = avg psi_j x_i
+        con = (S @ linear_order(gram(n, 1))).T.reshape(1, -1)
+        null = np.linalg.svd(con)[2][1:]
+        return _cholqr2(_combine(null, cand), gram(n, k))
     return cand
 
 

@@ -7,9 +7,10 @@ monomials ``exps(n, d)``.  A poly-backed map is a stack with B = 1, its
 one representation: its values, Jacobians, forms and projections are all
 read from these blocks and the derived stacks below.
 Every operator is a matmul of a block with a cached per-degree matrix of
-:mod:`spherestab.polynomials`, with D the gradient and X the pairing with x:
+:mod:`spherestab.polynomials`, with D the gradient and X the pairing with x;
+D, which has one nonzero per row, is applied as the equivalent gather:
 
-    J = grad f        J_il = D_l f^i, degree d-1  (``grad_matrix(n, d)``)
+    J = grad f        J_il = D_l f^i, degree d-1  (``grad_index(n, d)``)
     <f, x>            sum_j X_j f^j, degree d+1   (``xdot_matrix(n, d)``)
     J x               d f (Euler), degree d
     J^t x             (J^t x)_l = sum_a X_a D_l f^a, degree d
@@ -45,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomials import Poly, _moments, exps, grad_matrix, gram, gram_rect, linear_order, xdot_matrix
+from .polynomials import Poly, _moments, exps, grad_index, gram, gram_rect, linear_order, xdot_matrix
 
 __all__ = [
     "exps",
@@ -136,7 +137,8 @@ class Stack:
         out = {}
         for d, C in self.blocks.items():
             if d >= 1:
-                out[d - 1] = (C @ grad_matrix(n, d).T).reshape(B, self.width * n, -1)
+                src, coef = grad_index(n, d)   # one nonzero per row of grad_matrix: a gather, exact
+                out[d - 1] = (C[..., src] * coef).reshape(B, self.width * n, -1)
         return out
 
     @cached_property

@@ -91,9 +91,23 @@ def map_to_dict(u: SphereMap) -> dict:
     raise TypeError("callable-backed maps do not serialize")
 
 
+def _component_from_dict(n: int, i: int, c: dict) -> Poly:
+    """Component i of a poly map in n variables; its n and exponents must agree."""
+    if int(c.get("n", n)) != n:
+        raise ValueError(f"component {i} has n = {c['n']}, but the map has n = {n}")
+    for t in c["terms"]:
+        e = t["exponents"]
+        if len(e) != n or not all(isinstance(p, int) and p >= 0 for p in e):
+            raise ValueError(f"component {i}: exponent {e} is not {n} nonnegative integers")
+    return poly_from_dict({**c, "n": n})
+
+
 def map_from_dict(d: dict) -> SphereMap:
     if d["backing"] == "poly":
-        return poly_map(int(d["n"]), [poly_from_dict(c) for c in d["components"]])
+        n, comps = int(d["n"]), d["components"]
+        if "m" in d and int(d["m"]) != len(comps):
+            raise ValueError(f"poly map has {len(comps)} components, but m = {d['m']}")
+        return poly_map(n, [_component_from_dict(n, i, c) for i, c in enumerate(comps)])
     if d["backing"] == "sampled":
         grid = grid_from_dict(d["grid"])
         jac = d.get("jacobians")

@@ -16,9 +16,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IntegrityError
-from .harmonics import Subspace, laplace_eigenvalue, vector_space_coeffs
+from .harmonics import Subspace, _combine, _field_pairs, laplace_eigenvalue, vector_space_coeffs
 from .homogeneous import Stack, l2_gram
-from .polynomials import diff_matrix, exps, gram, linear_order
+from .polynomials import diff_matrix, evaluate, gram, linear_order
 from .quadrature import integrate
 from .spheremap import SphereMap, _grid_for, a_operator_values, sampled_map, stack_map
 
@@ -38,8 +38,6 @@ __all__ = [
 ]
 
 _CLUSTER_TOL = 1e-8
-# unit coefficient stacks pushed through A at once when assembling its matrix
-_UNIT_CHUNK = 32
 
 
 def apply_A(w: SphereMap) -> SphereMap:
@@ -54,36 +52,11 @@ def apply_A(w: SphereMap) -> SphereMap:
     return sampled_map(g, a_operator_values(U, J, X), None)
 
 
-def _a_coefficient_matrix(n: int, k: int) -> np.ndarray:
-    """A on degree-k coefficient stacks as an (n M_k)^2 matrix, block (i,j) = X_i D_j - X_j D_i.
-
-    This is :attr:`Stack.a_field` of the unit stacks.  It equals the
-    volume-form operator on every homogeneous degree-k representative,
-    harmonic or not: (A w)_i = (div w) x_i - sum_j x_j d_i w^j holds as a
-    polynomial identity, and each term maps degree k to degree k.
-    """
-    N = n * len(exps(n, k))
-    out = np.empty((N, N))
-    for c in range(0, N, _UNIT_CHUNK):   # a few unit stacks at a time keep the transients small
-        m = min(_UNIT_CHUNK, N - c)
-        units = np.zeros((m, N))
-        units[np.arange(m), c + np.arange(m)] = 1.0
-        images = Stack(n, m, n, {k: units.reshape(m, n, -1)}).a_field.blocks[k]
-        out[:, c : c + m] = images.reshape(m, N).T
-    return out
-
-
-def _field_pairs(C1: np.ndarray, C2: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """L2 pairings sum_{i,m,p} C1[a,i,m] G[m,p] C2[b,i,p] of two stacks of fields, as one matmul."""
-    return (C1 @ G).reshape(len(C1), -1) @ C2.reshape(len(C2), -1).T
-
-
 @lru_cache(maxsize=None)
 def a_matrix(n: int, k: int) -> np.ndarray:
     """Matrix of A on the orthonormal basis of H_{n,k} (L2 inner products)."""
     B = vector_space_coeffs(n, k)          # (dim, n, M)
-    dim, _, M = B.shape
-    AB = (_a_coefficient_matrix(n, k) @ B.reshape(dim, n * M).T).T.reshape(dim, n, M)
+    AB = Stack(n, len(B), n, {k: B}).a_field.blocks[k]
     return _field_pairs(B, AB, gram(n, k))
 
 
@@ -97,15 +70,17 @@ def self_adjointness_residual(n: int, k: int) -> float:
 def helmholtz_split(n: int, k: int) -> tuple[Subspace, Subspace]:
     """Split H_{n,k} into fields with divergence-free extension and complement.
 
-    Divergence-free is detected on exact polynomial coefficients (rank
-    threshold 1e-10), never by sampling.
+    Divergence-free is detected on exact polynomial coefficients, never by
+    sampling: the rank counts the singular values of the divergence map
+    above 1e-10 times the largest one (or 1e-10 when all are below 1, as at
+    k = 1, where the map vanishes up to roundoff).
     """
     B = vector_space_coeffs(n, k)
     Dmap = sum(diff_matrix(n, k, i) @ B[:, i, :].T for i in range(n))
     _, s, vh = np.linalg.svd(Dmap)
-    rank = int(np.sum(s > 1e-10))  # basis coefficients are O(1)
-    sol = Subspace(n, k, "sol", np.einsum("ab,bim->aim", vh[rank:], B))
-    perp = Subspace(n, k, "sol_perp", np.einsum("ab,bim->aim", vh[:rank], B), eigenvalue=float(k + n - 2))
+    rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
+    sol = Subspace(n, k, "sol", _combine(vh[rank:], B))
+    perp = Subspace(n, k, "sol_perp", _combine(vh[:rank], B), eigenvalue=float(k + n - 2))
     return sol, perp
 
 
@@ -131,7 +106,7 @@ def eigenspaces(n: int, k: int) -> tuple[Subspace, Subspace, Subspace]:
         # H_{n,1,3} is trivial; for n=2, k=1 the centers 1 and k+n-2 collide
         which[which == 2] = 1
     eig1, eig2, eig3 = (
-        Subspace(n, k, f"eig{j + 1}", np.einsum("ab,bim->aim", evecs[:, which == j].T, B), eigenvalue=c)
+        Subspace(n, k, f"eig{j + 1}", _combine(evecs[:, which == j].T, B), eigenvalue=c)
         for j, c in enumerate(centers)
     )
     sol, perp = helmholtz_split(n, k)
@@ -211,16 +186,16 @@ def project_kernel(w: SphereMap, grid=None) -> SphereMap:
         return stack_map(Stack(n, 1, n, blocks))
     g = _grid_for(w, grid)
     X, U, J = w.sample(g)
-    vals = np.zeros_like(U)
-    jac = np.zeros((X.shape[0], n, n)) if J is not None else None
-    for S in kernel_subspaces(n):
-        for bmap in S.maps:
-            BV, BJ = bmap.values_and_jacobians(X)
-            c = integrate(g, np.einsum("ai,ai->a", U, BV))
-            vals += c * BV
-            if jac is not None:
-                jac += c * BJ()
-    return sampled_map(g, vals, jac)
+    # every basis field (and its Jacobian) in one monomial table
+    parts = [(S.dim * n, {S.k: S.coeffs}) for S in (k12, k23)]
+    if J is not None:
+        parts += [(S.dim * n * n, Stack(n, S.dim, n, {S.k: S.coeffs}).jac) for S in (k12, k23)]
+    table = evaluate(parts, X)
+    dim = k12.dim + k23.dim
+    BV = table[:, : dim * n].reshape(-1, dim, n)
+    c = np.array([integrate(g, f) for f in np.einsum("ai,abi->ba", U, BV)])
+    jac = None if J is None else np.tensordot(table[:, dim * n :].reshape(-1, dim, n, n), c, axes=(1, 0))
+    return sampled_map(g, np.tensordot(BV, c, axes=(1, 0)), jac)
 
 
 def kernel_characterization_residual(w: SphereMap) -> tuple[float, float]:

@@ -40,6 +40,7 @@ __all__ = [
     "linear_order",
     "diff_matrix",
     "xmul_matrix",
+    "grad_index",
     "grad_matrix",
     "xdot_matrix",
     "gram",
@@ -99,16 +100,26 @@ def xmul_matrix(n: int, k: int, i: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def grad_index(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient on degree-k coefficients as a gather: entry (l, q) of the
+    gradient of f is coef[l, q] * f[src[l, q]], with src the column of the
+    monomial q + e_l and coef = q_l + 1.  Both are flat over (l, q)."""
+    src = _product_index(n, 1, k - 1).reshape(n, -1)[::-1]   # exps(n, 1) lists e_{n-1} first
+    coef = np.array(exps(n, k - 1), dtype=float).reshape(-1, n).T + 1
+    return src.ravel(), coef.ravel()
+
+
+@lru_cache(maxsize=None)
 def grad_matrix(n: int, k: int) -> np.ndarray:
     """The gradient on degree-k coefficients, (n M_{k-1} x M_k): row block l is d/dx_l.
 
-    Row (l, q) has one nonzero, q_l + 1, in the column of the monomial q + e_l.
+    Row (l, q) has one nonzero, q_l + 1, in the column of the monomial q + e_l
+    (:func:`grad_index`).
     """
-    src = _product_index(n, 1, k - 1).reshape(n, -1)[::-1]   # exps(n, 1) lists e_{n-1} first
-    E = np.array(exps(n, k - 1), dtype=np.intp).reshape(-1, n)
-    G = np.zeros((n, E.shape[0], len(exps(n, k))))
-    G[np.arange(n)[:, None], np.arange(E.shape[0]), src] = E.T + 1
-    return G.reshape(n * E.shape[0], -1)
+    src, coef = grad_index(n, k)
+    G = np.zeros((len(src), len(exps(n, k))))
+    G[np.arange(len(src)), src] = coef
+    return G
 
 
 @lru_cache(maxsize=None)

@@ -7,17 +7,21 @@ treats a poly map as a tuple of Poly components: sampling through the
 components and their gradients, map arithmetic, harmonic analysis and
 synthesis, the first moments, and the infinitesimal Moebius fields.  The
 package evaluates the same quantities on coefficient stacks
-(:mod:`spherestab.homogeneous`); the tests hold it to these.
+(:mod:`spherestab.homogeneous`); the tests hold it to these.  The last
+section keeps the dense matrix of A and the modified Gram-Schmidt loop
+that the exact-algebra engine replaced.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from spherestab.harmonics import scalar_basis, scalar_basis_coeffs
-from spherestab.polynomials import Poly, evaluate, gram_rect
+from spherestab.homogeneous import Stack
+from spherestab.polynomials import Poly, diff_matrix, evaluate, exps, gram, gram_rect
 
 Field = Sequence[Poly]
 
@@ -280,3 +284,63 @@ def psi_tables(grid) -> tuple[np.ndarray, np.ndarray]:
             for e, cc in b.poly.diff(i).coeffs.items():
                 dcoef[i, gidx, list(e).index(1)] = cc
     return evaluate([(1, b.poly.blocks) for b in basis], grid.nodes).T, dcoef
+
+
+# ---------------------------------------------------------------------------
+# dense A and modified Gram-Schmidt
+# ---------------------------------------------------------------------------
+
+# unit coefficient stacks pushed through A at once when assembling its matrix
+_UNIT_CHUNK = 32
+
+
+def a_coefficient_matrix(n: int, k: int) -> np.ndarray:
+    """A on degree-k coefficient stacks as an (n M_k)^2 matrix, block (i,j) = X_i D_j - X_j D_i.
+
+    This is :attr:`Stack.a_field` of the unit stacks.  It equals the
+    volume-form operator on every homogeneous degree-k representative,
+    harmonic or not: (A w)_i = (div w) x_i - sum_j x_j d_i w^j holds as a
+    polynomial identity, and each term maps degree k to degree k.
+    """
+    N = n * len(exps(n, k))
+    out = np.empty((N, N))
+    for c in range(0, N, _UNIT_CHUNK):   # a few unit stacks at a time keep the transients small
+        m = min(_UNIT_CHUNK, N - c)
+        units = np.zeros((m, N))
+        units[np.arange(m), c + np.arange(m)] = 1.0
+        images = Stack(n, m, n, {k: units.reshape(m, n, -1)}).a_field.blocks[k]
+        out[:, c : c + m] = images.reshape(m, N).T
+    return out
+
+
+def mgs(rows: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt of row vectors under inner(u,v) = u G v^t.
+
+    Each accepted row is kept with its product b G, which is the first step
+    of evaluating b @ G @ w."""
+    out = []
+    for v in rows:
+        w = v.copy()
+        for b, bG in out:
+            w = w - (bG @ w) * b
+        # second pass for numerical orthogonality
+        for b, bG in out:
+            w = w - (bG @ w) * b
+        nrm = math.sqrt(w @ G @ w)
+        if nrm > 1e-12:
+            b = w / nrm
+            out.append((b, b @ G))
+    return np.array([b for b, _ in out])
+
+
+def scalar_basis_coeffs_mgs(n: int, k: int) -> np.ndarray:
+    """Orthonormal degree-k scalar harmonics by :func:`mgs` of the Laplacian's kernel."""
+    M = len(exps(n, k))
+    if k <= 1:
+        kernel = np.eye(M)
+    else:
+        L = sum(diff_matrix(n, k - 1, i) @ diff_matrix(n, k, i) for i in range(n))
+        _, s, vh = np.linalg.svd(L)
+        kernel = vh[int(np.sum(s > 1e-10 * s[0])):]
+    basis = mgs(kernel, gram(n, k))
+    return np.abs(basis) if k == 0 else basis

@@ -21,7 +21,7 @@ from spherestab.homogeneous import gram, gram_rect
 from spherestab.polynomials import Poly
 from spherestab.spheremap import identity_map, linear_map, poly_map
 
-from poly_oracle import field_pair
+from poly_oracle import field_pair, scalar_basis_coeffs_mgs
 
 
 @pytest.mark.parametrize("n,k,dim", [(3, 1, 3), (3, 2, 5), (2, 3, 2), (4, 2, 9), (2, 1, 2), (3, 0, 1)])
@@ -61,6 +61,26 @@ def test_cross_degree_orthogonality():
     B2 = scalar_basis_coeffs(3, 2)
     B4 = scalar_basis_coeffs(3, 4)
     assert np.max(np.abs(B2 @ gram_rect(3, 2, 4) @ B4.T)) < 1e-10
+
+
+def _gram_residual(B, G):
+    return float(np.max(np.abs(B @ G @ B.T - np.eye(len(B)))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cholqr2_bases_span_the_mgs_spaces(n):
+    # both orthonormalize the same kernel rows under the same Gram matrix
+    for k in range(12):
+        B, ref, G = scalar_basis_coeffs(n, k), scalar_basis_coeffs_mgs(n, k), gram(n, k)
+        assert B.shape == ref.shape
+        s = np.linalg.svd(B @ G @ ref.T, compute_uv=False)
+        assert np.max(np.abs(1.0 - s)) <= 1e-12
+
+
+@pytest.mark.parametrize("n,k", [(3, 24), (4, 12)])
+def test_cholqr2_orthonormal_at_least_as_well_as_mgs(n, k):
+    G = gram(n, k)
+    assert _gram_residual(scalar_basis_coeffs(n, k), G) <= _gram_residual(scalar_basis_coeffs_mgs(n, k), G)
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (3, 3), (4, 2), (2, 5)])

@@ -130,11 +130,11 @@ def test_cli_determinism(tmp_path):
 
 
 def test_cli_spectrum_past_degree_ceiling(tmp_path, capsys):
-    # n = 3, k = 12 is the first block whose float basis loses the spectrum
+    # n = 3, k = 29 is the first block whose float basis loses the spectrum
     out = tmp_path / "spec.csv"
-    assert main(["spectrum", "--n", "3", "--kmax", "12", "--out", str(out)]) == 2
+    assert main(["spectrum", "--n", "3", "--kmax", "29", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "(n, k) = (3, 12)" in err
+    assert err.count("\n") == 1 and "(n, k) = (3, 29)" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -289,6 +289,25 @@ def test_cli_bad_inputs(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+
+
+def _linear_components(n: int, width: int, entries: int) -> list[dict]:
+    """Components x_i, i < width, written with exponents of the given length."""
+    return [{"n": n, "terms": [{"exponents": [int(j == i) for j in range(entries)], "coeff": 1.0}]}
+            for i in range(width)]
+
+
+@pytest.mark.parametrize("case, named", [
+    ({"n": 3, "m": 2, "components": _linear_components(3, 3, 3)}, "3 components, but m = 2"),
+    ({"n": 3, "m": 3, "components": _linear_components(2, 3, 2)}, "component 0 has n = 2, but the map has n = 3"),
+    ({"n": 3, "m": 3, "components": _linear_components(3, 3, 2)}, "exponent [1, 0] is not 3 nonnegative integers"),
+])
+def test_cli_refuses_poly_maps_whose_n_or_m_disagree(case, named, tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"backing": "poly", **case}))
+    assert main(["deficits", "--map", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("cannot read map: ") and named in err
 
 
 def test_cli_partial_config(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from spherestab.harmonics import analyze, harmonic_dimension, vector_space_coeffs
 from spherestab.operator import (
-    _a_coefficient_matrix,
     a_matrix,
     apply_A,
     eigenspaces,
@@ -22,7 +21,7 @@ from spherestab.operator import (
 from spherestab.polynomials import Poly, gram
 from spherestab.spheremap import linear_map, poly_map, surface_divergence
 
-from poly_oracle import field_pair
+from poly_oracle import a_coefficient_matrix, field_pair
 
 SKEW = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 SYM = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -75,7 +74,7 @@ def test_a_matrix_and_subspace_angle_match_einsum(n, kmax):
     for k in range(1, kmax + 1):
         B = vector_space_coeffs(n, k)
         dim, _, M = B.shape
-        AB = (_a_coefficient_matrix(n, k) @ B.reshape(dim, n * M).T).T.reshape(dim, n, M)
+        AB = (a_coefficient_matrix(n, k) @ B.reshape(dim, n * M).T).T.reshape(dim, n, M)
         ref = _einsum_pairs(B, AB, gram(n, k))
         assert np.max(np.abs(a_matrix(n, k) - ref)) <= 1e-12 * np.max(np.abs(ref))
         spaces = eigenspaces(n, k)
@@ -87,7 +86,7 @@ def test_a_matrix_and_subspace_angle_match_einsum(n, kmax):
             assert abs(subspace_angle(S1, S2) - want) <= 1e-12
 
 
-@pytest.mark.parametrize("n,k", [(3, k) for k in range(1, 12)] + [(4, k) for k in range(1, 9)])
+@pytest.mark.parametrize("n,k", [(3, k) for k in range(1, 25)] + [(4, k) for k in range(1, 13)])
 def test_spectrum_up_to_the_degree_ceiling(n, k):
     # dims h(n,k+1), n h(n,k) - h(n,k+1) - h(n,k-1), h(n,k-1); the top block is empty at k = 1
     h = lambda d: harmonic_dimension(n, d)
@@ -249,6 +248,45 @@ def test_callable_maps_integrate_on_the_default_grid(name, rng):
 
     for a, b in zip(arrays(fn(u, None)), arrays(fn(u, g)), strict=True):
         assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def _project_kernel_per_field(w, grid):
+    """project_kernel of a non-poly map as a loop over the kernel basis, one
+    monomial table per basis field."""
+    from spherestab.quadrature import integrate
+
+    w, _ = project_h_n(w, grid=grid)
+    X, U, J = w.sample(grid)
+    vals, jac = np.zeros_like(U), None if J is None else np.zeros((len(X), w.n, w.n))
+    for S in kernel_subspaces(w.n):
+        for bmap in S.maps:
+            BV, BJ = bmap.values_and_jacobians(X)
+            c = integrate(grid, np.einsum("ai,ai->a", U, BV))
+            vals += c * BV
+            if jac is not None:
+                jac += c * BJ()
+    return vals, jac
+
+
+@pytest.mark.parametrize("kind", ["callable", "sampled", "sampled-no-jacobians"])
+def test_project_kernel_of_a_non_poly_map_matches_the_per_field_loop(kind, rng):
+    from spherestab.moebius import as_sphere_map, random_moebius
+    from spherestab.quadrature import default_sphere_grid
+    from spherestab.spheremap import sampled_map
+
+    n = 3 if kind == "callable" else 4
+    g = default_sphere_grid(n)
+    if kind == "callable":
+        u = as_sphere_map(random_moebius(rng))
+    else:
+        _, U, J = random_h_field(n, 3, rng).sample(g)
+        u = sampled_map(g, U, None if kind == "sampled-no-jacobians" else J)
+    got = project_kernel(u, grid=g).sample(g)[1:]
+    want = _project_kernel_per_field(u, g)
+    assert (got[1] is None) == (want[1] is None) == (kind == "sampled-no-jacobians")
+    for a, b in zip(got, want):
+        if b is not None:
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def test_project_h_n_samples_a_callable_map_once(grid3, rng):

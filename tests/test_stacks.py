@@ -19,13 +19,12 @@ from spherestab.moebius import _poly_tangential_mean
 from spherestab.moments import ball_moment, sphere_moment
 from spherestab.operator import (
     EigenField,
-    _a_coefficient_matrix,
     apply_A,
     eigenspaces,
     project_h_n,
     project_kernel,
 )
-from spherestab.polynomials import Poly, _index, _moments, diff_matrix, exps, xmul_matrix
+from spherestab.polynomials import Poly, _index, _moments, diff_matrix, exps, grad_matrix, xmul_matrix
 from spherestab.spheremap import poly_map
 
 REL = 1e-12
@@ -109,7 +108,7 @@ def test_a_coefficient_matrix_is_A_on_any_homogeneous_block(n, rng):
         C = rng.normal(size=(n, M))
         want = oracle.field_a_operator([Poly.from_blocks(n, {d: c}) for c in C])
         assert all(set(c.blocks) <= {d} for c in want)
-        got = (_a_coefficient_matrix(n, d) @ C.ravel()).reshape(n, M)
+        got = (oracle.a_coefficient_matrix(n, d) @ C.ravel()).reshape(n, M)
         ref = np.array([c.blocks.get(d, np.zeros(M)) for c in want])
         assert np.max(np.abs(got - ref)) <= REL * np.max(np.abs(ref))
 
@@ -163,6 +162,17 @@ def test_gradient_and_x_matrices_follow_the_monomial_rules():
                 assert np.array_equal(xmul_matrix(n, k, i), X)
                 if k:
                     assert np.array_equal(diff_matrix(n, k, i), D)
+
+
+def test_jacobian_gather_equals_the_gradient_matrix_product(rng):
+    # one nonzero per row of grad_matrix, so the gather rounds exactly as the matmul
+    for n in range(2, 6):
+        for d in range(1, 9 if n <= 3 else 6):
+            for size, width in ((1, n), (3, n), (2, 1)):
+                C = rng.normal(size=(size, width, len(exps(n, d)))) * 10.0 ** rng.integers(-8, 8, (size, width, 1))
+                C[rng.random(C.shape) < 0.3] = 0.0
+                want = (C @ grad_matrix(n, d).T).reshape(size, width * n, -1)
+                assert np.array_equal(Stack(n, size, width, {d: C}).jac[d - 1], want), (n, d, size, width)
 
 
 def test_zero_block_pruning_keeps_nan_and_drops_signed_zero():
