@@ -8,8 +8,6 @@ circle families, the short homothety and the conformal ellipsoid family.
 import pathlib
 import sys
 
-from spherestab.cli import main
-
 SWEEPS = (
     ("flip", "0.05:1.0:geometric:8"),
     ("stretch", "0.004:0.04:geometric:8"),
@@ -18,6 +16,8 @@ SWEEPS = (
 )
 
 if __name__ == "__main__":
+    from spherestab.cli import main
+
     out = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path("out")
     out.mkdir(parents=True, exist_ok=True)
     for family, sigmas in SWEEPS:

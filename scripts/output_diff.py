@@ -13,6 +13,8 @@ files.  Each side then runs
                                  (all three with --seed of the maps)
     deficits --map M             (every map)
     fit-moebius --map M          (the n = 3 maps)
+    rates --family F --sigmas S  (the four sweeps of optimality_rates.py)
+    stability --family ellipsoid
 
 and every output is compared with the parent's: per CSV column, per JSON
 field and per ``verify`` detail line, the numbers in it are paired in
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_pairs import ROOT, extract_pair, resolve  # noqa: E402
+from optimality_rates import SWEEPS  # noqa: E402
 
 # a number inside a CSV cell, a JSON string or a verify detail line
 NUMBER = re.compile(r"[-+]?(?:nan|inf|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
@@ -181,6 +184,9 @@ def run_outputs(checkout: str, out: str, maps: str, seed: int) -> dict[str, int]
         jobs[f"deficits_{name}.json"] = ["deficits", "--map", path]
         if n == 3:
             jobs[f"fit_{name}.json"] = ["fit-moebius", "--map", path]
+    for family, sigmas in SWEEPS:
+        jobs[f"rates_{family}.csv"] = ["rates", "--family", family, "--sigmas", sigmas]
+    jobs["stability_ellipsoid.csv"] = ["stability", "--family", "ellipsoid"]
     return {f: _run(checkout, [*cmd, "--out", os.path.join(out, f)])
             for f, cmd in jobs.items()}
 

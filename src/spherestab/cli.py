@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import Config, load_config
+from .quadrature import SphereGrid
 
 __all__ = ["main"]
 
@@ -40,46 +41,13 @@ def _parse_sigmas(spec: str) -> list[float]:
         raise ValueError("sigmas must be start:stop:spacing:count")
     start, stop = float(parts[0]), float(parts[1])
     spacing, count = parts[2], int(parts[3])
+    if count < 1:
+        raise ValueError(f"count must be at least 1, not {count}")
     if spacing == "geometric":
         return list(np.geomspace(start, stop, count))
     if spacing == "linear":
         return list(np.linspace(start, stop, count))
     raise ValueError("spacing must be 'geometric' or 'linear'")
-
-
-def _unused_flags(args, names) -> list[str]:
-    return [f"--{name}" for name in names if getattr(args, name) is not None]
-
-
-def _sweep_inputs(args):
-    """The parsed --sigmas and the sweep grid, or None after printing why the sweep cannot run.
-
-    Only the sphere families (n = 3) read a grid; the circle families carry their own.
-    """
-    from .families import family_dimension, sweep_input_error
-
-    n = family_dimension(args.family)
-    unused = _unused_flags(args, ("seed", "tol") + (("resolution",) if n == 2 else ()))
-    if unused:
-        print(f"the {args.family} sweep does not use {', '.join(unused)}", file=sys.stderr)
-        return None
-    cfg = _load_cfg(args, n)  # a bad --config exits 2 for every family
-    try:
-        sigmas = _parse_sigmas(args.sigmas)
-    except ValueError as exc:
-        print(f"bad --sigmas: {exc}", file=sys.stderr)
-        return None
-    problem = sweep_input_error(args.family, sigmas, getattr(args, "theorem", None))
-    if problem:
-        print(f"bad sweep: {problem}", file=sys.stderr)
-        return None
-    if n == 2:
-        return sigmas, None
-    try:
-        return sigmas, cfg.grid(n)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return None
 
 
 def _write_csv(path, header, rows):
@@ -94,66 +62,47 @@ def _write_csv(path, header, rows):
             out.close()
 
 
-def _load_cfg(args, n: int = 3) -> Config:
-    """The config of --config with the --tol, --seed and --resolution
-    overrides; --resolution sets the grid of S^{n-1}."""
+def _load_cfg(args, n: int | None = None) -> tuple[Config, SphereGrid | None]:
+    """The config of --config with the overrides of the flags the command
+    registers, and its grid of S^{n-1} (None without n); --resolution sets
+    that grid."""
     try:
-        cfg = load_config(args.config) if getattr(args, "config", None) else Config()
+        cfg = load_config(args.config) if args.config else Config()
         if getattr(args, "tol", None) is not None:
-            cfg = cfg.with_tolerance(float(args.tol))
-        if getattr(args, "resolution", None) is not None:
-            cfg = replace(cfg, resolutions={**cfg.resolutions, n: int(args.resolution)})
+            cfg = cfg.with_tolerance(args.tol)
         if getattr(args, "seed", None) is not None:
-            cfg = replace(cfg, seed=int(args.seed))
-        return cfg
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+            cfg = replace(cfg, seed=args.seed)
+        if getattr(args, "resolution", None) is not None:
+            cfg = replace(cfg, resolutions={**cfg.resolutions, n: args.resolution})
+        return cfg, None if n is None else cfg.grid(n)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"config error: {exc}") from None
 
 
 def _map_and_grid(args):
-    """The map of --map and the grid it is evaluated on (its own grid if it
-    is sampled, else the config grid of its dimension), or None after
-    printing why there is none."""
+    """The map of --map and the grid it is evaluated on: its own grid if it
+    is sampled, else the config grid of its dimension."""
     from .io import load_json, map_from_dict
 
-    unused = _unused_flags(args, ("seed", "tol"))
-    if unused:
-        print(f"{args.command} does not use {', '.join(unused)}", file=sys.stderr)
-        return None
     try:
         u = map_from_dict(load_json(args.map))
     except (OSError, KeyError, ValueError) as exc:
-        print(f"cannot read map: {exc}", file=sys.stderr)
-        return None
+        raise SystemExit(f"cannot read map: {exc}") from None
     if u.is_sampled and args.resolution is not None:
-        print("a sampled map carries its own grid; --resolution does not apply", file=sys.stderr)
-        return None
-    cfg = _load_cfg(args, u.n)
-    if u.is_sampled:
-        return u, u.grid
-    try:
-        return u, cfg.grid(u.n)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return None
+        raise SystemExit("a sampled map carries its own grid; --resolution does not apply")
+    _, grid = _load_cfg(args, None if u.is_sampled else u.n)
+    return u, u.grid if u.is_sampled else grid
 
 
 def cmd_verify(args) -> int:
     from .verify import ALL_CHECKS, run_checks
 
-    if args.resolution is not None:
-        # its checks run grids of several dimensions; one flag cannot name them all
-        print("verify does not use --resolution; set the grid of each dimension "
-              "in the resolutions table of --config", file=sys.stderr)
-        return 2
-    cfg = _load_cfg(args)
+    cfg, _ = _load_cfg(args)
     if args.only:
         known = {name for name, _ in ALL_CHECKS}
         unknown = [n for n in args.only if n not in known]
         if unknown:
-            print(f"unknown check names: {', '.join(unknown)}", file=sys.stderr)
-            return 2
+            raise SystemExit(f"unknown check names: {', '.join(unknown)}")
     ok, results = run_checks(cfg, names=args.only or None)
     report = {"passed": bool(ok), "checks": results}
     if args.out:
@@ -175,12 +124,10 @@ def cmd_spectrum(args) -> int:
     from .forms import q_n, q_vol, surface_div_sq, tangential_energy
     from .operator import eigenspaces, random_eigenfield
 
-    unused = _unused_flags(args, ("resolution", "tol"))
-    if unused:
-        print(f"spectrum does not use {', '.join(unused)}", file=sys.stderr)
-        return 2
-    cfg = _load_cfg(args)
+    cfg, _ = _load_cfg(args)
     n, kmax = args.n, args.kmax
+    if kmax < 1:
+        raise SystemExit(f"--kmax must be at least 1, not {kmax}")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for k in range(1, kmax + 1):
@@ -188,8 +135,7 @@ def cmd_spectrum(args) -> int:
             spaces = eigenspaces(n, k)
         except IntegrityError as exc:
             # past the degree ceiling (n = 3, k >= 29) the float basis loses the known spectrum
-            print(f"spectrum fails at (n, k) = ({n}, {k}): {exc}", file=sys.stderr)
-            return 2
+            raise SystemExit(f"spectrum fails at (n, k) = ({n}, {k}): {exc}") from None
         for i in (1, 2, 3):
             S = spaces[i - 1]
             if S.dim == 0:
@@ -210,14 +156,25 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """rates and stability: one family sweep as CSV; rates adds the energy and its fitted slope."""
-    from .families import stability_sweep
+    """rates and stability: one family sweep as CSV; rates adds the energy and its fitted slope.
 
-    inputs = _sweep_inputs(args)
-    if inputs is None:
-        return 2
-    sigmas, grid = inputs
-    sweep = stability_sweep(args.family, sigmas, theorem=getattr(args, "theorem", None), grid=grid)
+    Only the sphere families (n = 3) read a grid; the circle families carry their own.
+    """
+    from .families import family_dimension, stability_sweep, sweep_input_error
+
+    n = family_dimension(args.family)
+    if n == 2 and args.resolution is not None:
+        raise SystemExit(f"the {args.family} sweep does not use --resolution")
+    _, grid = _load_cfg(args, None if n == 2 else n)   # a bad --config exits 2 for every family
+    try:
+        sigmas = _parse_sigmas(args.sigmas)
+    except ValueError as exc:
+        raise SystemExit(f"bad --sigmas: {exc}") from None
+    theorem = getattr(args, "theorem", None)
+    problem = sweep_input_error(args.family, sigmas, theorem)
+    if problem:
+        raise SystemExit(f"bad sweep: {problem}")
+    sweep = stability_sweep(args.family, sigmas, theorem=theorem, grid=grid)
     header = ["sigma", "lhs", "delta", "epsilon", "E", "ratio"]
     rows = [[r[h] for h in header] for r in sweep.rows()]
     if args.command == "rates":
@@ -235,16 +192,12 @@ def cmd_fit_moebius(args) -> int:
     from .io import moebius_to_dict
     from .moebius import nearest_moebius
 
-    inputs = _map_and_grid(args)
-    if inputs is None:
-        return 2
-    u, grid = inputs
+    u, grid = _map_and_grid(args)
     try:
         res = nearest_moebius(u, grid)
         E = combined_deficit(u, grid)
     except ValueError as exc:
-        print(f"map not fittable: {exc}", file=sys.stderr)
-        return 2
+        raise SystemExit(f"map not fittable: {exc}") from None
     ratio = res.value / E if E > 0 else float("inf")
     out = {
         "phi": moebius_to_dict(res.phi),
@@ -266,15 +219,11 @@ def cmd_deficits(args) -> int:
 
     from .deficits import deficit_report
 
-    inputs = _map_and_grid(args)
-    if inputs is None:
-        return 2
-    u, grid = inputs
+    u, grid = _map_and_grid(args)
     try:
         rep = asdict(deficit_report(u, grid))
     except ValueError as exc:
-        print(f"cannot evaluate deficits: {exc}", file=sys.stderr)
-        return 2
+        raise SystemExit(f"cannot evaluate deficits: {exc}") from None
     _write_json(args.out, rep)
     return 0
 
@@ -287,63 +236,66 @@ def _write_json(path, obj):
     print(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line, not the usage, and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="spherestab",
-                                description="sphere-map stability toolkit")
+    p = _Parser(prog="spherestab", description="sphere-map stability toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, n_flag=True):
-        sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--tol", type=float, help="override all tolerances")
-        sp.add_argument("--seed", type=int, help="random seed")
-        sp.add_argument("--resolution", type=int, help="grid resolution override")
+    def command(name, fn, summary, config="JSON config file"):
+        """A subcommand with --config and --out; each adds the flags it reads."""
+        sp = sub.add_parser(name, help=summary)
+        sp.add_argument("--config", help=config)
         sp.add_argument("--out", help="output file (default stdout)")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("verify", help="run the invariant suite")
-    common(sp)
+    families = ("flip", "stretch", "ellipsoid", "homothety")
+    sweep_resolution = "grid resolution of S^2 for the sphere families (ellipsoid, homothety)"
+    map_resolution = "grid resolution of the map's sphere (not for sampled maps)"
+
+    sp = command("verify", cmd_verify, "run the invariant suite",
+                 config="JSON config file; its resolutions table sets the grid of each dimension")
+    sp.add_argument("--tol", type=float, help="override all tolerances")
+    sp.add_argument("--seed", type=int, help="random seed")
     sp.add_argument("--only", nargs="*", help="subset of check names")
-    sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("spectrum", help="constant table for the A-eigenspaces")
-    common(sp)
+    sp = command("spectrum", cmd_spectrum, "constant table for the A-eigenspaces")
+    sp.add_argument("--seed", type=int, help="random seed of the eigenfield draws")
     sp.add_argument("--n", type=int, default=3, choices=(2, 3, 4))
     sp.add_argument("--kmax", type=int, default=8)
-    sp.set_defaults(fn=cmd_spectrum)
 
-    sp = sub.add_parser("rates", help="optimality-rate sweep for one family")
-    common(sp)
-    sp.add_argument("--family", required=True,
-                    choices=("flip", "stretch", "ellipsoid", "homothety"))
-    sp.add_argument("--sigmas", default="0.05:0.8:geometric:8",
-                    help="start:stop:spacing:count")
-    sp.set_defaults(fn=cmd_sweep)
+    sp = command("rates", cmd_sweep, "optimality-rate sweep for one family")
+    sp.add_argument("--resolution", type=int, help=sweep_resolution)
+    sp.add_argument("--family", required=True, choices=families)
+    sp.add_argument("--sigmas", default="0.05:0.8:geometric:8", help="start:stop:spacing:count")
 
-    sp = sub.add_parser("stability", help="stability-ratio sweep")
-    common(sp)
-    sp.add_argument("--family", required=True,
-                    choices=("flip", "stretch", "ellipsoid", "homothety"))
+    sp = command("stability", cmd_sweep, "stability-ratio sweep")
+    sp.add_argument("--resolution", type=int, help=sweep_resolution)
+    sp.add_argument("--family", required=True, choices=families)
     sp.add_argument("--theorem", choices=("isometric", "conformal"))
     sp.add_argument("--sigmas", default="0.05:0.5:geometric:6")
-    sp.set_defaults(fn=cmd_sweep)
 
-    sp = sub.add_parser("fit-moebius", help="nearest-Moebius fit for a map file")
-    common(sp)
-    sp.add_argument("--map", required=True, help="map JSON file")
-    sp.set_defaults(fn=cmd_fit_moebius)
-
-    sp = sub.add_parser("deficits", help="full deficit report for a map file")
-    common(sp)
-    sp.add_argument("--map", required=True, help="map JSON file")
-    sp.set_defaults(fn=cmd_deficits)
+    for name, fn, summary in (("fit-moebius", cmd_fit_moebius, "nearest-Moebius fit for a map file"),
+                              ("deficits", cmd_deficits, "full deficit report for a map file")):
+        sp = command(name, fn, summary)
+        sp.add_argument("--resolution", type=int, help=map_resolution)
+        sp.add_argument("--map", required=True, help="map JSON file")
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except SystemExit as exc:
+    except SystemExit as exc:   # usage and input errors; a string code is the one-line reason
+        if isinstance(exc.code, str):
+            print(exc.code, file=sys.stderr)
         return exc.code if isinstance(exc.code, int) else 2
 
 

@@ -75,8 +75,8 @@ def _check_parameter(family: str, sigma: float) -> None:
         raise ValueError(problem)
 
 
-def _circle_map(theta_breaks, u_of_theta, du_of_theta, points_per_segment=48) -> SphereMap:
-    grid = build_circle_grid_segmented(np.asarray(theta_breaks), points_per_segment)
+def _circle_map(theta_breaks, u_of_theta, du_of_theta) -> SphereMap:
+    grid = build_circle_grid_segmented(np.asarray(theta_breaks), 48)
     theta = np.arctan2(grid.nodes[:, 1], grid.nodes[:, 0]) % (2.0 * np.pi)
     U = u_of_theta(theta)
     dU = du_of_theta(theta)

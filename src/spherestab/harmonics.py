@@ -321,19 +321,16 @@ class HarmonicEnergyReport:
     bounds_ok: bool
 
 
-def harmonic_energy_check(u: SphereMap, kmax: int | None = None,
-                          grid: SphereGrid | None = None, tol: float = 1e-9) -> HarmonicEnergyReport:
-    """Energies of the harmonic extension and the extension inequalities.
+def harmonic_energy_check(u: SphereMap) -> HarmonicEnergyReport:
+    """Energies of the harmonic extension of a poly map and the extension inequalities.
 
-    ball <= n/(n-1) * tangential <= surface <= 2 * tangential, with
+    ball <= n/(n-1) * tangential <= surface <= 2 * tangential to 1e-9, with
     equalities tight on degree-1 fields.
     """
     n = u.n
-    if kmax is None:
-        if not u.is_poly:
-            raise ValueError("kmax required for non-poly maps")
-        kmax = u.degree()
-    e = analyze(u, kmax, grid=grid)
+    if not u.is_poly:
+        raise ValueError("the harmonic energy check needs a poly map")
+    e = analyze(u, u.degree())
     ball = surface = tang = 0.0
     for k, blk in e.blocks.items():
         if k == 0:
@@ -344,5 +341,6 @@ def harmonic_energy_check(u: SphereMap, kmax: int | None = None,
         surface += (lam + k * k) * nrm
         tang += lam * nrm
     c = n / (n - 1)
+    tol = 1e-9
     ok = (ball <= c * tang + tol) and (c * tang <= surface + tol) and (surface <= 2 * tang + tol)
     return HarmonicEnergyReport(ball, surface, tang, ok)

@@ -108,9 +108,9 @@ class Stack:
                     blocks[d][b, i] = v
         return cls(n, len(fields), width, blocks)
 
-    def polys(self, b: int = 0) -> list[Poly]:
-        """Components of field b as Polys (the blocks are not copied)."""
-        return [Poly.from_blocks(self.n, {d: C[b, i] for d, C in self.blocks.items()})
+    def polys(self) -> list[Poly]:
+        """Components of the first field as Polys (the blocks are not copied)."""
+        return [Poly.from_blocks(self.n, {d: C[0, i] for d, C in self.blocks.items()})
                 for i in range(self.width)]
 
     def integral(self) -> np.ndarray:

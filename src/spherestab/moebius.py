@@ -280,7 +280,10 @@ def _boost_coefficients(s: float) -> tuple[float, float, float, float]:
     if s < _SERIES_CUTOFF:
         t = s * s
         return tuple(c0 + t * (c1 + t * (c2 + t * (c3 + t * c4))) for c0, c1, c2, c3, c4 in _BOOST_SERIES)
-    sh, ch = math.sinh(s), math.cosh(s)
+    try:
+        sh, ch = math.sinh(s), math.cosh(s)
+    except OverflowError:                      # s past about 710: outside the domain, like a degenerate D'
+        raise ValueError("boost too large") from None
     half = 2.0 * math.sinh(0.5 * s) ** 2       # cosh s - 1 without cancellation
     return sh / s, half / s**2, (s * ch - sh) / s**3, (s * sh - 2.0 * half) / s**4
 
@@ -304,14 +307,6 @@ def _boost_parts(v: np.ndarray, X: np.ndarray):
 def _jv(J: np.ndarray, c: np.ndarray) -> np.ndarray:
     """J c per node for Jacobians J (N, m, 3) and a 3-vector or (N, 3) rows c."""
     return J[:, :, 0] * c[..., 0:1] + J[:, :, 1] * c[..., 1:2] + J[:, :, 2] * c[..., 2:3]
-
-
-def _grid_sample(u: SphereMap, grid: SphereGrid, unit_norm: bool = False):
-    """u and a thunk for its Jacobians at the nodes; fails at once without gradient data."""
-    _, _, U, J = _node_data(u, grid)
-    if unit_norm and np.max(np.abs(np.linalg.norm(U, axis=1) - 1.0)) > 1e-6:
-        raise ValueError("recentering expects a unit-norm map")
-    return U, lambda: J
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +351,19 @@ def _psi(U: np.ndarray, grid: SphereGrid) -> np.ndarray:
     return np.concatenate([skew, np.einsum("ig,igl->l", alpha, dcoef) / grid.n])
 
 
-def _damped_newton(residual, move, x, first, tol: float, max_iter: int = 40):
+def _damped_newton(residual, move, x, first, tol: float):
     """Damped Newton on residual(x) = (f, jac), jac() the Jacobian of f with
     respect to the step d of move(x, d).
 
-    From x with first = residual(x), each step solves J d = -f (least squares
-    if J is singular) and halves d, at most 12 times, until |f| decreases (a
-    ValueError of residual counts as no decrease).  Returns (x, |f|,
+    From x with first = residual(x), each of at most 40 steps solves J d = -f
+    (least squares if J is singular) and halves d, at most 12 times, until
+    |f| decreases (a ValueError of residual counts as no decrease).  Returns (x, |f|,
     iterations, nfev, njev): steps taken, residual and Jacobian evaluations.
     """
     (f, jac), first = first, None
     norm = float(np.linalg.norm(f))
     it = nfev = njev = 0
-    while norm > tol and it < max_iter:
+    while norm > tol and it < 40:
         J = jac()
         jac = jn = None                      # drop the point's samples before the line search
         njev += 1
@@ -403,7 +398,7 @@ def _chart_residual(u: SphereMap, grid: SphereGrid, reduce, turns: bool):
     and reduce(Du(y) R dphi_v/dv_k), contracted one (N, 3) array at a time:
     dphi_v/dv_k = q ((beta <v, x> - h) e_k + (beta x_k + (delta <v, x> - gamma) v_k) v - (dD'/dv_k) phi)
     with dD'/dv_k = h v_k - h x_k - gamma <v, x> v_k.  residual(state, sample)
-    takes the values and Jacobian thunk of u at y when they are known.
+    takes the values and Jacobians of u at y when they are known.
     """
     X = grid.nodes
 
@@ -413,7 +408,11 @@ def _chart_residual(u: SphereMap, grid: SphereGrid, reduce, turns: bool):
         qc = q[:, None]
         Y *= qc                              # phi_v, in place of N'
         Y = Y @ R.T
-        U, jac = sample or u.values_and_jacobians(Y)
+        if sample is None:
+            U, jac = u.values_and_jacobians(Y)
+        else:
+            U, J_known = sample
+            jac = lambda: J_known            # holds the Jacobians alone: U goes when residual returns
 
         def jacobian():
             J = jac()
@@ -429,8 +428,7 @@ def _chart_residual(u: SphereMap, grid: SphereGrid, reduce, turns: bool):
     return residual
 
 
-def recenter(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-8,
-             require_unit_norm: bool = True) -> MoebiusMap:
+def recenter(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-8) -> MoebiusMap:
     """Find phi_v with avg u compose phi_v = 0, in the boost chart v = log(lam) xi.
 
     For unit-norm degree +-1 maps a zero exists.  Damped Newton on the
@@ -441,17 +439,29 @@ def recenter(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-8,
     if u.n != 3:
         raise ValueError("recentering implemented on S^2")
     g = _grid_for(u, grid)
+
+    def sample():
+        _, _, U, J = _node_data(u, g)
+        if np.max(np.abs(np.linalg.norm(U, axis=1) - 1.0)) > 1e-6:
+            raise ValueError("recentering expects a unit-norm map")
+        return U, J
+
+    return _recenter(u, g, tol, sample)
+
+
+def _recenter(u: SphereMap, g: SphereGrid, tol: float, sample0) -> MoebiusMap:
+    """`recenter` of u on the grid g; sample0() gives the values and Jacobians of u at its nodes."""
     residual = _chart_residual(u, g, lambda U: g.weights @ U, turns=False)
     I = np.eye(3)
     counts = np.zeros(3, dtype=int)            # Newton steps, residual and Jacobian evaluations
 
-    def newton(v0, start=None):               # start() samples u at v0; not held by the solve
+    def newton(v0, sample=None):              # sample(): u at phi_v0, taken here so the solve does not hold it
         (_, v), nrm, *run = _damped_newton(residual, lambda x, d: (I, x[1] + d), (I, v0),
-                                           start() if start else residual((I, v0)), tol)
+                                           residual((I, v0), sample and sample()), tol)
         counts[:] += [run[0], run[1] + 1, run[2]]
         return v, nrm
 
-    v, nrm = newton(np.zeros(3), lambda: residual((I, np.zeros(3)), _grid_sample(u, g, require_unit_norm)))
+    v, nrm = newton(np.zeros(3), sample0)
     if nrm > tol:
         b = residual((I, np.zeros(3)))[0]
         ladder = np.outer([-1.0, 1.0], b / np.linalg.norm(b))
@@ -500,7 +510,7 @@ def gauge_fix(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-7) -
     start = (np.eye(3), np.zeros(3))
     (R, v), nrm, it, nfev, njev = _damped_newton(
         residual, lambda x, d: (_rotation_from_axis_angle(d[:3]) @ x[0], x[1] + d[3:]),
-        start, residual(start, _grid_sample(u, g)), tol)
+        start, residual(start, _node_data(u, g)[2:]), tol)
     if nrm > tol:
         D = tangential_jacobians(u.jac(g.nodes), g.nodes) - projectors(g.nodes)
         dist = math.sqrt(integrate(g, np.sum(D * D, axis=(1, 2))))
@@ -674,23 +684,23 @@ def nearest_moebius(u: SphereMap, grid: SphereGrid | None = None) -> NearestMoeb
         volume = integrate(g, volume_integrand(U, J_u, X))
     if abs(volume) <= 1e-10:
         raise ValueError("signed volume vanishes; no Moebius fit")
-    TJ_u = tangential_jacobians(J_u, X)
     radius = np.linalg.norm(U, axis=1)
-    del U, J_u                               # not held through the recentring
-    a = integrate(g, np.einsum("aik,aik->a", TJ_u, TJ_u))
 
-    # start: the inverse of the recentring of u/r0
+    # start: the inverse of the recentring of u/r0, from this sample
     recentred = False
     v0 = np.zeros(3)
     r0 = integrate(g, radius)
     if not u.is_sampled and r0 > 1e-10 and np.max(np.abs(radius / r0 - 1.0)) < 0.3:
         try:
             # the mean of u/r0 is below 1e-8 where the mean of u is below 1e-8 r0
-            start = inverse(recenter(u, g, tol=1e-8 * r0, require_unit_norm=False))
+            start = inverse(_recenter(u, g, 1e-8 * r0, lambda: (U, J_u)))
             v0 = np.log(start.lam) * start.xi
             recentred = True
         except SolverError:
             pass
+    TJ_u = tangential_jacobians(J_u, X)      # after the recentring, which holds the sample
+    del U, J_u                               # not held through the boost search
+    a = integrate(g, np.einsum("aik,aik->a", TJ_u, TJ_u))
 
     def objective(v):
         try:

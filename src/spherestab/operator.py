@@ -226,32 +226,24 @@ class EigenField:
     i: int  # 1, 2 or 3
 
 
-def random_eigenfield(n: int, k: int, i: int, rng: np.random.Generator,
-                      normalize: str = "energy") -> EigenField:
-    """Random unit element of the (k, i) eigenspace of A.
-
-    normalize = "energy" scales to unit tangential energy, "l2" to unit L2.
-    """
+def random_eigenfield(n: int, k: int, i: int, rng: np.random.Generator) -> EigenField:
+    """Random element of the (k, i) eigenspace of A with unit tangential energy."""
     S = eigenspaces(n, k)[i - 1]
     if S.dim == 0:
         raise ValueError(f"eigenspace ({n},{k},{i}) is trivial")
     c = rng.normal(size=S.dim)
     c /= np.linalg.norm(c)
-    if normalize == "energy":
-        c /= np.sqrt(laplace_eigenvalue(n, k))
+    c /= np.sqrt(laplace_eigenvalue(n, k))
     return EigenField(S.element(c), n, k, i)
 
 
-def random_h_field(n: int, kmax: int, rng: np.random.Generator,
-                   exclude_kernel: bool = False) -> SphereMap:
+def random_h_field(n: int, kmax: int, rng: np.random.Generator) -> SphereMap:
     """Random element of the degree-truncated H_n with N(0,1) block weights."""
     total = None
     for k in range(1, kmax + 1):
         for i in (1, 2, 3):
             S = eigenspaces(n, k)[i - 1]
             if S.dim == 0:
-                continue
-            if exclude_kernel and ((k, i) == (1, 2) or (k, i) == (2, 3)):
                 continue
             piece = S.element(rng.normal(size=S.dim))
             total = piece if total is None else total + piece

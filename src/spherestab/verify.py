@@ -78,11 +78,12 @@ from .spheremap import identity_map, stack_map
 __all__ = ["ALL_CHECKS", "run_checks"]
 
 
-def _random_poly_field(n, rng, kmax=3, scale=0.3):
-    blocks = {d: np.empty((1, n, len(exps(n, d)))) for d in range(kmax + 1)}
+def _random_poly_field(n, rng):
+    """A map S^{n-1} -> R^n of degree 3 with N(0, 0.3^2) coefficients."""
+    blocks = {d: np.empty((1, n, len(exps(n, d)))) for d in range(4)}
     for i in range(n):
-        for d in range(kmax + 1):
-            blocks[d][0, i] = [rng.normal() * scale for _ in exps(n, d)]
+        for d in range(4):
+            blocks[d][0, i] = [rng.normal() * 0.3 for _ in exps(n, d)]
     return stack_map(Stack(n, 1, n, blocks))
 
 
@@ -386,7 +387,7 @@ def check_coercivity(cfg: Config):
     rng = np.random.default_rng(cfg.seed + 12)
     worst = np.inf
     for _ in range(10):
-        w = random_h_field(3, 5, rng, exclude_kernel=False)
+        w = random_h_field(3, 5, rng)
         worst = min(worst, coercivity_ratio(w))
     ok = worst >= 0.25 - 1e-8
     return ok, f"min coercivity ratio {worst:.6f} (sharp bound 0.25)"

@@ -145,9 +145,12 @@ def test_cli_spectrum_past_degree_ceiling(tmp_path, capsys):
     ["stability", "--family", "stretch", "--sigmas", "0.01:0.1:geometric:3", "--resolution", "8"],
 ])
 def test_cli_sweeps_refuse_unused_flags(argv, capsys):
+    # no sweep reads --seed or --tol (argparse refuses them); the circle
+    # families (flip, stretch) carry their own grids and refuse --resolution
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "does not use --" in err
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert all(flag in err for flag in argv if flag in ("--seed", "--tol", "--resolution"))
 
 
 @pytest.mark.parametrize("flags, named", [
@@ -159,7 +162,8 @@ def test_cli_spectrum_refuses_unused_flags(flags, named, tmp_path, capsys):
     out = tmp_path / "spec.csv"
     assert main(["spectrum", "--n", "3", "--kmax", "3", "--out", str(out)] + flags) == 2
     err = capsys.readouterr().err
-    assert err == f"spectrum does not use {named}\n"
+    assert err.count("\n") == 1 and err.startswith("spherestab: error: unrecognized arguments: ")
+    assert all(flag in err for flag in named.split(", "))
     assert not out.exists()
     # the seed is read: it picks the eigenfield draws
     assert main(["spectrum", "--n", "3", "--kmax", "3", "--seed", "7", "--out", str(out)]) == 0
@@ -198,6 +202,21 @@ def test_cli_fit_moebius(tmp_path):
     assert fit["converged"] is True and fit["nfev"] > 0
     # the diagonal ellipsoid is symmetric about v = 0: one evaluation, no step
     assert fit["iterations"] == 0 and 0 <= fit["grad_norm"] <= 1e-9
+
+
+def test_cli_fit_moebius_survives_boosts_past_float_range(tmp_path):
+    # from v = 0 a Newton step of the recentring start lands past |v| = 710,
+    # where sinh overflows; the step counts as outside the domain
+    A = np.array([[0.518, 0.599, 0.04], [-0.292, 0.218, -0.257], [0.008, -0.276, 2.294]])
+    b = np.array([1.51, -4.067, -2.834])
+    comps = [{"n": 3, "terms": [{"exponents": [0, 0, 0], "coeff": b[i]}]
+              + [{"exponents": [int(j == l) for j in range(3)], "coeff": A[i, l]} for l in range(3)]}
+             for i in range(3)]
+    mp = tmp_path / "affine.json"
+    save_json({"n": 3, "m": 3, "backing": "poly", "components": comps}, str(mp))
+    out = tmp_path / "fit.json"
+    assert main(["fit-moebius", "--map", str(mp), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["converged"] is True
 
 
 _FIT_PATH_SCRIPT = """
@@ -262,7 +281,7 @@ def test_package_does_not_import_scipy(tmp_path):
     assert out.read_text().count("\n") > 1
 
 
-def test_cli_bad_inputs(tmp_path):
+def test_cli_bad_inputs(tmp_path, capsys):
     assert main(["rates", "--family", "flip", "--sigmas", "nonsense"]) == 2
     # sigmas outside the family's domain, and a theorem the family cannot take
     assert main(["rates", "--family", "stretch"]) == 2
@@ -286,9 +305,39 @@ def test_cli_bad_inputs(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["verify", "--config", str(bad), "--only"]) == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["bogus-command"])
-    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["bogus-command"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'bogus-command'" in err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("verify", {"--tol", "--seed"}),
+    ("spectrum", {"--seed"}),
+    ("rates", {"--resolution"}),
+    ("stability", {"--resolution"}),
+    ("fit-moebius", {"--resolution"}),
+    ("deficits", {"--resolution"}),
+])
+def test_cli_help_lists_only_the_flags_each_command_reads(command, flags, capsys):
+    assert main([command, "--help"]) == 0
+    listed = set(capsys.readouterr().out.split())
+    assert {"--config", "--out"} <= listed
+    assert listed & {"--tol", "--seed", "--resolution"} == flags
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--kmax", "0"],
+    ["spectrum", "--kmax", "-2"],
+    ["rates", "--family", "flip", "--sigmas", "0.1:0.2:geometric:0"],
+    ["stability", "--family", "homothety", "--sigmas", "0.1:0.2:geometric:0"],
+])
+def test_cli_refuses_empty_tables(argv, tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "at least 1" in captured.err
+    assert not out.exists()
 
 
 def _linear_components(n: int, width: int, entries: int) -> list[dict]:
@@ -355,10 +404,13 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 def test_cli_map_commands_refuse_unused_flags(command, flags, named, tmp_path, capsys):
     mp = tmp_path / "ell.json"
     save_json(map_to_dict(linear_map(np.diag([1.0, 1.0, 1.1]))), str(mp))
+    out = tmp_path / "out.json"
     capsys.readouterr()
-    assert main([command, "--map", str(mp)] + flags) == 2
+    assert main([command, "--map", str(mp), "--out", str(out)] + flags) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"does not use {named}" in err
+    assert err.count("\n") == 1 and err.startswith("spherestab: error: unrecognized arguments: ")
+    assert all(flag in err for flag in named.split(", "))
+    assert not out.exists()
 
 
 def test_cli_deficits_resolution_applies_to_the_map_dimension(tmp_path):
@@ -431,9 +483,10 @@ def test_cli_verify_refuses_resolution(tmp_path, capsys):
     rep = tmp_path / "report.json"
     assert main(["verify", "--resolution", "8", "--only", "quadrature.exactness", "--out", str(rep)]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("verify does not use --resolution")
-    assert "resolutions table of --config" in err
+    assert err == "spherestab: error: unrecognized arguments: --resolution 8\n"
     assert not rep.exists()
+    assert main(["verify", "--help"]) == 0
+    assert "resolutions table sets the grid of each dimension" in " ".join(capsys.readouterr().out.split())
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"resolutions": {"3": 8}}))
     assert main(["verify", "--config", str(cfg), "--only", "quadrature.exactness", "--out", str(rep)]) == 0

@@ -242,8 +242,8 @@ def test_nearest_moebius_exact_target(grid3, rng):
 
 
 def test_nearest_moebius_samples_a_callable_map_once_before_recentring(grid3, rng):
-    # one grid sample (values and Jacobians) gives the fit data and the
-    # signed-volume check; the recentring samples again from v = 0
+    # one grid sample (values and Jacobians) gives the fit data, the
+    # signed-volume check and the recentring's start at v = 0
     xi = rng.normal(size=3)
     tgt = MoebiusMap(3, np.eye(3), xi / np.linalg.norm(xi), 2.0)
     evals = {"map_evals": 0}
@@ -258,7 +258,7 @@ def test_nearest_moebius_samples_a_callable_map_once_before_recentring(grid3, rn
                      counted(lambda P: 3.0 * moebius_jacobian(tgt, P)))
     res = nearest_moebius(u, grid3)
     assert res.recentred and res.converged and abs(res.lam - 3.0) < 1e-12
-    assert evals["map_evals"] <= 9
+    assert evals["map_evals"] <= 7
 
 
 def test_nearest_moebius_identity(grid3):
@@ -531,6 +531,57 @@ def test_nearest_moebius_recentres_callable_maps(grid3, rng):
     # the recentring start needs the Jacobians of u, which the callable map carries
     res = nearest_moebius(_perturbed_moebius(rng, 0.05), grid3)
     assert res.recentred and res.converged
+
+
+def _bent_moebius(ti, li, rep):
+    """u = f o phi / |f o phi| with f(y) = y + t Q q(y), q_i(y) = y^t C_i y, as a
+    callable map with chain-rule Jacobians.  (t, lam) = ((0.3, 0.6, 0.9, 1.2)[ti],
+    (2, 5, 10, 20)[li]); C (symmetric in its last two axes), the orthogonal Q
+    and phi, a Moebius map of dilation lam, are drawn from the seed [ti, li, rep]."""
+    t, lam = (0.3, 0.6, 0.9, 1.2)[ti], (2.0, 5.0, 10.0, 20.0)[li]
+    rng = np.random.default_rng([ti, li, rep])
+    C = rng.normal(size=(3, 3, 3))
+    C = 0.5 * (C + C.transpose(0, 2, 1))
+    Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    phi = random_moebius(rng, lam_range=(lam, lam), rotate=True)
+
+    def f(Y):
+        return Y + t * np.einsum("ikl,ak,al->ai", C, Y, Y) @ Q.T
+
+    def value(X):
+        Z = f(moebius_apply(phi, X))
+        return Z / np.linalg.norm(Z, axis=1, keepdims=True)
+
+    def jac(X):
+        Y = moebius_apply(phi, X)
+        Z = f(Y)
+        r = np.linalg.norm(Z, axis=1)
+        Zh = Z / r[:, None]
+        Df = np.eye(3) + 2.0 * t * np.einsum("ij,jkl,al->aik", Q, C, Y)
+        Dn = (np.eye(3) - Zh[:, :, None] * Zh[:, None, :]) / r[:, None, None]
+        return Dn @ Df @ moebius_jacobian(phi, X)
+
+    return callable_map(3, 3, value, jac)
+
+
+@pytest.mark.parametrize("case, runs", [([3, 0, 7], range(2, 6)), ([3, 1, 18], [6])], ids=["ladder", "sweep"])
+def test_recenter_rescues_a_stalled_newton(case, runs, grid3, monkeypatch):
+    # Newton from v = 0 stalls on both maps; the ladder along the mean rescues
+    # the first within its 4 Newton runs, the coarse sweep the second in its one
+    import spherestab.moebius as moebius
+
+    u = _bent_moebius(*case)
+    I = np.eye(3)
+    residual = moebius._chart_residual(u, grid3, lambda U: grid3.weights @ U, turns=False)
+    stalled = moebius._damped_newton(residual, lambda x, d: (I, x[1] + d), (I, np.zeros(3)),
+                                     residual((I, np.zeros(3))), 1e-8)[1]
+    assert stalled > 0.1
+    runs_made = []
+    newton = moebius._damped_newton
+    monkeypatch.setattr(moebius, "_damped_newton", lambda *args: runs_made.append(args[2]) or newton(*args))
+    phi = recenter(u, grid3)
+    assert len(runs_made) in runs
+    assert np.linalg.norm(grid3.weights @ u.eval(moebius_apply(phi, grid3.nodes))) <= 1e-8
 
 
 def test_recenter_failure_reports_the_solve(grid3):
