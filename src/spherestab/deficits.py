@@ -77,7 +77,7 @@ def _dirichlet(u: SphereMap, b: NodeBundle) -> float:
 
 def _top_gap(b: NodeBundle) -> np.ndarray:
     """Largest stretch - 1 per node."""
-    return b.stretches[:, -1] - 1.0
+    return b.stretches[-1] - 1.0
 
 
 def _delta(b: NodeBundle) -> float:
@@ -91,7 +91,7 @@ def _stretch_norm(b: NodeBundle) -> float:
 
 
 def _delta_isom(b: NodeBundle) -> float:
-    return float(np.sqrt(b.integral(np.sum((b.stretches - 1.0) ** 2, axis=1))))
+    return float(np.sqrt(b.integral(np.sum((b.stretches - 1.0) ** 2, axis=0))))
 
 
 def principal_stretches(G: np.ndarray) -> np.ndarray:

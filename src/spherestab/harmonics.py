@@ -243,8 +243,8 @@ def analyze(u: SphereMap, kmax: int, grid: SphereGrid | None = None) -> Harmonic
         w = grid.weights
         for k in range(kmax + 1):
             S = scalar_basis_coeffs(n, k)
-            vals = evaluate([(S.shape[0], {k: S})], X)  # (N, G)
-            blocks[k] = (U.T * w) @ vals
+            vals = evaluate([(S.shape[0], {k: S})], X)  # (G, N)
+            blocks[k] = (U.T * w) @ vals.T
     return HarmonicExpansion(n, m, kmax, blocks, warn_flag)
 
 
@@ -284,7 +284,7 @@ def harmonic_extension_eval(e: HarmonicExpansion, point: np.ndarray) -> np.ndarr
             out += blk[:, 0]  # constant harmonic is identically 1
             continue
         S = scalar_basis_coeffs(e.n, k)
-        out += blk @ evaluate([(S.shape[0], {k: S})], point)[0]
+        out += blk @ evaluate([(S.shape[0], {k: S})], point)[:, 0]
     return out
 
 

@@ -328,7 +328,7 @@ def _psi_tables(grid: SphereGrid):
     n, S = grid.n, scalar_basis_coeffs(grid.n, 2)
     grads = (S @ grad_matrix(n, 2).T).reshape(-1, n, n)      # [g, i]: d_i psi_g over exps(n, 1)
     dcoef = np.ascontiguousarray(linear_order(grads.transpose(1, 0, 2)))
-    return evaluate([(S.shape[0], {2: S})], grid.nodes).T, dcoef
+    return evaluate([(S.shape[0], {2: S})], grid.nodes), dcoef
 
 
 def psi_functional(v: SphereMap, grid: SphereGrid) -> np.ndarray:
@@ -456,22 +456,21 @@ def _recenter(u: SphereMap, g: SphereGrid, tol: float, sample0) -> MoebiusMap:
     counts = np.zeros(3, dtype=int)            # Newton steps, residual and Jacobian evaluations
 
     def newton(v0, sample=None):              # sample(): u at phi_v0, taken here so the solve does not hold it
-        (_, v), nrm, *run = _damped_newton(residual, lambda x, d: (I, x[1] + d), (I, v0),
-                                           residual((I, v0), sample and sample()), tol)
+        first = [residual((I, v0), sample and sample())]   # popped into the solve, which drops its Jacobians
+        f0 = first[0][0]                                   # the residual at v0: the ladder's direction
+        (_, v), nrm, *run = _damped_newton(residual, lambda x, d: (I, x[1] + d), (I, v0), first.pop(), tol)
         counts[:] += [run[0], run[1] + 1, run[2]]
-        return v, nrm
+        return v, nrm, f0
 
-    v, nrm = newton(np.zeros(3), sample0)
+    v, nrm, b = newton(np.zeros(3), sample0)
     if nrm > tol:
-        b = residual((I, np.zeros(3)))[0]
         ladder = np.outer([-1.0, 1.0], b / np.linalg.norm(b))
-        counts[1] += 1
         coarse = build_sphere_grid(3, 8).nodes
         for poles, scales, tries in ((ladder, (0.15, 6.0, 9), 4), (coarse[:: len(coarse) // 64], (0.1, 10.0, 11), 1)):
             starts = [s0 * xi0 for xi0 in poles for s0 in np.log(np.geomspace(*scales))]
             counts[1] += len(starts)
             for v0 in sorted(starts, key=lambda v0: np.linalg.norm(residual((I, v0))[0]))[:tries]:
-                v, nrm = newton(v0)
+                v, nrm, _ = newton(v0)
                 if nrm <= tol:
                     return _boost_moebius(I, v)
         raise SolverError(

@@ -190,7 +190,7 @@ def project_kernel(w: SphereMap, grid=None) -> SphereMap:
     parts = [(S.dim * n, {S.k: S.coeffs}) for S in (k12, k23)]
     if J is not None:
         parts += [(S.dim * n * n, Stack(n, S.dim, n, {S.k: S.coeffs}).jac) for S in (k12, k23)]
-    table = evaluate(parts, X)
+    table = evaluate(parts, X).T
     dim = k12.dim + k23.dim
     BV = table[:, : dim * n].reshape(-1, dim, n)
     c = np.array([integrate(g, f) for f in np.einsum("ai,abi->ba", U, BV)])

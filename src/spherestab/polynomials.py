@@ -306,7 +306,7 @@ class Poly:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at points, shape (N, n) or (n,)."""
-        out = evaluate([(1, self.blocks)], points)[:, 0]
+        out = evaluate([(1, self.blocks)], points)[0]
         if np.ndim(points) == 1:
             return out[0]
         return out
@@ -341,16 +341,18 @@ class Poly:
 
 
 def evaluate(parts: Sequence[tuple[int, Mapping[int, np.ndarray]]], points: np.ndarray) -> np.ndarray:
-    """Values at points (N, n) of batches of polynomials given by coefficient rows, shape (N, total width).
+    """Values at points (N, n) of batches of polynomials given by coefficient rows,
+    node-last: shape (total width, N).
 
     A part (w, blocks) holds w polynomials: ``blocks[d]``, reshaped to
     (w, M_d), has in row j the degree-d block of polynomial j over
-    ``exps(n, d)``.  The parts fill consecutive columns of the result.  The
-    coefficients are stacked into one matrix; per chunk of nodes, one table
-    of all monomials up to the top degree times that matrix gives every
-    value.  The table is built node-last, (monomials, nodes), from powers
-    laid out (n, kmax+1, nodes), so every gather copies a row; its entries
-    are the products x_0^e0 x_1^e1 ... taken in that order.
+    ``exps(n, d)``.  The parts fill consecutive rows of the result.  The
+    coefficients are stacked into one matrix; per chunk of nodes, that
+    matrix transposed times one table of all monomials up to the top
+    degree gives every value.  The table is built node-last, (monomials,
+    nodes), from powers laid out (n, kmax+1, nodes), so every gather copies
+    a row; its entries are the products x_0^e0 x_1^e1 ... taken in that
+    order.  Row-major callers take the transpose.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[1]
@@ -363,7 +365,7 @@ def evaluate(parts: Sequence[tuple[int, Mapping[int, np.ndarray]]], points: np.n
             o = math.comb(n + d - 1, n)  # monomials of degree < d precede block d
             C[o : o + v.shape[-1], col : col + w] = v.reshape(w, -1).T
         col += w
-    out = np.empty((pts.shape[0], C.shape[1]))
+    out = np.empty((C.shape[1], pts.shape[0]))
     for s in range(0, pts.shape[0], _CHUNK):
         chunk = pts[s : s + _CHUNK].T
         powers = np.empty((n, kmax + 1, chunk.shape[1]))
@@ -373,5 +375,5 @@ def evaluate(parts: Sequence[tuple[int, Mapping[int, np.ndarray]]], points: np.n
         table = powers[0, E[:, 0]]
         for i in range(1, n):
             table *= powers[i, E[:, i]]
-        out[s : s + _CHUNK] = table.T @ C
+        np.matmul(C.T, table, out=out[:, s : s + _CHUNK])
     return out

@@ -174,7 +174,7 @@ def build_ball_grid(n: int, resolution: int) -> BallGrid:
     return BallGrid(n, nodes, weights, exactness=exact)
 
 
-def build_circle_grid_segmented(breakpoints: np.ndarray, points_per_segment: int = 32) -> SphereGrid:
+def build_circle_grid_segmented(breakpoints: np.ndarray, points_per_segment: int) -> SphereGrid:
     """Gauss-Legendre panels on S^1 between consecutive breakpoint angles.
 
     Breakpoints must cover [0, 2*pi] after sorting (first 0, last 2*pi not

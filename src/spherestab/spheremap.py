@@ -13,8 +13,9 @@ A = J E = J[:, :-1] - (2/|v|^2) (J v) v[:-1]^t:
 
     first fundamental form   G = A^t A, (n-1) x (n-1)
     principal stretches      square roots of the eigenvalues of G: one
-                             hypot rotation at n = 3, cyclic Jacobi
-                             sweeps over all nodes at once for n >= 4
+                             hypot rotation at n = 3, the closed
+                             trigonometric form at n = 4, cyclic Jacobi
+                             sweeps over all nodes at once only for n >= 5
     perimeter density        sqrt(det G)
     Dirichlet density        (tr G / (n-1))^((n-1)/2)
     volume-form integrand    det([A | u]) s = det(J P + u x^t)
@@ -27,7 +28,11 @@ volume +1 in every dimension.
 
 :func:`node_bundle` computes the densities of one map on one grid once;
 the bundle of the last poly-backed map asked for is kept in a single
-slot, so the report and the standalone functionals sample it once.
+slot, so the report and the standalone functionals sample it once.  The
+bundle works node-last: a poly map's values (m, N) and Jacobians
+(m, n, N) are slices of its monomial table, and the samples of other maps
+are transposed once on entry.  The public kernels take and return the
+row-major arrays of :meth:`SphereMap.sample`.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -121,7 +127,7 @@ class SphereMap:
         """Values at arbitrary points, shape (N, m)."""
         pts = np.atleast_2d(points)
         if self.is_poly:
-            return evaluate([(self.m, self.backing.blocks)], pts)
+            return evaluate([(self.m, self.backing.blocks)], pts).T.copy()
         if isinstance(self.backing, CallableBacking):
             return np.asarray(self.backing.value_fn(pts))
         raise TypeError("sampled maps only carry values at their own grid nodes")
@@ -130,7 +136,8 @@ class SphereMap:
         """Ambient Jacobians at arbitrary points, shape (N, m, n)."""
         pts = np.atleast_2d(points)
         if self.is_poly:
-            return evaluate([(self.m * self.n, self.backing.jac)], pts).reshape(-1, self.m, self.n)
+            J = evaluate([(self.m * self.n, self.backing.jac)], pts)
+            return J.reshape(self.m, self.n, -1).transpose(2, 0, 1).copy()
         if isinstance(self.backing, CallableBacking):
             if self.backing.jacobian_fn is None:
                 raise TypeError("map has no gradient data")
@@ -144,10 +151,16 @@ class SphereMap:
         calls its Jacobian function only when the thunk is called.
         """
         if self.is_poly:
-            m, S = self.m, self.backing
-            table = evaluate([(m, S.blocks), (m * self.n, S.jac)], points)
-            return table[:, :m], lambda: table[:, m:].reshape(-1, m, self.n)
+            U, J = self._table(points)
+            return U.T.copy(), lambda: J.transpose(2, 0, 1).copy()
         return self.eval(points), lambda: self.jac(points)
+
+    def _table(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values (m, N) and Jacobians (m, n, N) of a poly map, node-last views
+        of one monomial table."""
+        m, S = self.m, self.backing
+        table = evaluate([(m, S.blocks), (m * self.n, S.jac)], points)
+        return table[:m], table[m:].reshape(m, self.n, -1)
 
     def sample(self, grid: SphereGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """(nodes, values, jacobians) on the given grid."""
@@ -235,6 +248,15 @@ def _node_data(u: SphereMap, grid: SphereGrid | None):
     return g, X, U, J
 
 
+def _node_last_data(u: SphereMap, g: SphereGrid):
+    """(nodes, values (m, N), Jacobians (m, n, N)) of u on the grid g: a poly
+    map's views of its monomial table, another map's sample transposed once."""
+    if u.is_poly:
+        return (g.nodes, *u._table(g.nodes))
+    _, X, U, J = _node_data(u, g)
+    return X, U.T.copy(), J.transpose(1, 2, 0).copy()
+
+
 # ---------------------------------------------------------------------------
 # node bundles: the per-node densities of one map on one grid
 # ---------------------------------------------------------------------------
@@ -247,7 +269,8 @@ class NodeBundle:
     maps into R^n) the signed volume; the per-node |grad_T u|^2 is kept.
     The principal stretches, which need an eigen-solve for n >= 4, are
     computed on first use, after which the forms are dropped.  The bundle
-    holds no reference to the map.
+    holds no reference to the map.  It takes the nodes X (N, n) and u's
+    values U (m, N) and Jacobians J (m, n, N) node-last.
     """
 
     def __init__(self, grid: SphereGrid, X: np.ndarray, U: np.ndarray, J: np.ndarray):
@@ -258,12 +281,12 @@ class NodeBundle:
         self.trace = np.trace(self._forms)
         self.perimeter = self.integral(_area_density(self._forms))
         self.dirichlet = self.integral(_dirichlet_density(self.trace, n))
-        self.volume = self.integral(_volume_density(U, A, s)) if U.shape[1] == n else None
-        self.unit_norm = bool(np.max(np.abs(np.linalg.norm(U, axis=1) - 1.0)) <= 1e-6)
+        self.volume = self.integral(_volume_density(U, A, s)) if U.shape[0] == n else None
+        self.unit_norm = bool(np.max(np.abs(np.sqrt(sum(Ui * Ui for Ui in U)) - 1.0)) <= 1e-6)
 
     @cached_property
     def stretches(self) -> np.ndarray:
-        """Principal stretches (ascending), shape (N, n-1)."""
+        """Principal stretches (ascending) node-last, shape (n-1, N)."""
         stretches = _stretches(self._forms)
         del self._forms
         return stretches
@@ -295,12 +318,12 @@ def node_bundle(u: SphereMap, grid: SphereGrid | None = None) -> NodeBundle:
     global _slot
     g = _grid_for(u, grid)
     if not u.is_poly:
-        return NodeBundle(*_node_data(u, g))
+        return NodeBundle(g, *_node_last_data(u, g))
     hit = _slot
     if hit is not None and hit[0]() is u and hit[1].grid is g:
         return hit[1]
     _slot = None  # free the old bundle before sampling
-    bundle = NodeBundle(*_node_data(u, g))
+    bundle = NodeBundle(g, *_node_last_data(u, g))
     _slot = (weakref.ref(u, _drop_slot), bundle)
     return bundle
 
@@ -331,19 +354,17 @@ def _pjp(J: np.ndarray, X: np.ndarray) -> np.ndarray:
 # handful of vector operations.
 
 def _frame_jacobians(J: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A = J E node-last, shape (m, n-1, N), and s = det[E | x] = sign(x_n)."""
-    m, n = J.shape[1:]
+    """A = J E node-last, shape (m, n-1, N), and s = det[E | x] = sign(x_n),
+    from node-last Jacobians J (m, n, N)."""
+    m, n = J.shape[:2]
     s = np.where(X[:, -1] < 0.0, -1.0, 1.0)
-    v = s * X.T
+    v = np.multiply(X.T, s, order="C")           # node-last with contiguous rows, as J
     v[-1] += 1.0
     c = 2.0 / np.sum(v * v, axis=0)
     A = np.empty((m, n - 1, X.shape[0]))
     for i in range(m):
-        # row i of J node-last, copied one row at a time: a copy of the whole
-        # stack sets the peak memory of an n = 4 report
-        Ji = np.ascontiguousarray(J[:, i].T)
-        Jv = sum(Ji[l] * v[l] for l in range(n)) * c
-        A[i] = Ji[:-1] - Jv * v[:-1]
+        Jv = sum(J[i, l] * v[l] for l in range(n)) * c
+        A[i] = J[i, :-1] - Jv * v[:-1]
     return A, s
 
 
@@ -372,21 +393,68 @@ def _det(M: np.ndarray) -> np.ndarray:
 
 
 def _stretches(G: np.ndarray) -> np.ndarray:
-    """Principal stretches (ascending), shape (N, n-1), from node-last forms G.
+    """Principal stretches (ascending) node-last, shape (n-1, N), from node-last forms G.
 
     For 2 x 2 forms [[a, b], [b, c]] the eigenvalues are m -+ hypot((a-c)/2, b)
     with m = (a+c)/2, which has no cancellation near the identity: one exact
-    Jacobi rotation.  Larger forms take :func:`_jacobi_eigenvalues`.
+    Jacobi rotation.  3 x 3 forms (n = 4) take the closed form of
+    :func:`_eigenvalues_3x3`; only larger ones (n >= 5) take
+    :func:`_jacobi_eigenvalues`.
     """
     k = G.shape[0]
     if k == 1:
-        lam = G[0, 0][:, None]
+        lam = G[0]
     elif k == 2:
         m, h = 0.5 * (G[0, 0] + G[1, 1]), np.hypot(0.5 * (G[0, 0] - G[1, 1]), G[0, 1])
-        lam = np.stack([m - h, m + h], axis=1)
+        lam = np.stack([m - h, m + h])
+    elif k == 3:
+        lam = _eigenvalues_3x3(G)
     else:
-        lam = _jacobi_eigenvalues(G)[0]
+        lam = _jacobi_eigenvalues(G)[0].T
     return np.sqrt(np.clip(lam, 0.0, None))
+
+
+def _eigenvalues_3x3(G: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending, node-last (3, N)) of node-last symmetric 3 x 3 forms.
+
+    Smith's trigonometric solution on the deviator B = G - q I, q = tr G / 3,
+    in the form of Harari & Albocher (2023): the eigenvalues are
+    q + 2 sqrt(J2/3) cos(theta + 2 pi j/3), with J2 = tr B^2 / 2 and
+    theta = atan2(sqrt(Delta), 3 sqrt(3) det B) / 3 in [0, pi/3].  The
+    discriminant Delta = prod (lam_i - lam_j)^2 = 4 J2^3 - 27 det(B)^2
+    cancels where eigenvalues meet; it is taken instead as the Gram
+    determinant of {I, B, B^2} under the Frobenius product.  By
+    Cauchy-Binet that is a sum of squared 3 x 3 minors of their entries,
+    the off-diagonal rows weighted 2 (each entry counts twice) and the
+    minors with no nonzero in I's column left out: the minor of the three
+    diagonal rows, 2 x the nine with two diagonal rows and one off-diagonal
+    row, and 12 x the three with two off-diagonal rows (each met from all
+    three diagonal rows).  As sums of squares, J2 and Delta keep full
+    accuracy at repeated eigenvalues.  Written as q + r (-cos t -
+    sqrt3 sin t), q + r (sqrt3 sin t - cos t) and q + 2 r cos t, with
+    r = sqrt(J2/3), the three come out ascending; the middle one is capped
+    at the top one, which it meets at t = pi/3, against roundoff.  A node
+    holding a NaN returns NaN and leaves the others untouched.
+    """
+    a, b, c = G[0, 0], G[1, 1], G[2, 2]
+    d, e, f = G[0, 1], G[0, 2], G[1, 2]
+    q = (a + b + c) / 3.0
+    x0, x1, x2 = a - q, b - q, c - q            # the diagonal of B
+    dab, dbc, dca = a - b, b - c, c - a          # its differences, exactly those of G
+    dd, ee, ff = d * d, e * e, f * f
+    J2 = (dab * dab + dbc * dbc + dca * dca) / 6.0 + dd + ee + ff
+    det = x0 * x1 * x2 + 2.0 * d * e * f - x0 * ff - x1 * ee - x2 * dd
+    # off-diagonal entries of B^2 and differences of its diagonal (x0 + x1 + x2 = 0)
+    off = ((d, e * f - x2 * d), (e, d * f - x1 * e), (f, d * e - x0 * f))
+    diag = ((dab, ee - ff - x2 * dab), (dbc, dd - ee - x0 * dbc), (dca, ff - dd - x1 * dca))
+    D0 = dab * diag[1][1] - dbc * diag[0][1]
+    # the squared minors with two diagonal rows and with one
+    two = sum((db * s - ds * bo) ** 2 for db, ds in diag for bo, s in off)
+    one = sum((b1 * s2 - b2 * s1) ** 2 for (b1, s1), (b2, s2) in combinations(off, 2))
+    t = np.arctan2(np.sqrt(D0 * D0 + 2.0 * two + 12.0 * one), np.sqrt(27.0) * det) / 3.0
+    cos, sin = np.cos(t), np.sqrt(3.0) * np.sin(t)
+    top = 2.0 * cos
+    return q + np.sqrt(J2 / 3.0) * np.stack([-cos - sin, np.minimum(sin - cos, top), top])
 
 
 # cyclic Jacobi converges quadratically: the forms of n = 4 maps settle in
@@ -437,12 +505,12 @@ def _jacobi_eigenvalues(G: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _volume_density(U: np.ndarray, A: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """det([A | u]) s per node, expanded along the column u."""
-    n = U.shape[1]
-    out = np.zeros(U.shape[0])
+    """det([A | u]) s per node from node-last values U (n, N), expanded along the column u."""
+    n = U.shape[0]
+    out = np.zeros(U.shape[1])
     for i in range(n):
         minor = _det(A[[r for r in range(n) if r != i]])
-        out += minor * U[:, i] if (n - 1 - i) % 2 == 0 else -minor * U[:, i]
+        out += minor * U[i] if (n - 1 - i) % 2 == 0 else -minor * U[i]
     return out * s
 
 
@@ -462,24 +530,27 @@ def surface_divergence(J: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.trace(J, axis1=1, axis2=2) - np.sum(X * Jx, axis=1)
 
 
+# The density kernels below take the row-major (N, m, n) Jacobians of
+# SphereMap.sample and hand the frame kernels a node-last view of them.
+
 def principal_stretch_values(J: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Sorted principal stretches (ascending), shape (N, n-1)."""
-    return _stretches(_forms(_frame_jacobians(J, X)[0]))
+    return _stretches(_forms(_frame_jacobians(J.transpose(1, 2, 0), X)[0])).T
 
 
 def volume_integrand(U: np.ndarray, J: np.ndarray, X: np.ndarray) -> np.ndarray:
     """det(J P + u x^t) per node; integrates to the signed volume V_n."""
-    return _volume_density(U, *_frame_jacobians(J, X))
+    return _volume_density(U.T, *_frame_jacobians(J.transpose(1, 2, 0), X))
 
 
 def area_integrand(J: np.ndarray, X: np.ndarray) -> np.ndarray:
     """sqrt(det of the tangential first fundamental form) per node."""
-    return _area_density(_forms(_frame_jacobians(J, X)[0]))
+    return _area_density(_forms(_frame_jacobians(J.transpose(1, 2, 0), X)[0]))
 
 
 def dirichlet_integrand(J: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(|grad_T u|^2 / (n-1))^((n-1)/2) per node."""
-    return _dirichlet_density(np.trace(_forms(_frame_jacobians(J, X)[0])), X.shape[1])
+    return _dirichlet_density(np.trace(_forms(_frame_jacobians(J.transpose(1, 2, 0), X)[0])), X.shape[1])
 
 
 def a_operator_values(U: np.ndarray, J: np.ndarray, X: np.ndarray) -> np.ndarray:

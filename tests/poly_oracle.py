@@ -211,7 +211,7 @@ def gradients(f: Field) -> list[Poly]:
 def sample(f: Field, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values and Jacobians at X from one table of the components and their gradients."""
     m, n = len(f), f[0].n
-    table = evaluate([(1, p.blocks) for p in [*f, *gradients(f)]], X)
+    table = evaluate([(1, p.blocks) for p in [*f, *gradients(f)]], X).T
     return table[:, :m], table[:, m:].reshape(-1, m, n)
 
 
@@ -283,7 +283,7 @@ def psi_tables(grid) -> tuple[np.ndarray, np.ndarray]:
         for i in range(n):
             for e, cc in b.poly.diff(i).coeffs.items():
                 dcoef[i, gidx, list(e).index(1)] = cc
-    return evaluate([(1, b.poly.blocks) for b in basis], grid.nodes).T, dcoef
+    return evaluate([(1, b.poly.blocks) for b in basis], grid.nodes), dcoef
 
 
 # ---------------------------------------------------------------------------

@@ -470,3 +470,54 @@ def test_jacobi_keeps_a_nan_form_nan(diagonal, rng):
     lam = _jacobi_eigenvalues(G)[0]
     assert np.all(np.isnan(lam[2]))
     assert np.array_equal(np.delete(lam, 2, axis=0), np.delete(want, 2, axis=0))
+
+
+def test_closed_form_3x3_matches_eigvalsh_and_jacobi(rng):
+    from spherestab.spheremap import _eigenvalues_3x3, _jacobi_eigenvalues
+
+    spectra = [rng.uniform(0.0, 2.0, size=3) for _ in range(200)]
+    spectra += [np.full(3, 1.3), np.zeros(3), np.array([0.7, 1.3, 1.3]), np.array([0.7, 0.7, 1.3])]  # triple, double
+    spectra += [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.8, 1.7]), np.array([0.0, 1.0, 1.0])]     # zeros
+    spectra += [np.array([1.0, 1.0 + 1e-9, 1.0 + 1e-9]), np.array([1.0, 1.0, 1.0 + 1e-9])]
+    spectra += [np.array([1.0, 1.0 + t, 1.0 + t]) for t in 10.0 ** -np.arange(1, 16)]
+    base = _psd_stack(3, spectra, rng)
+    diagonal = np.zeros((3, 3, 4))
+    for j, lam in enumerate(([1.0, 2.0, 3.0], [3.0, 2.0, 2.0], [2.0, 2.0, 2.0], [0.0, 0.0, 0.0])):
+        diagonal[np.arange(3), np.arange(3), j] = lam
+    eps = np.finfo(float).eps
+    for G in (base, 1e-8 * base, 1e8 * base, diagonal):
+        lam = _eigenvalues_3x3(G).T
+        want = np.linalg.eigvalsh(np.moveaxis(G, -1, 0))
+        norm = np.max(np.abs(want), axis=1, keepdims=True)
+        assert lam.shape == want.shape
+        assert np.all(np.diff(lam, axis=1) >= 0.0)
+        assert np.all(np.abs(lam - want) <= 32 * eps * norm)
+        assert np.all(np.abs(lam - _jacobi_eigenvalues(G)[0]) <= 32 * eps * norm)
+    # exactly diagonal forms, zero and repeated eigenvalues included, come out exact
+    assert np.array_equal(_eigenvalues_3x3(diagonal[:, :, 2:]).T, [[2.0, 2.0, 2.0], [0.0, 0.0, 0.0]])
+
+
+def test_closed_form_3x3_keeps_a_nan_form_nan(rng):
+    from spherestab.spheremap import _eigenvalues_3x3
+
+    G = _psd_stack(3, [rng.uniform(0.5, 2.0, size=3) for _ in range(5)], rng)
+    want = _eigenvalues_3x3(G)
+    G[0, 1, 2] = G[1, 0, 2] = np.nan
+    lam = _eigenvalues_3x3(G)
+    assert np.all(np.isnan(lam[:, 2]))
+    assert np.array_equal(np.delete(lam, 2, axis=1), np.delete(want, 2, axis=1))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_poly_node_bundle_runs_no_jacobi_and_no_row_major_sample(n, rng, monkeypatch):
+    import spherestab.spheremap as sm
+    from spherestab.quadrature import default_sphere_grid
+
+    calls = []
+    jacobi, sample = sm._jacobi_eigenvalues, sm.SphereMap.sample
+    monkeypatch.setattr(sm, "_jacobi_eigenvalues", lambda *a: calls.append("jacobi") or jacobi(*a))
+    monkeypatch.setattr(sm.SphereMap, "sample", lambda *a: calls.append("sample") or sample(*a))
+    u = _near_identity(n, rng)
+    rep = deficit_report(u, default_sphere_grid(n))
+    assert rep.delta_isom > 0.0
+    assert calls == []

@@ -564,8 +564,24 @@ def _bent_moebius(ti, li, rep):
     return callable_map(3, 3, value, jac)
 
 
-@pytest.mark.parametrize("case, runs", [([3, 0, 7], range(2, 6)), ([3, 1, 18], [6])], ids=["ladder", "sweep"])
-def test_recenter_rescues_a_stalled_newton(case, runs, grid3, monkeypatch):
+def _counting(u, counts):
+    """The callable map u, counting its value and Jacobian calls in counts."""
+    b = u.backing
+
+    def value(P):
+        counts["value"] += 1
+        return b.value_fn(P)
+
+    def jac(P):
+        counts["jac"] += 1
+        return b.jacobian_fn(P)
+
+    return callable_map(3, 3, value, jac)
+
+
+@pytest.mark.parametrize("case, runs, evals", [([3, 0, 7], range(2, 6), (82, 13)), ([3, 1, 18], [6], (859, 18))],
+                         ids=["ladder", "sweep"])
+def test_recenter_rescues_a_stalled_newton(case, runs, evals, grid3, monkeypatch):
     # Newton from v = 0 stalls on both maps; the ladder along the mean rescues
     # the first within its 4 Newton runs, the coarse sweep the second in its one
     import spherestab.moebius as moebius
@@ -579,8 +595,11 @@ def test_recenter_rescues_a_stalled_newton(case, runs, grid3, monkeypatch):
     runs_made = []
     newton = moebius._damped_newton
     monkeypatch.setattr(moebius, "_damped_newton", lambda *args: runs_made.append(args[2]) or newton(*args))
-    phi = recenter(u, grid3)
+    counts = {"value": 0, "jac": 0}
+    phi = recenter(_counting(u, counts), grid3)
     assert len(runs_made) in runs
+    # the ladder direction is the mean of the first solve's start: no evaluation at v = 0 of its own
+    assert (counts["value"], counts["jac"]) == evals
     assert np.linalg.norm(grid3.weights @ u.eval(moebius_apply(phi, grid3.nodes))) <= 1e-8
 
 

@@ -138,5 +138,5 @@ def test_evaluate_bit_identical_to_row_major_table(n, rng):
             X = rng.normal(size=(N, n))
             X /= np.linalg.norm(X, axis=1, keepdims=True)
             got = evaluate([(1, p.blocks) for p in polys], X)
-            assert got.shape == (N, len(polys))
-            assert np.array_equal(got, _evaluate_row_major(polys, X)), (deg, N)
+            assert got.shape == (len(polys), N)
+            assert np.array_equal(got, _evaluate_row_major(polys, X).T), (deg, N)
