@@ -11,9 +11,12 @@ either.  Each ``WORKLOAD:SEED:PAIRS`` spec runs ``perfbench/run.py`` once
 per side and pair, the side that runs first alternating from pair to pair.
 ``--traced`` specs run the same way with ``--trace 1``, for the per-layer
 metrics.  The file keeps the last line each run printed, unedited, with
-the side that ran first in its pair, plus medians, the parent's
-interquartile range and the number of pairs the change won, per
-workload, seed and end-to-end metric of the untraced runs.
+the side that ran first in its pair and the run's minor page faults per
+item attempted: the ``getrusage(RUSAGE_CHILDREN).ru_minflt`` delta around
+``run.py``, which covers every worker it waited for, set-up included.  It
+adds medians, the parent's interquartile range and the number of pairs the
+change won, per workload, seed and end-to-end metric of the untraced runs,
+and for the faults per item.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import io
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -32,6 +36,7 @@ import tarfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")   # equal-length directory names
 METRICS = ("run_s", "setup_s", "peak_rss_mb")
+FAULTS = "minflt_per_item"     # minor page faults of a run per item attempted
 
 
 def _git(*args: str, cwd: str = ROOT) -> str:
@@ -63,28 +68,34 @@ def extract_pair(parent: str, change: str, workdir: str, repo: str = ROOT) -> di
     return dirs
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def run_once(checkout: str, workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, float]:
+    """The last line ``perfbench/run.py`` printed, and its minor page faults per item attempted."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}: {proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return result, faults / max(result["attempted"], 1)
 
 
 def summarize(runs: list[dict]) -> dict:
-    """Per workload, seed and metric: medians, parent IQR and pairs won by the change (lower is better)."""
+    """Per workload, seed and metric (and the faults per item): medians, parent IQR and
+    pairs won by the change (lower is better)."""
     out: dict = {}
     for key in dict.fromkeys(f"{r['workload']}:{r['seed']}" for r in runs):
         pairs: dict = {}
         for r in runs:
             if f"{r['workload']}:{r['seed']}" == key:
-                pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"]
+                values = {m: r["result"]["metrics"][m]["value"] for m in METRICS}
+                pairs.setdefault(r["pair"], {})[r["side"]] = {**values, FAULTS: r[FAULTS]}
         both = [p for p in pairs.values() if len(p) == 2]
         out[key] = {}
-        for m in METRICS:
-            par = [p["parent"][m]["value"] for p in both]
-            chg = [p["change"][m]["value"] for p in both]
+        for m in (*METRICS, FAULTS):
+            par = [p["parent"][m] for p in both]
+            chg = [p["change"][m] for p in both]
             q = statistics.quantiles(par, n=4) if len(par) >= 2 else [par[0], par[0], par[0]]
             out[key][m] = {"parent_median": statistics.median(par), "change_median": statistics.median(chg),
                                 "parent_iqr": q[2] - q[0], "change_won": sum(c < p for p, c in zip(par, chg)),
@@ -134,8 +145,10 @@ def main(argv: list[str] | None = None) -> int:
         "description": "Alternating parent/change pairs of perfbench/run.py, both sides extracted with "
                        "git archive into directories of equal path length. Each entry's 'result' is the "
                        "last line printed by the run, unedited; 'ran_first' names the side that ran first "
-                       "in that pair; 'traced_runs' ran with --trace 1. 'summary' covers 'runs' and counts a "
-                       "pair as won when the change's value is lower.",
+                       "in that pair; 'minflt_per_item' is the run's getrusage(RUSAGE_CHILDREN).ru_minflt "
+                       "delta (every pass, set-up included) over its attempted items; 'traced_runs' ran "
+                       "with --trace 1. 'summary' covers 'runs' and counts a pair as won when the change's "
+                       "value is lower.",
         "command": f"python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds {args.seconds} --trace T",
         "parent": revs["parent"], "change": revs["change"], "host": host(), "runs": [], "traced_runs": [],
     }
@@ -143,13 +156,13 @@ def main(argv: list[str] | None = None) -> int:
         for pair in range(1, count + 1):
             order = SIDES if pair % 2 else SIDES[::-1]
             for side in order:
-                result = run_once(dirs[side], workload, seed, args.seconds, trace)
+                result, faults = run_once(dirs[side], workload, seed, args.seconds, trace)
                 report["traced_runs" if trace else "runs"].append(
                     {"side": side, "workload": workload, "seed": seed, "pair": pair,
-                     "ran_first": order[0], "trace": trace, "result": result})
+                     "ran_first": order[0], "trace": trace, FAULTS: faults, "result": result})
                 print(f"{workload} seed {seed} pair {pair} {side} trace {trace}: "
-                      f"{ {m: round(v['value'], 4) for m, v in result['metrics'].items() if m in METRICS} }",
-                      flush=True)
+                      f"{ {m: round(v['value'], 4) for m, v in result['metrics'].items() if m in METRICS} } "
+                      f"{FAULTS} {faults:.0f}", flush=True)
             report["summary"] = summarize(report["runs"]) if report["runs"] else {}
             with open(out_path, "w") as fh:      # rewritten after every pair, so a cut run keeps its data
                 json.dump(report, fh, indent=1)

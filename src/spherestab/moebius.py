@@ -19,6 +19,19 @@ the first moment of the extension's divergence) of u compose R phi_v by
 damped Newton with steps R <- exp(omega) R, v <- v + dv.  `nearest_moebius`
 solves the rotation in closed form (Kabsch/Umeyama) for each boost v and
 searches v by BFGS.
+
+Both Newton functionals are moments against a node basis B followed by a
+small matrix L, F = L vec(B U) for the values U of u: the recentring mean
+has B = w (the weights) and L = I, the gauge functional B = w [x; psi_g]
+(the coordinates and the degree-2 harmonics) and a fixed 6 x 24 L
+(`_psi_moments`, which `psi_functional` evaluates too).  Every Newton
+direction is a combination of a few per-node fields with coefficients in
+(R, R v), so the Jacobian is a fixed contraction of the moments of those
+fields against Du, accumulated over blocks of nodes by small GEMMs; each
+block is sized so that no temporary reaches glibc's 128 KiB mmap
+threshold.  u's values and Jacobians enter in either layout, a poly map's
+as views of its node-last monomial table and a callable map's as its own
+row-major arrays, and are never copied into the other.
 """
 
 from __future__ import annotations
@@ -26,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -34,8 +48,8 @@ from .harmonics import scalar_basis_coeffs
 from .homogeneous import Stack
 from .polynomials import evaluate, grad_matrix, linear_order, xmul_matrix
 from .quadrature import SphereGrid, build_sphere_grid, default_sphere_grid, integrate
-from .spheremap import (SphereMap, _grid_for, _node_data, callable_map, linear_map, projectors,
-                        stack_map, tangential_jacobians, volume_integrand)
+from .spheremap import (SphereMap, _grid_for, _node_data, _row_major_views, callable_map, linear_map,
+                        projectors, stack_map, tangential_jacobians, volume_integrand)
 
 __all__ = [
     "MoebiusMap",
@@ -113,16 +127,27 @@ def _dilation_parts(X: np.ndarray, xi: np.ndarray, lam: float):
 
 def moebius_apply(phi: MoebiusMap, X: np.ndarray) -> np.ndarray:
     """Apply the map to unit vectors, rows of X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    D, N, _ = _dilation_parts(X, phi.xi, phi.lam)
-    return (N / D[:, None]) @ phi.O.T
+    return _apply(phi, _parts(phi, X))
 
 
 def moebius_jacobian(phi: MoebiusMap, X: np.ndarray) -> np.ndarray:
     """Analytic ambient Jacobians at unit vectors, shape (N, n, n):
     O (JN / D - N c^t / D^2) with c = (1 - lam^2) xi the gradient of D."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    D, N, JN = _dilation_parts(X, phi.xi, phi.lam)
+    return _jacobian(phi, _parts(phi, X))
+
+
+def _parts(phi: MoebiusMap, X: np.ndarray):
+    """`_dilation_parts` of phi at the rows of X: one application of phi."""
+    return _dilation_parts(np.atleast_2d(np.asarray(X, dtype=float)), phi.xi, phi.lam)
+
+
+def _apply(phi: MoebiusMap, parts) -> np.ndarray:
+    D, N, _ = parts
+    return (N / D[:, None]) @ phi.O.T
+
+
+def _jacobian(phi: MoebiusMap, parts) -> np.ndarray:
+    D, N, JN = parts
     J = (phi.O @ JN) / D[:, None, None]
     ON = N @ phi.O.T
     ON /= (D * D)[:, None]
@@ -136,9 +161,18 @@ def as_sphere_map(phi: MoebiusMap) -> SphereMap:
 
 
 def compose_with_map(u: SphereMap, phi: MoebiusMap) -> SphereMap:
-    """u compose phi as a callable-backed map (chain rule on Jacobians)."""
-    return callable_map(u.n, u.m, lambda X: u.eval(moebius_apply(phi, X)),
-                        lambda X: np.matmul(u.jac(moebius_apply(phi, X)), moebius_jacobian(phi, X)))
+    """u compose phi as a callable-backed map (chain rule on Jacobians).
+
+    Every evaluation applies phi once.  A sample takes u's values and
+    Jacobians at phi(x) from :meth:`SphereMap.values_and_jacobians`, one
+    monomial table for a poly u.
+    """
+    def joint(X):
+        parts = _parts(phi, X)
+        U, jac = u.values_and_jacobians(_apply(phi, parts))
+        return U, lambda: np.matmul(jac(), _jacobian(phi, parts))
+
+    return callable_map(u.n, u.m, lambda X: u.eval(moebius_apply(phi, X)), lambda X: joint(X)[1](), joint)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +338,6 @@ def _boost_parts(v: np.ndarray, X: np.ndarray):
     return coef, xv, 1.0 / Dp, X + (coef[1] * xv)[:, None] * v - alpha
 
 
-def _jv(J: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """J c per node for Jacobians J (N, m, 3) and a 3-vector or (N, 3) rows c."""
-    return J[:, :, 0] * c[..., 0:1] + J[:, :, 1] * c[..., 1:2] + J[:, :, 2] * c[..., 2:3]
-
-
 # ---------------------------------------------------------------------------
 # gauge functionals and solvers
 # ---------------------------------------------------------------------------
@@ -317,18 +346,59 @@ def dilation_scale(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """lambda_u = avg <u, x>, the linearization-compatible scale."""
     g = _grid_for(u, grid)
     X, U, _ = u.sample(g)
-    return integrate(g, np.einsum("ai,ai->a", U, X))
+    return integrate(g, _node_dots(U, X))
+
+
+def _node_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Per node a, the sum of A[a] * B[a] over the other axes, as one batched
+    matmul: no temporary the size of A."""
+    N = len(A)
+    return (A.reshape(N, 1, -1) @ B.reshape(N, -1, 1)).ravel()
+
+
+def _moments(L: np.ndarray, B: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """L vec(B U) for values U (N, m): the moments P[b, i] = sum_a B_b(a) U_i(a) of U
+    against the node basis B (r, N), taken b-major, then the matrix L (F, r m)."""
+    return L @ (B @ U).ravel()
 
 
 @lru_cache(maxsize=8)
-def _psi_tables(grid: SphereGrid):
-    """Degree-2 basis values psi_g on the grid nodes and the divergence coefficients:
-    the extension of alpha_{i,g} psi_g e_i has divergence sum_i alpha_{i,g} d_i psi_g,
-    and dcoef[i, g, l] is the x_l coefficient of the linear d_i psi_g."""
+def _psi_tables(grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The gauge functional's matrix L and the weighted degree-2 values w psi_g
+    (G, N) at the nodes, the parts of :func:`_psi_moments` kept per grid."""
     n, S = grid.n, scalar_basis_coeffs(grid.n, 2)
     grads = (S @ grad_matrix(n, 2).T).reshape(-1, n, n)      # [g, i]: d_i psi_g over exps(n, 1)
-    dcoef = np.ascontiguousarray(linear_order(grads.transpose(1, 0, 2)))
-    return evaluate([(S.shape[0], {2: S})], grid.nodes), dcoef
+    dcoef = linear_order(grads.transpose(1, 0, 2))
+    r = n + S.shape[0]
+    pairs = list(combinations(range(n), 2))
+    L = np.zeros((len(pairs) + n, r, n))
+    for p, (i, j) in enumerate(pairs):
+        L[p, j, i], L[p, i, j] = 1.0, -1.0
+    L[len(pairs):, n:, :] = dcoef.transpose(2, 1, 0) / n
+    return L.reshape(len(L), r * n), evaluate([(S.shape[0], {2: S})], grid.nodes) * grid.weights
+
+
+def _psi_moments(grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The gauge functional as moments (L, B): Psi(v) = L vec(B v) (:func:`_moments`).
+
+    B = w [x; psi_g] holds the weighted coordinates and degree-2 basis values
+    psi_g at the nodes, n + G rows, so P = B v holds the first moments
+    P[j, i] = avg x_j v^i and alpha[g, i] = P[n + g, i] = avg psi_g v^i.  L
+    takes P to the antisymmetrized first moments P[j, i] - P[i, j] and to
+    avg (div v_h) x = sum_{g,i} alpha[g, i] dcoef[i, g] / n: the extension of
+    alpha_{g,i} psi_g e_i has divergence sum_i alpha_{g,i} d_i psi_g, and
+    dcoef[i, g, l] is the x_l coefficient of the linear d_i psi_g.
+
+    B is stacked afresh on each call from the cached w psi_g: a B cached per
+    grid outlives every solve, and moebius-fit's peak RSS read about 0.1 MB
+    higher with it.
+    """
+    L, Pw = _psi_tables(grid)
+    n = grid.n
+    B = np.empty((n + len(Pw), grid.size))
+    np.multiply(grid.nodes.T, grid.weights, out=B[:n])
+    B[n:] = Pw
+    return L, B
 
 
 def psi_functional(v: SphereMap, grid: SphereGrid) -> np.ndarray:
@@ -336,19 +406,11 @@ def psi_functional(v: SphereMap, grid: SphereGrid) -> np.ndarray:
 
     First three entries: antisymmetrized first moments avg(v^i x_j - v^j x_i),
     (i,j) in ((1,2),(1,3),(2,3)); last three: avg (div v_h) x, evaluated from
-    the degree-2 block in closed form.
+    the degree-2 block in closed form.  Both are the moments of
+    :func:`_psi_moments`, which the gauge solver zeroes.
     """
-    return _psi(v.eval(grid.nodes) if not v.is_sampled else v.sample(grid)[1], grid)
-
-
-def _psi(U: np.ndarray, grid: SphereGrid) -> np.ndarray:
-    """psi_functional of the values U (N, 3) at the grid nodes; linear in U."""
-    vals, dcoef = _psi_tables(grid)
-    Uw = U.T * grid.weights
-    M = Uw @ grid.nodes
-    skew = np.array([M[0, 1] - M[1, 0], M[0, 2] - M[2, 0], M[1, 2] - M[2, 1]])
-    alpha = Uw @ vals.T                      # (n, G2); div of the extension = sum_l c_l x_l
-    return np.concatenate([skew, np.einsum("ig,igl->l", alpha, dcoef) / grid.n])
+    U = v.sample(grid)[1] if v.is_sampled else v.eval(grid.nodes)
+    return _moments(*_psi_moments(grid), U)
 
 
 def _damped_newton(residual, move, x, first, tol: float):
@@ -390,40 +452,103 @@ def _damped_newton(residual, move, x, first, tol: float):
     return x, norm, it, nfev, njev
 
 
-def _chart_residual(u: SphereMap, grid: SphereGrid, reduce, turns: bool):
-    """(R, v) -> (F, jac) for F = reduce(u(y)) at y = R phi_v(x), reduce linear.
+# The Jacobian moments are accumulated over blocks of nodes whose every
+# (rows x nodes) temporary stays within this many bytes: well under glibc's
+# 128 KiB mmap threshold, so a Newton step reuses heap memory instead of
+# faulting in fresh pages.
+_BLOCK_BYTES = 1 << 16
+# the turn columns from the moments of y_l Du_j: Du (e_k x y) = sum_jl eps_jkl y_l Du_j,
+# so row (j, l) of this table holds eps_jkl over the columns k
+_TURNS = np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0],
+                   [0, 0, 1], [0, 0, 0], [-1, 0, 0],
+                   [0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
+
+
+def _grid_sample(u: SphereMap, g: SphereGrid):
+    """Values (N, m) and Jacobians (N, m, n) of u on the grid g, copying none: a poly
+    map's views from :func:`spheremap._row_major_views`, another map's own arrays."""
+    if u.is_poly:
+        U, jac = _row_major_views(u, g.nodes)
+        return U, jac()
+    return _node_data(u, g)[2:]              # refuses a map without Jacobians
+
+
+def _chart_residual(u: SphereMap, grid: SphereGrid, L: np.ndarray, B: np.ndarray, turns: bool):
+    """(R, v) -> (F, jac) for the moments F = L vec(B U) (:func:`_moments`) of the
+    values U of u at y = R phi_v(x).
 
     jac() is the Jacobian in the step (omega, dv) of R <- exp(omega) R,
-    v <- v + dv (in dv alone unless turns), with the columns reduce(Du(y) (e_k x y))
-    and reduce(Du(y) R dphi_v/dv_k), contracted one (N, 3) array at a time:
+    v <- v + dv (in dv alone unless turns).  Its columns are the moments of
+    Du(y) d for the directions d = e_k x y and R dphi_v/dv_k, where
     dphi_v/dv_k = q ((beta <v, x> - h) e_k + (beta x_k + (delta <v, x> - gamma) v_k) v - (dD'/dv_k) phi)
-    with dD'/dv_k = h v_k - h x_k - gamma <v, x> v_k.  residual(state, sample)
-    takes the values and Jacobians of u at y when they are known.
+    and dD'/dv_k = h v_k - h x_k - gamma <v, x> v_k.  Every direction is a
+    combination of per-node fields with coefficients in R and R v alone:
+    R dphi_v/dv_k = a R e_k + c_k R v - e_k y with a = q (beta <v, x> - h),
+    c_k = q (beta x_k + (delta <v, x> - gamma) v_k) and
+    e_k = q (h (v_k - x_k) - gamma <v, x> v_k), and (e_k x y)_j = eps_jkl y_l.
+    So with the fields W = (a, c_k, e_k y_j, y_l) and the per-node products
+    T = K Du, K[f, i] = sum_b L[f, (b, i)] B_b, the Jacobian is a fixed
+    contraction of the moments M = sum_nodes W T.
+
+    M is accumulated over blocks of nodes, sized so that no temporary of a
+    block exceeds _BLOCK_BYTES: per block one GEMM B^t L for K, one batched
+    3 x 3 product for T and one GEMM for M.  A one-row basis (the
+    recentring's weights) folds into the fields instead, and the one GEMM
+    per block reads Du itself.  u's values (N, m) and Jacobians (N, m, n)
+    come in either layout: a poly map's are transposed views of its
+    node-last monomial table, a callable map's its own row-major arrays.
+    matmul reads both, so no sample is copied.  residual(state, sample)
+    takes them at y when they are known.
     """
     X = grid.nodes
+    N, F, m, r = len(X), L.shape[0], u.m, B.shape[0]
+    Lk = L.reshape(F, r, m).transpose(1, 0, 2).reshape(r, F * m)   # K = B^t Lk per node
+    S = 16 if turns else 13                    # fields a, c_k, e_k y_j and, for turns, y_l
+    nb = max(1, _BLOCK_BYTES // (8 * max(F * m, F * 3, S)))
 
     def residual(state, sample=None):
         R, v = state
         (h, beta, gamma, delta), xv, q, Y = _boost_parts(v, X)
-        qc = q[:, None]
-        Y *= qc                              # phi_v, in place of N'
+        Y *= q[:, None]                        # phi_v, in place of N'
         Y = Y @ R.T
         if sample is None:
-            U, jac = u.values_and_jacobians(Y)
+            U, jac = _row_major_views(u, Y)
         else:
             U, J_known = sample
             jac = lambda: J_known            # holds the Jacobians alone: U goes when residual returns
 
         def jacobian():
             J = jac()
-            cols = [reduce(_jv(J, np.cross(e, Y))) for e in np.eye(3)] if turns else []
-            Av, Ay, a = qc * _jv(J, R @ v), qc * _jv(J, Y), qc * (beta * xv - h)[:, None]
-            for k in range(3):
-                cols.append(reduce(a * _jv(J, R[:, k]) + (beta * X[:, k] + (delta * xv - gamma) * v[k])[:, None] * Av
-                                   - (h * (v[k] - X[:, k]) - gamma * xv * v[k])[:, None] * Ay))
-            return np.column_stack(cols)
+            a, t, p = q * (beta * xv - h), q * (delta * xv - gamma), q * (h - gamma * xv)
+            Xt, Yt = X.T, Y.T
+            Wb = np.empty((S, min(nb, N)))
+            M = np.zeros((S, (m if r == 1 else F) * 3))
+            for a0 in range(0, N, nb):
+                blk, k = slice(a0, a0 + nb), min(nb, N - a0)
+                W = Wb[:, :k]
+                qx = q[blk] * Xt[:, blk]
+                W[0] = a[blk]
+                np.multiply(v[:, None], t[blk], out=W[1:4])
+                W[1:4] += beta * qx
+                qx *= h
+                e = v[:, None] * p[blk]
+                e -= qx
+                for c in range(3):
+                    np.multiply(e[c], Yt[:, blk], out=W[4 + 3 * c:7 + 3 * c])
+                if turns:
+                    W[13:] = Yt[:, blk]
+                if r == 1:                     # a one-row basis folds into the fields: the GEMM reads Du as it lies
+                    W *= B[0, blk]
+                    M += W @ J[blk].reshape(k, m * 3)
+                else:
+                    T = (B[:, blk].T @ Lk).reshape(k, F, m) @ J[blk]
+                    M += W @ T.reshape(k, F * 3)
+            M = np.matmul(Lk.reshape(F, m), M.reshape(S, m, 3)) if r == 1 else M.reshape(S, F, 3)
+            cols = (M[0] @ R + (M[1:4] @ (R @ v)).T
+                    - np.trace(M[4:13].reshape(3, 3, F, 3), axis1=1, axis2=3).T)
+            return np.hstack([M[13:].transpose(1, 2, 0).reshape(F, 9) @ _TURNS, cols]) if turns else cols
 
-        return reduce(U), jacobian
+        return _moments(L, B, U), jacobian
 
     return residual
 
@@ -441,7 +566,7 @@ def recenter(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-8) ->
     g = _grid_for(u, grid)
 
     def sample():
-        _, _, U, J = _node_data(u, g)
+        U, J = _grid_sample(u, g)
         if np.max(np.abs(np.linalg.norm(U, axis=1) - 1.0)) > 1e-6:
             raise ValueError("recentering expects a unit-norm map")
         return U, J
@@ -450,8 +575,9 @@ def recenter(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-8) ->
 
 
 def _recenter(u: SphereMap, g: SphereGrid, tol: float, sample0) -> MoebiusMap:
-    """`recenter` of u on the grid g; sample0() gives the values and Jacobians of u at its nodes."""
-    residual = _chart_residual(u, g, lambda U: g.weights @ U, turns=False)
+    """`recenter` of u on the grid g; sample0() gives the values (N, m) and Jacobians
+    (N, m, n) of u at its nodes, in either layout."""
+    residual = _chart_residual(u, g, np.eye(u.m), g.weights[None], turns=False)
     I = np.eye(3)
     counts = np.zeros(3, dtype=int)            # Newton steps, residual and Jacobian evaluations
 
@@ -505,11 +631,11 @@ def gauge_fix(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-7) -
     if u.n != 3 or u.m != 3:
         raise ValueError("gauge fixing implemented for maps of S^2 into R^3")
     g = _grid_for(u, grid)
-    residual = _chart_residual(u, g, lambda U: _psi(U, g), turns=True)
+    residual = _chart_residual(u, g, *_psi_moments(g), turns=True)
     start = (np.eye(3), np.zeros(3))
     (R, v), nrm, it, nfev, njev = _damped_newton(
         residual, lambda x, d: (_rotation_from_axis_angle(d[:3]) @ x[0], x[1] + d[3:]),
-        start, residual(start, _node_data(u, g)[2:]), tol)
+        start, residual(start, _grid_sample(u, g)), tol)
     if nrm > tol:
         D = tangential_jacobians(u.jac(g.nodes), g.nodes) - projectors(g.nodes)
         dist = math.sqrt(integrate(g, np.sum(D * D, axis=(1, 2))))
@@ -547,8 +673,8 @@ def nearest_rotation(u: SphereMap, grid: SphereGrid | None = None) -> tuple[np.n
     else:
         g, X, U, J = _node_data(u, grid)
         TJ = tangential_jacobians(J, X)
-        M = np.einsum("a,ail->il", g.weights, TJ)
-        energy = integrate(g, np.einsum("aik,aik->a", TJ, TJ))
+        M = (g.weights @ TJ.reshape(len(TJ), n * n)).reshape(n, n)
+        energy = integrate(g, _node_dots(TJ, TJ))
     Um, s, Vt = np.linalg.svd(M)
     O = Um @ Vt
     value = energy + (n - 1) - 2.0 * float(np.sum(s))
@@ -699,7 +825,7 @@ def nearest_moebius(u: SphereMap, grid: SphereGrid | None = None) -> NearestMoeb
             pass
     TJ_u = tangential_jacobians(J_u, X)      # after the recentring, which holds the sample
     del U, J_u                               # not held through the boost search
-    a = integrate(g, np.einsum("aik,aik->a", TJ_u, TJ_u))
+    a = integrate(g, _node_dots(TJ_u, TJ_u))
 
     def objective(v):
         try:

@@ -83,6 +83,8 @@ class SampledBacking:
 class CallableBacking:
     value_fn: Callable[[np.ndarray], np.ndarray]
     jacobian_fn: Callable[[np.ndarray], np.ndarray] | None
+    # values and a thunk for the Jacobians at the same points, from one pass
+    joint_fn: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]] | None = None
 
 
 @dataclass(frozen=True, eq=False)  # identity semantics: node bundles are keyed on the map object
@@ -148,12 +150,12 @@ class SphereMap:
         """Values at arbitrary points and a thunk for the Jacobians there.
 
         A poly map evaluates both in one monomial table; a callable map
-        calls its Jacobian function only when the thunk is called.
+        with a joint function hands the points to it, and otherwise calls
+        its Jacobian function only when the thunk is called.  The arrays
+        are the caller's own (:func:`_row_major_views` without the copies).
         """
-        if self.is_poly:
-            U, J = self._table(points)
-            return U.T.copy(), lambda: J.transpose(2, 0, 1).copy()
-        return self.eval(points), lambda: self.jac(points)
+        U, jac = _row_major_views(self, points)
+        return (U.copy(), lambda: jac().copy()) if self.is_poly else (U, jac)
 
     def _table(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values (m, N) and Jacobians (m, n, N) of a poly map, node-last views
@@ -171,12 +173,9 @@ class SphereMap:
                     raise ValueError("sampled map is bound to its own grid")
             return b.grid.nodes, b.values, b.jacobians
         X = grid.nodes
-        if self.is_poly:
-            U, jac = self.values_and_jacobians(X)
-            return X, U, jac()
-        U = self.eval(X)
+        U, jac = self.values_and_jacobians(X)
         try:
-            J = self.jac(X)
+            J = jac()
         except TypeError:
             J = None
         return X, U, J
@@ -219,8 +218,13 @@ def sampled_map(grid: SphereGrid, values: np.ndarray, jacobians: np.ndarray | No
     return SphereMap(grid.n, values.shape[1], SampledBacking(grid, values, jacobians))
 
 
-def callable_map(n: int, m: int, value_fn, jacobian_fn=None) -> SphereMap:
-    return SphereMap(n, m, CallableBacking(value_fn, jacobian_fn))
+def callable_map(n: int, m: int, value_fn, jacobian_fn=None, joint_fn=None) -> SphereMap:
+    """The map given by value_fn(X) (N, m) and jacobian_fn(X) (N, m, n) at the rows of X.
+
+    joint_fn(X), when given, returns the values and a thunk for the
+    Jacobians from one pass; sampling then calls it instead of the two.
+    """
+    return SphereMap(n, m, CallableBacking(value_fn, jacobian_fn, joint_fn))
 
 
 def identity_map(n: int) -> SphereMap:
@@ -255,6 +259,20 @@ def _node_last_data(u: SphereMap, g: SphereGrid):
         return (g.nodes, *u._table(g.nodes))
     _, X, U, J = _node_data(u, g)
     return X, U.T.copy(), J.transpose(1, 2, 0).copy()
+
+
+def _row_major_views(u: SphereMap, points: np.ndarray):
+    """Values (N, m) of a poly or callable map u at the rows of points and a
+    thunk for its Jacobians (N, m, n), copying neither: a poly map's are
+    transposed views of its one node-last monomial table, a callable map's
+    its own arrays."""
+    if u.is_poly:
+        U, J = u._table(points)
+        return U.T, lambda: J.transpose(2, 0, 1)
+    b = u.backing
+    if isinstance(b, CallableBacking) and b.joint_fn is not None:
+        return b.joint_fn(np.atleast_2d(points))
+    return u.eval(points), lambda: u.jac(points)
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +396,21 @@ def _forms(A: np.ndarray) -> np.ndarray:
     return G
 
 
-def _det(M: np.ndarray) -> np.ndarray:
-    """Determinants of a node-last stack of k x k matrices, in closed form for k <= 3."""
-    k = M.shape[0]
+def _det(M) -> np.ndarray:
+    """Determinants of node-last k x k matrices, in closed form for k <= 3.
+
+    M is a node-last (k, k, N) stack or a sequence of its k rows (k, N).
+    """
+    k = len(M)
     if k == 1:
-        return M[0, 0]
+        return M[0][0]
     if k == 2:
-        return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
     if k == 3:
-        return (M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-                - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
-                + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0]))
-    return np.linalg.det(np.moveaxis(M, -1, 0))
+        return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
+                - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
+                + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
+    return np.linalg.det(np.moveaxis(np.asarray(M), -1, 0))
 
 
 def _stretches(G: np.ndarray) -> np.ndarray:
@@ -505,11 +526,12 @@ def _jacobi_eigenvalues(G: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _volume_density(U: np.ndarray, A: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """det([A | u]) s per node from node-last values U (n, N), expanded along the column u."""
+    """det([A | u]) s per node from node-last values U (n, N), expanded along the
+    column u; each minor takes the rows of A as views."""
     n = U.shape[0]
     out = np.zeros(U.shape[1])
     for i in range(n):
-        minor = _det(A[[r for r in range(n) if r != i]])
+        minor = _det([A[r] for r in range(n) if r != i])
         out += minor * U[i] if (n - 1 - i) % 2 == 0 else -minor * U[i]
     return out * s
 

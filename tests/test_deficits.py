@@ -521,3 +521,18 @@ def test_poly_node_bundle_runs_no_jacobi_and_no_row_major_sample(n, rng, monkeyp
     rep = deficit_report(u, default_sphere_grid(n))
     assert rep.delta_isom > 0.0
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_volume_density_minors_from_row_views(n, rng):
+    # the minors take the rows of A as views: the density is bit-identical to
+    # the one from fancy-indexed copies of the rows
+    from spherestab.spheremap import _det, _volume_density
+
+    N = 1000
+    U, A, s = rng.normal(size=(n, N)), rng.normal(size=(n, n - 1, N)), np.sign(rng.normal(size=N))
+    want = np.zeros(N)
+    for i in range(n):
+        minor = _det(A[[r for r in range(n) if r != i]])
+        want += minor * U[i] if (n - 1 - i) % 2 == 0 else -minor * U[i]
+    assert np.array_equal(_volume_density(U, A, s), want * s)

@@ -24,6 +24,7 @@ from spherestab.moebius import (
     recenter,
 )
 from spherestab.operator import project_kernel, random_h_field
+from spherestab.quadrature import build_sphere_grid
 from spherestab.spheremap import callable_map, identity_map, linear_map
 
 
@@ -426,18 +427,20 @@ def _rotation(rng):
 
 
 def test_chart_jacobians_match_central_differences(grid3, rng):
-    # d phi_v / dv itself (u = identity, values kept per node), the recentering
-    # Jacobian (mean of a Moebius map) and the gauge Jacobian (Psi of a poly
-    # map, rotation columns by R <- exp(omega) R), at |v| = 0, below the series
-    # cutoff, about 1 and 3
-    from spherestab.moebius import _SERIES_CUTOFF, _chart_residual, _psi, _rotation_from_axis_angle
+    # d phi_v / dv itself (u = identity, the moments against B = I on a coarse
+    # grid are the values per node), the recentering Jacobian (mean of a
+    # Moebius map) and the gauge Jacobian (Psi of a poly map, rotation columns
+    # by R <- exp(omega) R), at |v| = 0, below the series cutoff, about 1 and 3
+    from spherestab.moebius import _SERIES_CUTOFF, _chart_residual, _psi_moments, _rotation_from_axis_angle
 
     w = random_h_field(3, 4, rng)
     u = identity_map(3) + w.scale(0.2 / np.sqrt(tangential_energy(w)))
+    coarse = build_sphere_grid(3, 8)
     cases = [
-        (_chart_residual(identity_map(3), grid3, lambda U: U.ravel(), turns=False), False),
-        (_chart_residual(as_sphere_map(random_moebius(rng)), grid3, lambda U: grid3.weights @ U, turns=False), False),
-        (_chart_residual(u, grid3, lambda U: _psi(U, grid3), turns=True), True),
+        (_chart_residual(identity_map(3), coarse, np.eye(3 * coarse.size), np.eye(coarse.size), turns=False), False),
+        (_chart_residual(as_sphere_map(random_moebius(rng)), grid3, np.eye(3), grid3.weights[None], turns=False),
+         False),
+        (_chart_residual(u, grid3, *_psi_moments(grid3), turns=True), True),
     ]
     h = 1e-6
     for residual, turns in cases:
@@ -453,6 +456,84 @@ def test_chart_jacobians_match_central_differences(grid3, rng):
             fd = np.column_stack(fd)
             assert J.shape == fd.shape
             assert np.max(np.abs(J - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+
+def test_poly_and_callable_layouts_give_one_jacobian(grid3, rng):
+    # one poly map, poly-backed (transposed views of its node-last monomial
+    # table) and as a callable (its own row-major arrays): the recentering and
+    # gauge residuals and Jacobians agree to roundoff
+    from spherestab.moebius import _chart_residual, _psi_moments
+
+    w = random_h_field(3, 4, rng)
+    u = identity_map(3) + w.scale(0.2 / np.sqrt(tangential_energy(w)))
+    uc = callable_map(3, 3, u.eval, u.jac)
+    for L, B, turns in ((np.eye(3), grid3.weights[None], False), (*_psi_moments(grid3), True)):
+        poly, call = (_chart_residual(m, grid3, L, B, turns) for m in (u, uc))
+        for r in (0.0, 0.05, 1.0):
+            d = rng.normal(size=3)
+            state = (_rotation(rng) if turns else np.eye(3), r * d / np.linalg.norm(d))
+            (fp, jp), (fc, jc) = poly(state), call(state)
+            Jp, Jc = jp(), jc()
+            assert np.max(np.abs(fp - fc)) <= 1e-13 * max(1.0, np.max(np.abs(fp)))
+            assert np.max(np.abs(Jp - Jc)) <= 1e-13 * np.max(np.abs(Jp))
+
+
+def test_gauge_jacobian_peak_memory(rng):
+    # the node blocks keep one gauge Jacobian on the 4 608-node grid at most
+    # half of the 903 KiB peak of the column-by-column (N, 3) contraction
+    import tracemalloc
+
+    from spherestab.moebius import _chart_residual, _psi_moments
+    from spherestab.quadrature import default_sphere_grid
+
+    g = default_sphere_grid(3)
+    assert g.size == 4608
+    w = random_h_field(3, 4, rng)
+    u = identity_map(3) + w.scale(0.05 / np.sqrt(tangential_energy(w)))
+    residual = _chart_residual(u, g, *_psi_moments(g), turns=True)
+    _, jac = residual((_rotation(rng), np.array([0.02, -0.01, 0.03])))
+    jac()
+    tracemalloc.start()
+    try:
+        jac()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 903 * 1024 / 2
+
+
+def test_compose_with_map_applies_phi_once_per_sample(grid3, rng, monkeypatch):
+    import spherestab.moebius as moebius
+    import spherestab.spheremap as spheremap
+
+    w = random_h_field(3, 3, rng)
+    u = identity_map(3) + w.scale(0.2 / np.sqrt(tangential_energy(w)))
+    phi = random_moebius(rng)
+    X = grid3.nodes
+    want_U = u.eval(moebius_apply(phi, X))
+    want_J = u.jac(moebius_apply(phi, X)) @ moebius_jacobian(phi, X)
+    counts = {"phi": 0, "evaluate": 0}
+    parts, evaluate = moebius._dilation_parts, spheremap.evaluate
+
+    def counting_parts(*args):
+        counts["phi"] += 1
+        return parts(*args)
+
+    def counting_evaluate(*args):
+        counts["evaluate"] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(moebius, "_dilation_parts", counting_parts)
+    monkeypatch.setattr(spheremap, "evaluate", counting_evaluate)
+    v = compose_with_map(u, phi)
+    _, U, J = v.sample(grid3)
+    assert counts == {"phi": 1, "evaluate": 1}        # one phi, one monomial table of u's values and Jacobians
+    assert np.array_equal(U, want_U)
+    assert np.max(np.abs(J - want_J)) <= 1e-13 * np.max(np.abs(want_J))
+    for query in (v.eval, v.jac):
+        counts.update(phi=0, evaluate=0)
+        query(X)
+        assert counts == {"phi": 1, "evaluate": 1}
 
 
 def _counting_moebius(tgt, counts):
@@ -588,7 +669,7 @@ def test_recenter_rescues_a_stalled_newton(case, runs, evals, grid3, monkeypatch
 
     u = _bent_moebius(*case)
     I = np.eye(3)
-    residual = moebius._chart_residual(u, grid3, lambda U: grid3.weights @ U, turns=False)
+    residual = moebius._chart_residual(u, grid3, np.eye(3), grid3.weights[None], turns=False)
     stalled = moebius._damped_newton(residual, lambda x, d: (I, x[1] + d), (I, np.zeros(3)),
                                      residual((I, np.zeros(3))), 1e-8)[1]
     assert stalled > 0.1

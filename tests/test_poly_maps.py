@@ -11,7 +11,7 @@ import pytest
 import poly_oracle as oracle
 from spherestab.harmonics import analyze, grad_origin, synthesize
 from spherestab.homogeneous import Stack
-from spherestab.moebius import InfMoebius, _psi_tables
+from spherestab.moebius import InfMoebius, _psi_moments, _psi_tables
 from spherestab.operator import kernel_characterization_residual
 from spherestab.polynomials import Poly, exps
 from spherestab.quadrature import build_sphere_grid
@@ -119,9 +119,16 @@ def test_moebius_fields_and_tables_match_the_component_route(rng):
             xi /= np.linalg.norm(xi)
             _same(InfMoebius(S, mu, xi).field_map().components, oracle.inf_moebius_field(S, mu, xi))
     g = build_sphere_grid(3, 12)
-    vals, dcoef = _psi_tables(g)
+    L, B = _psi_moments(g)
     want_vals, want_dcoef = oracle.psi_tables(g)
-    assert np.array_equal(vals, want_vals) and np.array_equal(dcoef, want_dcoef)
+    assert np.array_equal(B, g.weights * np.vstack([g.nodes.T, want_vals]))
+    # L on the moments P[b, i] = avg B_b v^i (b-major): three skew pairs, then avg (div v_h) x_l
+    L = L.reshape(6, 8, 3)
+    skew = np.zeros((3, 8, 3))
+    for p, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        skew[p, j, i], skew[p, i, j] = 1.0, -1.0
+    assert np.array_equal(L[:3], skew) and not L[3:, :3].any()
+    assert np.array_equal(L[3:, 3:], want_dcoef.transpose(2, 1, 0) / 3)
 
 
 def test_exact_routes_never_reach_poly_algebra(grid3, rng, monkeypatch):

@@ -61,6 +61,42 @@ def test_bench_pairs_extracts_both_sides_at_equal_path_length(tmp_path):
     assert open(os.path.join(dirs["parent"], "f.txt")).read() == "new"
 
 
+def test_bench_pairs_counts_the_minor_faults_of_a_run_per_item(tmp_path):
+    # a stand-in run.py that touches --seed MB of fresh memory over 4 items
+    bench = _load_script("bench_pairs")
+    os.makedirs(tmp_path / "perfbench")
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, sys\n"
+        "mb = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+        "block = b'x' * (mb << 20)\n"
+        "print(json.dumps({'attempted': 4, 'metrics': {'run_s': {'value': 0.5, 'unit': 's'}}}))\n")
+    faults = {}
+    for mb in (0, 16):
+        result, faults[mb] = bench.run_once(str(tmp_path), "w", mb, 1, 0)
+        assert result == {"attempted": 4, "metrics": {"run_s": {"value": 0.5, "unit": "s"}}}
+    assert faults[0] > 0
+    assert faults[16] - faults[0] >= 0.9 * (16 << 20) / 4096 / 4     # 16 MB of 4 KiB pages over 4 items
+
+
+def test_bench_pairs_summary_covers_the_faults_per_item():
+    bench = _load_script("bench_pairs")
+
+    def run(side, pair, run_s, faults):
+        metrics = {m: {"value": run_s if m == "run_s" else 1.0, "unit": "s"} for m in bench.METRICS}
+        return {"side": side, "workload": "w", "seed": 1, "pair": pair, bench.FAULTS: faults,
+                "result": {"metrics": metrics}}
+
+    runs = [run("parent", 1, 0.10, 900.0), run("change", 1, 0.08, 100.0),
+            run("change", 2, 0.07, 120.0), run("parent", 2, 0.11, 1000.0),
+            run("parent", 3, 0.12, 800.0), run("change", 3, 0.13, 90.0)]
+    summary = bench.summarize(runs)["w:1"]
+    assert set(summary) == {*bench.METRICS, bench.FAULTS}
+    f = summary[bench.FAULTS]
+    assert (f["parent_median"], f["change_median"], f["change_won"], f["pairs"]) == (900.0, 100.0, 3, 3)
+    assert f["parent_iqr"] == 200.0
+    assert (summary["run_s"]["parent_median"], summary["run_s"]["change_won"]) == (0.11, 2)
+
+
 def test_output_diff_reports_the_largest_move_per_column_and_line():
     # the comparison only; no command is run
     diff = _load_script("output_diff")
