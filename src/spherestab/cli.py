@@ -134,7 +134,7 @@ def cmd_spectrum(args) -> int:
         try:
             spaces = eigenspaces(n, k)
         except IntegrityError as exc:
-            # past the degree ceiling (n = 3, k >= 29) the float basis loses the known spectrum
+            # past the degree ceiling (n = 3, k >= 29) a constructed eigenspace fails its residual check
             raise SystemExit(f"spectrum fails at (n, k) = ({n}, {k}): {exc}") from None
         for i in (1, 2, 3):
             S = spaces[i - 1]

@@ -19,7 +19,10 @@ D, which has one nonzero per row, is applied as the equivalent gather:
     A f               (A f)_i = sum_j (X_i D_j - X_j D_i) f^j, degree d
 
 A is degree-preserving on every homogeneous block, harmonic or not; this
-is the one exact implementation of the volume-form operator.
+is the one exact implementation of the volume-form operator on fields.
+Its matrix on a harmonic block (``operator.a_matrix``) uses the same
+building blocks, the gradient gather and the x placements, on the scalar
+harmonics instead of the vector basis.
 
 Sphere integrals are pairings of stacks: the sum over degree pairs of
 equal parity of blk1 ``gram_rect(n, d1, d2)`` blk2^t, over all rows, for

@@ -6,6 +6,25 @@ into itself and is self-adjoint there.  Its spectrum on H_{n,k} is exactly
 and the complement of the solenoidal part is the (k+n-2)-eigenspace.  The
 kernel of the conformal-isoperimetric form is the span of the skew linear
 fields (degree 1, eigenvalue 1) and the degree-2 complement.
+
+The float spectrum is built from one cached primitive, the derivative
+coordinates D[j, c, b] = <psi^{k-1}_c, d_j psi^k_b> of the orthonormal
+scalar harmonics (:func:`_grad_coords`): d_j psi^k_b is harmonic of degree
+k-1, so D expands it exactly.  On the candidates e_j psi_b, which span
+H_{n,k} for k >= 2 (at k = 1 less the radial field):
+
+    A       generator form (A e_j psi_b)_i = (x_i d_j - x_j d_i) psi_b, so the
+            matrix has blocks X_i D_j - X_j D_i, X_i = <psi^k, x_i psi^{k-1}>
+    eig1    -k:      grad H_{n,k+1}, the columns of D_{k+1}
+    eig3    k+n-2:   div* H_{n,k-1}, the rows of D_k
+    eig2    1:       the orthogonal complement of both, from one QR
+
+No eigensolver, SVD or rank threshold is involved.  Each block instead
+passes a check against the matrix of A, the dims h(n,k+1), the remainder
+and h(n,k-1), with eigen-residuals and orthonormality residuals of at most
+1e-8; a block that fails raises IntegrityError.  That happens past the
+degree ceiling, where the float scalar basis no longer carries the
+spectrum.
 """
 
 from __future__ import annotations
@@ -16,9 +35,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IntegrityError
-from .harmonics import Subspace, _combine, _field_pairs, laplace_eigenvalue, vector_space_coeffs
+from .harmonics import (
+    Subspace,
+    _field_pairs,
+    harmonic_dimension,
+    laplace_eigenvalue,
+    scalar_basis_coeffs,
+    vector_space_coeffs,
+)
 from .homogeneous import Stack, l2_gram
-from .polynomials import diff_matrix, evaluate, gram, linear_order
+from .polynomials import evaluate, grad_index, gram, linear_order
 from .quadrature import integrate
 from .spheremap import SphereMap, _grid_for, a_operator_values, sampled_map, stack_map
 
@@ -37,7 +63,7 @@ __all__ = [
     "random_h_field",
 ]
 
-_CLUSTER_TOL = 1e-8
+_SPECTRUM_TOL = 1e-8
 
 
 def apply_A(w: SphereMap) -> SphereMap:
@@ -53,11 +79,54 @@ def apply_A(w: SphereMap) -> SphereMap:
 
 
 @lru_cache(maxsize=None)
+def _grad_coords(n: int, k: int) -> np.ndarray:
+    """D[j, c, b] = <psi^{k-1}_c, d_j psi^k_b>, shape (n, h_{k-1}, h_k).
+
+    d_j psi^k_b is harmonic of degree k-1, so these coordinates expand it
+    exactly in the orthonormal scalar harmonics of degree k-1: one
+    ``grad_index`` gather of the degree-k basis, one product with the
+    moments of the degree-(k-1) basis.
+    """
+    S = scalar_basis_coeffs(n, k)
+    src, coef = grad_index(n, k)
+    grads = S.T[src] * coef[:, None]                      # (n M_{k-1}, h_k): rows (j, q)
+    return (scalar_basis_coeffs(n, k - 1) @ gram(n, k - 1)) @ grads.reshape(n, -1, len(S))
+
+
+def _rows(T: np.ndarray) -> np.ndarray:
+    """(n, r, h) -> (r, n h): row c holds T[j, c, b] over the candidates e_j psi_b."""
+    return T.transpose(1, 0, 2).reshape(T.shape[1], -1)
+
+
+def _candidate_coords(n: int) -> np.ndarray:
+    """Coordinates of the degree-1 basis of H_{n,1} in the candidates e_j psi_b, (dim, n h_1)."""
+    B = vector_space_coeffs(n, 1)
+    return (B @ gram(n, 1) @ scalar_basis_coeffs(n, 1).T).reshape(len(B), -1)
+
+
+@lru_cache(maxsize=None)
 def a_matrix(n: int, k: int) -> np.ndarray:
-    """Matrix of A on the orthonormal basis of H_{n,k} (L2 inner products)."""
-    B = vector_space_coeffs(n, k)          # (dim, n, M)
-    AB = Stack(n, len(B), n, {k: B}).a_field.blocks[k]
-    return _field_pairs(B, AB, gram(n, k))
+    """Matrix of A on the orthonormal basis of H_{n,k} (L2 inner products).
+
+    On the candidates e_j psi_b the entry <e_i psi_a, A e_j psi_b> is
+    <psi_a, x_i d_j psi_b> - <psi_a, x_j d_i psi_b>, and <psi_a, x_i d_j psi_b>
+    = sum_c <psi_a, x_i psi^{k-1}_c> D[j, c, b].  The x_i-pairings are the
+    columns of the degree-k moments that x_i places the degree-(k-1)
+    monomials on (the ``grad_index`` sources), so A costs n pairings of the
+    h-row scalar stack.  At k = 1 the basis of H_{n,1} spans the candidates
+    less the radial field, and the matrix is conjugated by its coordinates.
+    """
+    D = _grad_coords(n, k)
+    h = D.shape[2]
+    src, _ = grad_index(n, k)                              # x_i places monomial q on q + e_i = src[i, q]
+    placed = (scalar_basis_coeffs(n, k) @ gram(n, k)).T[src].reshape(n, -1, h)
+    XT = scalar_basis_coeffs(n, k - 1) @ placed           # XT[i, c, a] = <x_i psi^{k-1}_c, psi_a>
+    Y = (_rows(XT).T @ _rows(D)).reshape(n, h, n, h)      # Y[i, a, j, b] = <psi_a, x_i d_j psi_b>
+    M = (Y - Y.transpose(2, 1, 0, 3)).reshape(n * h, n * h)
+    if k == 1:
+        C = _candidate_coords(n)
+        M = C @ M @ C.T
+    return M
 
 
 def self_adjointness_residual(n: int, k: int) -> float:
@@ -66,57 +135,62 @@ def self_adjointness_residual(n: int, k: int) -> float:
     return float(np.max(np.abs(M - M.T)))
 
 
-@lru_cache(maxsize=None)
 def helmholtz_split(n: int, k: int) -> tuple[Subspace, Subspace]:
     """Split H_{n,k} into fields with divergence-free extension and complement.
 
-    Divergence-free is detected on exact polynomial coefficients, never by
-    sampling: the rank counts the singular values of the divergence map
-    above 1e-10 times the largest one (or 1e-10 when all are below 1, as at
-    k = 1, where the map vanishes up to roundoff).
+    The divergence-free part is eig1 + eig2 and its complement is eig3
+    (:func:`eigenspaces`), so no rank is decided here.
     """
-    B = vector_space_coeffs(n, k)
-    Dmap = sum(diff_matrix(n, k, i) @ B[:, i, :].T for i in range(n))
-    _, s, vh = np.linalg.svd(Dmap)
-    rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
-    sol = Subspace(n, k, "sol", _combine(vh[rank:], B))
-    perp = Subspace(n, k, "sol_perp", _combine(vh[:rank], B), eigenvalue=float(k + n - 2))
-    return sol, perp
+    eig1, eig2, eig3 = eigenspaces(n, k)
+    sol = Subspace(n, k, "sol", np.concatenate([eig1.coeffs, eig2.coeffs]))
+    return sol, Subspace(n, k, "sol_perp", eig3.coeffs, eigenvalue=eig3.eigenvalue)
 
 
 @lru_cache(maxsize=None)
 def eigenspaces(n: int, k: int) -> tuple[Subspace, Subspace, Subspace]:
-    """Eigenspaces of A on H_{n,k} for the eigenvalues (-k, 1, k+n-2).
+    """Eigenspaces of A on H_{n,k} for the eigenvalues (-k, 1, k+n-2), by construction.
 
-    The matrix of A is assembled on the orthonormal basis, symmetrized and
-    diagonalized; every eigenvalue must land within 1e-8 of one of the
-    three predicted values, and the top eigenspace must coincide with the
-    complement of the divergence-free part.
+    In the candidate coordinates e_j psi_b, eig1 = grad H_{n,k+1} is spanned
+    by the columns of D_{k+1}, eig3 = div* H_{n,k-1} by the rows of D_k
+    (:func:`_grad_coords`); both sets are orthogonal with equal norms
+    (Schur's lemma) and are only normalized.  eig2 is their orthogonal
+    complement, the last columns of one complete Householder QR.  At k = 1
+    the row of D_1 is the radial field, which H_{n,1} excludes, so eig3 is
+    trivial.  The spaces must then pass the check: dims h(n,k+1), the
+    remainder and h(n,k-1), max|A E_i - lambda_i E_i| and max|E E^t - I| at
+    most 1e-8 against :func:`a_matrix`, or IntegrityError is raised.
     """
-    B = vector_space_coeffs(n, k)
-    M = a_matrix(n, k)
-    evals, evecs = np.linalg.eigh(0.5 * (M + M.T))
-    centers = [float(-k), 1.0, float(k + n - 2)]
-    dists = np.abs(evals[:, None] - np.array(centers))
-    far = np.flatnonzero(dists.min(axis=1) > _CLUSTER_TOL)
-    if far.size:
-        raise IntegrityError(f"eigenvalue {evals[far[0]]} of A on H_({n},{k}) is not near any of {centers}")
-    which = np.argmin(dists, axis=1)
+    up = _grad_coords(n, k + 1)
+    h1 = up.shape[2]
+    F = np.concatenate([up.transpose(2, 0, 1).reshape(h1, -1), _rows(_grad_coords(n, k))])
+    F /= np.linalg.norm(F, axis=1)[:, None]
+    Q = np.linalg.qr(F.T, mode="complete")[0]
+    E = [F[:h1], Q[:, len(F):].T, F[h1:] if k >= 2 else F[:0]]
+    lams = (float(-k), 1.0, float(k + n - 2))
+    _check_eigenspaces(n, k, E, lams)
+    S = scalar_basis_coeffs(n, k)
+    return tuple(Subspace(n, k, f"eig{i + 1}", (Ei.reshape(-1, len(S)) @ S).reshape(len(Ei), n, S.shape[1]),
+                          eigenvalue=lam)
+                 for i, (Ei, lam) in enumerate(zip(E, lams)))
+
+
+def _check_eigenspaces(n: int, k: int, E: list[np.ndarray], lams: tuple[float, ...]) -> None:
+    """Raise IntegrityError unless the candidate coordinates E_i span eigenspaces of
+    :func:`a_matrix` with the eigenvalues lams and the predicted dims, orthonormally."""
+    h = lambda d: harmonic_dimension(n, d)
+    dims, want = [len(Ei) for Ei in E], [h(k + 1), n * h(k) - h(k + 1) - h(k - 1), h(k - 1) if k >= 2 else 0]
+    if dims != want:
+        raise IntegrityError(f"eigenspace dims {dims} of A on H_({n},{k}), want {want}")
     if k == 1:
-        # H_{n,1,3} is trivial; for n=2, k=1 the centers 1 and k+n-2 collide
-        which[which == 2] = 1
-    eig1, eig2, eig3 = (
-        Subspace(n, k, f"eig{j + 1}", _combine(evecs[:, which == j].T, B), eigenvalue=c)
-        for j, c in enumerate(centers)
-    )
-    sol, perp = helmholtz_split(n, k)
-    if eig3.dim != perp.dim:
-        raise IntegrityError(f"sol-complement dim {perp.dim} != eigenvalue-{centers[2]} dim {eig3.dim}")
-    if eig3.dim:
-        ang = subspace_angle(eig3, perp)
-        if ang > _CLUSTER_TOL:
-            raise IntegrityError(f"top eigenspace deviates from sol-complement by {ang}")
-    return eig1, eig2, eig3
+        C = _candidate_coords(n)
+        E = [Ei @ C.T for Ei in E]
+    M = a_matrix(n, k)
+    for i, (Ei, lam) in enumerate(zip(E, lams), start=1):
+        res = float(np.max(np.abs(Ei @ M.T - lam * Ei), initial=0.0))
+        orth = float(np.max(np.abs(Ei @ Ei.T - np.eye(len(Ei))), initial=0.0))
+        if not max(res, orth) <= _SPECTRUM_TOL:
+            raise IntegrityError(f"eig{i} of A on H_({n},{k}): eigen-residual {res:.1e}, "
+                                 f"orthonormality residual {orth:.1e} (tolerance {_SPECTRUM_TOL:.0e})")
 
 
 def subspace_angle(S1: Subspace, S2: Subspace) -> float:
@@ -227,24 +301,28 @@ class EigenField:
 
 
 def random_eigenfield(n: int, k: int, i: int, rng: np.random.Generator) -> EigenField:
-    """Random element of the (k, i) eigenspace of A with unit tangential energy."""
+    """Random element of the (k, i) eigenspace of A with unit tangential energy.
+
+    A Gaussian drawn in the coordinates of the orthonormal basis of H_{n,k}
+    is projected onto the eigenspace, so the draw does not depend on the
+    basis chosen inside it.
+    """
     S = eigenspaces(n, k)[i - 1]
     if S.dim == 0:
         raise ValueError(f"eigenspace ({n},{k},{i}) is trivial")
-    c = rng.normal(size=S.dim)
+    B = vector_space_coeffs(n, k)
+    g = rng.normal(size=len(B)) @ B.reshape(len(B), -1)
+    c = _field_pairs(g.reshape(1, n, -1), S.coeffs, gram(n, k))[0]
     c /= np.linalg.norm(c)
     c /= np.sqrt(laplace_eigenvalue(n, k))
     return EigenField(S.element(c), n, k, i)
 
 
 def random_h_field(n: int, kmax: int, rng: np.random.Generator) -> SphereMap:
-    """Random element of the degree-truncated H_n with N(0,1) block weights."""
-    total = None
+    """Random element of the degree-truncated H_n: N(0, I) on each H_{n,k}, in the
+    coordinates of its orthonormal basis."""
+    blocks = {}
     for k in range(1, kmax + 1):
-        for i in (1, 2, 3):
-            S = eigenspaces(n, k)[i - 1]
-            if S.dim == 0:
-                continue
-            piece = S.element(rng.normal(size=S.dim))
-            total = piece if total is None else total + piece
-    return total
+        B = vector_space_coeffs(n, k)
+        blocks[k] = (rng.normal(size=len(B)) @ B.reshape(len(B), -1)).reshape(1, n, -1)
+    return stack_map(Stack(n, 1, n, blocks))

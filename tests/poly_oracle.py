@@ -9,7 +9,9 @@ synthesis, the first moments, and the infinitesimal Moebius fields.  The
 package evaluates the same quantities on coefficient stacks
 (:mod:`spherestab.homogeneous`); the tests hold it to these.  The last
 section keeps the dense matrix of A and the modified Gram-Schmidt loop
-that the exact-algebra engine replaced.
+that the exact-algebra engine replaced, and the numerical spectrum that
+the constructed eigenspaces replaced: A applied to the basis stack,
+``eigh`` with clustering, and the Helmholtz split by an SVD with a rank cut.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from spherestab.harmonics import scalar_basis, scalar_basis_coeffs
+from spherestab.harmonics import _combine, _field_pairs, scalar_basis, scalar_basis_coeffs, vector_space_coeffs
 from spherestab.homogeneous import Stack
 from spherestab.polynomials import Poly, diff_matrix, evaluate, exps, gram, gram_rect
 
@@ -344,3 +346,61 @@ def scalar_basis_coeffs_mgs(n: int, k: int) -> np.ndarray:
         kernel = vh[int(np.sum(s > 1e-10 * s[0])):]
     basis = mgs(kernel, gram(n, k))
     return np.abs(basis) if k == 0 else basis
+
+
+# ---------------------------------------------------------------------------
+# the numerical spectrum: A on the basis stack, eigh, the Helmholtz SVD
+# ---------------------------------------------------------------------------
+
+def a_matrix_a_field(n: int, k: int) -> np.ndarray:
+    """The matrix of A on the orthonormal basis of H_{n,k}: ``Stack.a_field`` of
+    the n h-row basis stack, paired with the basis."""
+    B = vector_space_coeffs(n, k)
+    AB = Stack(n, len(B), n, {k: B}).a_field.blocks[k]
+    return _field_pairs(B, AB, gram(n, k))
+
+
+def a_matrix_from_gradients(n: int, k: int) -> np.ndarray:
+    """The matrix of A on the orthonormal basis of H_{n,k} as (D_i^t D_j - D_j^t D_i) / (n+2k-2).
+
+    D_j = <psi^{k-1}, d_j psi^k> from the dense ``diff_matrix``; the pairing
+    <psi^k_a, x_i psi^{k-1}_c> equals D_i[c, a] / (n+2k-2) by the divergence
+    theorem on the ball, which makes this form symmetric by construction.
+    At k = 1 it is conjugated by the coordinates of the basis in the
+    candidates e_j psi_b.
+    """
+    S, Sm = scalar_basis_coeffs(n, k), scalar_basis_coeffs(n, k - 1)
+    D = [Sm @ gram(n, k - 1) @ diff_matrix(n, k, j) @ S.T for j in range(n)]
+    M = np.block([[D[i].T @ D[j] - D[j].T @ D[i] for j in range(n)] for i in range(n)]) / (n + 2 * k - 2)
+    if k == 1:
+        B = vector_space_coeffs(n, 1)
+        C = (B @ gram(n, 1) @ S.T).reshape(len(B), -1)
+        M = C @ M @ C.T
+    return M
+
+
+def eigenspaces_eigh(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients (dim_i, n, M_k) of the eigenspaces of A on H_{n,k} for (-k, 1, k+n-2):
+    ``eigh`` of the symmetrized :func:`a_matrix_a_field`, every eigenvalue
+    assigned to its nearest predicted value (within 1e-8)."""
+    B = vector_space_coeffs(n, k)
+    M = a_matrix_a_field(n, k)
+    evals, evecs = np.linalg.eigh(0.5 * (M + M.T))
+    centers = np.array([-k, 1.0, k + n - 2])
+    dists = np.abs(evals[:, None] - centers)
+    assert np.max(dists.min(axis=1)) <= 1e-8, f"an eigenvalue of A on H_({n},{k}) is off the predicted values"
+    which = np.argmin(dists, axis=1)
+    if k == 1:
+        which[which == 2] = 1   # H_{n,1,3} is trivial; for n = 2, k = 1 the values 1 and k+n-2 collide
+    return tuple(_combine(evecs[:, which == j].T, B) for j in range(3))
+
+
+def helmholtz_split_svd(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the divergence-free part of H_{n,k} and of its complement: the
+    null and row spaces of the divergence map, with the rank counting singular
+    values above 1e-10 max(1, s_max)."""
+    B = vector_space_coeffs(n, k)
+    Dmap = sum(diff_matrix(n, k, i) @ B[:, i, :].T for i in range(n))
+    _, s, vh = np.linalg.svd(Dmap)
+    rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
+    return _combine(vh[rank:], B), _combine(vh[:rank], B)

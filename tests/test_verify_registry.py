@@ -43,3 +43,16 @@ def test_crashing_check_reports_failure():
         assert "synthetic" in results[0]["detail"]
     finally:
         V.ALL_CHECKS = old
+
+
+def test_solver_detail_prints_a_residual_only_when_it_fails(monkeypatch):
+    # converged residuals are roundoff; the detail names their tolerances instead
+    import numpy as np
+
+    import spherestab.verify as V
+
+    ok, results = run_checks(Config(), names=["moebius.solvers"])
+    assert ok and results[0]["detail"] == "gauge residual <= 1e-07, recenter residual <= 1e-08"
+    monkeypatch.setattr(V, "psi_functional", lambda u, g: np.full(8, 1e-3))
+    ok, results = run_checks(Config(), names=["moebius.solvers"])
+    assert not ok and results[0]["detail"] == "gauge residual 2.83e-03 > 1e-07, recenter residual <= 1e-08"
