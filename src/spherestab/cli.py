@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -79,6 +80,18 @@ def _load_cfg(args, n: int | None = None) -> tuple[Config, SphereGrid | None]:
         raise SystemExit(f"config error: {exc}") from None
 
 
+def _check_out(path: str) -> None:
+    """Exit 2 with one line unless path can be opened for writing; leaves no
+    file that was not there."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise SystemExit(f"cannot write {path}: {exc.strerror or exc}") from None
+    if not existed:
+        os.remove(path)
+
+
 def _map_and_grid(args):
     """The map of --map and the grid it is evaluated on: its own grid if it
     is sampled, else the config grid of its dimension."""
@@ -86,7 +99,9 @@ def _map_and_grid(args):
 
     try:
         u = map_from_dict(load_json(args.map))
-    except (OSError, KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise SystemExit(f"cannot read map: missing key {exc}") from None
+    except (OSError, TypeError, ValueError) as exc:
         raise SystemExit(f"cannot read map: {exc}") from None
     if u.is_sampled and args.resolution is not None:
         raise SystemExit("a sampled map carries its own grid; --resolution does not apply")
@@ -292,6 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.out:   # before the work: an unwritable --out fails fast
+            _check_out(args.out)
         return args.fn(args)
     except SystemExit as exc:   # usage and input errors; a string code is the one-line reason
         if isinstance(exc.code, str):

@@ -22,6 +22,8 @@ class Config:
         for t in (self.tol_exact, self.tol_quad, self.tol_solver):
             if not t > 0:
                 raise ValueError("tolerances must be positive")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, not {self.seed!r}")
 
     def grid(self, n: int) -> SphereGrid:
         if n not in self.resolutions:
@@ -53,5 +55,5 @@ def load_config(path: str) -> Config:
         if name in raw:
             kw[name] = float(raw[name])
     if "seed" in raw:
-        kw["seed"] = int(raw["seed"])
+        kw["seed"] = raw["seed"]   # not coerced: Config refuses what is not a nonnegative integer
     return Config(**kw)

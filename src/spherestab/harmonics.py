@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import IntegrityError
 from .homogeneous import Stack
-from .polynomials import Poly, diff_matrix, evaluate, exps, gram, gram_rect, linear_order
+from .polynomials import Poly, diff_matrix, evaluate, gram, gram_rect, linear_order
 from .quadrature import SphereGrid, integrate
 from .spheremap import SphereMap, _grid_for, stack_map
 
@@ -111,7 +111,7 @@ def harmonic_dimension(n: int, k: int) -> int:
 @lru_cache(maxsize=None)
 def scalar_basis_coeffs(n: int, k: int) -> np.ndarray:
     """Orthonormal degree-k scalar harmonics as rows over monomial coefficients."""
-    M = len(exps(n, k))
+    M = math.comb(n + k - 1, k)
     if k <= 1:
         kernel = np.eye(M)
     else:

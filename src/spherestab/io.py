@@ -91,25 +91,39 @@ def map_to_dict(u: SphereMap) -> dict:
     raise TypeError("callable-backed maps do not serialize")
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _expect(x, kind: type, what: str):
+    """x, which must be a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(x, kind):
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, not {_JSON_TYPES.get(type(x), type(x).__name__)}")
+    return x
+
+
 def _component_from_dict(n: int, i: int, c: dict) -> Poly:
     """Component i of a poly map in n variables; its n and exponents must agree."""
+    _expect(c, dict, f"component {i}")
     if int(c.get("n", n)) != n:
         raise ValueError(f"component {i} has n = {c['n']}, but the map has n = {n}")
-    for t in c["terms"]:
-        e = t["exponents"]
+    for t in _expect(c["terms"], list, f"component {i}: terms"):
+        e = _expect(_expect(t, dict, f"component {i}: a term")["exponents"], list, f"component {i}: exponents")
         if len(e) != n or not all(isinstance(p, int) and p >= 0 for p in e):
             raise ValueError(f"component {i}: exponent {e} is not {n} nonnegative integers")
     return poly_from_dict({**c, "n": n})
 
 
 def map_from_dict(d: dict) -> SphereMap:
+    """The map of a JSON object; ValueError or KeyError (a missing key) names what is wrong."""
+    _expect(d, dict, "a map")
     if d["backing"] == "poly":
-        n, comps = int(d["n"]), d["components"]
+        n, comps = int(d["n"]), _expect(d["components"], list, "components")
         if "m" in d and int(d["m"]) != len(comps):
             raise ValueError(f"poly map has {len(comps)} components, but m = {d['m']}")
         return poly_map(n, [_component_from_dict(n, i, c) for i, c in enumerate(comps)])
     if d["backing"] == "sampled":
-        grid = grid_from_dict(d["grid"])
+        grid = grid_from_dict(_expect(d["grid"], dict, "grid"))
         jac = d.get("jacobians")
         return sampled_map(grid, np.asarray(d["values"], dtype=float),
                            None if jac is None else np.asarray(jac, dtype=float))

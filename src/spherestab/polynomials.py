@@ -1,16 +1,20 @@
 """Monomial spaces, the cached matrices between them, and a scalar polynomial type.
 
 A homogeneous block of degree d in n variables is a coefficient vector
-over the monomials ``exps(n, d)`` in a fixed order.  On these blocks,
-differentiation and coordinate multiplication are cached sparse-pattern
-matrices between degree spaces, stacked over the coordinates
-(:func:`grad_matrix`, :func:`xdot_matrix`), and integrals over S^{n-1} /
-B_1 contract the blocks with the exact moments of
-:mod:`spherestab.moments` (the Gram matrices of :func:`gram_rect` for
-products of two polynomials).  The coefficient stacks of
-:mod:`spherestab.homogeneous`, which back every poly map, are built on
-these matrices, and :func:`evaluate` gives the values of any rows of
-blocks at points from one monomial table.
+over the monomials of degree d in lexicographic order.  A monomial space
+is one integer array, ``_exponents(n, d)`` (M_d x n, read-only), built in
+closed form; :func:`exps` is its tuple view, for :class:`Poly` terms,
+serialization and the tests.  Positions are found by base-b codes of the
+exponent rows: the codes of a space ascend, so a lookup is one
+``searchsorted``.  On these blocks, differentiation and coordinate
+multiplication are cached sparse-pattern matrices between degree spaces,
+stacked over the coordinates (:func:`grad_matrix`, :func:`xdot_matrix`),
+and integrals over S^{n-1} / B_1 contract the blocks with the exact
+moments of :mod:`spherestab.moments`, as floats (the Gram matrices of
+:func:`gram_rect` for products of two polynomials).  The coefficient
+stacks of :mod:`spherestab.homogeneous`, which back every poly map, are
+built on these matrices, and :func:`evaluate` gives the values of any
+rows of blocks at points from one monomial table.
 
 :class:`Poly` is one scalar polynomial as ``{degree: block}``.  It is kept
 for serialization (``SphereMap.components`` views a map's stack as Polys),
@@ -25,12 +29,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
 import numpy as np
-
-from .moments import ball_moment, sphere_moment
 
 __all__ = [
     "Poly",
@@ -60,15 +61,38 @@ _CHUNK = 1024
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _exponents(n: int, k: int) -> np.ndarray:
+    """The exponents of total degree exactly k, a read-only (M_k x n) int64 array
+    in lexicographic order: e_0 = 0, ..., k, each followed by the rows of
+    ``_exponents(n - 1, k - e_0)``."""
+    if n == 1:
+        E = np.full((1, 1), k, dtype=np.int64)
+    elif n == 2:
+        e0 = np.arange(k + 1, dtype=np.int64)
+        E = np.column_stack((e0, k - e0))
+    else:
+        E = np.empty((math.comb(n + k - 1, k), n), dtype=np.int64)
+        row = 0
+        for e0 in range(k + 1):
+            tail = _exponents(n - 1, k - e0)
+            E[row : row + len(tail), 0] = e0
+            E[row : row + len(tail), 1:] = tail
+            row += len(tail)
+    E.flags.writeable = False
+    return E
+
+
+def _codes(E: np.ndarray, base: int) -> np.ndarray:
+    """Exponent rows as base-``base`` numbers, leading digit e[0]: with every
+    digit below the base, lexicographic order is the order of the codes."""
+    return E @ base ** np.arange(E.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
 def exps(n: int, k: int) -> tuple[Exponent, ...]:
-    """All exponent multi-indices of total degree exactly k, in sorted order."""
-    out = []
-    for combo in combinations_with_replacement(range(n), k):
-        e = [0] * n
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return tuple(sorted(out))
+    """All exponent multi-indices of total degree exactly k, in sorted order:
+    the rows of ``_exponents(n, k)`` as tuples."""
+    return tuple(map(tuple, _exponents(n, k).tolist()))
 
 
 def monomial_exponents(n: int, k: int) -> list[Exponent]:
@@ -82,20 +106,15 @@ def linear_order(a: np.ndarray) -> np.ndarray:
     return a[..., ::-1]
 
 
-@lru_cache(maxsize=None)
-def _index(n: int, k: int) -> dict[Exponent, int]:
-    return {e: i for i, e in enumerate(exps(n, k))}
-
-
 def diff_matrix(n: int, k: int, i: int) -> np.ndarray:
     """d/dx_i as a (M_{k-1} x M_k) matrix on monomial coefficients: a row block of :func:`grad_matrix`."""
-    m = len(exps(n, k - 1))
+    m = len(_exponents(n, k - 1))
     return grad_matrix(n, k)[i * m : (i + 1) * m]
 
 
 def xmul_matrix(n: int, k: int, i: int) -> np.ndarray:
     """Multiplication by x_i as a (M_{k+1} x M_k) matrix: a column block of :func:`xdot_matrix`."""
-    m = len(exps(n, k))
+    m = len(_exponents(n, k))
     return xdot_matrix(n, k)[:, i * m : (i + 1) * m]
 
 
@@ -105,7 +124,7 @@ def grad_index(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     gradient of f is coef[l, q] * f[src[l, q]], with src the column of the
     monomial q + e_l and coef = q_l + 1.  Both are flat over (l, q)."""
     src = _product_index(n, 1, k - 1).reshape(n, -1)[::-1]   # exps(n, 1) lists e_{n-1} first
-    coef = np.array(exps(n, k - 1), dtype=float).reshape(-1, n).T + 1
+    coef = _exponents(n, k - 1).T + 1.0
     return src.ravel(), coef.ravel()
 
 
@@ -117,7 +136,7 @@ def grad_matrix(n: int, k: int) -> np.ndarray:
     (:func:`grad_index`).
     """
     src, coef = grad_index(n, k)
-    G = np.zeros((len(src), len(exps(n, k))))
+    G = np.zeros((len(src), len(_exponents(n, k))))
     G[np.arange(len(src)), src] = coef
     return G
 
@@ -125,9 +144,9 @@ def grad_matrix(n: int, k: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def xdot_matrix(n: int, k: int) -> np.ndarray:
     """f -> <f, x> on degree-k coefficient stacks, (M_{k+1} x n M_k): column block i is x_i."""
-    m = len(exps(n, k))
+    m = len(_exponents(n, k))
     dst = _product_index(n, 1, k).reshape(n, m)[::-1]
-    X = np.zeros((len(exps(n, k + 1)), n, m))
+    X = np.zeros((len(_exponents(n, k + 1)), n, m))
     X[dst, np.arange(n)[:, None], np.arange(m)] = 1.0
     return X.reshape(-1, n * m)
 
@@ -136,36 +155,39 @@ def xdot_matrix(n: int, k: int) -> np.ndarray:
 def _product_index(n: int, k1: int, k2: int) -> np.ndarray:
     """Position in exps(n, k1+k2) of p + q, for (p, q) over exps(n, k1) x exps(n, k2) row-major.
 
-    Exponents are coded as base-(k1+k2+1) numbers, leading digit e[0]: sums
-    never carry, and the sorted :func:`exps` have ascending codes.
+    In base k1+k2+1 sums of codes never carry, so the code of p + q is the
+    sum of the codes of p and q.
     """
-    weights = (k1 + k2 + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-    def code(k: int) -> np.ndarray:
-        return np.array(exps(n, k), dtype=np.int64).reshape(-1, n) @ weights
-
-    return np.searchsorted(code(k1 + k2), np.add.outer(code(k1), code(k2)).ravel())
+    base = k1 + k2 + 1
+    sums = np.add.outer(_codes(_exponents(n, k1), base), _codes(_exponents(n, k2), base))
+    return np.searchsorted(_codes(_exponents(n, k1 + k2), base), sums.ravel())
 
 
 @lru_cache(maxsize=None)
 def _moments(n: int, k: int, ball: bool) -> np.ndarray:
-    """Moments of the monomials exps(n, k) as floats of the exact fractions.
+    """Moments of the monomials exps(n, k), each the float of its exact value.
 
-    Only the monomials x^(2f), f in exps(n, k/2), have nonzero moments, and
-    a moment depends only on the multiset of exponents: each sorted pattern
-    is computed once, as the exact fraction, and scattered.
+    Only the monomials x^(2f), f of degree h = k/2, have nonzero moments:
+    prod_i (2 f_i - 1)!! / prod_{j<h} (n + 2j) on the sphere, times
+    n / (n + k) on the ball (:mod:`spherestab.moments`).  Each is one true
+    division of Python ints, which CPython rounds correctly, so it equals
+    the float of the exact fraction bit for bit.  The values are placed by
+    the base-(k+1) codes of 2f.
     """
-    out = np.zeros(len(exps(n, k)))
+    out = np.zeros(len(_exponents(n, k)))
     if k % 2:
         return out
-    moment = ball_moment if ball else sphere_moment
-    pos = _index(n, k)
-    values: dict[Exponent, float] = {}
-    for f in exps(n, k // 2):
-        key = tuple(sorted(f, reverse=True))          # zeros last, as sphere_moment caches them
-        if key not in values:
-            values[key] = float(moment(n, tuple(2 * p for p in key)))
-        out[pos[tuple(2 * p for p in f)]] = values[key]
+    h = k // 2
+    odd = [1]                                   # odd[m] = (2m - 1)!!
+    for m in range(1, h + 1):
+        odd.append(odd[-1] * (2 * m - 1))
+    num, den = 1, math.prod(range(n, n + k, 2))    # den = prod_{j<h} (n + 2j)
+    if ball:
+        num, den = n, den * (n + k)
+    F = _exponents(n, h)
+    out[np.searchsorted(_codes(_exponents(n, k), k + 1), _codes(2 * F, k + 1))] = [
+        num * math.prod(map(odd.__getitem__, f)) / den for f in F.tolist()
+    ]
     return out
 
 
@@ -178,13 +200,13 @@ def gram(n: int, k: int) -> np.ndarray:
 def gram_rect(n: int, k1: int, k2: int) -> np.ndarray:
     """Moments of x^(p+q) for deg-k1 p against deg-k2 q (exact, as floats)."""
     G = _moments(n, k1 + k2, False)[_product_index(n, k1, k2)]
-    return G.reshape(len(exps(n, k1)), len(exps(n, k2)))
+    return G.reshape(len(_exponents(n, k1)), len(_exponents(n, k2)))
 
 
 @lru_cache(maxsize=None)
 def _exponent_table(n: int, kmax: int) -> np.ndarray:
     """Exponents of all monomials of degree <= kmax, blocks stacked by degree."""
-    return np.array([e for d in range(kmax + 1) for e in exps(n, d)], dtype=np.intp).reshape(-1, n)
+    return np.concatenate([_exponents(n, d) for d in range(kmax + 1)], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +225,19 @@ class Poly:
 
     def __init__(self, n: int, coeffs: dict[Exponent, float] | None = None):
         self.n = n
-        blocks: dict[int, np.ndarray] = {}
+        terms: dict[int, list[tuple[Exponent, float]]] = {}
         for e, c in (coeffs or {}).items():
-            if c == 0.0:
-                continue
-            e = tuple(e)
-            d = sum(e)
-            if d not in blocks:
-                blocks[d] = np.zeros(len(exps(n, d)))
-            blocks[d][_index(n, d)[e]] += c
+            if c != 0.0:
+                terms.setdefault(sum(e), []).append((e, c))
+        blocks: dict[int, np.ndarray] = {}
+        for d, dterms in terms.items():
+            E = np.array([e for e, _ in dterms], dtype=np.int64)
+            table = _exponents(n, d)
+            pos = np.searchsorted(_codes(table, d + 1), _codes(E, d + 1)).clip(max=len(table) - 1)
+            if not np.array_equal(table[pos], E):
+                raise KeyError(f"not exponents in {n} variables: {E.tolist()}")
+            blocks[d] = np.zeros(len(table))
+            blocks[d][pos] = [c for _, c in dterms]
         self.blocks = {d: v for d, v in blocks.items() if v.any()}
 
     # -- constructors -------------------------------------------------
@@ -264,7 +290,7 @@ class Poly:
             for d2, v2 in other.blocks.items():
                 d = d1 + d2
                 v = np.bincount(_product_index(n, d1, d2), weights=np.outer(v1, v2).ravel(),
-                                minlength=len(exps(n, d)))
+                                minlength=len(_exponents(n, d)))
                 out[d] = out[d] + v if d in out else v
         return Poly.from_blocks(n, out)
 

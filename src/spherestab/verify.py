@@ -7,6 +7,8 @@ which checks are quadrature- or solver-limited.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import Config
@@ -71,7 +73,7 @@ from .operator import (
     random_h_field,
     self_adjointness_residual,
 )
-from .polynomials import exps, gram, gram_rect
+from .polynomials import gram, gram_rect, linear_order
 from .quadrature import ball_grid_moment_residual, build_ball_grid, grid_moment_residual, integrate
 from .spheremap import identity_map, stack_map
 
@@ -80,10 +82,10 @@ __all__ = ["ALL_CHECKS", "run_checks"]
 
 def _random_poly_field(n, rng):
     """A map S^{n-1} -> R^n of degree 3 with N(0, 0.3^2) coefficients."""
-    blocks = {d: np.empty((1, n, len(exps(n, d)))) for d in range(4)}
+    blocks = {d: np.empty((1, n, math.comb(n + d - 1, d))) for d in range(4)}
     for i in range(n):
         for d in range(4):
-            blocks[d][0, i] = [rng.normal() * 0.3 for _ in exps(n, d)]
+            blocks[d][0, i] = [rng.normal() * 0.3 for _ in range(blocks[d].shape[2])]
     return stack_map(Stack(n, 1, n, blocks))
 
 
@@ -164,11 +166,7 @@ def check_grad_origin_block(cfg: Config):
     e = analyze(u, 1)
     S = scalar_basis_coeffs(3, 1)
     # coefficient matrix of the degree-1 block in coordinates
-    C = e.blocks[1] @ S  # (m, monomials of degree 1)
-    order = [list(ee).index(1) for ee in exps(3, 1)]
-    M = np.zeros((3, 3))
-    for col, coord in enumerate(order):
-        M[:, coord] = C[:, col]
+    M = linear_order(e.blocks[1] @ S)  # (m, monomials of degree 1) -> (m, coordinates)
     worst = float(np.max(np.abs(B - M)))
     return worst <= cfg.tol_exact, f"degree-1 block residual {worst:.3e}"
 
@@ -350,7 +348,7 @@ def check_kernel_intersection(cfg: Config):
     # the basis as one stack: n constant fields, then the eigenspaces of degrees 1..4
     spaces = [eigenspaces(n, k)[i - 1] for k in range(1, 5) for i in (1, 2, 3)]
     dim = n + sum(S.dim for S in spaces)
-    blocks = {0: np.zeros((dim, n, 1)), **{k: np.zeros((dim, n, len(exps(n, k)))) for k in range(1, 5)}}
+    blocks = {0: np.zeros((dim, n, 1)), **{k: np.zeros((dim, n, math.comb(n + k - 1, k))) for k in range(1, 5)}}
     blocks[0][np.arange(n), np.arange(n), 0] = 1.0
     row = n
     for S in spaces:

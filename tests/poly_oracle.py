@@ -11,12 +11,15 @@ package evaluates the same quantities on coefficient stacks
 section keeps the dense matrix of A and the modified Gram-Schmidt loop
 that the exact-algebra engine replaced, and the numerical spectrum that
 the constructed eigenspaces replaced: A applied to the basis stack,
-``eigh`` with clustering, and the Helmholtz split by an SVD with a rank cut.
+``eigh`` with clustering, and the Helmholtz split by an SVD with a rank cut,
+and the tuple enumeration of monomial spaces that the exponent arrays
+replaced.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -404,3 +407,15 @@ def helmholtz_split_svd(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     _, s, vh = np.linalg.svd(Dmap)
     rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
     return _combine(vh[rank:], B), _combine(vh[:rank], B)
+
+
+def exps_enumerated(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """All exponents of total degree exactly k, in sorted order, enumerated as
+    multisets of k coordinates."""
+    out = []
+    for combo in combinations_with_replacement(range(n), k):
+        e = [0] * n
+        for i in combo:
+            e[i] += 1
+        out.append(tuple(e))
+    return tuple(sorted(out))

@@ -490,3 +490,74 @@ def test_cli_verify_refuses_resolution(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"resolutions": {"3": 8}}))
     assert main(["verify", "--config", str(cfg), "--only", "quadrature.exactness", "--out", str(rep)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["spectrum"],
+    ["rates", "--family", "flip"],
+    ["stability", "--family", "flip"],
+    ["fit-moebius", "--map", "MAP"],
+    ["deficits", "--map", "MAP"],
+])
+@pytest.mark.parametrize("target, reason", [
+    ("missing/out.txt", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_cli_refuses_an_out_path_it_cannot_write_before_the_work(argv, target, reason, tmp_path, capsys,
+                                                                 monkeypatch):
+    import spherestab.verify
+
+    mp = tmp_path / "ell.json"
+    save_json(map_to_dict(linear_map(np.diag([1.0, 1.0, 1.1]))), str(mp))
+    monkeypatch.setattr(spherestab.verify, "run_checks", lambda *a, **k: pytest.fail("verify ran its checks"))
+    out = tmp_path / target
+    capsys.readouterr()
+    assert main([str(mp) if a == "MAP" else a for a in argv] + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"cannot write {out}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ell.json"]
+
+
+def test_cli_out_check_keeps_an_existing_file(tmp_path):
+    # the check opens the target without truncating it; a later input error leaves it as it was
+    old = tmp_path / "old.csv"
+    old.write_text("kept\n")
+    assert main(["spectrum", "--kmax", "0", "--out", str(old)]) == 2
+    assert old.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--only", "quadrature.exactness"],
+    ["spectrum", "--kmax", "1"],
+])
+def test_cli_refuses_a_seed_that_is_not_a_nonnegative_integer(argv, tmp_path, capsys):
+    # the flag takes integers only (argparse refuses the rest); a config file may hold any JSON value
+    cfg = tmp_path / "cfg.json"
+    for flags, seed in ((["--seed", "-3"], None), (["--config", str(cfg)], -1),
+                        (["--config", str(cfg)], 1.5), (["--config", str(cfg)], "3")):
+        cfg.write_text(json.dumps({"seed": seed}))
+        assert main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: seed must be a nonnegative integer, not ")
+    with pytest.raises(ValueError, match="seed"):
+        Config(seed=-1)
+    assert Config(seed=0).seed == 0
+
+
+@pytest.mark.parametrize("command", ["deficits", "fit-moebius"])
+@pytest.mark.parametrize("doc, named", [
+    ([], "a map must be an object, not an array"),
+    ({"backing": "poly", "n": 3, "components": 5}, "components must be an array, not a number"),
+    ({"backing": "poly", "n": 3, "components": [[1.0]]}, "component 0 must be an object, not an array"),
+    ({"backing": "poly", "n": 3, "components": [{"terms": {}}]}, "component 0: terms must be an array, not an object"),
+    ({"backing": "poly", "n": 3, "components": [{"n": 3}]}, "missing key 'terms'"),
+    ({"backing": "sampled", "grid": 3}, "grid must be an object, not a number"),
+])
+def test_cli_refuses_map_files_of_the_wrong_json_type(command, doc, named, tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--map", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"cannot read map: {named}\n"

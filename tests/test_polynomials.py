@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherestab.polynomials import Poly, _exponent_table, evaluate, monomial_exponents
+from spherestab.polynomials import Poly, _exponent_table, _exponents, evaluate, exps, monomial_exponents
 
-from poly_oracle import field_surface_div
+from poly_oracle import exps_enumerated, field_surface_div
 
 
 def _random_poly(rng, n=3, deg=3):
@@ -24,6 +24,30 @@ def test_monomial_counts():
     assert len(monomial_exponents(3, 2)) == 6
     assert len(monomial_exponents(4, 3)) == 20
     assert monomial_exponents(2, 0) == [(0, 0)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_exponent_arrays_equal_the_enumeration(n):
+    for k in range(31 if n <= 3 else 17):
+        E = _exponents(n, k)
+        want = exps_enumerated(n, k)
+        assert E.dtype == np.int64 and E.shape == (len(want), n) and E.tolist() == [list(e) for e in want]
+        assert exps(n, k) == want
+        assert not E.flags.writeable
+        with pytest.raises(ValueError):
+            E[0, 0] = 1
+
+
+def test_poly_terms_find_their_positions_by_code(rng):
+    for n in (2, 3, 4):
+        terms = {e: rng.normal() for d in range(7) for e in exps_enumerated(n, d)}
+        p = Poly(n, terms)
+        assert p.coeffs == terms
+        for d, block in p.blocks.items():
+            assert block.tolist() == [terms[e] for e in exps_enumerated(n, d)]
+    for bad in ({(1, 0): 1.0}, {(2, -1, 0): 1.0}, {(1, 0, 0, 0): 1.0}):
+        with pytest.raises(KeyError):
+            Poly(3, bad)
 
 
 def test_product_eval_consistency(rng):

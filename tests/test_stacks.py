@@ -24,7 +24,7 @@ from spherestab.operator import (
     project_h_n,
     project_kernel,
 )
-from spherestab.polynomials import Poly, _index, _moments, diff_matrix, exps, grad_matrix, xmul_matrix
+from spherestab.polynomials import Poly, _moments, diff_matrix, exps, grad_matrix, xmul_matrix
 from spherestab.spheremap import poly_map
 
 REL = 1e-12
@@ -139,8 +139,8 @@ def test_kernel_gram_matches_the_pairwise_poly_loop():
 
 
 def test_moment_tables_are_the_exact_fractions_bit_for_bit():
-    for n in range(2, 6):
-        for k in range(31 if n <= 3 else 17):
+    for n, kmax in ((2, 30), (3, 48), (4, 24), (5, 16)):
+        for k in range(kmax + 1):
             for ball, moment in ((False, sphere_moment), (True, ball_moment)):
                 want = np.array([float(moment(n, e)) for e in exps(n, k)])
                 assert _moments(n, k, ball).tobytes() == want.tobytes(), (n, k, ball)
@@ -149,8 +149,8 @@ def test_moment_tables_are_the_exact_fractions_bit_for_bit():
 def test_gradient_and_x_matrices_follow_the_monomial_rules():
     for n in range(2, 6):
         for k in range(7):
-            pos_down = _index(n, k - 1) if k else {}
-            pos_up = _index(n, k + 1)
+            pos_down = {e: i for i, e in enumerate(exps(n, k - 1))} if k else {}
+            pos_up = {e: i for i, e in enumerate(exps(n, k + 1))}
             for i in range(n):
                 D = np.zeros((len(pos_down), len(exps(n, k))))
                 X = np.zeros((len(pos_up), len(exps(n, k))))
@@ -196,3 +196,24 @@ def test_a_is_applied_once_per_stack(rng):
     q_n(w, project=False)
     assert w.stack.a_field is Aw
     assert all(apply_A(w).stack.blocks[d] is C for d, C in Aw.blocks.items())
+
+
+def test_the_exact_algebra_path_builds_no_exponent_tuples(rng):
+    # with every cache from the monomial spaces up to the spectrum cleared, one
+    # block's spectrum, A and the forms of one eigenfield run in full on the
+    # exponent arrays; the tuple view exps is never built
+    import spherestab.harmonics as harmonics
+    import spherestab.operator as operator
+    import spherestab.polynomials as polynomials
+    from spherestab.forms import q_n
+
+    for module in (polynomials, harmonics, operator):
+        for f in vars(module).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+    eigenspaces(3, 8)
+    operator.a_matrix(3, 8)
+    w = operator.random_eigenfield(3, 8, 2, rng).map
+    tangential_energy(w), q_vol(w, w), surface_div_sq(w), q_n(w, project=False)
+    assert polynomials._exponents.cache_info().misses > 0
+    assert polynomials.exps.cache_info().misses == 0
