@@ -37,6 +37,20 @@ class Config:
 _KEYS = ("resolutions", "tol_exact", "tol_quad", "tol_solver", "seed")
 
 
+def _dimension(key: str) -> int:
+    """A resolutions key, which must spell a nonnegative integer: "3", not "3.0" or " 3"."""
+    if not (key.isascii() and key.isdigit()):
+        raise ValueError(f"resolutions keys must be integer dimensions, not {key!r}")
+    return int(key)
+
+
+def _integer(x, what: str) -> int:
+    """x, which must be a JSON integer: a float or a boolean is refused, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, not {x!r}")
+    return x
+
+
 def load_config(path: str) -> Config:
     with open(path) as fh:
         raw = json.load(fh)
@@ -50,7 +64,8 @@ def load_config(path: str) -> Config:
         if not isinstance(raw["resolutions"], dict):
             raise ValueError("resolutions must be an object keyed by dimension")
         # a partial table overrides the defaults entry by entry
-        kw["resolutions"] = {**Config().resolutions, **{int(k): int(v) for k, v in raw["resolutions"].items()}}
+        kw["resolutions"] = {**Config().resolutions, **{_dimension(k): _integer(v, f"resolution for n = {k}")
+                                                         for k, v in raw["resolutions"].items()}}
     for name in ("tol_exact", "tol_quad", "tol_solver"):
         if name in raw:
             kw[name] = float(raw[name])

@@ -27,9 +27,9 @@ import numpy as np
 
 from .errors import UndefinedDeficitError
 from .harmonics import harmonicize
-from .homogeneous import Stack
-from .quadrature import SphereGrid, covering_sphere_grid
-from .spheremap import NodeBundle, SphereMap, node_bundle
+from .polynomials import evaluate
+from .quadrature import SphereGrid, covering_ball_grid, covering_sphere_grid, integrate
+from .spheremap import NodeBundle, SphereMap, _det, node_bundle
 
 __all__ = [
     "principal_stretches",
@@ -156,27 +156,22 @@ def combined_deficit(u: SphereMap, grid: SphereGrid | None = None) -> float:
     return _dirichlet(u, b) ** (u.n / (u.n - 1)) / abs(V) - 1.0
 
 
-def _det3(B):
-    """Determinant of a 3 x 3 array of polynomials."""
-    return (
-        B[0][0] * (B[1][1] * B[2][2] - B[1][2] * B[2][1])
-        - B[0][1] * (B[1][0] * B[2][2] - B[1][2] * B[2][0])
-        + B[0][2] * (B[1][0] * B[2][1] - B[1][1] * B[2][0])
-    )
-
-
 def bulk_volume(u: SphereMap) -> float:
     """Normalized ball integral of det grad(u_h), u_h the harmonic extension.
 
     Independent of the surface route: the extension is harmonicized
-    exactly and the determinant integrated with ball moments.
+    exactly, its Jacobian blocks are evaluated at the nodes of the smallest
+    ball grid exact to the degree 3(d - 1) of the determinant, and the
+    determinant is integrated with the ball weights.
     """
     if u.n != 3 or u.m != 3:
         raise ValueError("bulk volume implemented for maps of S^2 into R^3")
     if not u.is_poly:
         raise ValueError("bulk volume needs a poly-backed map")
-    J = Stack(3, 1, 9, harmonicize(u).stack.jac).polys()   # d_l u_h^i, row-major over (i, l)
-    return _det3([J[3 * i : 3 * i + 3] for i in range(3)]).ball_integral()
+    jac = harmonicize(u).stack.jac                  # d_l u_h^i, row-major over (i, l)
+    g = covering_ball_grid(3, 3 * max(jac, default=0))
+    J = evaluate([(9, jac)], g.nodes).reshape(3, 3, -1)
+    return integrate(g, _det(J))
 
 
 def volume_expansion_check(w: SphereMap) -> tuple[float, float, float, float]:

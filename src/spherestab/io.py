@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 
+from .config import _integer
 from .harmonics import HarmonicExpansion, HarmonicPoly, Subspace
 from .moebius import MoebiusMap
 from .polynomials import Poly
@@ -38,8 +39,8 @@ def grid_to_dict(g: SphereGrid | BallGrid) -> dict:
 
 def grid_from_dict(d: dict) -> SphereGrid | BallGrid:
     cls = BallGrid if d.get("domain") == "ball" else SphereGrid
-    return cls(int(d["n"]), np.asarray(d["nodes"], dtype=float),
-               np.asarray(d["weights"], dtype=float), int(d["exactness"]))
+    return cls(_integer(d["n"], "grid: n"), np.asarray(d["nodes"], dtype=float),
+               np.asarray(d["weights"], dtype=float), _integer(d["exactness"], "grid: exactness"))
 
 
 def poly_to_dict(p: Poly) -> dict:
@@ -47,7 +48,7 @@ def poly_to_dict(p: Poly) -> dict:
 
 
 def poly_from_dict(d: dict) -> Poly:
-    return Poly(int(d["n"]), {tuple(t["exponents"]): float(t["coeff"]) for t in d["terms"]})
+    return Poly(_integer(d["n"], "n"), {tuple(t["exponents"]): float(t["coeff"]) for t in d["terms"]})
 
 
 def harmonic_to_dict(h: HarmonicPoly) -> dict:
@@ -57,7 +58,7 @@ def harmonic_to_dict(h: HarmonicPoly) -> dict:
 
 
 def harmonic_from_dict(d: dict) -> HarmonicPoly:
-    return HarmonicPoly(int(d["n"]), int(d["k"]), poly_from_dict(d))
+    return HarmonicPoly(_integer(d["n"], "n"), _integer(d["k"], "k"), poly_from_dict(d))
 
 
 def expansion_to_dict(e: HarmonicExpansion) -> dict:
@@ -70,7 +71,7 @@ def expansion_to_dict(e: HarmonicExpansion) -> dict:
 
 def expansion_from_dict(d: dict) -> HarmonicExpansion:
     blocks = {int(k): np.asarray(b, dtype=float) for k, b in d["blocks"].items()}
-    return HarmonicExpansion(int(d["n"]), int(d["m"]), int(d["kmax"]), blocks,
+    return HarmonicExpansion(_integer(d["n"], "n"), _integer(d["m"], "m"), _integer(d["kmax"], "kmax"), blocks,
                              bool(d.get("quadrature_warning", False)))
 
 
@@ -105,7 +106,7 @@ def _expect(x, kind: type, what: str):
 def _component_from_dict(n: int, i: int, c: dict) -> Poly:
     """Component i of a poly map in n variables; its n and exponents must agree."""
     _expect(c, dict, f"component {i}")
-    if int(c.get("n", n)) != n:
+    if _integer(c.get("n", n), f"component {i}: n") != n:
         raise ValueError(f"component {i} has n = {c['n']}, but the map has n = {n}")
     for t in _expect(c["terms"], list, f"component {i}: terms"):
         e = _expect(_expect(t, dict, f"component {i}: a term")["exponents"], list, f"component {i}: exponents")
@@ -118,8 +119,8 @@ def map_from_dict(d: dict) -> SphereMap:
     """The map of a JSON object; ValueError or KeyError (a missing key) names what is wrong."""
     _expect(d, dict, "a map")
     if d["backing"] == "poly":
-        n, comps = int(d["n"]), _expect(d["components"], list, "components")
-        if "m" in d and int(d["m"]) != len(comps):
+        n, comps = _integer(d["n"], "n"), _expect(d["components"], list, "components")
+        if "m" in d and _integer(d["m"], "m") != len(comps):
             raise ValueError(f"poly map has {len(comps)} components, but m = {d['m']}")
         return poly_map(n, [_component_from_dict(n, i, c) for i, c in enumerate(comps)])
     if d["backing"] == "sampled":
@@ -135,7 +136,7 @@ def moebius_to_dict(phi: MoebiusMap) -> dict:
 
 
 def moebius_from_dict(d: dict) -> MoebiusMap:
-    return MoebiusMap(int(d["n"]), np.asarray(d["O"], dtype=float),
+    return MoebiusMap(_integer(d["n"], "n"), np.asarray(d["O"], dtype=float),
                       np.asarray(d["xi"], dtype=float), float(d["lambda"]))
 
 

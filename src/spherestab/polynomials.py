@@ -16,13 +16,15 @@ stacks of :mod:`spherestab.homogeneous`, which back every poly map, are
 built on these matrices, and :func:`evaluate` gives the values of any
 rows of blocks at points from one monomial table.
 
-:class:`Poly` is one scalar polynomial as ``{degree: block}``.  It is kept
-for serialization (``SphereMap.components`` views a map's stack as Polys),
-the scalar harmonics, the one polynomial product of the package (the bulk
-volume of :mod:`spherestab.deficits`) and the tests' reference routes.
-Two polynomials that agree on the sphere (e.g. representatives differing
-by a multiple of |x|^2 - 1) have equal sphere integrals, so any smooth
-extension may be used as a representative.
+:class:`Poly` is one scalar polynomial as ``{degree: block}``, a view with
+no algebra: it serves serialization (``SphereMap.components`` views a
+map's stack as Polys), the scalar harmonics and evaluation at points.
+The package's one polynomial algebra is the coefficient stack; the Poly
+algebra of the reference routes that the tests hold the stacks to is in
+``tests/poly_oracle.py``.  Two polynomials that agree on the sphere
+(e.g. representatives differing by a multiple of |x|^2 - 1) have equal
+sphere integrals, so any smooth extension may be used as a
+representative.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "Poly",
     "evaluate",
     "exps",
-    "monomial_exponents",
     "linear_order",
     "diff_matrix",
     "xmul_matrix",
@@ -93,11 +94,6 @@ def exps(n: int, k: int) -> tuple[Exponent, ...]:
     """All exponent multi-indices of total degree exactly k, in sorted order:
     the rows of ``_exponents(n, k)`` as tuples."""
     return tuple(map(tuple, _exponents(n, k).tolist()))
-
-
-def monomial_exponents(n: int, k: int) -> list[Exponent]:
-    """:func:`exps` as a list."""
-    return list(exps(n, k))
 
 
 def linear_order(a: np.ndarray) -> np.ndarray:
@@ -218,7 +214,9 @@ class Poly:
 
     ``Poly(n, {exponent: coeff})`` builds one from monomial terms and
     :meth:`from_blocks` from degree blocks.  Identically zero blocks are
-    not stored.  Operations never modify a block in place.
+    not stored.  A Poly is a view for serialization and evaluation: it has
+    no algebra, which the coefficient stacks of
+    :mod:`spherestab.homogeneous` carry.
     """
 
     __slots__ = ("n", "blocks")
@@ -240,7 +238,6 @@ class Poly:
             blocks[d][pos] = [c for _, c in dterms]
         self.blocks = {d: v for d, v in blocks.items() if v.any()}
 
-    # -- constructors -------------------------------------------------
     @classmethod
     def from_blocks(cls, n: int, blocks: dict[int, np.ndarray]) -> "Poly":
         """Poly from {degree d: coefficient vector over exps(n, d)}; the vectors are not copied."""
@@ -253,67 +250,6 @@ class Poly:
                 p.blocks[d] = v
         return p
 
-    @staticmethod
-    def zero(n: int) -> "Poly":
-        return Poly(n)
-
-    @staticmethod
-    def constant(n: int, c: float) -> "Poly":
-        return Poly(n, {(0,) * n: float(c)})
-
-    @staticmethod
-    def coordinate(n: int, i: int) -> "Poly":
-        e = [0] * n
-        e[i] = 1
-        return Poly(n, {tuple(e): 1.0})
-
-    # -- algebra -------------------------------------------------------
-    def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.blocks)
-        for d, v in other.blocks.items():
-            out[d] = out[d] + v if d in out else v
-        return Poly.from_blocks(self.n, out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        out = dict(self.blocks)
-        for d, v in other.blocks.items():
-            out[d] = out[d] - v if d in out else -v
-        return Poly.from_blocks(self.n, out)
-
-    def scale(self, a: float) -> "Poly":
-        return Poly.from_blocks(self.n, {d: a * v for d, v in self.blocks.items()})
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        n = self.n
-        out: dict[int, np.ndarray] = {}
-        for d1, v1 in self.blocks.items():
-            for d2, v2 in other.blocks.items():
-                d = d1 + d2
-                v = np.bincount(_product_index(n, d1, d2), weights=np.outer(v1, v2).ravel(),
-                                minlength=len(_exponents(n, d)))
-                out[d] = out[d] + v if d in out else v
-        return Poly.from_blocks(n, out)
-
-    def diff(self, i: int) -> "Poly":
-        return Poly.from_blocks(
-            self.n, {d - 1: diff_matrix(self.n, d, i) @ v for d, v in self.blocks.items() if d >= 1}
-        )
-
-    def xmul(self, i: int) -> "Poly":
-        """Multiplication by the coordinate x_i."""
-        return Poly.from_blocks(self.n, {d + 1: xmul_matrix(self.n, d, i) @ v for d, v in self.blocks.items()})
-
-    def euler(self) -> "Poly":
-        """sum_i x_i d/dx_i, i.e. degree-weighting of homogeneous parts."""
-        return Poly.from_blocks(self.n, {d: d * v for d, v in self.blocks.items()})
-
-    def laplacian(self) -> "Poly":
-        out = Poly(self.n)
-        for i in range(self.n):
-            out = out + self.diff(i).diff(i)
-        return out
-
-    # -- queries ---------------------------------------------------------
     @property
     def coeffs(self) -> dict[Exponent, float]:
         """{exponent: coefficient} view of the nonzero terms."""
@@ -324,43 +260,12 @@ class Poly:
             if c != 0.0
         }
 
-    def degree(self) -> int:
-        return max(self.blocks, default=0)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(np.all(np.abs(v) <= tol) for v in self.blocks.values())
-
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at points, shape (N, n) or (n,)."""
         out = evaluate([(1, self.blocks)], points)[0]
         if np.ndim(points) == 1:
             return out[0]
         return out
-
-    # -- exact integrals ---------------------------------------------------
-    def pair(self, other: "Poly") -> float:
-        """Exact normalized sphere integral of the product."""
-        total = 0.0
-        for d1, v1 in self.blocks.items():
-            for d2, v2 in other.blocks.items():
-                if (d1 + d2) % 2 == 0:
-                    total += v1 @ gram_rect(self.n, d1, d2) @ v2
-        return float(total)
-
-    def sphere_integral(self) -> float:
-        """Normalized integral over S^{n-1}, exact moment sum."""
-        return self._moment_sum(ball=False)
-
-    def ball_integral(self) -> float:
-        """Normalized integral over B_1, exact moment sum."""
-        return self._moment_sum(ball=True)
-
-    def _moment_sum(self, ball: bool) -> float:
-        total = 0.0
-        for d, v in self.blocks.items():
-            if d % 2 == 0:  # odd moments vanish
-                total += _moments(self.n, d, ball) @ v
-        return float(total)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Poly(n={self.n}, {dict(sorted(self.coeffs.items()))})"

@@ -40,6 +40,7 @@ __all__ = [
     "default_sphere_grid",
     "covering_sphere_grid",
     "build_ball_grid",
+    "covering_ball_grid",
     "build_circle_grid_segmented",
     "integrate",
 ]
@@ -172,6 +173,15 @@ def build_ball_grid(n: int, resolution: int) -> BallGrid:
     weights = np.concatenate([wri * sph.weights for wri, ri in zip(wr, r)])
     exact = min(sph.exactness, 2 * nr - 1 - (n - 1))
     return BallGrid(n, nodes, weights, exactness=exact)
+
+
+@lru_cache(maxsize=None)
+def covering_ball_grid(n: int, degree: int) -> BallGrid:
+    """The smallest :func:`build_ball_grid` of B_1 exact to the given degree."""
+    r = 2
+    while (g := build_ball_grid(n, r)).exactness < degree:
+        r += 1
+    return g
 
 
 def build_circle_grid_segmented(breakpoints: np.ndarray, points_per_segment: int) -> SphereGrid:

@@ -14,8 +14,8 @@ A = J E = J[:, :-1] - (2/|v|^2) (J v) v[:-1]^t:
     first fundamental form   G = A^t A, (n-1) x (n-1)
     principal stretches      square roots of the eigenvalues of G: one
                              hypot rotation at n = 3, the closed
-                             trigonometric form at n = 4, cyclic Jacobi
-                             sweeps over all nodes at once only for n >= 5
+                             trigonometric form at n = 4, LAPACK's
+                             eigvalsh only for n >= 5
     perimeter density        sqrt(det G)
     Dirichlet density        (tr G / (n-1))^((n-1)/2)
     volume-form integrand    det([A | u]) s = det(J P + u x^t)
@@ -45,7 +45,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SolverError
 from .homogeneous import Stack
 from .polynomials import Poly, evaluate, linear_order
 from .quadrature import SphereGrid, default_sphere_grid, integrate
@@ -419,8 +418,8 @@ def _stretches(G: np.ndarray) -> np.ndarray:
     For 2 x 2 forms [[a, b], [b, c]] the eigenvalues are m -+ hypot((a-c)/2, b)
     with m = (a+c)/2, which has no cancellation near the identity: one exact
     Jacobi rotation.  3 x 3 forms (n = 4) take the closed form of
-    :func:`_eigenvalues_3x3`; only larger ones (n >= 5) take
-    :func:`_jacobi_eigenvalues`.
+    :func:`_eigenvalues_3x3`; only larger ones (n >= 5, a dimension with
+    no grid) take LAPACK's ``eigvalsh``.
     """
     k = G.shape[0]
     if k == 1:
@@ -431,7 +430,7 @@ def _stretches(G: np.ndarray) -> np.ndarray:
     elif k == 3:
         lam = _eigenvalues_3x3(G)
     else:
-        lam = _jacobi_eigenvalues(G)[0].T
+        lam = np.linalg.eigvalsh(np.moveaxis(G, -1, 0)).T
     return np.sqrt(np.clip(lam, 0.0, None))
 
 
@@ -476,53 +475,6 @@ def _eigenvalues_3x3(G: np.ndarray) -> np.ndarray:
     cos, sin = np.cos(t), np.sqrt(3.0) * np.sin(t)
     top = 2.0 * cos
     return q + np.sqrt(J2 / 3.0) * np.stack([-cos - sin, np.minimum(sin - cos, top), top])
-
-
-# cyclic Jacobi converges quadratically: the forms of n = 4 maps settle in
-# about 4 sweeps, so reaching this cap means a bug, not a hard input
-_JACOBI_SWEEPS = 30
-
-
-def _jacobi_eigenvalues(G: np.ndarray) -> tuple[np.ndarray, int]:
-    """Eigenvalues (ascending, shape (N, k)) of node-last symmetric k x k forms,
-    and the number of sweeps taken.
-
-    One cyclic Jacobi run over all nodes at once, eigenvalues only.  Each
-    rotation zeroes the (p, q) entry b with t = b / (d + copysign(hypot(d, b), d)),
-    d = (a_qq - a_pp) / 2 (t = 0 when d = b = 0), c = 1/sqrt(1 + t^2) and
-    s = t c.  Sweeps stop once sum |off-diagonal| <= eps sum |diagonal| at
-    every node; a node holding a NaN returns NaN, as LAPACK does.
-    """
-    k = G.shape[0]
-    A = G.copy()
-    pairs = [(p, q) for p in range(k) for q in range(p + 1, k)]
-    eps = np.finfo(float).eps
-    sweeps = 0
-    while True:
-        off = sum(np.abs(A[p, q]) for p, q in pairs)
-        if not np.any(off > eps * sum(np.abs(A[p, p]) for p in range(k))):
-            break
-        if sweeps == _JACOBI_SWEEPS:
-            raise SolverError(f"Jacobi eigen-solve did not converge in {_JACOBI_SWEEPS} sweeps")
-        sweeps += 1
-        for p, q in pairs:
-            b = A[p, q]
-            d = 0.5 * (A[q, q] - A[p, p])
-            den = d + np.copysign(np.hypot(d, b), d)
-            t = b / np.where(den == 0.0, 1.0, den)  # den = 0 only where d = b = 0
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            tb = t * b
-            A[p, p] -= tb
-            A[q, q] += tb
-            A[p, q] = A[q, p] = 0.0
-            for r in range(k):
-                if r != p and r != q:
-                    arp, arq = A[r, p], A[r, q]
-                    A[r, p], A[r, q] = c * arp - s * arq, s * arp + c * arq
-                    A[p, r], A[q, r] = A[r, p], A[r, q]
-    lam = np.stack([A[p, p] for p in range(k)], axis=1) + 0.0 * off[:, None]  # keeps a NaN a NaN
-    return np.sort(lam, axis=1), sweeps
 
 
 def _volume_density(U: np.ndarray, A: np.ndarray, s: np.ndarray) -> np.ndarray:

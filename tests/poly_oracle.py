@@ -1,19 +1,24 @@
 """Test-only oracle: the package's exact routes through per-call Poly algebra.
 
-Every operator here is a chain of ``Poly.diff``, ``Poly.xmul``, ``+``
-and ``Poly.pair`` on the components of a field, and the forms, projections
-and the nearest-rotation moment are built from them.  The last section
-treats a poly map as a tuple of Poly components: sampling through the
-components and their gradients, map arithmetic, harmonic analysis and
-synthesis, the first moments, and the infinitesimal Moebius fields.  The
-package evaluates the same quantities on coefficient stacks
-(:mod:`spherestab.homogeneous`); the tests hold it to these.  The last
-section keeps the dense matrix of A and the modified Gram-Schmidt loop
-that the exact-algebra engine replaced, and the numerical spectrum that
-the constructed eigenspaces replaced: A applied to the basis stack,
-``eigh`` with clustering, and the Helmholtz split by an SVD with a rank cut,
-and the tuple enumeration of monomial spaces that the exponent arrays
-replaced.
+The package's :class:`~spherestab.polynomials.Poly` is a serialization
+view with no algebra.  The first section gives it one, as free functions:
+sums, scaling, products, ``diff``, ``xmul``, the Euler operator and the
+Laplacian, and the exact sphere and ball integrals by moment sums.  Every
+operator after it is a chain of those on the components of a field, and
+the forms, projections and the nearest-rotation moment are built from
+them.  A later section treats a poly map as a tuple of Poly components:
+sampling through the components and their gradients, map arithmetic,
+harmonic analysis and synthesis, the first moments, the infinitesimal
+Moebius fields and the bulk volume by exact ball moments.  The package
+evaluates the same quantities on coefficient stacks
+(:mod:`spherestab.homogeneous`) and by quadrature; the tests hold it to
+these.  The last sections keep the dense matrix of A and the modified
+Gram-Schmidt loop that the exact-algebra engine replaced, the numerical
+spectrum that the constructed eigenspaces replaced (A applied to the
+basis stack, ``eigh`` with clustering, and the Helmholtz split by an SVD
+with a rank cut), the tuple enumeration of monomial spaces that the
+exponent arrays replaced, and the cyclic Jacobi eigen-solver that
+``eigvalsh`` replaced at n >= 5.
 """
 
 from __future__ import annotations
@@ -24,11 +29,139 @@ from typing import Sequence
 
 import numpy as np
 
-from spherestab.harmonics import _combine, _field_pairs, scalar_basis, scalar_basis_coeffs, vector_space_coeffs
+from spherestab.errors import SolverError
+from spherestab.harmonics import (
+    _combine,
+    _field_pairs,
+    harmonicize,
+    scalar_basis,
+    scalar_basis_coeffs,
+    vector_space_coeffs,
+)
 from spherestab.homogeneous import Stack
-from spherestab.polynomials import Poly, diff_matrix, evaluate, exps, gram, gram_rect
+from spherestab.polynomials import (
+    Poly,
+    _exponents,
+    _moments,
+    _product_index,
+    diff_matrix,
+    evaluate,
+    exps,
+    gram,
+    gram_rect,
+    xmul_matrix,
+)
 
 Field = Sequence[Poly]
+
+
+# ---------------------------------------------------------------------------
+# Poly algebra
+# ---------------------------------------------------------------------------
+
+def monomial_exponents(n: int, k: int) -> list[tuple[int, ...]]:
+    """``exps(n, k)`` as a list."""
+    return list(exps(n, k))
+
+
+def zero(n: int) -> Poly:
+    return Poly(n)
+
+
+def constant(n: int, c: float) -> Poly:
+    return Poly(n, {(0,) * n: float(c)})
+
+
+def coordinate(n: int, i: int) -> Poly:
+    e = [0] * n
+    e[i] = 1
+    return Poly(n, {tuple(e): 1.0})
+
+
+def add(*ps: Poly) -> Poly:
+    """The sum of one or more Polys in the same variables, taken left to right."""
+    out: dict[int, np.ndarray] = {}
+    for p in ps:
+        for d, v in p.blocks.items():
+            out[d] = out[d] + v if d in out else v
+    return Poly.from_blocks(ps[0].n, out)
+
+
+def sub(p: Poly, q: Poly) -> Poly:
+    out = dict(p.blocks)
+    for d, v in q.blocks.items():
+        out[d] = out[d] - v if d in out else -v
+    return Poly.from_blocks(p.n, out)
+
+
+def scale(p: Poly, a: float) -> Poly:
+    return Poly.from_blocks(p.n, {d: a * v for d, v in p.blocks.items()})
+
+
+def mul(p: Poly, q: Poly) -> Poly:
+    n = p.n
+    out: dict[int, np.ndarray] = {}
+    for d1, v1 in p.blocks.items():
+        for d2, v2 in q.blocks.items():
+            d = d1 + d2
+            v = np.bincount(_product_index(n, d1, d2), weights=np.outer(v1, v2).ravel(),
+                            minlength=len(_exponents(n, d)))
+            out[d] = out[d] + v if d in out else v
+    return Poly.from_blocks(n, out)
+
+
+def diff(p: Poly, i: int) -> Poly:
+    return Poly.from_blocks(p.n, {d - 1: diff_matrix(p.n, d, i) @ v for d, v in p.blocks.items() if d >= 1})
+
+
+def xmul(p: Poly, i: int) -> Poly:
+    """Multiplication by the coordinate x_i."""
+    return Poly.from_blocks(p.n, {d + 1: xmul_matrix(p.n, d, i) @ v for d, v in p.blocks.items()})
+
+
+def euler(p: Poly) -> Poly:
+    """sum_i x_i d/dx_i, i.e. degree-weighting of homogeneous parts."""
+    return Poly.from_blocks(p.n, {d: d * v for d, v in p.blocks.items()})
+
+
+def laplacian(p: Poly) -> Poly:
+    return add(Poly(p.n), *(diff(diff(p, i), i) for i in range(p.n)))
+
+
+def degree(p: Poly) -> int:
+    return max(p.blocks, default=0)
+
+
+def is_zero(p: Poly, tol: float = 0.0) -> bool:
+    return all(np.all(np.abs(v) <= tol) for v in p.blocks.values())
+
+
+def pair(p: Poly, q: Poly) -> float:
+    """Exact normalized sphere integral of the product."""
+    total = 0.0
+    for d1, v1 in p.blocks.items():
+        for d2, v2 in q.blocks.items():
+            if (d1 + d2) % 2 == 0:
+                total += v1 @ gram_rect(p.n, d1, d2) @ v2
+    return float(total)
+
+
+def _moment_sum(p: Poly, ball: bool) -> float:
+    total = 0.0
+    for d, v in p.blocks.items():
+        if d % 2 == 0:  # odd moments vanish
+            total += _moments(p.n, d, ball) @ v
+    return float(total)
+
+
+def sphere_integral(p: Poly) -> float:
+    """Normalized integral over S^{n-1}, exact moment sum."""
+    return _moment_sum(p, ball=False)
+
+
+def ball_integral(p: Poly) -> float:
+    """Normalized integral over B_1, exact moment sum."""
+    return _moment_sum(p, ball=True)
 
 
 # ---------------------------------------------------------------------------
@@ -37,24 +170,18 @@ Field = Sequence[Poly]
 
 def field_radials(f: Field) -> Field:
     """r_i = <x, grad f^i> = Euler operator on each component."""
-    return [c.euler() for c in f]
+    return [euler(c) for c in f]
 
 
 def field_inner_x(f: Field) -> Poly:
     """<f, x> as a Poly."""
-    out = Poly(f[0].n)
-    for i, c in enumerate(f):
-        out = out + c.xmul(i)
-    return out
+    return add(Poly(f[0].n), *(xmul(c, i) for i, c in enumerate(f)))
 
 
 def field_surface_div(f: Field) -> Poly:
     """div_S f = tr(J P) = div f - <x, (grad f) x> for an n-component field."""
     n = f[0].n
-    out = Poly(n)
-    for i in range(n):
-        out = out + f[i].diff(i)
-    return out - field_inner_x(field_radials(f))
+    return sub(add(Poly(n), *(diff(f[i], i) for i in range(n))), field_inner_x(field_radials(f)))
 
 
 def field_a_operator(f: Field) -> Field:
@@ -65,20 +192,20 @@ def field_a_operator(f: Field) -> Field:
     s = field_inner_x(radials)
     out = []
     for i in range(n):
-        ai = div_s.xmul(i) + s.xmul(i)
+        ai = add(xmul(div_s, i), xmul(s, i))
         for j in range(n):
-            ai = ai - f[j].diff(i).xmul(j)
+            ai = sub(ai, xmul(diff(f[j], i), j))
         out.append(ai)
     return out
 
 
 def field_pair(f: Field, g: Field) -> float:
     """Exact integral of <f, g> over the sphere."""
-    return sum(a.pair(b) for a, b in zip(f, g))
+    return sum(pair(a, b) for a, b in zip(f, g))
 
 
 def field_mean(f: Field) -> np.ndarray:
-    return np.array([c.sphere_integral() for c in f])
+    return np.array([sphere_integral(c) for c in f])
 
 
 def field_tangential_energy(f: Field) -> float:
@@ -87,10 +214,10 @@ def field_tangential_energy(f: Field) -> float:
     total = 0.0
     for c in f:
         for l in range(n):
-            dl = c.diff(l)
-            total += dl.pair(dl)
-        r = c.euler()
-        total -= r.pair(r)
+            dl = diff(c, l)
+            total += pair(dl, dl)
+        r = euler(c)
+        total -= pair(r, r)
     return total
 
 
@@ -99,17 +226,13 @@ def field_pjp_entries(f: Field) -> list[Field]:
     Jacobian, expressed in ambient coordinates)."""
     n = f[0].n
     radials = field_radials(f)          # r_i = <x, grad f^i>, per component
-    rho = []                            # rho_l = sum_a x_a d_l f^a
-    for l in range(n):
-        p = Poly(n)
-        for a in range(n):
-            p = p + f[a].diff(l).xmul(a)
-        rho.append(p)
+    # rho_l = sum_a x_a d_l f^a
+    rho = [add(Poly(n), *(xmul(diff(f[a], l), a) for a in range(n))) for l in range(n)]
     s = field_inner_x(radials)          # sum_ab x_a d_b f^a x_b
     M = [[None] * n for _ in range(n)]
     for i in range(n):
         for l in range(n):
-            M[i][l] = f[i].diff(l) - rho[l].xmul(i) - radials[i].xmul(l) + s.xmul(i).xmul(l)
+            M[i][l] = add(sub(sub(diff(f[i], l), xmul(rho[l], i)), xmul(radials[i], l)), xmul(xmul(s, i), l))
     return M
 
 
@@ -117,11 +240,11 @@ def field_pjp_sym(f: Field) -> list[Field]:
     """Entries of (P J P)_sym as Polys."""
     n = f[0].n
     M = field_pjp_entries(f)
-    return [[(M[i][l] + M[l][i]).scale(0.5) for l in range(n)] for i in range(n)]
+    return [[scale(add(M[i][l], M[l][i]), 0.5) for l in range(n)] for i in range(n)]
 
 
 def matrix_frobenius_pair(M1: list[Field], M2: list[Field]) -> float:
-    return sum(M1[i][l].pair(M2[i][l]) for i in range(len(M1)) for l in range(len(M1)))
+    return sum(pair(M1[i][l], M2[i][l]) for i in range(len(M1)) for l in range(len(M1)))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +257,7 @@ def tangential_energy(f: Field) -> float:
 
 def surface_div_sq(f: Field) -> float:
     d = field_surface_div(f)
-    return d.pair(d)
+    return pair(d, d)
 
 
 def q_vol(fv: Field, fw: Field) -> float:
@@ -145,7 +268,7 @@ def q_vol_alt(f: Field) -> float:
     n = f[0].n
     d = field_surface_div(f)
     r = field_inner_x(f)
-    return 0.5 * n * (2.0 * d.pair(r) - n * r.pair(r) + field_pair(f, f))
+    return 0.5 * n * (2.0 * pair(d, r) - n * pair(r, r) + field_pair(f, f))
 
 
 def sym_energy(f: Field) -> float:
@@ -159,15 +282,14 @@ def pjp_energy(f: Field) -> float:
 
 
 def mixed_div_term(fa: Field, fb: Field) -> float:
-    return field_surface_div(fa).pair(field_surface_div(fb))
+    return pair(field_surface_div(fa), field_surface_div(fb))
 
 
 def project_h_n(f: Field) -> list[Poly]:
     n = f[0].n
     mean = field_mean(f)
-    radial = field_inner_x(f).sphere_integral()
-    return [c + Poly.constant(n, -float(mean[i])) + Poly.coordinate(n, i).scale(-radial)
-            for i, c in enumerate(f)]
+    radial = sphere_integral(field_inner_x(f))
+    return [add(c, constant(n, -float(mean[i])), scale(coordinate(n, i), -radial)) for i, c in enumerate(f)]
 
 
 def project_kernel(f: Field) -> list[Poly]:
@@ -188,8 +310,8 @@ def poincare_deficit(f: Field) -> float:
     n = f[0].n
     var = 0.0
     for c in f:
-        mean = c.sphere_integral()
-        var += c.pair(c) - mean * mean
+        mean = sphere_integral(c)
+        var += pair(c, c) - mean * mean
     return field_tangential_energy(f) / (n - 1) - var
 
 
@@ -200,7 +322,7 @@ def rotation_moment(f: Field) -> np.ndarray:
     M = np.empty((n, n))
     for i in range(n):
         for l in range(n):
-            M[i, l] = (f[i].diff(l) - radials[i].xmul(l)).sphere_integral()
+            M[i, l] = sphere_integral(sub(diff(f[i], l), xmul(radials[i], l)))
     return M
 
 
@@ -210,7 +332,7 @@ def rotation_moment(f: Field) -> np.ndarray:
 
 def gradients(f: Field) -> list[Poly]:
     """d f^i / d x_l, row-major over (i, l)."""
-    return [c.diff(l) for c in f for l in range(f[0].n)]
+    return [diff(c, l) for c in f for l in range(f[0].n)]
 
 
 def sample(f: Field, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,12 +342,12 @@ def sample(f: Field, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table[:, :m], table[:, m:].reshape(-1, m, n)
 
 
-def add(f: Field, g: Field) -> list[Poly]:
-    return [a + b for a, b in zip(f, g)]
+def field_add(f: Field, g: Field) -> list[Poly]:
+    return [add(a, b) for a, b in zip(f, g)]
 
 
-def scale(f: Field, a: float) -> list[Poly]:
-    return [c.scale(a) for c in f]
+def field_scale(f: Field, a: float) -> list[Poly]:
+    return [scale(c, a) for c in f]
 
 
 def linear_map(A: np.ndarray) -> list[Poly]:
@@ -259,17 +381,15 @@ def synthesize(n: int, blocks: dict[int, np.ndarray]) -> list[Poly]:
 def grad_origin(f: Field) -> np.ndarray:
     """n * avg f x^t."""
     n = f[0].n
-    return np.array([[n * c.xmul(j).sphere_integral() for j in range(n)] for c in f])
+    return np.array([[n * sphere_integral(xmul(c, j)) for j in range(n)] for c in f])
 
 
 def kernel_characterization_residual(f: Field) -> tuple[float, float]:
     n = f[0].n
     B = grad_origin(f)
-    wh = synthesize(n, analyze(f, max(c.degree() for c in f)))
-    div = Poly(n)
-    for i, c in enumerate(wh):
-        div = div + c.diff(i)
-    return float(np.max(np.abs(B - B.T))), max(abs(div.xmul(k).sphere_integral()) for k in range(n))
+    wh = synthesize(n, analyze(f, max(degree(c) for c in f)))
+    div = add(Poly(n), *(diff(c, i) for i, c in enumerate(wh)))
+    return float(np.max(np.abs(B - B.T))), max(abs(sphere_integral(xmul(div, k))) for k in range(n))
 
 
 def inf_moebius_field(S: np.ndarray, mu: float, xi: np.ndarray) -> list[Poly]:
@@ -277,7 +397,7 @@ def inf_moebius_field(S: np.ndarray, mu: float, xi: np.ndarray) -> list[Poly]:
     n = S.shape[0]
     rotation = linear_map(S)
     inner = linear_map(mu * xi[None, :])[0]
-    return [rotation[i] + inner.xmul(i) + Poly.constant(n, -mu * xi[i]) for i in range(n)]
+    return [add(rotation[i], xmul(inner, i), constant(n, -mu * xi[i])) for i in range(n)]
 
 
 def psi_tables(grid) -> tuple[np.ndarray, np.ndarray]:
@@ -286,9 +406,23 @@ def psi_tables(grid) -> tuple[np.ndarray, np.ndarray]:
     dcoef = np.zeros((n, len(basis), n))
     for gidx, b in enumerate(basis):
         for i in range(n):
-            for e, cc in b.poly.diff(i).coeffs.items():
+            for e, cc in diff(b.poly, i).coeffs.items():
                 dcoef[i, gidx, list(e).index(1)] = cc
     return evaluate([(1, b.poly.blocks) for b in basis], grid.nodes), dcoef
+
+
+def det3(B: list[Field]) -> Poly:
+    """Determinant of a 3 x 3 array of Polys."""
+    return add(sub(mul(B[0][0], sub(mul(B[1][1], B[2][2]), mul(B[1][2], B[2][1]))),
+                   mul(B[0][1], sub(mul(B[1][0], B[2][2]), mul(B[1][2], B[2][0])))),
+               mul(B[0][2], sub(mul(B[1][0], B[2][1]), mul(B[1][1], B[2][0]))))
+
+
+def bulk_volume(u) -> float:
+    """Normalized ball integral of det grad(u_h) for a poly map of S^2 into R^3, by
+    exact ball moments of the determinant's Poly product."""
+    J = gradients(harmonicize(u).components)
+    return ball_integral(det3([J[3 * i : 3 * i + 3] for i in range(3)]))
 
 
 # ---------------------------------------------------------------------------
@@ -419,3 +553,54 @@ def exps_enumerated(n: int, k: int) -> tuple[tuple[int, ...], ...]:
             e[i] += 1
         out.append(tuple(e))
     return tuple(sorted(out))
+
+
+# ---------------------------------------------------------------------------
+# cyclic Jacobi
+# ---------------------------------------------------------------------------
+
+# cyclic Jacobi converges quadratically: the forms of n = 4 maps settle in
+# about 4 sweeps, so reaching this cap means a bug, not a hard input
+JACOBI_SWEEPS = 30
+
+
+def jacobi_eigenvalues(G: np.ndarray) -> tuple[np.ndarray, int]:
+    """Eigenvalues (ascending, shape (N, k)) of node-last symmetric k x k forms,
+    and the number of sweeps taken.
+
+    One cyclic Jacobi run over all nodes at once, eigenvalues only.  Each
+    rotation zeroes the (p, q) entry b with t = b / (d + copysign(hypot(d, b), d)),
+    d = (a_qq - a_pp) / 2 (t = 0 when d = b = 0), c = 1/sqrt(1 + t^2) and
+    s = t c.  Sweeps stop once sum |off-diagonal| <= eps sum |diagonal| at
+    every node; a node holding a NaN returns NaN, as LAPACK does.
+    """
+    k = G.shape[0]
+    A = G.copy()
+    pairs = [(p, q) for p in range(k) for q in range(p + 1, k)]
+    eps = np.finfo(float).eps
+    sweeps = 0
+    while True:
+        off = sum(np.abs(A[p, q]) for p, q in pairs)
+        if not np.any(off > eps * sum(np.abs(A[p, p]) for p in range(k))):
+            break
+        if sweeps == JACOBI_SWEEPS:
+            raise SolverError(f"Jacobi eigen-solve did not converge in {JACOBI_SWEEPS} sweeps")
+        sweeps += 1
+        for p, q in pairs:
+            b = A[p, q]
+            d = 0.5 * (A[q, q] - A[p, p])
+            den = d + np.copysign(np.hypot(d, b), d)
+            t = b / np.where(den == 0.0, 1.0, den)  # den = 0 only where d = b = 0
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            tb = t * b
+            A[p, p] -= tb
+            A[q, q] += tb
+            A[p, q] = A[q, p] = 0.0
+            for r in range(k):
+                if r != p and r != q:
+                    arp, arq = A[r, p], A[r, q]
+                    A[r, p], A[r, q] = c * arp - s * arq, s * arp + c * arq
+                    A[p, r], A[q, r] = A[r, p], A[r, q]
+    lam = np.stack([A[p, p] for p in range(k)], axis=1) + 0.0 * off[:, None]  # keeps a NaN a NaN
+    return np.sort(lam, axis=1), sweeps

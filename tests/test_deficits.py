@@ -21,8 +21,11 @@ from spherestab.errors import UndefinedDeficitError
 from spherestab.forms import q_vol, tangential_energy
 from spherestab.moebius import as_sphere_map, random_moebius
 from spherestab.operator import random_eigenfield, random_h_field
-from spherestab.polynomials import Poly
+from spherestab.polynomials import Poly, exps
 from spherestab.spheremap import identity_map, linear_map, poly_map
+
+import poly_oracle as oracle
+from poly_oracle import add, coordinate, scale, zero
 
 SKEW = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
@@ -76,7 +79,7 @@ def test_signed_volume_orthogonal_covariance(rng):
     w = random_h_field(3, 3, rng)
     u = identity_map(3) + w.scale(0.2)
     R = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-    comps = [sum((u.components[j].scale(R[i, j]) for j in range(3)), Poly(3)) for i in range(3)]
+    comps = [add(Poly(3), *(scale(u.components[j], R[i, j]) for j in range(3))) for i in range(3)]
     Ru = poly_map(3, comps)
     assert abs(signed_volume(Ru) - np.linalg.det(R) * signed_volume(u)) < 1e-9
 
@@ -142,10 +145,17 @@ def test_bulk_volume_identity(rng):
     w = random_eigenfield(3, 2, 3, rng).map
     u = identity_map(3) + w.scale(0.2)
     assert abs(bulk_volume(u) - signed_volume(u)) < 1e-9
+    # a degree-4 map, harmonic in no block: the determinant has degree 9, which
+    # only the ball grid exact to degree 9 integrates; the exact moment route agrees
+    comps = [Poly(3, {e: 0.3 * rng.normal() for d in range(5) for e in exps(3, d)}) for _ in range(3)]
+    u = identity_map(3) + poly_map(3, comps)
+    assert u.degree() == 4
+    assert abs(bulk_volume(u) - signed_volume(u)) < 1e-12
+    assert abs(bulk_volume(u) - oracle.bulk_volume(u)) < 1e-13
 
 
 def test_volume_expansion_coefficients(rng):
-    a0, a1, a2, a3 = volume_expansion_check(poly_map(3, [Poly.zero(3)] * 3))
+    a0, a1, a2, a3 = volume_expansion_check(poly_map(3, [zero(3)] * 3))
     assert abs(a0 - 1) < 1e-12 and abs(a1) < 1e-12 and abs(a2) < 1e-12 and abs(a3) < 1e-12
     w = linear_map(SKEW)
     a0, a1, a2, a3 = volume_expansion_check(w)
@@ -158,7 +168,7 @@ def test_volume_expansion_coefficients(rng):
     assert abs(a2 - 0.75 * tangential_energy(wf.map)) < 1e-9
     assert abs(a3 - signed_volume(wf.map)) < 1e-9
     # a field with nonzero radial first moment picks up the linear term
-    u = poly_map(3, [Poly.coordinate(3, i).scale(0.5) for i in range(3)])
+    u = poly_map(3, [scale(coordinate(3, i), 0.5) for i in range(3)])
     a0, a1, a2, a3 = volume_expansion_check(u)
     assert abs(a1 - 1.5) < 1e-10  # 3 * avg<w, x> = 3 * 0.5
 
@@ -167,7 +177,7 @@ def test_report_invariance_under_rotation(grid3, rng):
     w = random_h_field(3, 3, rng)
     u = identity_map(3) + w.scale(0.2 / np.sqrt(tangential_energy(w)))
     R = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-    comps = [sum((u.components[j].scale(R[i, j]) for j in range(3)), Poly(3)) for i in range(3)]
+    comps = [add(Poly(3), *(scale(u.components[j], R[i, j]) for j in range(3))) for i in range(3)]
     Ru = poly_map(3, comps)
     r1, r2 = deficit_report(u, grid3), deficit_report(Ru, grid3)
     for f in ("delta", "delta_isom", "epsilon", "dirichlet", "perimeter"):
@@ -243,10 +253,13 @@ def test_principal_stretch_values_match_svd(rng):
     maps = [m for m in _report_maps(rng) if m.is_poly]
     maps += [ellipsoid_family(s, n) for s in (0.05, 0.4) for n in (3, 4)]
     maps.append(linear_map(np.diag([1.0, 1.0, 0.0])))
-    for u in maps:
-        X, U, J = u.sample(default_sphere_grid(u.n))
+    samples = [u.sample(default_sphere_grid(u.n))[::2] for u in maps]
+    # n = 5, which has no grid: random unit points and Jacobians reach the eigvalsh branch
+    X = rng.normal(size=(500, 5))
+    samples.append((X / np.linalg.norm(X, axis=1, keepdims=True), rng.normal(size=(500, 5, 5))))
+    for X, J in samples:
         s = principal_stretch_values(J, X)
-        sv = np.linalg.svd(tangential_jacobians(J, X), compute_uv=False)[:, : u.n - 1][:, ::-1]
+        sv = np.linalg.svd(tangential_jacobians(J, X), compute_uv=False)[:, : X.shape[1] - 1][:, ::-1]
         assert s.shape == sv.shape
         assert np.max(np.abs(s - sv)) <= 1e-12 * np.max(sv)
 
@@ -426,7 +439,7 @@ def _psd_stack(k, spectra, rng):
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_jacobi_eigenvalues_match_eigvalsh(k, rng):
-    from spherestab.spheremap import _JACOBI_SWEEPS, _jacobi_eigenvalues
+    from poly_oracle import JACOBI_SWEEPS, jacobi_eigenvalues
 
     spectra = [rng.uniform(0.0, 2.0, size=k) for _ in range(200)]
     spectra += [np.full(k, 1.3), np.r_[0.7, np.full(k - 1, 1.3)], np.r_[np.full(k - 1, 1.3), 0.7]]
@@ -438,42 +451,42 @@ def test_jacobi_eigenvalues_match_eigvalsh(k, rng):
     # swept alongside the full forms, the diagonal ones meet d = b = 0
     mixed = np.concatenate([diagonal, base], axis=2)
     for G in (base, 1e-8 * base, 1e8 * base, diagonal, mixed):
-        lam, sweeps = _jacobi_eigenvalues(G)
+        lam, sweeps = jacobi_eigenvalues(G)
         want = np.linalg.eigvalsh(np.moveaxis(G, -1, 0))
         norm = np.max(np.abs(want), axis=1, keepdims=True)
         assert lam.shape == want.shape
         assert np.all(np.abs(lam - want) <= 32 * np.finfo(float).eps * norm)
-        assert sweeps < _JACOBI_SWEEPS
-    assert _jacobi_eigenvalues(diagonal)[1] == 0
-    assert _jacobi_eigenvalues(base)[1] <= 6
+        assert sweeps < JACOBI_SWEEPS
+    assert jacobi_eigenvalues(diagonal)[1] == 0
+    assert jacobi_eigenvalues(base)[1] <= 6
 
 
 def test_jacobi_raises_at_the_sweep_cap(rng, monkeypatch):
-    import spherestab.spheremap as sm
     from spherestab.errors import SolverError
 
     G = _psd_stack(3, [rng.uniform(0.5, 2.0, size=3) for _ in range(20)], rng)
-    monkeypatch.setattr(sm, "_JACOBI_SWEEPS", 1)
+    monkeypatch.setattr(oracle, "JACOBI_SWEEPS", 1)
     with pytest.raises(SolverError, match="did not converge in 1 sweeps"):
-        sm._jacobi_eigenvalues(G)
+        oracle.jacobi_eigenvalues(G)
 
 
 @pytest.mark.parametrize("diagonal", [True, False])
 def test_jacobi_keeps_a_nan_form_nan(diagonal, rng):
     # with diagonal forms elsewhere no sweep runs, so no rotation spreads the NaN
-    from spherestab.spheremap import _jacobi_eigenvalues
+    from poly_oracle import jacobi_eigenvalues
 
     spectra = [rng.uniform(0.5, 2.0, size=3) for _ in range(4)]
     G = np.stack([np.diag(lam) for lam in spectra], axis=-1) if diagonal else _psd_stack(3, spectra, rng)
-    want = _jacobi_eigenvalues(G)[0]
+    want = jacobi_eigenvalues(G)[0]
     G[0, 1, 2] = G[1, 0, 2] = np.nan
-    lam = _jacobi_eigenvalues(G)[0]
+    lam = jacobi_eigenvalues(G)[0]
     assert np.all(np.isnan(lam[2]))
     assert np.array_equal(np.delete(lam, 2, axis=0), np.delete(want, 2, axis=0))
 
 
 def test_closed_form_3x3_matches_eigvalsh_and_jacobi(rng):
-    from spherestab.spheremap import _eigenvalues_3x3, _jacobi_eigenvalues
+    from poly_oracle import jacobi_eigenvalues
+    from spherestab.spheremap import _eigenvalues_3x3
 
     spectra = [rng.uniform(0.0, 2.0, size=3) for _ in range(200)]
     spectra += [np.full(3, 1.3), np.zeros(3), np.array([0.7, 1.3, 1.3]), np.array([0.7, 0.7, 1.3])]  # triple, double
@@ -492,7 +505,7 @@ def test_closed_form_3x3_matches_eigvalsh_and_jacobi(rng):
         assert lam.shape == want.shape
         assert np.all(np.diff(lam, axis=1) >= 0.0)
         assert np.all(np.abs(lam - want) <= 32 * eps * norm)
-        assert np.all(np.abs(lam - _jacobi_eigenvalues(G)[0]) <= 32 * eps * norm)
+        assert np.all(np.abs(lam - jacobi_eigenvalues(G)[0]) <= 32 * eps * norm)
     # exactly diagonal forms, zero and repeated eigenvalues included, come out exact
     assert np.array_equal(_eigenvalues_3x3(diagonal[:, :, 2:]).T, [[2.0, 2.0, 2.0], [0.0, 0.0, 0.0]])
 
@@ -509,13 +522,13 @@ def test_closed_form_3x3_keeps_a_nan_form_nan(rng):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_poly_node_bundle_runs_no_jacobi_and_no_row_major_sample(n, rng, monkeypatch):
+def test_poly_node_bundle_runs_no_eigvalsh_and_no_row_major_sample(n, rng, monkeypatch):
     import spherestab.spheremap as sm
     from spherestab.quadrature import default_sphere_grid
 
     calls = []
-    jacobi, sample = sm._jacobi_eigenvalues, sm.SphereMap.sample
-    monkeypatch.setattr(sm, "_jacobi_eigenvalues", lambda *a: calls.append("jacobi") or jacobi(*a))
+    eigvalsh, sample = np.linalg.eigvalsh, sm.SphereMap.sample
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append("eigvalsh") or eigvalsh(*a))
     monkeypatch.setattr(sm.SphereMap, "sample", lambda *a: calls.append("sample") or sample(*a))
     u = _near_identity(n, rng)
     rep = deficit_report(u, default_sphere_grid(n))

@@ -38,6 +38,9 @@ def test_harmonic_round_trip(sphere_points):
     h2 = harmonic_from_dict(harmonic_to_dict(h))
     assert h2.k == 3 and h2.n == 3
     assert np.max(np.abs(h(sphere_points) - h2(sphere_points))) < 1e-15
+    for key, value in (("k", 3.0), ("n", 3.5)):
+        with pytest.raises(ValueError, match=rf"^{key} must be an integer, not {value}$"):
+            harmonic_from_dict({**harmonic_to_dict(h), key: value})
 
 
 def test_expansion_round_trip(sphere_points):
@@ -48,6 +51,9 @@ def test_expansion_round_trip(sphere_points):
     e2 = expansion_from_dict(json.loads(json.dumps(expansion_to_dict(e))))
     v = synthesize(e2)
     assert np.max(np.abs(v.eval(sphere_points) - sphere_points)) < 1e-12
+    for key, value in (("m", 3.0), ("kmax", 2.5), ("n", False)):
+        with pytest.raises(ValueError, match=rf"^{key} must be an integer, not {value}$"):
+            expansion_from_dict({**expansion_to_dict(e), key: value})
 
 
 def test_poly_map_round_trip(sphere_points):
@@ -71,6 +77,8 @@ def test_moebius_round_trip(rng, sphere_points):
     phi = random_moebius(rng)
     phi2 = moebius_from_dict(moebius_to_dict(phi))
     assert np.max(np.abs(moebius_apply(phi, sphere_points) - moebius_apply(phi2, sphere_points))) < 1e-14
+    with pytest.raises(ValueError, match=r"^n must be an integer, not 3\.0$"):
+        moebius_from_dict({**moebius_to_dict(phi), "n": 3.0})
 
 
 def test_subspace_export():
@@ -375,10 +383,17 @@ def test_cli_partial_config(tmp_path, capsys):
     assert main(["deficits", "--config", str(cfg), "--map", str(m5)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "n = 5" in err
-    # malformed tables are input errors, not silently ignored
-    for bad in ([40], {"resolutions": [40]}):
+    # malformed tables are input errors, not silently ignored or truncated
+    for bad, named in (([40], "config must be a JSON object"),
+                       ({"resolutions": [40]}, "resolutions must be an object keyed by dimension"),
+                       ({"resolutions": {"3": 24.9}}, "resolution for n = 3 must be an integer, not 24.9"),
+                       ({"resolutions": {"4": True}}, "resolution for n = 4 must be an integer, not True"),
+                       ({"resolutions": {"3.0": 24}}, "resolutions keys must be integer dimensions, not '3.0'"),
+                       ({"resolutions": {" 3": 24}}, "resolutions keys must be integer dimensions, not ' 3'")):
         cfg.write_text(json.dumps(bad))
         assert main(["deficits", "--config", str(cfg), "--map", str(m4)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {named}\n"
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
@@ -554,6 +569,16 @@ def test_cli_refuses_a_seed_that_is_not_a_nonnegative_integer(argv, tmp_path, ca
     ({"backing": "poly", "n": 3, "components": [{"terms": {}}]}, "component 0: terms must be an array, not an object"),
     ({"backing": "poly", "n": 3, "components": [{"n": 3}]}, "missing key 'terms'"),
     ({"backing": "sampled", "grid": 3}, "grid must be an object, not a number"),
+    # integers are refused as any other number, not truncated
+    ({"backing": "poly", "n": 3.7, "components": _linear_components(3, 3, 3)}, "n must be an integer, not 3.7"),
+    ({"backing": "poly", "n": 3, "m": 3.0, "components": _linear_components(3, 3, 3)},
+     "m must be an integer, not 3.0"),
+    ({"backing": "poly", "n": 3, "components": [{"n": True, "terms": []}]},
+     "component 0: n must be an integer, not True"),
+    ({"backing": "sampled", "grid": {"n": 3.5, "nodes": [], "weights": [], "exactness": 3}},
+     "grid: n must be an integer, not 3.5"),
+    ({"backing": "sampled", "grid": {"n": 3, "nodes": [], "weights": [], "exactness": 5.5}},
+     "grid: exactness must be an integer, not 5.5"),
 ])
 def test_cli_refuses_map_files_of_the_wrong_json_type(command, doc, named, tmp_path, capsys):
     path = tmp_path / "map.json"

@@ -685,12 +685,12 @@ def test_recenter_rescues_a_stalled_newton(case, runs, evals, grid3, monkeypatch
 
 
 def test_recenter_failure_reports_the_solve(grid3):
+    from poly_oracle import constant, zero
     from spherestab.errors import SolverError
-    from spherestab.polynomials import Poly
     from spherestab.spheremap import poly_map
 
     # a constant unit map: its mean is e_1 for every Moebius map
-    u = poly_map(3, [Poly.constant(3, 1.0), Poly.zero(3), Poly.zero(3)])
+    u = poly_map(3, [constant(3, 1.0), zero(3), zero(3)])
     with pytest.raises(SolverError, match=r"after \d+ Newton steps, \d+ residual and \d+ Jacobian "
                                           r"evaluations \(residual 1\.00e\+00\)"):
         recenter(u, grid3)

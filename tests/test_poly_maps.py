@@ -2,7 +2,8 @@
 
 The stack routes are held to the Poly-component routes of
 :mod:`poly_oracle` (bit for bit, except where a sum runs in another order),
-and a guard runs the exact paths with Poly arithmetic disabled.
+and a guard holds Poly to its serialization surface while it runs the
+exact paths.
 """
 
 import numpy as np
@@ -34,7 +35,7 @@ def _fields(rng, n, count=6):
     out = [_field(rng, n, sorted(rng.choice(7, size=rng.integers(1, 5), replace=False).tolist()))
            for _ in range(count)]
     f = list(out[-1].components)
-    top = f[0].degree()
+    top = oracle.degree(f[0])
     f[0] = Poly.from_blocks(n, {d: v for d, v in f[0].blocks.items() if d != top})
     out.append(poly_map(n, f))
     return out
@@ -59,7 +60,7 @@ def test_stack_holds_the_components(n, rng):
     for u in _fields(rng, n):
         f = u.components
         assert all(C.any() for C in u.stack.blocks.values())
-        assert u.degree() == max(c.degree() for c in f)
+        assert u.degree() == max(oracle.degree(c) for c in f)
         _same(poly_map(n, f).components, f)
         for d, C in u.stack.blocks.items():
             assert all(np.shares_memory(c.blocks[d], C) for c in f if d in c.blocks)
@@ -85,13 +86,13 @@ def test_map_algebra_matches_the_component_route(n, rng):
     fields = _fields(rng, n)
     for u, v in zip(fields, fields[1:]):
         a = float(rng.normal())
-        _same((u + v).components, oracle.add(u.components, v.components))
-        _same(u.scale(a).components, oracle.scale(u.components, a))
+        _same((u + v).components, oracle.field_add(u.components, v.components))
+        _same(u.scale(a).components, oracle.field_scale(u.components, a))
         _same((u + u.scale(-1.0)).components, [Poly(n)] * n)
     A = rng.normal(size=(n + 1, n))
     A[0, 1 % n] = 0.0
     _same(linear_map(A).components, oracle.linear_map(A))
-    _same(identity_map(n).components, [Poly.coordinate(n, i) for i in range(n)])
+    _same(identity_map(n).components, [oracle.coordinate(n, i) for i in range(n)])
     with pytest.raises(ValueError, match="one shape"):
         identity_map(n) + linear_map(A)
 
@@ -131,8 +132,8 @@ def test_moebius_fields_and_tables_match_the_component_route(rng):
     assert np.array_equal(L[3:, 3:], want_dcoef.transpose(2, 1, 0) / 3)
 
 
-def test_exact_routes_never_reach_poly_algebra(grid3, rng, monkeypatch):
-    from spherestab.deficits import deficit_report
+def test_exact_routes_never_reach_poly_algebra(grid3, rng):
+    from spherestab.deficits import bulk_volume, deficit_report
     from spherestab.forms import coercivity_ratio, q_n, tangential_energy
     from spherestab.moebius import gauge_fix
     from spherestab.operator import apply_A, project_kernel, random_h_field
@@ -142,12 +143,12 @@ def test_exact_routes_never_reach_poly_algebra(grid3, rng, monkeypatch):
     v = _field(rng, 4, [0, 1, 2, 5])
     _psi_tables.cache_clear()
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("Poly algebra reached")
-
-    for name in ("diff", "xmul", "__add__", "__sub__", "scale", "pair", "sphere_integral"):
-        monkeypatch.setattr(Poly, name, refuse)
+    # Poly is a serialization view: it carries no algebra for an exact route to reach
+    plumbing = {"__module__", "__qualname__", "__doc__", "__slots__", "__firstlineno__", "__static_attributes__"}
+    assert Poly.__bases__ == (object,) and Poly.__slots__ == ("n", "blocks")
+    assert set(vars(Poly)) - plumbing == {"n", "blocks", "__init__", "from_blocks", "coeffs", "__call__", "__repr__"}
     deficit_report(u, grid3)
+    bulk_volume(u)
     q_n(w)
     coercivity_ratio(w)
     apply_A(v)

@@ -7,9 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherestab.polynomials import Poly, _exponent_table, _exponents, evaluate, exps, monomial_exponents
+from spherestab.polynomials import Poly, _exponent_table, _exponents, evaluate, exps
 
-from poly_oracle import exps_enumerated, field_surface_div
+from poly_oracle import (
+    add,
+    degree,
+    diff,
+    euler,
+    exps_enumerated,
+    field_surface_div,
+    is_zero,
+    laplacian,
+    monomial_exponents,
+    mul,
+    pair,
+    sphere_integral,
+    xmul,
+)
 
 
 def _random_poly(rng, n=3, deg=3):
@@ -53,32 +67,32 @@ def test_poly_terms_find_their_positions_by_code(rng):
 def test_product_eval_consistency(rng):
     p, q = _random_poly(rng), _random_poly(rng)
     X = rng.normal(size=(25, 3))
-    assert np.max(np.abs((p * q)(X) - p(X) * q(X))) < 1e-10
+    assert np.max(np.abs(mul(p, q)(X) - p(X) * q(X))) < 1e-10
 
 
 def test_derivative_of_product(rng):
     p, q = _random_poly(rng, deg=2), _random_poly(rng, deg=2)
     X = rng.normal(size=(10, 3))
-    lhs = (p * q).diff(0)(X)
-    rhs = (p.diff(0) * q)(X) + (p * q.diff(0))(X)
+    lhs = diff(mul(p, q), 0)(X)
+    rhs = mul(diff(p, 0), q)(X) + mul(p, diff(q, 0))(X)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_laplacian_examples():
     # x1^2 - x2^2 and x1 x2 are harmonic; |x|^2 is not
-    assert Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): -1.0}).laplacian().is_zero()
-    assert Poly(3, {(1, 1, 0): 1.0}).laplacian().is_zero()
+    assert is_zero(laplacian(Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): -1.0})))
+    assert is_zero(laplacian(Poly(3, {(1, 1, 0): 1.0})))
     r2 = Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
-    assert abs(r2.laplacian().coeffs[(0, 0, 0)] - 6.0) < 1e-14
+    assert abs(laplacian(r2).coeffs[(0, 0, 0)] - 6.0) < 1e-14
 
 
 def test_sphere_integral_matches_pv(rng):
     p = _random_poly(rng)
     pv = p
-    assert abs(p.sphere_integral() - pv.sphere_integral()) < 1e-12
+    assert abs(sphere_integral(p) - sphere_integral(pv)) < 1e-12
     q = _random_poly(rng)
-    direct = (p * q).sphere_integral()
-    assert abs(pv.pair(q) - direct) < 1e-10
+    direct = sphere_integral(mul(p, q))
+    assert abs(pair(pv, q) - direct) < 1e-10
 
 
 def test_pv_euler_identity(rng):
@@ -87,10 +101,10 @@ def test_pv_euler_identity(rng):
     pv = p
     direct = None
     for i in range(3):
-        term = pv.diff(i).xmul(i)
-        direct = term if direct is None else direct + term
+        term = xmul(diff(pv, i), i)
+        direct = term if direct is None else add(direct, term)
     X = rng.normal(size=(15, 3))
-    assert np.max(np.abs(direct(X) - pv.euler()(X))) < 1e-9
+    assert np.max(np.abs(direct(X) - euler(pv)(X))) < 1e-9
 
 
 def test_surface_divergence_pv_vs_pointwise(rng):
@@ -111,7 +125,7 @@ def test_moment_equals_poly_integral(a, b, c):
     from spherestab.moments import sphere_moment
 
     p = Poly(3, {(a, b, c): 1.0})
-    assert abs(p.sphere_integral() - float(sphere_moment(3, (a, b, c)))) < 1e-15
+    assert abs(sphere_integral(p) - float(sphere_moment(3, (a, b, c)))) < 1e-15
 
 
 def test_gram_rect_and_product_index_equal_exponent_sums():
@@ -133,7 +147,7 @@ def _evaluate_row_major(polys, points, chunk=1024):
     """`evaluate` with its monomial table laid out (nodes, monomials): the reference."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[1]
-    kmax = max(p.degree() for p in polys)
+    kmax = max(degree(p) for p in polys)
     E = _exponent_table(n, kmax)
     C = np.zeros((E.shape[0], len(polys)))
     for j, p in enumerate(polys):
