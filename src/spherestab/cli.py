@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("spectrum", cmd_spectrum, "constant table for the A-eigenspaces")
     sp.add_argument("--seed", type=int, help="random seed of the eigenfield draws")
-    sp.add_argument("--n", type=int, default=3, choices=(2, 3, 4))
+    sp.add_argument("--n", type=int, default=3, choices=(2, 3, 4, 5))
     sp.add_argument("--kmax", type=int, default=8)
 
     sp = command("rates", cmd_sweep, "optimality-rate sweep for one family")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import IntegrityError
 from .homogeneous import Stack
-from .polynomials import Poly, diff_matrix, evaluate, gram, gram_rect, linear_order
+from .polynomials import Poly, evaluate, grad_index, gram, gram_rect, linear_order
 from .quadrature import SphereGrid, integrate
 from .spheremap import SphereMap, _grid_for, stack_map
 
@@ -108,6 +108,20 @@ def harmonic_dimension(n: int, k: int) -> int:
     return a - b
 
 
+def _laplacian(n: int, k: int) -> np.ndarray:
+    """The Laplacian on degree-k coefficients, a (M_{k-2} x M_k) matrix: the
+    ``grad_index`` gather taken twice along each x_i.  Row r holds
+    (r_i + 1)(r_i + 2) in the column of r + 2 e_i, each entry one exact
+    integer product."""
+    src1, coef1 = (a.reshape(n, -1) for a in grad_index(n, k - 1))
+    src2, coef2 = (a.reshape(n, -1) for a in grad_index(n, k))
+    i = np.arange(n)[:, None]
+    rows = src1.shape[1]
+    L = np.zeros((rows, math.comb(n + k - 1, k)))
+    L[np.arange(rows), src2[i, src1]] = coef1 * coef2[i, src1]
+    return L
+
+
 @lru_cache(maxsize=None)
 def scalar_basis_coeffs(n: int, k: int) -> np.ndarray:
     """Orthonormal degree-k scalar harmonics as rows over monomial coefficients."""
@@ -115,9 +129,8 @@ def scalar_basis_coeffs(n: int, k: int) -> np.ndarray:
     if k <= 1:
         kernel = np.eye(M)
     else:
-        # Laplacian as a (M_{k-2} x M_k) matrix; kernel = harmonic coefficients
-        L = sum(diff_matrix(n, k - 1, i) @ diff_matrix(n, k, i) for i in range(n))
-        _, s, vh = np.linalg.svd(L)
+        # kernel of the Laplacian = harmonic coefficients
+        _, s, vh = np.linalg.svd(_laplacian(n, k))
         ncon = int(np.sum(s > _NULL_TOL * s[0]))
         kernel = vh[ncon:]
     expected = harmonic_dimension(n, k)

@@ -6,12 +6,12 @@ row (b, i) holding the degree-d block of component i of field b over the
 monomials ``exps(n, d)``.  A poly-backed map is a stack with B = 1, its
 one representation: its values, Jacobians, forms and projections are all
 read from these blocks and the derived stacks below.
-Every operator is a matmul of a block with a cached per-degree matrix of
-:mod:`spherestab.polynomials`, with D the gradient and X the pairing with x;
-D, which has one nonzero per row, is applied as the equivalent gather:
+Every operator is built from two index maps of
+:mod:`spherestab.polynomials`, never from a matrix: D, the gradient, is a
+gather, and X, the pairing with x, a scatter-add on the same indices:
 
     J = grad f        J_il = D_l f^i, degree d-1  (``grad_index(n, d)``)
-    <f, x>            sum_j X_j f^j, degree d+1   (``xdot_matrix(n, d)``)
+    <f, x>            sum_j X_j f^j, degree d+1   (``xdot(W, n, d)``)
     J x               d f (Euler), degree d
     J^t x             (J^t x)_l = sum_a X_a D_l f^a, degree d
     div_S f           tr J - <J x, x>: sum_i D_i f^i at degree d-1,
@@ -49,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomials import Poly, _moments, exps, grad_index, gram, gram_rect, linear_order, xdot_matrix
+from .polynomials import Poly, _moments, exps, grad_index, gram, gram_rect, linear_order, xdot
 
 __all__ = [
     "exps",
@@ -132,7 +132,7 @@ class Stack:
                 out += C @ linear_order(gram_rect(self.n, d, 1))
         return out
 
-    # -- first-order pieces (all need width == n except jac and inner_x) ------
+    # -- first-order pieces (all need width == n except jac and jx) -----------
     @cached_property
     def jac(self) -> Blocks:
         """J_il = D_l f^i at degree d-1, rows row-major over (i, l)."""
@@ -140,16 +140,14 @@ class Stack:
         out = {}
         for d, C in self.blocks.items():
             if d >= 1:
-                src, coef = grad_index(n, d)   # one nonzero per row of grad_matrix: a gather, exact
+                src, coef = grad_index(n, d)   # one term per entry: a gather, exact
                 out[d - 1] = (C[..., src] * coef).reshape(B, self.width * n, -1)
         return out
 
     @cached_property
     def inner_x(self) -> Blocks:
         """<f, x> at degree d+1, one row."""
-        B = self.size
-        return {d + 1: (C.reshape(B, -1) @ xdot_matrix(self.n, d).T)[:, None]
-                for d, C in self.blocks.items()}
+        return {d + 1: xdot(C, self.n, d)[:, None] for d, C in self.blocks.items()}
 
     @cached_property
     def jx(self) -> Blocks:
@@ -170,8 +168,7 @@ class Stack:
     @cached_property
     def jtx(self) -> Blocks:
         """(J^t x)_l = sum_a X_a D_l f^a at degree d."""
-        B = self.size
-        return {d + 1: Jt.reshape(B, self.n, -1) @ xdot_matrix(self.n, d).T for d, Jt in self._jac_t.items()}
+        return {d + 1: xdot(Jt, self.n, d) for d, Jt in self._jac_t.items()}
 
     @cached_property
     def div(self) -> Blocks:
@@ -201,7 +198,7 @@ class Stack:
         for d, Jt in self._jac_t.items():
             W = np.negative(Jt, order="C")             # W[b, i, a] = delta_ai tr J - D_i f^a
             W[:, np.arange(n), np.arange(n)] += self.div[d]
-            blocks[d + 1] = W.reshape(B, n, -1) @ xdot_matrix(n, d).T
+            blocks[d + 1] = xdot(W, n, d)
         return Stack(n, B, n, blocks)
 
 

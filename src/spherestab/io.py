@@ -125,9 +125,15 @@ def map_from_dict(d: dict) -> SphereMap:
         return poly_map(n, [_component_from_dict(n, i, c) for i, c in enumerate(comps)])
     if d["backing"] == "sampled":
         grid = grid_from_dict(_expect(d["grid"], dict, "grid"))
+        values = np.asarray(d["values"], dtype=float)
+        if values.ndim != 2:
+            raise ValueError(f"values must be a nodes x m array, not of shape {values.shape}")
+        # n and m restate the grid's dimension and the width of values
+        for key, have, source in (("n", grid.n, "the grid has n"), ("m", values.shape[1], "values have width")):
+            if key in d and _integer(d[key], key) != have:
+                raise ValueError(f"sampled map has {key} = {d[key]}, but {source} {have}")
         jac = d.get("jacobians")
-        return sampled_map(grid, np.asarray(d["values"], dtype=float),
-                           None if jac is None else np.asarray(jac, dtype=float))
+        return sampled_map(grid, values, None if jac is None else np.asarray(jac, dtype=float))
     raise ValueError(f"unknown backing {d['backing']!r}")
 
 

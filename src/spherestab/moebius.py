@@ -46,7 +46,7 @@ import numpy as np
 from .errors import SolverError
 from .harmonics import scalar_basis_coeffs
 from .homogeneous import Stack
-from .polynomials import evaluate, grad_matrix, linear_order, xmul_matrix
+from .polynomials import evaluate, grad_index, linear_order, xdot
 from .quadrature import SphereGrid, build_sphere_grid, default_sphere_grid, integrate
 from .spheremap import (SphereMap, _grid_for, _node_data, _row_major_views, callable_map, linear_map,
                         projectors, stack_map, tangential_jacobians, volume_integrand)
@@ -281,7 +281,7 @@ class InfMoebius:
         n = self.S.shape[0]
         inner = linear_order(self.mu * self.xi)        # mu <x, xi>
         blocks = {0: -self.mu * self.xi[None, :, None],
-                  2: np.stack([xmul_matrix(n, 1, i) @ inner for i in range(n)])[None]}
+                  2: xdot(np.eye(n)[:, :, None] * inner, n, 1)[None]}
         return linear_map(self.S) + stack_map(Stack(n, 1, n, blocks))
 
 
@@ -367,7 +367,8 @@ def _psi_tables(grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
     """The gauge functional's matrix L and the weighted degree-2 values w psi_g
     (G, N) at the nodes, the parts of :func:`_psi_moments` kept per grid."""
     n, S = grid.n, scalar_basis_coeffs(grid.n, 2)
-    grads = (S @ grad_matrix(n, 2).T).reshape(-1, n, n)      # [g, i]: d_i psi_g over exps(n, 1)
+    src, coef = grad_index(n, 2)
+    grads = (S[:, src] * coef).reshape(-1, n, n)              # [g, i]: d_i psi_g over exps(n, 1)
     dcoef = linear_order(grads.transpose(1, 0, 2))
     r = n + S.shape[0]
     pairs = list(combinations(range(n), 2))

@@ -1,4 +1,4 @@
-"""Monomial spaces, the cached matrices between them, and a scalar polynomial type.
+"""Monomial spaces, the index maps and Gram matrices between them, and a scalar polynomial type.
 
 A homogeneous block of degree d in n variables is a coefficient vector
 over the monomials of degree d in lexicographic order.  A monomial space
@@ -7,14 +7,15 @@ closed form; :func:`exps` is its tuple view, for :class:`Poly` terms,
 serialization and the tests.  Positions are found by base-b codes of the
 exponent rows: the codes of a space ascend, so a lookup is one
 ``searchsorted``.  On these blocks, differentiation and coordinate
-multiplication are cached sparse-pattern matrices between degree spaces,
-stacked over the coordinates (:func:`grad_matrix`, :func:`xdot_matrix`),
-and integrals over S^{n-1} / B_1 contract the blocks with the exact
-moments of :mod:`spherestab.moments`, as floats (the Gram matrices of
-:func:`gram_rect` for products of two polynomials).  The coefficient
+multiplication are index maps between degree spaces, never matrices: the
+gradient is a gather on the cached :func:`grad_index`, and the pairing
+<f, x> of a stack with x is a scatter-add on the same indices
+(:func:`xdot`).  Integrals over S^{n-1} / B_1 contract the blocks with the
+exact moments of :mod:`spherestab.moments`, as floats (the Gram matrices
+of :func:`gram_rect` for products of two polynomials).  The coefficient
 stacks of :mod:`spherestab.homogeneous`, which back every poly map, are
-built on these matrices, and :func:`evaluate` gives the values of any
-rows of blocks at points from one monomial table.
+built on these maps, and :func:`evaluate` gives the values of any rows
+of blocks at points from one monomial table.
 
 :class:`Poly` is one scalar polynomial as ``{degree: block}``, a view with
 no algebra: it serves serialization (``SphereMap.components`` views a
@@ -40,11 +41,8 @@ __all__ = [
     "evaluate",
     "exps",
     "linear_order",
-    "diff_matrix",
-    "xmul_matrix",
     "grad_index",
-    "grad_matrix",
-    "xdot_matrix",
+    "xdot",
     "gram",
     "gram_rect",
 ]
@@ -102,18 +100,6 @@ def linear_order(a: np.ndarray) -> np.ndarray:
     return a[..., ::-1]
 
 
-def diff_matrix(n: int, k: int, i: int) -> np.ndarray:
-    """d/dx_i as a (M_{k-1} x M_k) matrix on monomial coefficients: a row block of :func:`grad_matrix`."""
-    m = len(_exponents(n, k - 1))
-    return grad_matrix(n, k)[i * m : (i + 1) * m]
-
-
-def xmul_matrix(n: int, k: int, i: int) -> np.ndarray:
-    """Multiplication by x_i as a (M_{k+1} x M_k) matrix: a column block of :func:`xdot_matrix`."""
-    m = len(_exponents(n, k))
-    return xdot_matrix(n, k)[:, i * m : (i + 1) * m]
-
-
 @lru_cache(maxsize=None)
 def grad_index(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The gradient on degree-k coefficients as a gather: entry (l, q) of the
@@ -124,27 +110,21 @@ def grad_index(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return src.ravel(), coef.ravel()
 
 
-@lru_cache(maxsize=None)
-def grad_matrix(n: int, k: int) -> np.ndarray:
-    """The gradient on degree-k coefficients, (n M_{k-1} x M_k): row block l is d/dx_l.
+def xdot(W: np.ndarray, n: int, d: int) -> np.ndarray:
+    """<f, x> on degree-d coefficient stacks: W (..., n, M_d), with component i of f
+    in W[..., i, :], to the degree-(d+1) blocks (..., M_{d+1}) of sum_i x_i f^i.
 
-    Row (l, q) has one nonzero, q_l + 1, in the column of the monomial q + e_l
-    (:func:`grad_index`).
+    x_i places monomial q on q + e_i, the ``grad_index(n, d + 1)`` source of
+    (i, q), so <f, x> is n scatter-adds; within one i the placement is
+    injective, so a fancy-index ``+=`` adds every term.
     """
-    src, coef = grad_index(n, k)
-    G = np.zeros((len(src), len(_exponents(n, k))))
-    G[np.arange(len(src)), src] = coef
-    return G
-
-
-@lru_cache(maxsize=None)
-def xdot_matrix(n: int, k: int) -> np.ndarray:
-    """f -> <f, x> on degree-k coefficient stacks, (M_{k+1} x n M_k): column block i is x_i."""
-    m = len(_exponents(n, k))
-    dst = _product_index(n, 1, k).reshape(n, m)[::-1]
-    X = np.zeros((len(_exponents(n, k + 1)), n, m))
-    X[dst, np.arange(n)[:, None], np.arange(m)] = 1.0
-    return X.reshape(-1, n * m)
+    if W.shape[-2] != n:   # a matmul would refuse; the scatter would drop components past n
+        raise ValueError(f"xdot pairs n = {n} components with x, not {W.shape[-2]}")
+    dst = grad_index(n, d + 1)[0].reshape(n, -1)
+    out = np.zeros(W.shape[:-2] + (len(_exponents(n, d + 1)),))
+    for i in range(n):
+        out[..., dst[i]] += W[..., i, :]
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,13 @@
 """Test-only oracle: the package's exact routes through per-call Poly algebra.
 
 The package's :class:`~spherestab.polynomials.Poly` is a serialization
-view with no algebra.  The first section gives it one, as free functions:
-sums, scaling, products, ``diff``, ``xmul``, the Euler operator and the
-Laplacian, and the exact sphere and ball integrals by moment sums.  Every
+view with no algebra, and its monomial operators are index maps.  The
+first section keeps those maps as the dense 0/1-pattern matrices that the
+index maps replaced (``grad_matrix``, ``xdot_matrix`` and their blocks
+``diff_matrix``, ``xmul_matrix``).  The next gives Poly an algebra on
+them, as free functions: sums, scaling, products, ``diff``, ``xmul``, the
+Euler operator and the Laplacian, and the exact sphere and ball
+integrals by moment sums.  Every
 operator after it is a chain of those on the components of a field, and
 the forms, projections and the nearest-rotation moment are built from
 them.  A later section treats a poly map as a tuple of Poly components:
@@ -24,6 +28,7 @@ exponent arrays replaced, and the cyclic Jacobi eigen-solver that
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Sequence
 
@@ -44,15 +49,53 @@ from spherestab.polynomials import (
     _exponents,
     _moments,
     _product_index,
-    diff_matrix,
     evaluate,
     exps,
+    grad_index,
     gram,
     gram_rect,
-    xmul_matrix,
 )
 
 Field = Sequence[Poly]
+
+
+# ---------------------------------------------------------------------------
+# dense monomial matrices: the index maps of the package as 0/1-pattern matrices
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def grad_matrix(n: int, k: int) -> np.ndarray:
+    """The gradient on degree-k coefficients, (n M_{k-1} x M_k): row block l is d/dx_l.
+
+    Row (l, q) has one nonzero, q_l + 1, in the column of the monomial q + e_l
+    (``grad_index``).
+    """
+    src, coef = grad_index(n, k)
+    G = np.zeros((len(src), len(_exponents(n, k))))
+    G[np.arange(len(src)), src] = coef
+    return G
+
+
+@lru_cache(maxsize=None)
+def xdot_matrix(n: int, k: int) -> np.ndarray:
+    """f -> <f, x> on degree-k coefficient stacks, (M_{k+1} x n M_k): column block i is x_i."""
+    m = len(_exponents(n, k))
+    dst = _product_index(n, 1, k).reshape(n, m)[::-1]
+    X = np.zeros((len(_exponents(n, k + 1)), n, m))
+    X[dst, np.arange(n)[:, None], np.arange(m)] = 1.0
+    return X.reshape(-1, n * m)
+
+
+def diff_matrix(n: int, k: int, i: int) -> np.ndarray:
+    """d/dx_i as a (M_{k-1} x M_k) matrix on monomial coefficients: a row block of :func:`grad_matrix`."""
+    m = len(_exponents(n, k - 1))
+    return grad_matrix(n, k)[i * m : (i + 1) * m]
+
+
+def xmul_matrix(n: int, k: int, i: int) -> np.ndarray:
+    """Multiplication by x_i as a (M_{k+1} x M_k) matrix: a column block of :func:`xdot_matrix`."""
+    m = len(_exponents(n, k))
+    return xdot_matrix(n, k)[:, i * m : (i + 1) * m]
 
 
 # ---------------------------------------------------------------------------

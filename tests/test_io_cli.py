@@ -119,6 +119,18 @@ def test_cli_spectrum_n4(tmp_path):
     assert rows[("2", "3")][6] == "0/1"     # C_{4,2,3} = 0
 
 
+def test_cli_spectrum_n5(tmp_path):
+    from spherestab.constants import constants
+
+    out = tmp_path / "spec5.csv"
+    assert main(["spectrum", "--n", "5", "--kmax", "6", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    rows = {tuple(l.split(",")[:2]): l.split(",") for l in lines[1:]}
+    assert len(rows) == 3 * 6 - 1            # H_{5,1,3} is trivial
+    assert rows[("6", "3")][6] == str(constants(5, 6, 3)[2])
+    assert all(float(l.split(",")[-1]) < 1e-9 for l in lines[1:])
+
+
 def test_cli_rates_flip(tmp_path):
     out = tmp_path / "rates.csv"
     assert main(["rates", "--family", "flip", "--sigmas", "0.05:0.8:geometric:6",
@@ -354,6 +366,13 @@ def _linear_components(n: int, width: int, entries: int) -> list[dict]:
             for i in range(width)]
 
 
+def _sampled_doc(**fields) -> dict:
+    """The identity of S^2 sampled at the two poles of x_0, with the given top-level fields."""
+    nodes = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
+    return {"backing": "sampled", **fields, "values": nodes,
+            "grid": {"n": 3, "nodes": nodes, "weights": [0.5, 0.5], "exactness": 1}}
+
+
 @pytest.mark.parametrize("case, named", [
     ({"n": 3, "m": 2, "components": _linear_components(3, 3, 3)}, "3 components, but m = 2"),
     ({"n": 3, "m": 3, "components": _linear_components(2, 3, 2)}, "component 0 has n = 2, but the map has n = 3"),
@@ -579,6 +598,12 @@ def test_cli_refuses_a_seed_that_is_not_a_nonnegative_integer(argv, tmp_path, ca
      "grid: n must be an integer, not 3.5"),
     ({"backing": "sampled", "grid": {"n": 3, "nodes": [], "weights": [], "exactness": 5.5}},
      "grid: exactness must be an integer, not 5.5"),
+    # a sampled map's n and m must restate its grid and values
+    (_sampled_doc(n=7.5), "n must be an integer, not 7.5"),
+    (_sampled_doc(n=4), "sampled map has n = 4, but the grid has n 3"),
+    (_sampled_doc(m=2), "sampled map has m = 2, but values have width 3"),
+    (_sampled_doc(m="x"), "m must be an integer, not 'x'"),
+    ({**_sampled_doc(), "values": [1.0, 2.0]}, "values must be a nodes x m array, not of shape (2,)"),
 ])
 def test_cli_refuses_map_files_of_the_wrong_json_type(command, doc, named, tmp_path, capsys):
     path = tmp_path / "map.json"

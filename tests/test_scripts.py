@@ -97,6 +97,41 @@ def test_bench_pairs_summary_covers_the_faults_per_item():
     assert (summary["run_s"]["parent_median"], summary["run_s"]["change_won"]) == (0.11, 2)
 
 
+def test_bench_pairs_measures_a_whole_command_as_its_own_child(tmp_path):
+    # a stand-in CLI whose command `touch MB CODE` fills MB of fresh memory and exits CODE
+    bench = _load_script("bench_pairs")
+    pkg = tmp_path / "src" / "spherestab"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(
+        "def main(argv):\n"
+        "    block = b'x' * (int(argv[1]) << 20)\n"
+        "    return int(argv[2])\n")
+    runs = {mb: bench.run_command(str(tmp_path), f"touch {mb} 0") for mb in (0, 64)}
+    assert runs[0]["exit_code"] == runs[64]["exit_code"] == 0
+    assert runs[0]["wall_s"] > 0 and runs[0]["minflt"] > 0
+    # the child's own rusage: neither this process's heap (pytest's, NumPy loaded) nor
+    # earlier children count
+    assert runs[0]["peak_rss_mb"] < 32
+    assert runs[64]["peak_rss_mb"] - runs[0]["peak_rss_mb"] >= 0.9 * 64
+    assert runs[64]["minflt"] - runs[0]["minflt"] >= 0.9 * (64 << 20) / 4096
+    failed = bench.run_command(str(tmp_path), "touch 0 2")
+    assert failed["exit_code"] == 2 and failed["peak_rss_mb"] < 32
+    assert bench.run_command(str(tmp_path), "touch x 0")["stderr_tail"].rstrip().endswith(
+        "ValueError: invalid literal for int() with base 10: 'x'")
+
+    def run(side, pair, wall, code):
+        return {"side": side, "command": "touch", "pair": pair, "wall_s": wall, "peak_rss_mb": 30.0,
+                "minflt": 1000, "exit_code": code}
+
+    summary = bench.summarize_commands([run("parent", 1, 0.5, 0), run("change", 1, 0.4, 0),
+                                        run("change", 2, 0.3, 2), run("parent", 2, 0.6, 0)])["touch"]
+    assert set(summary) == {*bench.COMMAND_METRICS, "exit_codes"}
+    assert (summary["wall_s"]["change_won"], summary["peak_rss_mb"]["change_won"]) == (2, 0)
+    assert summary["wall_s"]["parent_median"] == 0.55 and summary["wall_s"]["pairs"] == 2
+    assert summary["exit_codes"] == {"parent": [0], "change": [0, 2]}
+
+
 def test_output_diff_reports_the_largest_move_per_column_and_line():
     # the comparison only; no command is run
     diff = _load_script("output_diff")

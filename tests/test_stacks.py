@@ -13,7 +13,7 @@ from spherestab.forms import (
     surface_div_sq,
     tangential_energy,
 )
-from spherestab.harmonics import poincare_deficit
+from spherestab.harmonics import _laplacian, poincare_deficit
 from spherestab.homogeneous import Stack, a_gram, div_gram, energy_gram, sym_gram
 from spherestab.moebius import _poly_tangential_mean
 from spherestab.moments import ball_moment, sphere_moment
@@ -24,7 +24,7 @@ from spherestab.operator import (
     project_h_n,
     project_kernel,
 )
-from spherestab.polynomials import Poly, _moments, diff_matrix, exps, grad_matrix, xmul_matrix
+from spherestab.polynomials import Poly, _moments, exps, grad_index, xdot
 from spherestab.spheremap import poly_map
 
 REL = 1e-12
@@ -146,22 +146,49 @@ def test_moment_tables_are_the_exact_fractions_bit_for_bit():
                 assert _moments(n, k, ball).tobytes() == want.tobytes(), (n, k, ball)
 
 
-def test_gradient_and_x_matrices_follow_the_monomial_rules():
+def test_gradient_and_x_index_maps_follow_the_monomial_rules():
     for n in range(2, 6):
         for k in range(7):
-            pos_down = {e: i for i, e in enumerate(exps(n, k - 1))} if k else {}
-            pos_up = {e: i for i, e in enumerate(exps(n, k + 1))}
+            pos = {e: c for c, e in enumerate(exps(n, k))}
+            pos_up = {e: c for c, e in enumerate(exps(n, k + 1))}
+            M = len(pos)
+            # unit stacks: field (i, c) has the monomial exps(n, k)[c] in component i
+            X = xdot(np.eye(n * M).reshape(n * M, n, M), n, k)
             for i in range(n):
-                D = np.zeros((len(pos_down), len(exps(n, k))))
-                X = np.zeros((len(pos_up), len(exps(n, k))))
-                for col, e in enumerate(exps(n, k)):
-                    up = tuple(p + (j == i) for j, p in enumerate(e))
-                    X[pos_up[up], col] = 1.0
-                    if e[i]:
-                        D[pos_down[tuple(p - (j == i) for j, p in enumerate(e))], col] = e[i]
-                assert np.array_equal(xmul_matrix(n, k, i), X)
-                if k:
-                    assert np.array_equal(diff_matrix(n, k, i), D)
+                for c, e in enumerate(exps(n, k)):
+                    want = np.zeros(len(pos_up))
+                    want[pos_up[tuple(p + (j == i) for j, p in enumerate(e))]] = 1.0
+                    assert np.array_equal(X[i * M + c], want), (n, k, i, e)
+            if k:
+                src, coef = (a.reshape(n, -1) for a in grad_index(n, k))
+                for l in range(n):
+                    for q, e in enumerate(exps(n, k - 1)):
+                        assert src[l, q] == pos[tuple(p + (j == l) for j, p in enumerate(e))], (n, k, l, e)
+                        assert coef[l, q] == e[l] + 1
+
+
+def test_xdot_equals_the_dense_product_to_a_few_ulps(rng):
+    # the scatter adds the n terms of an entry in coordinate order, BLAS in its own
+    for n in range(2, 6):
+        for d in range(9):
+            M = len(exps(n, d))
+            for lead in ((), (3,), (2, n)):
+                W = rng.normal(size=(*lead, n, M)) * 10.0 ** rng.integers(-4, 4, (*lead, n, 1))
+                X = oracle.xdot_matrix(n, d)
+                want = W.reshape(*lead, n * M) @ X.T
+                scale = np.abs(W).reshape(*lead, n * M) @ X.T
+                got = xdot(W, n, d)
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 2 * (n - 1) * np.finfo(float).eps * scale), (n, d, lead)
+            with pytest.raises(ValueError, match="components"):
+                xdot(np.ones((n + 1, M)), n, d)        # a component past n is refused, not dropped
+
+
+def test_laplacian_equals_the_dense_product_bit_for_bit():
+    for n, kmax in ((2, 20), (3, 14), (4, 11), (5, 8)):
+        for k in range(2, kmax + 1):
+            want = sum(oracle.diff_matrix(n, k - 1, i) @ oracle.diff_matrix(n, k, i) for i in range(n))
+            assert _laplacian(n, k).tobytes() == want.tobytes(), (n, k)
 
 
 def test_jacobian_gather_equals_the_gradient_matrix_product(rng):
@@ -171,7 +198,7 @@ def test_jacobian_gather_equals_the_gradient_matrix_product(rng):
             for size, width in ((1, n), (3, n), (2, 1)):
                 C = rng.normal(size=(size, width, len(exps(n, d)))) * 10.0 ** rng.integers(-8, 8, (size, width, 1))
                 C[rng.random(C.shape) < 0.3] = 0.0
-                want = (C @ grad_matrix(n, d).T).reshape(size, width * n, -1)
+                want = (C @ oracle.grad_matrix(n, d).T).reshape(size, width * n, -1)
                 assert np.array_equal(Stack(n, size, width, {d: C}).jac[d - 1], want), (n, d, size, width)
 
 
