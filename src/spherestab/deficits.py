@@ -32,10 +32,7 @@ from .quadrature import SphereGrid, covering_ball_grid, covering_sphere_grid, in
 from .spheremap import NodeBundle, SphereMap, _det, node_bundle
 
 __all__ = [
-    "principal_stretches",
     "isometric_deficit",
-    "full_isometric_deficit",
-    "stretch_norm",
     "isoperimetric_deficit",
     "signed_volume",
     "dirichlet",
@@ -85,7 +82,7 @@ def _delta(b: NodeBundle) -> float:
     return float(np.sqrt(b.integral(top * top)))
 
 
-def _stretch_norm(b: NodeBundle) -> float:
+def _stretch_gap_norm(b: NodeBundle) -> float:
     top = _top_gap(b)
     return float(np.sqrt(b.integral(top * top)))
 
@@ -94,32 +91,9 @@ def _delta_isom(b: NodeBundle) -> float:
     return float(np.sqrt(b.integral(np.sum((b.stretches - 1.0) ** 2, axis=0))))
 
 
-def principal_stretches(G: np.ndarray) -> np.ndarray:
-    """Sorted singular values of a tangential gradient matrix.
-
-    Accepts the honest m x (n-1) matrix, or the ambient m x n matrix J P
-    (in which case the structural zero singular value is dropped).
-    """
-    G = np.asarray(G, dtype=float)
-    s = np.linalg.svd(G, compute_uv=False)
-    if G.shape[1] == G.shape[0]:  # ambient square representation
-        s = s[:-1]
-    return np.sort(s)
-
-
 def isometric_deficit(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """delta(u): L2 norm of the positive part of (largest stretch - 1)."""
     return _delta(node_bundle(u, grid))
-
-
-def stretch_norm(u: SphereMap, grid: SphereGrid | None = None) -> float:
-    """L2 norm of (largest stretch - 1), without the positive part."""
-    return _stretch_norm(node_bundle(u, grid))
-
-
-def full_isometric_deficit(u: SphereMap, grid: SphereGrid | None = None) -> float:
-    """L2 distance of sqrt(grad_T u^t grad_T u) from the identity."""
-    return _delta_isom(node_bundle(u, grid))
 
 
 def signed_volume(u: SphereMap, grid: SphereGrid | None = None) -> float:
@@ -225,7 +199,7 @@ def deficit_report(u: SphereMap, grid: SphereGrid | None = None) -> DeficitRepor
     p = 2 * (n - 2) if n >= 3 else 2
     gnorm = b.integral(b.trace ** (p / 2.0)) ** (1.0 / p)
     return DeficitReport(
-        n=n, delta=_delta(b), delta_isom=_delta_isom(b), stretch_gap_norm=_stretch_norm(b),
+        n=n, delta=_delta(b), delta_isom=_delta_isom(b), stretch_gap_norm=_stretch_gap_norm(b),
         epsilon=eps, dirichlet=D, perimeter=b.perimeter, volume=V, combined=E,
         combined_defined=defined, degree_estimate=degree, unit_norm=b.unit_norm,
         grad_lp_norm=gnorm, grad_lp_exponent=p,

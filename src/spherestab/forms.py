@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IntegrityError
-from .homogeneous import a_gram, div_gram, energy_gram, l2_gram, pair, pjp_gram, sym_gram
+from .homogeneous import a_gram, div_gram, energy_gram, pjp_gram, sym_gram
 from .operator import EigenField, project_h_n, project_kernel
 from .quadrature import SphereGrid, integrate
 from .spheremap import (
@@ -36,12 +36,10 @@ __all__ = [
     "tangential_energy",
     "surface_div_sq",
     "q_vol",
-    "q_vol_alt",
     "q_n",
     "q_conf",
     "q_isop",
     "q_isom",
-    "q_alpha",
     "korn_residual",
     "mixed_div_term",
     "mixed_term_allowed",
@@ -78,21 +76,6 @@ def q_vol(v: SphereMap, w: SphereMap, grid: SphereGrid | None = None) -> float:
     Vv = v.eval(X) if not v.is_sampled else v.sample(g)[1]
     av = a_operator_values(U, J, X)
     return 0.5 * n * integrate(g, np.einsum("ai,ai->a", Vv, av))
-
-
-def q_vol_alt(w: SphereMap, grid: SphereGrid | None = None) -> float:
-    """Equivalent integrated-by-parts volume form:
-    (n/2) * integral of (2 div_S w <w,x> - n <w,x>^2 + |w|^2)."""
-    n = w.n
-    if w.is_poly:
-        S = w.stack
-        dr, rr = (float(pair(n, P, S.inner_x, (1, 1))[0, 0]) for P in (S.div_s, S.inner_x))
-        return 0.5 * n * (2.0 * dr - n * rr + float(l2_gram(S, S)[0, 0]))
-    g, X, U, J = _node_data(w, grid)
-    d = surface_divergence(J, X)
-    r = np.einsum("ai,ai->a", U, X)
-    vals = 2.0 * d * r - n * r * r + np.einsum("ai,ai->a", U, U)
-    return 0.5 * n * integrate(g, vals)
 
 
 def _sym_energy(u: SphereMap, grid: SphereGrid | None) -> float:
@@ -148,14 +131,6 @@ def q_isop(w: SphereMap, grid: SphereGrid | None = None) -> float:
 def q_isom(w: SphereMap, grid: SphereGrid | None = None) -> float:
     """Isometric part: int |(P^t grad_T w)_sym|^2."""
     return _sym_energy(w, grid)
-
-
-def q_alpha(w: SphereMap, alpha: float, grid: SphereGrid | None = None) -> float:
-    """alpha * q_isom + q_isop; at alpha = n/(n-1) this is
-    n/(2(n-1)) * int(|grad_T w|^2 + (div_S w)^2) - q_vol(w, w)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return alpha * q_isom(w, grid) + q_isop(w, grid)
 
 
 def korn_residual(w: SphereMap, grid: SphereGrid | None = None) -> float:

@@ -14,53 +14,33 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import IntegrityError
 from .homogeneous import Stack
-from .polynomials import Poly, evaluate, grad_index, gram, gram_rect, linear_order
+from .polynomials import evaluate, grad_index, gram, gram_rect, linear_order
 from .quadrature import SphereGrid, integrate
 from .spheremap import SphereMap, _grid_for, stack_map
 
 __all__ = [
-    "HarmonicPoly",
     "Subspace",
     "harmonic_dimension",
     "laplace_eigenvalue",
-    "scalar_basis",
     "scalar_basis_coeffs",
-    "vector_basis",
     "vector_space_coeffs",
     "HarmonicExpansion",
     "analyze",
     "synthesize",
     "harmonicize",
     "grad_origin",
-    "harmonic_extension_eval",
     "poincare_deficit",
     "harmonic_energy_check",
 ]
 
 _NULL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class HarmonicPoly:
-    """A homogeneous harmonic polynomial of degree k in n variables."""
-
-    n: int
-    k: int
-    poly: Poly
-
-    @property
-    def coeffs(self) -> dict:
-        return self.poly.coeffs
-
-    def __call__(self, points):
-        return self.poly(points)
 
 
 @dataclass
@@ -73,25 +53,14 @@ class Subspace:
     label: str
     coeffs: np.ndarray            # (dim, n, M_k); for mixed spaces a block list
     eigenvalue: float | None = None
-    _maps: list | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return 0 if self.coeffs is None else self.coeffs.shape[0]
 
-    @property
-    def maps(self) -> list[SphereMap]:
-        if self._maps is None:
-            self._maps = [self._field(c) for c in self.coeffs]
-        return self._maps
-
     def element(self, combo: np.ndarray) -> SphereMap:
         """Linear combination of basis fields with the given coefficients."""
-        combo = np.asarray(combo, dtype=float)
-        return self._field(np.einsum("a,aim->im", combo, self.coeffs))
-
-    def _field(self, vec: np.ndarray) -> SphereMap:
-        """The map whose component i has the degree-k block vec[i]."""
+        vec = np.einsum("a,aim->im", np.asarray(combo, dtype=float), self.coeffs)
         return stack_map(Stack(self.n, 1, self.n, {self.k: vec[None]}))
 
 
@@ -169,12 +138,6 @@ def _cholqr2(rows: np.ndarray, G: np.ndarray) -> np.ndarray:
     return rows
 
 
-def scalar_basis(n: int, k: int) -> list[HarmonicPoly]:
-    """L2-orthonormal scalar spherical harmonics of degree k (normalized measure)."""
-    C = scalar_basis_coeffs(n, k)
-    return [HarmonicPoly(n, k, Poly.from_blocks(n, {k: row})) for row in C]
-
-
 @lru_cache(maxsize=None)
 def vector_space_coeffs(n: int, k: int) -> np.ndarray:
     """Orthonormal basis of H_{n,k} as a (dim, n, M_k) coefficient tensor.
@@ -198,11 +161,6 @@ def vector_space_coeffs(n: int, k: int) -> np.ndarray:
     return cand
 
 
-def vector_basis(n: int, k: int) -> Subspace:
-    """The space H_{n,k} of degree-k vector harmonics inside H_n."""
-    return Subspace(n, k, "full", vector_space_coeffs(n, k))
-
-
 # ---------------------------------------------------------------------------
 # analysis / synthesis
 # ---------------------------------------------------------------------------
@@ -216,10 +174,6 @@ class HarmonicExpansion:
     kmax: int
     blocks: dict[int, np.ndarray]   # k -> (m, G_{n,k})
     quadrature_warning: bool = False
-
-    def block_norm_sq(self, k: int) -> float:
-        b = self.blocks.get(k)
-        return 0.0 if b is None else float(np.sum(b * b))
 
 
 def analyze(u: SphereMap, kmax: int, grid: SphereGrid | None = None) -> HarmonicExpansion:
@@ -284,21 +238,6 @@ def grad_origin(u: SphereMap, grid: SphereGrid | None = None) -> np.ndarray:
     grid = _grid_for(u, grid)
     X, U, _ = u.sample(grid)
     return n * ((U.T * grid.weights) @ X)
-
-
-def harmonic_extension_eval(e: HarmonicExpansion, point: np.ndarray) -> np.ndarray:
-    """Evaluate the harmonic extension at a point of the closed unit ball."""
-    point = np.asarray(point, dtype=float)
-    if np.linalg.norm(point) > 1.0 + 1e-12:
-        raise ValueError("point outside the closed unit ball")
-    out = np.zeros(e.m)
-    for k, blk in e.blocks.items():
-        if k == 0:
-            out += blk[:, 0]  # constant harmonic is identically 1
-            continue
-        S = scalar_basis_coeffs(e.n, k)
-        out += blk @ evaluate([(S.shape[0], {k: S})], point)[:, 0]
-    return out
 
 
 # ---------------------------------------------------------------------------

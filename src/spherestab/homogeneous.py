@@ -121,7 +121,7 @@ class Stack:
         out = np.zeros((self.size, self.width))
         for d, C in self.blocks.items():
             if d % 2 == 0:
-                out += C @ _moments(self.n, d, False)
+                out += C @ _moments(self.n, d)
         return out
 
     def first_moments(self) -> np.ndarray:

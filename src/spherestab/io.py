@@ -1,6 +1,7 @@
-"""JSON (de)serialization for grids, harmonic polynomials, maps, subspaces
-and Moebius parameters.  Callable-backed maps are in-memory objects and do
-not serialize."""
+"""JSON (de)serialization of the map files that the command line reads and
+writes: maps (poly- or sample-backed, with their grids and polynomials),
+and the Moebius parameters that ``fit-moebius`` reports.  Callable-backed
+maps are in-memory objects and do not serialize."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ import json
 import numpy as np
 
 from .config import _integer
-from .harmonics import HarmonicExpansion, HarmonicPoly, Subspace
 from .moebius import MoebiusMap
 from .polynomials import Poly
 from .quadrature import BallGrid, SphereGrid
@@ -18,11 +18,8 @@ from .spheremap import SphereMap, poly_map, sampled_map
 __all__ = [
     "grid_to_dict", "grid_from_dict",
     "poly_to_dict", "poly_from_dict",
-    "harmonic_to_dict", "harmonic_from_dict",
-    "expansion_to_dict", "expansion_from_dict",
     "map_to_dict", "map_from_dict",
-    "moebius_to_dict", "moebius_from_dict",
-    "subspace_to_dict",
+    "moebius_to_dict",
     "save_json", "load_json",
 ]
 
@@ -49,30 +46,6 @@ def poly_to_dict(p: Poly) -> dict:
 
 def poly_from_dict(d: dict) -> Poly:
     return Poly(_integer(d["n"], "n"), {tuple(t["exponents"]): float(t["coeff"]) for t in d["terms"]})
-
-
-def harmonic_to_dict(h: HarmonicPoly) -> dict:
-    out = poly_to_dict(h.poly)
-    out["k"] = h.k
-    return out
-
-
-def harmonic_from_dict(d: dict) -> HarmonicPoly:
-    return HarmonicPoly(_integer(d["n"], "n"), _integer(d["k"], "k"), poly_from_dict(d))
-
-
-def expansion_to_dict(e: HarmonicExpansion) -> dict:
-    return {
-        "n": e.n, "m": e.m, "kmax": e.kmax,
-        "blocks": {str(k): b.tolist() for k, b in e.blocks.items()},
-        "quadrature_warning": e.quadrature_warning,
-    }
-
-
-def expansion_from_dict(d: dict) -> HarmonicExpansion:
-    blocks = {int(k): np.asarray(b, dtype=float) for k, b in d["blocks"].items()}
-    return HarmonicExpansion(_integer(d["n"], "n"), _integer(d["m"], "m"), _integer(d["kmax"], "kmax"), blocks,
-                             bool(d.get("quadrature_warning", False)))
 
 
 def map_to_dict(u: SphereMap) -> dict:
@@ -128,29 +101,22 @@ def map_from_dict(d: dict) -> SphereMap:
         values = np.asarray(d["values"], dtype=float)
         if values.ndim != 2:
             raise ValueError(f"values must be a nodes x m array, not of shape {values.shape}")
+        if len(values) != grid.size:
+            raise ValueError(f"values must have one row per grid node ({grid.size}), not {len(values)}")
         # n and m restate the grid's dimension and the width of values
         for key, have, source in (("n", grid.n, "the grid has n"), ("m", values.shape[1], "values have width")):
             if key in d and _integer(d[key], key) != have:
                 raise ValueError(f"sampled map has {key} = {d[key]}, but {source} {have}")
-        jac = d.get("jacobians")
-        return sampled_map(grid, values, None if jac is None else np.asarray(jac, dtype=float))
+        jac = None if d.get("jacobians") is None else np.asarray(d["jacobians"], dtype=float)
+        want = (grid.size, values.shape[1], grid.n)
+        if jac is not None and jac.shape != want:
+            raise ValueError(f"jacobians must have shape {want} for the grid's {grid.size} nodes, not {jac.shape}")
+        return sampled_map(grid, values, jac)
     raise ValueError(f"unknown backing {d['backing']!r}")
 
 
 def moebius_to_dict(phi: MoebiusMap) -> dict:
     return {"n": phi.n, "O": phi.O.tolist(), "xi": phi.xi.tolist(), "lambda": phi.lam}
-
-
-def moebius_from_dict(d: dict) -> MoebiusMap:
-    return MoebiusMap(_integer(d["n"], "n"), np.asarray(d["O"], dtype=float),
-                      np.asarray(d["xi"], dtype=float), float(d["lambda"]))
-
-
-def subspace_to_dict(s: Subspace) -> dict:
-    return {
-        "n": s.n, "k": s.k, "label": s.label, "eigenvalue": s.eigenvalue,
-        "basis": [[poly_to_dict(c) for c in m.components] for m in s.maps],
-    }
 
 
 def save_json(obj: dict, path: str) -> None:

@@ -1,5 +1,5 @@
-"""The conformal group of S^{n-1}: explicit maps, infinitesimal fields,
-recentering, gauge fixing, and nearest-rotation / nearest-Moebius fits.
+"""The conformal group of S^{n-1}: explicit maps, recentering, gauge
+fixing, and nearest-rotation / nearest-Moebius fits.
 
 A group element is O compose phi_{xi,lam}, where phi_{xi,lam} is the
 stereographic conjugate of a dilation by lam with pole xi:
@@ -46,19 +46,17 @@ import numpy as np
 from .errors import SolverError
 from .harmonics import scalar_basis_coeffs
 from .homogeneous import Stack
-from .polynomials import evaluate, grad_index, linear_order, xdot
+from .polynomials import evaluate, grad_index, linear_order
 from .quadrature import SphereGrid, build_sphere_grid, default_sphere_grid, integrate
-from .spheremap import (SphereMap, _grid_for, _node_data, _row_major_views, callable_map, linear_map,
-                        projectors, stack_map, tangential_jacobians, volume_integrand)
+from .spheremap import (SphereMap, _grid_for, _node_data, _row_major_views, callable_map, projectors,
+                        tangential_jacobians, volume_integrand)
 
 __all__ = [
     "MoebiusMap",
-    "InfMoebius",
     "moebius_apply",
     "moebius_jacobian",
     "as_sphere_map",
     "compose_with_map",
-    "identity_moebius",
     "inverse",
     "compose",
     "random_moebius",
@@ -102,10 +100,6 @@ class MoebiusMap:
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         return moebius_apply(self, X)
-
-
-def identity_moebius(n: int = 3) -> MoebiusMap:
-    return MoebiusMap(n, np.eye(n), _default_pole(n), 1.0)
 
 
 def _dilation_parts(X: np.ndarray, xi: np.ndarray, lam: float):
@@ -253,36 +247,6 @@ def conformality_residual(phi: MoebiusMap, grid: SphereGrid | None = None) -> fl
     G = np.matmul(TJ.transpose(0, 2, 1), TJ)
     R = G - (np.sum(TJ * TJ, axis=(1, 2)) / (phi.n - 1))[:, None, None] * projectors(X)
     return float(np.max(np.sqrt(np.sum(R * R, axis=(1, 2)))))
-
-
-# ---------------------------------------------------------------------------
-# infinitesimal Moebius fields
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InfMoebius:
-    """Tangent vector S x + mu (<x, xi> x - xi) of the conformal group at id."""
-
-    S: np.ndarray
-    mu: float
-    xi: np.ndarray
-
-    def __post_init__(self):
-        S = np.asarray(self.S, dtype=float)
-        xi = np.asarray(self.xi, dtype=float)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "xi", xi)
-        if np.max(np.abs(S + S.T)) > 1e-12:
-            raise ValueError("rotation part must be skew")
-        if abs(np.linalg.norm(xi) - 1.0) > 1e-12:
-            raise ValueError("pole must be unit")
-
-    def field_map(self) -> SphereMap:
-        n = self.S.shape[0]
-        inner = linear_order(self.mu * self.xi)        # mu <x, xi>
-        blocks = {0: -self.mu * self.xi[None, :, None],
-                  2: xdot(np.eye(n)[:, :, None] * inner, n, 1)[None]}
-        return linear_map(self.S) + stack_map(Stack(n, 1, n, blocks))
 
 
 def _boost_moebius(O: np.ndarray, v: np.ndarray) -> MoebiusMap:

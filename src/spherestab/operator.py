@@ -57,7 +57,6 @@ __all__ = [
     "kernel_subspaces",
     "project_kernel",
     "project_h_n",
-    "subspace_angle",
     "EigenField",
     "random_eigenfield",
     "random_h_field",
@@ -193,19 +192,6 @@ def _check_eigenspaces(n: int, k: int, E: list[np.ndarray], lams: tuple[float, .
                                  f"orthonormality residual {orth:.1e} (tolerance {_SPECTRUM_TOL:.0e})")
 
 
-def subspace_angle(S1: Subspace, S2: Subspace) -> float:
-    """Deviation of two same-degree subspaces: 1 - smallest principal cosine."""
-    if S1.k != S2.k or S1.n != S2.n:
-        raise ValueError("subspace angle needs same (n, k)")
-    if S1.dim != S2.dim:
-        return 1.0
-    if S1.dim == 0:
-        return 0.0
-    C = _field_pairs(S1.coeffs, S2.coeffs, gram(S1.n, S1.k))
-    s = np.linalg.svd(C, compute_uv=False)
-    return float(np.max(np.abs(1.0 - s)))
-
-
 @lru_cache(maxsize=None)
 def kernel_subspaces(n: int) -> tuple[Subspace, Subspace]:
     """The two blocks of the conformal kernel: skew degree-1 fields and the
@@ -270,24 +256,6 @@ def project_kernel(w: SphereMap, grid=None) -> SphereMap:
     c = np.array([integrate(g, f) for f in np.einsum("ai,abi->ba", U, BV)])
     jac = None if J is None else np.tensordot(table[:, dim * n :].reshape(-1, dim, n, n), c, axes=(1, 0))
     return sampled_map(g, np.tensordot(BV, c, axes=(1, 0)), jac)
-
-
-def kernel_characterization_residual(w: SphereMap) -> tuple[float, float]:
-    """Moment characterizations of a vanishing kernel projection.
-
-    Returns (max |skew part of grad w_h(0)|, max |avg (div w_h) x_k|);
-    both vanish iff the projection of w onto the kernel block is zero.
-    Exact for poly maps.
-    """
-    from .harmonics import grad_origin, harmonicize
-
-    if not w.is_poly:
-        raise TypeError("characterization implemented for poly maps")
-    B = grad_origin(w)
-    skew = float(np.max(np.abs(B - B.T)))
-    wh = harmonicize(w).stack
-    divmom = float(np.max(np.abs(Stack(w.n, 1, 1, wh.div).first_moments())))
-    return skew, divmom
 
 
 @dataclass(frozen=True)

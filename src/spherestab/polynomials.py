@@ -10,7 +10,7 @@ exponent rows: the codes of a space ascend, so a lookup is one
 multiplication are index maps between degree spaces, never matrices: the
 gradient is a gather on the cached :func:`grad_index`, and the pairing
 <f, x> of a stack with x is a scatter-add on the same indices
-(:func:`xdot`).  Integrals over S^{n-1} / B_1 contract the blocks with the
+(:func:`xdot`).  Integrals over S^{n-1} contract the blocks with the
 exact moments of :mod:`spherestab.moments`, as floats (the Gram matrices
 of :func:`gram_rect` for products of two polynomials).  The coefficient
 stacks of :mod:`spherestab.homogeneous`, which back every poly map, are
@@ -140,15 +140,14 @@ def _product_index(n: int, k1: int, k2: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _moments(n: int, k: int, ball: bool) -> np.ndarray:
-    """Moments of the monomials exps(n, k), each the float of its exact value.
+def _moments(n: int, k: int) -> np.ndarray:
+    """Sphere moments of the monomials exps(n, k), each the float of its exact value.
 
-    Only the monomials x^(2f), f of degree h = k/2, have nonzero moments:
-    prod_i (2 f_i - 1)!! / prod_{j<h} (n + 2j) on the sphere, times
-    n / (n + k) on the ball (:mod:`spherestab.moments`).  Each is one true
-    division of Python ints, which CPython rounds correctly, so it equals
-    the float of the exact fraction bit for bit.  The values are placed by
-    the base-(k+1) codes of 2f.
+    Only the monomials x^(2f), f of degree h = k/2, have nonzero moments,
+    prod_i (2 f_i - 1)!! / prod_{j<h} (n + 2j) (:mod:`spherestab.moments`).
+    Each is one true division of Python ints, which CPython rounds
+    correctly, so it equals the float of the exact fraction bit for bit.
+    The values are placed by the base-(k+1) codes of 2f.
     """
     out = np.zeros(len(_exponents(n, k)))
     if k % 2:
@@ -157,12 +156,10 @@ def _moments(n: int, k: int, ball: bool) -> np.ndarray:
     odd = [1]                                   # odd[m] = (2m - 1)!!
     for m in range(1, h + 1):
         odd.append(odd[-1] * (2 * m - 1))
-    num, den = 1, math.prod(range(n, n + k, 2))    # den = prod_{j<h} (n + 2j)
-    if ball:
-        num, den = n, den * (n + k)
+    den = math.prod(range(n, n + k, 2))         # prod_{j<h} (n + 2j)
     F = _exponents(n, h)
     out[np.searchsorted(_codes(_exponents(n, k), k + 1), _codes(2 * F, k + 1))] = [
-        num * math.prod(map(odd.__getitem__, f)) / den for f in F.tolist()
+        math.prod(map(odd.__getitem__, f)) / den for f in F.tolist()
     ]
     return out
 
@@ -175,7 +172,7 @@ def gram(n: int, k: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def gram_rect(n: int, k1: int, k2: int) -> np.ndarray:
     """Moments of x^(p+q) for deg-k1 p against deg-k2 q (exact, as floats)."""
-    G = _moments(n, k1 + k2, False)[_product_index(n, k1, k2)]
+    G = _moments(n, k1 + k2)[_product_index(n, k1, k2)]
     return G.reshape(len(_exponents(n, k1)), len(_exponents(n, k2)))
 
 

@@ -185,7 +185,7 @@ def check_poincare_and_extension(cfg: Config):
 
 
 def check_spectrum(cfg: Config):
-    for n, kk in ((3, 6), (4, 4)):
+    for n, kk in ((3, 6), (4, 4), (5, 4)):
         for k in range(1, kk + 1):
             eigenspaces(n, k)  # raises IntegrityError when a constructed space fails its check
             if self_adjointness_residual(n, k) > cfg.tol_exact:

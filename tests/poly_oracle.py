@@ -20,7 +20,8 @@ these.  The last sections keep the dense matrix of A and the modified
 Gram-Schmidt loop that the exact-algebra engine replaced, the numerical
 spectrum that the constructed eigenspaces replaced (A applied to the
 basis stack, ``eigh`` with clustering, and the Helmholtz split by an SVD
-with a rank cut), the tuple enumeration of monomial spaces that the
+with a rank cut) with ``subspace_angle``, the principal-angle measure the
+tests compare eigenspaces by, the tuple enumeration of monomial spaces that the
 exponent arrays replaced, and the cyclic Jacobi eigen-solver that
 ``eigvalsh`` replaced at n >= 5.
 """
@@ -39,11 +40,11 @@ from spherestab.harmonics import (
     _combine,
     _field_pairs,
     harmonicize,
-    scalar_basis,
     scalar_basis_coeffs,
     vector_space_coeffs,
 )
 from spherestab.homogeneous import Stack
+from spherestab.moments import ball_moment
 from spherestab.polynomials import (
     Poly,
     _exponents,
@@ -189,11 +190,18 @@ def pair(p: Poly, q: Poly) -> float:
     return float(total)
 
 
+@lru_cache(maxsize=None)
+def _ball_moments(n: int, d: int) -> np.ndarray:
+    """Ball moments of the monomials exps(n, d), each the float of its exact fraction."""
+    return np.array([float(ball_moment(n, e)) for e in exps(n, d)])
+
+
 def _moment_sum(p: Poly, ball: bool) -> float:
+    moments = _ball_moments if ball else _moments
     total = 0.0
     for d, v in p.blocks.items():
         if d % 2 == 0:  # odd moments vanish
-            total += _moments(p.n, d, ball) @ v
+            total += moments(p.n, d) @ v
     return float(total)
 
 
@@ -344,7 +352,7 @@ def project_kernel(f: Field) -> list[Poly]:
     for S in kernel_subspaces(n):
         block = np.zeros_like(S.coeffs[0])
         for a in range(S.dim):
-            block += field_pair(f, S.maps[a].components) * S.coeffs[a]
+            block += field_pair(f, S.element(np.eye(S.dim)[a]).components) * S.coeffs[a]
         acc.append(block)
     return [Poly.from_blocks(n, {1: acc[0][i], 2: acc[1][i]}) for i in range(n)]
 
@@ -445,13 +453,14 @@ def inf_moebius_field(S: np.ndarray, mu: float, xi: np.ndarray) -> list[Poly]:
 
 def psi_tables(grid) -> tuple[np.ndarray, np.ndarray]:
     """Degree-2 harmonics at the nodes, and dcoef[i, g, l], the x_l coefficient of d_i psi_g."""
-    n, basis = grid.n, scalar_basis(grid.n, 2)
+    n = grid.n
+    basis = [Poly.from_blocks(n, {2: row}) for row in scalar_basis_coeffs(n, 2)]
     dcoef = np.zeros((n, len(basis), n))
     for gidx, b in enumerate(basis):
         for i in range(n):
-            for e, cc in diff(b.poly, i).coeffs.items():
+            for e, cc in diff(b, i).coeffs.items():
                 dcoef[i, gidx, list(e).index(1)] = cc
-    return evaluate([(1, b.poly.blocks) for b in basis], grid.nodes), dcoef
+    return evaluate([(1, b.blocks) for b in basis], grid.nodes), dcoef
 
 
 def det3(B: list[Field]) -> Poly:
@@ -529,7 +538,8 @@ def scalar_basis_coeffs_mgs(n: int, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the numerical spectrum: A on the basis stack, eigh, the Helmholtz SVD
+# the numerical spectrum: A on the basis stack, eigh, the Helmholtz SVD, and
+# the principal angles between two subspaces
 # ---------------------------------------------------------------------------
 
 def a_matrix_a_field(n: int, k: int) -> np.ndarray:
@@ -584,6 +594,20 @@ def helmholtz_split_svd(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     _, s, vh = np.linalg.svd(Dmap)
     rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
     return _combine(vh[rank:], B), _combine(vh[:rank], B)
+
+
+def subspace_angle(S1, S2) -> float:
+    """Deviation of two same-degree subspaces: 1 - smallest principal cosine, by an SVD
+    of their L2 pairings (1 when the dims differ)."""
+    if S1.k != S2.k or S1.n != S2.n:
+        raise ValueError("subspace angle needs same (n, k)")
+    if S1.dim != S2.dim:
+        return 1.0
+    if S1.dim == 0:
+        return 0.0
+    C = _field_pairs(S1.coeffs, S2.coeffs, gram(S1.n, S1.k))
+    s = np.linalg.svd(C, compute_uv=False)
+    return float(np.max(np.abs(1.0 - s)))
 
 
 def exps_enumerated(n: int, k: int) -> tuple[tuple[int, ...], ...]:

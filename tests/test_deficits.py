@@ -8,13 +8,10 @@ from spherestab.deficits import (
     combined_deficit,
     deficit_report,
     dirichlet,
-    full_isometric_deficit,
     isometric_deficit,
     isoperimetric_deficit,
     perimeter,
-    principal_stretches,
     signed_volume,
-    stretch_norm,
     volume_expansion_check,
 )
 from spherestab.errors import UndefinedDeficitError
@@ -30,27 +27,26 @@ from poly_oracle import add, coordinate, scale, zero
 SKEW = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
-def test_principal_stretches_examples():
-    P = np.eye(3) - np.outer([0, 0, 1.0], [0, 0, 1.0])
-    assert np.allclose(principal_stretches(P), [1.0, 1.0])
-    assert np.allclose(principal_stretches(2 * P), [2.0, 2.0])
+def test_principal_stretch_values_examples():
+    from spherestab.spheremap import principal_stretch_values
+
+    X = np.array([[0.0, 0.0, 1.0]] * 3)
     # diag(1,1,2) at the north pole acts as the identity on the tangent plane
-    A = np.diag([1.0, 1.0, 2.0])
-    G = A @ P
-    assert np.allclose(principal_stretches(G), [1.0, 1.0])
+    J = np.array([np.eye(3), 2 * np.eye(3), np.diag([1.0, 1.0, 2.0])])
+    assert np.allclose(principal_stretch_values(J, X), [[1.0, 1.0], [2.0, 2.0], [1.0, 1.0]])
 
 
 def test_isometric_deficit_vanishes_on_rotations(rng):
     R = np.linalg.qr(rng.normal(size=(3, 3)))[0]
     assert isometric_deficit(linear_map(R)) < 1e-12
-    assert full_isometric_deficit(linear_map(R)) < 1e-12
+    assert deficit_report(linear_map(R)).delta_isom < 1e-12
 
 
 def test_short_homothety():
     u = linear_map(0.5 * np.eye(3))
     assert isometric_deficit(u) < 1e-12       # short: no stretches above 1
     assert abs(isoperimetric_deficit(u) - 7.0 / 8.0) < 1e-12
-    assert full_isometric_deficit(u) > 0
+    assert deficit_report(u).delta_isom > 0
 
 
 def test_deficit_chain_orderings(rng):
@@ -58,13 +54,14 @@ def test_deficit_chain_orderings(rng):
     for _ in range(5):
         w = random_h_field(3, 3, rng)
         u = identity_map(3) + w.scale(0.3 / np.sqrt(tangential_energy(w)))
-        d, s, di = isometric_deficit(u), stretch_norm(u), full_isometric_deficit(u)
+        rep = deficit_report(u)
+        d, s, di = rep.delta, rep.stretch_gap_norm, rep.delta_isom
         assert d <= s + 1e-12
         assert s <= di + 1e-12
     # conformal maps meet the sqrt(2) bound with equality
     phi = random_moebius(rng)
-    u = as_sphere_map(phi)
-    assert abs(full_isometric_deficit(u) - np.sqrt(2) * stretch_norm(u)) < 1e-9
+    rep = deficit_report(as_sphere_map(phi))
+    assert abs(rep.delta_isom - np.sqrt(2) * rep.stretch_gap_norm) < 1e-9
 
 
 def test_signed_volume_examples(rng):
@@ -236,8 +233,6 @@ def test_report_fields_equal_standalone_functionals(rng):
             (rep.dirichlet, dirichlet(u, g)),
             (rep.perimeter, perimeter(u, g)),
             (rep.delta, isometric_deficit(u, g)),
-            (rep.stretch_gap_norm, stretch_norm(u, g)),
-            (rep.delta_isom, full_isometric_deficit(u, g)),
             (rep.epsilon, isoperimetric_deficit(u, g)),
             (rep.combined, combined_deficit(u, g)),
         ]
@@ -351,10 +346,9 @@ def test_poly_map_sampled_once_per_grid(n, rng, monkeypatch):
     calls = _count_evaluate(monkeypatch)
     rep = deficit_report(u, g)
     values = [dirichlet(u, g), perimeter(u, g), signed_volume(u, g), isometric_deficit(u, g),
-              stretch_norm(u, g), full_isometric_deficit(u, g), combined_deficit(u, g)]
+              combined_deficit(u, g)]
     assert calls == [g.size]
-    assert values == [rep.dirichlet, rep.perimeter, rep.volume, rep.delta, rep.stretch_gap_norm,
-                      rep.delta_isom, rep.combined]
+    assert values == [rep.dirichlet, rep.perimeter, rep.volume, rep.delta, rep.combined]
 
 
 def _fresh_volume(u, g):
@@ -408,7 +402,7 @@ def test_callable_map_sampled_on_every_call(grid3, rng):
 
     u = callable_map(3, 3, value, jacobian)
     fns = (deficit_report, combined_deficit, dirichlet, perimeter, signed_volume,
-           isometric_deficit, stretch_norm, full_isometric_deficit)
+           isometric_deficit)
     for fn in fns + fns:
         calls.update(value=0, jacobian=0)
         fn(u, grid3)

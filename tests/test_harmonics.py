@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 
 from spherestab.harmonics import (
+    Subspace,
     analyze,
     grad_origin,
     harmonic_dimension,
     harmonic_energy_check,
-    harmonic_extension_eval,
     laplace_eigenvalue,
     poincare_deficit,
-    scalar_basis,
     scalar_basis_coeffs,
     synthesize,
-    vector_basis,
     vector_space_coeffs,
 )
 from spherestab.homogeneous import gram, gram_rect
-from spherestab.polynomials import Poly
+from spherestab.polynomials import Poly, evaluate
 from spherestab.spheremap import identity_map, linear_map, poly_map
 
 from poly_oracle import constant, coordinate, field_pair, is_zero, laplacian, mul, scalar_basis_coeffs_mgs, zero
@@ -27,13 +25,23 @@ from poly_oracle import constant, coordinate, field_pair, is_zero, laplacian, mu
 @pytest.mark.parametrize("n,k,dim", [(3, 1, 3), (3, 2, 5), (2, 3, 2), (4, 2, 9), (2, 1, 2), (3, 0, 1)])
 def test_scalar_dimensions(n, k, dim):
     assert harmonic_dimension(n, k) == dim
-    assert len(scalar_basis(n, k)) == dim
+    assert len(scalar_basis_coeffs(n, k)) == dim
+
+
+def _harmonic(n, k, j):
+    """The j-th orthonormal scalar harmonic of degree k as a Poly."""
+    return Poly.from_blocks(n, {k: scalar_basis_coeffs(n, k)[j]})
+
+
+def _basis_values(n, k, points):
+    """The orthonormal scalar harmonics of degree k at the points, (h_k, N)."""
+    C = scalar_basis_coeffs(n, k)
+    return evaluate([(len(C), {k: C})], points)
 
 
 def test_scalar_basis_k1_spans_coordinates(sphere_points):
-    basis = scalar_basis(3, 1)
     # each basis function is a linear polynomial; their span is {x1,x2,x3}
-    M = np.stack([b(sphere_points) for b in basis])
+    M = _basis_values(3, 1, sphere_points)
     C = np.stack([sphere_points[:, i] for i in range(3)])
     resid = np.linalg.lstsq(M.T, C.T, rcond=None)[1]
     assert np.max(resid) < 1e-20
@@ -42,7 +50,7 @@ def test_scalar_basis_k1_spans_coordinates(sphere_points):
 def test_scalar_basis_n2_k3_is_cos_sin(sphere_points):
     theta = np.linspace(0.1, 6.0, 17)
     pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    M = np.stack([b(pts) for b in scalar_basis(2, 3)])
+    M = _basis_values(2, 3, pts)
     C = np.stack([np.cos(3 * theta), np.sin(3 * theta)])
     resid = np.linalg.lstsq(M.T, C.T, rcond=None)[1]
     assert np.max(resid) < 1e-18
@@ -53,8 +61,8 @@ def test_gram_identity_and_harmonicity(n, k):
     B = scalar_basis_coeffs(n, k)
     G = B @ gram(n, k) @ B.T
     assert np.max(np.abs(G - np.eye(B.shape[0]))) < 1e-10
-    for b in scalar_basis(n, k):
-        assert is_zero(laplacian(b.poly), tol=1e-12)
+    for j in range(len(B)):
+        assert is_zero(laplacian(_harmonic(n, k, j)), tol=1e-12)
 
 
 def test_cross_degree_orthogonality():
@@ -86,8 +94,8 @@ def test_cholqr2_orthonormal_at_least_as_well_as_mgs(n, k):
 @pytest.mark.parametrize("n,k", [(3, 1), (3, 3), (4, 2), (2, 5)])
 def test_laplace_beltrami_eigenvalue(n, k):
     lam = laplace_eigenvalue(n, k)
-    for b in scalar_basis(n, k)[:3]:
-        u = poly_map(n, [b.poly])
+    for j in range(min(3, harmonic_dimension(n, k))):
+        u = poly_map(n, [_harmonic(n, k, j)])
         from spherestab.forms import tangential_energy
 
         e = tangential_energy(u)
@@ -98,14 +106,13 @@ def test_laplace_beltrami_eigenvalue(n, k):
 @pytest.mark.parametrize("n,k,dim", [(3, 1, 8), (3, 2, 15), (4, 1, 15), (4, 2, 36)])
 def test_vector_space_dimensions(n, k, dim):
     assert vector_space_coeffs(n, k).shape[0] == dim
-    assert vector_basis(n, k).dim == dim
 
 
 def test_analyze_identity_map():
     e = analyze(identity_map(3), 2)
     assert np.max(np.abs(e.blocks[0])) < 1e-12
     assert np.max(np.abs(e.blocks[2])) < 1e-12
-    assert e.block_norm_sq(1) > 0
+    assert np.sum(e.blocks[1] ** 2) > 0
 
 
 def test_analyze_x1_squared():
@@ -113,12 +120,11 @@ def test_analyze_x1_squared():
     e = analyze(u, 2)
     assert abs(e.blocks[0][0, 0] - 1.0 / 3.0) < 1e-12
     assert np.max(np.abs(e.blocks[1])) < 1e-12
-    assert e.block_norm_sq(2) > 0
+    assert np.sum(e.blocks[2] ** 2) > 0
 
 
 def test_analyze_orthonormality_roundtrip(sphere_points):
-    psi = scalar_basis(3, 2)[2]
-    u = poly_map(3, [psi.poly])
+    u = poly_map(3, [_harmonic(3, 2, 2)])
     e = analyze(u, 3)
     blk = e.blocks[2][0]
     assert abs(np.linalg.norm(blk) - 1.0) < 1e-10
@@ -176,25 +182,12 @@ def test_grad_origin_is_degree1_block(rng):
     assert np.max(np.abs(deg1 - X @ B.T)) < 1e-10
 
 
-def test_harmonic_extension_eval():
-    e = analyze(identity_map(3), 2)
-    assert np.max(np.abs(harmonic_extension_eval(e, np.zeros(3)))) < 1e-14
-    u = poly_map(3, [coordinate(3, 0)])
-    e = analyze(u, 1)
-    assert abs(harmonic_extension_eval(e, np.array([0.5, 0, 0]))[0] - 0.5) < 1e-12
-    u = poly_map(3, [Poly(3, {(1, 1, 0): 1.0})])
-    e = analyze(u, 2)
-    assert abs(harmonic_extension_eval(e, np.array([0.5, 0.5, 0.0]))[0] - 0.25) < 1e-12
-    with pytest.raises(ValueError):
-        harmonic_extension_eval(e, np.array([1.5, 0, 0]))
-
-
 def test_poincare_deficit_examples(rng):
     A = rng.normal(size=(3, 3))
     assert abs(poincare_deficit(linear_map(A))) < 1e-10
     const = poly_map(3, [constant(3, 2.0)])
     assert abs(poincare_deficit(const)) < 1e-14
-    w = vector_basis(3, 2).maps[0]
+    w = Subspace(3, 2, "full", vector_space_coeffs(3, 2)).element(np.eye(15)[0])
     from spherestab.forms import tangential_energy
 
     assert abs(poincare_deficit(w) - tangential_energy(w) / 3.0) < 1e-10
@@ -214,8 +207,7 @@ def test_harmonic_energy_check():
     assert abs(rep.surface_energy - 1.5 * rep.tangential_energy) < 1e-12
     # single degree-k harmonic: surface = (1 + k/(k+n-2)) tangential
     k, n = 3, 3
-    psi = scalar_basis(n, k)[1]
-    rep = harmonic_energy_check(poly_map(n, [psi.poly]))
+    rep = harmonic_energy_check(poly_map(n, [_harmonic(n, k, 1)]))
     assert rep.bounds_ok
     factor = 1 + k / (k + n - 2)
     assert abs(rep.surface_energy - factor * rep.tangential_energy) < 1e-10

@@ -5,7 +5,6 @@ import pytest
 
 from spherestab.forms import tangential_energy
 from spherestab.moebius import (
-    InfMoebius,
     MoebiusMap,
     as_sphere_map,
     compose,
@@ -13,7 +12,6 @@ from spherestab.moebius import (
     conformality_residual,
     dilation_scale,
     gauge_fix,
-    identity_moebius,
     inverse,
     moebius_apply,
     moebius_jacobian,
@@ -25,12 +23,15 @@ from spherestab.moebius import (
 )
 from spherestab.operator import project_kernel, random_h_field
 from spherestab.quadrature import build_sphere_grid
-from spherestab.spheremap import callable_map, identity_map, linear_map
+from spherestab.spheremap import callable_map, identity_map, linear_map, poly_map
+
+from poly_oracle import inf_moebius_field
+
+IDENTITY = MoebiusMap(3, np.eye(3), np.array([0, 0, 1.0]), 1.0)
 
 
 def test_identity_parameters(sphere_points):
-    phi = identity_moebius(3)
-    assert np.max(np.abs(moebius_apply(phi, sphere_points) - sphere_points)) < 1e-12
+    assert np.max(np.abs(moebius_apply(IDENTITY, sphere_points) - sphere_points)) < 1e-12
 
 
 def test_validation():
@@ -80,7 +81,7 @@ def test_inverse_round_trip(rng, sphere_points):
     phi = random_moebius(rng)
     inv = inverse(phi)
     assert np.max(np.abs(moebius_apply(inv, moebius_apply(phi, sphere_points)) - sphere_points)) < 1e-10
-    ident = inverse(identity_moebius(3))
+    ident = inverse(IDENTITY)
     assert np.max(np.abs(moebius_apply(ident, sphere_points) - sphere_points)) < 1e-12
     p = MoebiusMap(3, np.eye(3), np.array([0, 0, 1.0]), 2.0)
     ip = inverse(p)
@@ -152,7 +153,7 @@ def test_infinitesimal_field_lies_in_kernel_block(rng, sphere_points):
     S = np.array([[0.0, 0.3, -0.1], [-0.3, 0.0, 0.2], [0.1, -0.2, 0.0]])
     xi = rng.normal(size=3)
     xi /= np.linalg.norm(xi)
-    Y = InfMoebius(S, 0.7, xi).field_map()
+    Y = poly_map(3, inf_moebius_field(S, 0.7, xi))
     from spherestab.operator import project_h_n
 
     Yc, _ = project_h_n(Y)   # removes the constant part
@@ -167,7 +168,7 @@ def test_psi_diagonal_action_on_lie_algebra(grid3):
     S = np.array([[0.0, 0.4, -0.2], [-0.4, 0.0, 0.1], [0.2, -0.1, 0.0]])
     xi = np.array([1.0, 2.0, 2.0]) / 3.0
     mu = 0.9
-    Y = InfMoebius(S, mu, xi).field_map()
+    Y = poly_map(3, inf_moebius_field(S, mu, xi))
     psi = psi_functional(Y, grid3)
     # avg(Y^i x_j - Y^j x_i) = (2/3) S_ij; avg (div Y_h) x = (10/9) mu xi
     assert np.allclose(psi[:3], (2.0 / 3.0) * np.array([S[0, 1], S[0, 2], S[1, 2]]), atol=1e-12)

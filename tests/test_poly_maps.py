@@ -12,8 +12,7 @@ import pytest
 import poly_oracle as oracle
 from spherestab.harmonics import analyze, grad_origin, synthesize
 from spherestab.homogeneous import Stack
-from spherestab.moebius import InfMoebius, _psi_moments, _psi_tables
-from spherestab.operator import kernel_characterization_residual
+from spherestab.moebius import _psi_moments, _psi_tables
 from spherestab.polynomials import Poly, exps
 from spherestab.quadrature import build_sphere_grid
 from spherestab.spheremap import identity_map, linear_map, poly_map
@@ -107,18 +106,9 @@ def test_harmonic_routes_match_the_component_route(n, rng):
         _same(synthesize(e).components, oracle.synthesize(n, want))
         tol = REORDERED * np.sqrt(oracle.field_pair(f, f))
         assert np.max(np.abs(grad_origin(u) - oracle.grad_origin(f))) <= tol
-        got, want = kernel_characterization_residual(u), oracle.kernel_characterization_residual(f)
-        assert abs(got[0] - want[0]) <= tol and abs(got[1] - want[1]) <= tol
 
 
-def test_moebius_fields_and_tables_match_the_component_route(rng):
-    for n in (2, 3, 4):
-        for mu in (0.0, 0.7):
-            S = rng.normal(size=(n, n))
-            S -= S.T
-            xi = rng.normal(size=n)
-            xi /= np.linalg.norm(xi)
-            _same(InfMoebius(S, mu, xi).field_map().components, oracle.inf_moebius_field(S, mu, xi))
+def test_moebius_tables_match_the_component_route():
     g = build_sphere_grid(3, 12)
     L, B = _psi_moments(g)
     want_vals, want_dcoef = oracle.psi_tables(g)
@@ -156,5 +146,4 @@ def test_exact_routes_never_reach_poly_algebra(grid3, rng):
     gauge_fix(u, grid3)
     synthesize(analyze(v, v.degree()))
     grad_origin(v)
-    kernel_characterization_residual(v)
     assert isinstance(u.stack, Stack)

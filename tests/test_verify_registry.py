@@ -56,3 +56,19 @@ def test_solver_detail_prints_a_residual_only_when_it_fails(monkeypatch):
     monkeypatch.setattr(V, "psi_functional", lambda u, g: np.full(8, 1e-3))
     ok, results = run_checks(Config(), names=["moebius.solvers"])
     assert not ok and results[0]["detail"] == "gauge residual 2.83e-03 > 1e-07, recenter residual <= 1e-08"
+
+
+def test_spectrum_check_covers_n_3_4_and_5(monkeypatch):
+    import spherestab.verify as V
+
+    checked = []
+
+    def recording(n, k):
+        checked.append((n, k))
+        return real(n, k)
+
+    real = V.self_adjointness_residual
+    monkeypatch.setattr(V, "self_adjointness_residual", recording)
+    ok, results = run_checks(Config(), names=["operator.spectrum"])
+    assert ok and results[0]["detail"] == "clusters, self-adjointness and kernel dims verified"
+    assert checked == [(3, k) for k in range(1, 7)] + [(n, k) for n in (4, 5) for k in range(1, 5)]
