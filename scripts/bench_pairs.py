@@ -3,6 +3,7 @@
 
     python3 scripts/bench_pairs.py --pr 11 --pairs spectrum-cold:1:10 deficit-batch:1:5
     python3 scripts/bench_pairs.py --pr 11 --commands 'spectrum --n 4 --kmax 12 --out /dev/null'
+    python3 scripts/bench_pairs.py --pr 11 --pytest
 
 Both sides are extracted with ``git archive`` into ``<workdir>/parent`` and
 ``<workdir>/change``: the two paths have equal length, since the peak RSS
@@ -27,7 +28,9 @@ records its wall time (start to exit), the peak RSS and the minor page
 faults of that child alone (the rusage ``os.wait4`` returns for it, taken
 by a bare interpreter that spawns the command), and its exit code; the
 summary gives the same medians, parent IQR and pairs won per command, and
-the exit codes seen on each side.
+the exit codes seen on each side.  ``--pytest`` adds one more such pair,
+the tier-1 suite (``python -m pytest`` in each side's directory), under the
+command name ``pytest (tier-1)``.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ COMMAND_PAIRS = 10             # the fewest pairs that can back a claim
 BLAS_THREADS = min(2, len(os.sched_getaffinity(0)))
 # a whole command as its own process: the CLI's entry point on the given arguments
 CLI = "import sys; from spherestab.cli import main; sys.exit(main(sys.argv[1:]))"
+# the tier-1 suite as one whole command, by the name it has in the report
+PYTEST = "pytest (tier-1)"
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 # Runs argv[1:] and prints its wall time and the rusage os.wait4 returns for it.
 # A bare interpreter spawns the command, not this process: Linux carries the
 # high-water RSS of the address space a child execs from into its ru_maxrss,
@@ -114,12 +120,14 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int, trace: int) 
 
 
 def run_command(checkout: str, command: str) -> dict:
-    """One fresh CLI process of ``command`` from ``checkout``: its wall time, and the peak
-    RSS, minor page faults and exit code of that child alone."""
+    """One fresh process of ``command`` from ``checkout``, a CLI command line or ``PYTEST``
+    for the tier-1 suite: its wall time, and the peak RSS, minor page faults and exit
+    code of that child alone."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONHASHSEED="0")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(BLAS_THREADS)
-    proc = subprocess.run([sys.executable, "-c", SPAWN, sys.executable, "-c", CLI, *shlex.split(command)],
+    args = TIER1 if command == PYTEST else ("-c", CLI, *shlex.split(command))
+    proc = subprocess.run([sys.executable, "-c", SPAWN, sys.executable, *args],
                           cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"measuring {command!r} in {checkout} failed: {proc.stderr[-2000:]}")
@@ -192,13 +200,15 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--commands", nargs="+", default=[], metavar="COMMAND",
                     help=f"whole CLI commands, e.g. 'spectrum --n 4 --kmax 12', {COMMAND_PAIRS} pairs each, "
                          "run after the others")
+    ap.add_argument("--pytest", action="store_true",
+                    help=f"also time the tier-1 suite as one whole command, {COMMAND_PAIRS} pairs, run last")
     ap.add_argument("--seconds", type=int, default=40, help="--seconds of each run (default 40)")
     ap.add_argument("--workdir", default=os.path.join(ROOT, "build", "bench"),
                     help="where the two checkouts are extracted (default build/bench)")
     ap.add_argument("--out", help="output file (default BENCH_<pr>.json at the repository root)")
     args = ap.parse_args(argv)
-    if not (args.pairs or args.traced or args.commands):
-        ap.error("give --pairs, --traced or --commands")
+    if not (args.pairs or args.traced or args.commands or args.pytest):
+        ap.error("give --pairs, --traced, --commands or --pytest")
     specs = []
     for trace, group in ((0, args.pairs), (1, args.traced)):
         for spec in group:
@@ -216,9 +226,9 @@ def main(argv: list[str] | None = None) -> int:
                        "delta (every pass, set-up included) over its attempted items; 'traced_runs' ran "
                        "with --trace 1. 'summary' covers 'runs' and counts a pair as won when the change's "
                        "value is lower. Each 'command_runs' entry is one fresh CLI process with "
-                       "PYTHONPATH=<side>/src: wall_s from start to exit, and peak_rss_mb (ru_maxrss) and "
-                       "minflt from the rusage os.wait4 returned for that child; 'command_summary' compares "
-                       "them the same way.",
+                       f"PYTHONPATH=<side>/src ('{PYTEST}' runs the tier-1 pytest suite): wall_s from start "
+                       "to exit, and peak_rss_mb (ru_maxrss) and minflt from the rusage os.wait4 returned "
+                       "for that child; 'command_summary' compares them the same way.",
         "command": f"python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds {args.seconds} --trace T",
         "parent": revs["parent"], "change": revs["change"], "host": host(), "runs": [], "traced_runs": [],
         "command_runs": [],
@@ -235,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"{ {m: round(v['value'], 4) for m, v in result['metrics'].items() if m in METRICS} } "
                       f"{FAULTS} {faults:.0f}", flush=True)
             _write(report, out_path)
-    for command in args.commands:
+    for command in args.commands + [PYTEST] * args.pytest:
         for pair in range(1, COMMAND_PAIRS + 1):
             order = SIDES if pair % 2 else SIDES[::-1]
             for side in order:

@@ -1,8 +1,9 @@
 """Scalar and vector spherical harmonics as homogeneous harmonic polynomials.
 
-Bases are built once per (n, k) by solving the Laplace constraint on
-monomial coefficients and orthonormalizing against the exact moment inner
-product, then cached.  The orthonormalization is CholQR2 (Fukaya et al.,
+Bases are built per (n, k) by solving the Laplace constraint on monomial
+coefficients and orthonormalizing against the exact moment inner product,
+and kept, read-only, in the bounded table cache of
+:mod:`spherestab.polynomials`.  The orthonormalization is CholQR2 (Fukaya et al.,
 2014): two passes of K <- L^-1 K, with L the Cholesky factor of the Gram
 matrix K G K^t of the rows K under the moment matrix G.  Degree-k
 restrictions satisfy -Lap_S psi = lambda_{n,k} psi with
@@ -15,13 +16,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import IntegrityError
 from .homogeneous import Stack
-from .polynomials import evaluate, grad_index, gram, gram_rect, linear_order
+from .polynomials import evaluate, grad_index, gram, gram_rect, linear_order, table_cache
 from .quadrature import SphereGrid, integrate
 from .spheremap import SphereMap, _grid_for, stack_map
 
@@ -91,7 +91,7 @@ def _laplacian(n: int, k: int) -> np.ndarray:
     return L
 
 
-@lru_cache(maxsize=None)
+@table_cache
 def scalar_basis_coeffs(n: int, k: int) -> np.ndarray:
     """Orthonormal degree-k scalar harmonics as rows over monomial coefficients."""
     M = math.comb(n + k - 1, k)
@@ -138,7 +138,7 @@ def _cholqr2(rows: np.ndarray, G: np.ndarray) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=None)
+@table_cache
 def vector_space_coeffs(n: int, k: int) -> np.ndarray:
     """Orthonormal basis of H_{n,k} as a (dim, n, M_k) coefficient tensor.
 

@@ -30,7 +30,6 @@ spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .harmonics import (
     vector_space_coeffs,
 )
 from .homogeneous import Stack, l2_gram
-from .polynomials import evaluate, grad_index, gram, linear_order
+from .polynomials import evaluate, grad_index, gram, linear_order, table_cache
 from .quadrature import integrate
 from .spheremap import SphereMap, _grid_for, a_operator_values, sampled_map, stack_map
 
@@ -77,7 +76,7 @@ def apply_A(w: SphereMap) -> SphereMap:
     return sampled_map(g, a_operator_values(U, J, X), None)
 
 
-@lru_cache(maxsize=None)
+@table_cache
 def _grad_coords(n: int, k: int) -> np.ndarray:
     """D[j, c, b] = <psi^{k-1}_c, d_j psi^k_b>, shape (n, h_{k-1}, h_k).
 
@@ -103,7 +102,7 @@ def _candidate_coords(n: int) -> np.ndarray:
     return (B @ gram(n, 1) @ scalar_basis_coeffs(n, 1).T).reshape(len(B), -1)
 
 
-@lru_cache(maxsize=None)
+@table_cache
 def a_matrix(n: int, k: int) -> np.ndarray:
     """Matrix of A on the orthonormal basis of H_{n,k} (L2 inner products).
 
@@ -145,7 +144,7 @@ def helmholtz_split(n: int, k: int) -> tuple[Subspace, Subspace]:
     return sol, Subspace(n, k, "sol_perp", eig3.coeffs, eigenvalue=eig3.eigenvalue)
 
 
-@lru_cache(maxsize=None)
+@table_cache
 def eigenspaces(n: int, k: int) -> tuple[Subspace, Subspace, Subspace]:
     """Eigenspaces of A on H_{n,k} for the eigenvalues (-k, 1, k+n-2), by construction.
 
@@ -192,7 +191,7 @@ def _check_eigenspaces(n: int, k: int, E: list[np.ndarray], lams: tuple[float, .
                                  f"orthonormality residual {orth:.1e} (tolerance {_SPECTRUM_TOL:.0e})")
 
 
-@lru_cache(maxsize=None)
+@table_cache
 def kernel_subspaces(n: int) -> tuple[Subspace, Subspace]:
     """The two blocks of the conformal kernel: skew degree-1 fields and the
     degree-2 complement of the divergence-free part."""

@@ -17,6 +17,17 @@ stacks of :mod:`spherestab.homogeneous`, which back every poly map, are
 built on these maps, and :func:`evaluate` gives the values of any rows
 of blocks at points from one monomial table.
 
+The tables whose size grows with the degree share one bounded cache,
+``table_cache``: the index maps and Gram matrices here, the bases of
+:mod:`spherestab.harmonics` and the A-matrices and eigenspaces of
+:mod:`spherestab.operator`.  Past 2 MiB it drops the least recently used
+entries, but never the 20 newest, so a spectrum sweep holds the working
+set of its last blocks rather than every block; a dropped table is
+rebuilt bit for bit when asked for again.  Its arrays are read-only.
+The small index tables (``_exponents``, ``exps``, ``grad_index``,
+``_moments``, ``_exponent_table``), together under 0.25 MiB and looked
+up thousands of times per block, keep plain ``lru_cache``s.
+
 :class:`Poly` is one scalar polynomial as ``{degree: block}``, a view with
 no algebra: it serves serialization (``SphereMap.components`` views a
 map's stack as Polys), the scalar harmonics and evaluation at points.
@@ -31,7 +42,8 @@ representative.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from collections import OrderedDict
+from functools import lru_cache, wraps
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -53,6 +65,72 @@ Exponent = tuple[int, ...]
 # nodes) then stays in cache and adds little to peak memory on the
 # large n = 4 grids; larger chunks measured slower, not faster
 _CHUNK = 1024
+# the table cache drops entries past 2 MiB, but never the 20 newest.  A
+# spectrum block reuses the bases the block before it made after about 17
+# newer entries, so with 20 no block rebuilds them (with 12, `spectrum --n 4
+# --kmax 14` rebuilt its top scalar bases); a deficit-batch or moebius-fit
+# set-up fills under 0.3 MiB and drops nothing
+_TABLE_BYTES = 2 << 20
+_TABLE_KEEP = 20
+
+
+# ---------------------------------------------------------------------------
+# the one cache of the per-degree tables
+# ---------------------------------------------------------------------------
+
+def _freeze(value) -> int:
+    """Make every array of a cached value read-only and return its size in bytes.
+    A value is an array, an object holding one as ``coeffs`` (a Subspace), or
+    a tuple of these."""
+    if isinstance(value, tuple):
+        return sum(map(_freeze, value))
+    a = getattr(value, "coeffs", value)
+    a.flags.writeable = False
+    return a.nbytes
+
+
+class TableCache:
+    """One least-recently-used cache shared by the tables whose size grows with
+    the degree: Gram matrices, bases, coordinates and eigenspaces.
+
+    Decorating a function with the instance caches its results by argument.
+    Once the entries hold more than ``limit`` bytes, the least recently used
+    are dropped, but never the ``keep`` newest.  Every array handed out is
+    read-only, so a caller that writes into a shared table raises instead
+    of corrupting later users.  Each decorated function's ``cache_clear``
+    empties the whole cache.
+    """
+
+    def __init__(self, limit: int, keep: int):
+        self.limit, self.keep = limit, keep
+        self.entries: OrderedDict = OrderedDict()   # (function, args) -> (value, bytes)
+        self.nbytes = 0
+
+    def __call__(self, f):
+        @wraps(f)
+        def cached(*args):
+            key = (f, args)
+            hit = self.entries.get(key)
+            if hit is not None:
+                self.entries.move_to_end(key)
+                return hit[0]
+            value = cached.__wrapped__(*args)   # looked up per miss, so it can be substituted
+            size = _freeze(value)
+            self.entries[key] = value, size
+            self.nbytes += size
+            while self.nbytes > self.limit and len(self.entries) > self.keep:
+                self.nbytes -= self.entries.popitem(last=False)[1][1]
+            return value
+
+        cached.cache_clear = self.clear
+        return cached
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.nbytes = 0
+
+
+table_cache = TableCache(_TABLE_BYTES, _TABLE_KEEP)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +205,7 @@ def xdot(W: np.ndarray, n: int, d: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@table_cache
 def _product_index(n: int, k1: int, k2: int) -> np.ndarray:
     """Position in exps(n, k1+k2) of p + q, for (p, q) over exps(n, k1) x exps(n, k2) row-major.
 
@@ -164,12 +242,11 @@ def _moments(n: int, k: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
 def gram(n: int, k: int) -> np.ndarray:
     return gram_rect(n, k, k)
 
 
-@lru_cache(maxsize=None)
+@table_cache
 def gram_rect(n: int, k1: int, k2: int) -> np.ndarray:
     """Moments of x^(p+q) for deg-k1 p against deg-k2 q (exact, as floats)."""
     G = _moments(n, k1 + k2)[_product_index(n, k1, k2)]

@@ -132,6 +132,24 @@ def test_bench_pairs_measures_a_whole_command_as_its_own_child(tmp_path):
     assert summary["exit_codes"] == {"parent": [0], "change": [0, 2]}
 
 
+def test_bench_pairs_times_the_tier1_suite_as_one_command(tmp_path):
+    # a stand-in suite in the tree's tests/: one test that fills 64 MB, one that fails
+    bench = _load_script("bench_pairs")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_standin.py").write_text(
+        "import os\n\n"
+        "def test_fills_memory():\n"
+        "    assert os.environ['PYTHONPATH'] == os.path.join(os.getcwd(), 'src')\n"
+        "    block = b'x' * (64 << 20)\n\n"
+        "def test_fails():\n"
+        "    assert False\n")
+    run = bench.run_command(str(tmp_path), bench.PYTEST)
+    assert run["exit_code"] == 1, run["stderr_tail"]     # pytest's code for a failed test
+    assert run["wall_s"] > 0 and run["peak_rss_mb"] >= 64
+    assert run["minflt"] >= 0.9 * (64 << 20) / 4096
+
+
 def test_output_diff_reports_the_largest_move_per_column_and_line():
     # the comparison only; no command is run
     diff = _load_script("output_diff")

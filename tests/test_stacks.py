@@ -236,6 +236,7 @@ def test_the_exact_algebra_path_builds_no_exponent_tuples(rng):
         for f in vars(module).values():
             if hasattr(f, "cache_clear"):
                 f.cache_clear()
+    assert not polynomials.table_cache.entries      # the loop reached the one table cache
     eigenspaces(3, 8)
     operator.a_matrix(3, 8)
     w = operator.random_eigenfield(3, 8, 2, rng).map
