@@ -9,6 +9,16 @@ matrix K G K^t of the rows K under the moment matrix G.  Degree-k
 restrictions satisfy -Lap_S psi = lambda_{n,k} psi with
 lambda_{n,k} = k(k+n-2), and the analyze / synthesize pair is exact on
 polynomial inputs.
+
+Degree-k vector fields are held by their coordinates in the candidates
+e_j psi_b, the orthonormal scalar basis placed in each component j.  For
+k >= 2 the candidates are an orthonormal basis of H_{n,k}; at k = 1 the
+basis of H_{n,1} is the orthonormal complement of the radial field among
+them (:func:`degree1_coords`).  A :class:`Subspace` stores these
+coordinates, and :func:`candidate_coeffs`, the one conversion to monomial
+coefficients, runs only where a caller needs a polynomial.
+:func:`vector_space_coeffs` is the basis of H_{n,k} as a dense monomial
+tensor, for the benchmark's layer timing and the tests.
 """
 
 from __future__ import annotations
@@ -30,6 +40,8 @@ __all__ = [
     "harmonic_dimension",
     "laplace_eigenvalue",
     "scalar_basis_coeffs",
+    "candidate_coeffs",
+    "degree1_coords",
     "vector_space_coeffs",
     "HarmonicExpansion",
     "analyze",
@@ -45,23 +57,34 @@ _NULL_TOL = 1e-10
 
 @dataclass
 class Subspace:
-    """An L2-orthonormal set of vector-harmonic fields (one degree, or the
-    mixed-degree kernel of the conformal form)."""
+    """An L2-orthonormal set of degree-k vector-harmonic fields, held by their
+    coordinates in the candidates e_j psi_b (:func:`candidate_coeffs`)."""
 
     n: int
-    k: int | None
-    label: str
-    coeffs: np.ndarray            # (dim, n, M_k); for mixed spaces a block list
+    k: int
+    coords: np.ndarray            # (dim, n h_k): row a holds field a over the candidates (j, b)
     eigenvalue: float | None = None
 
     @property
     def dim(self) -> int:
-        return 0 if self.coeffs is None else self.coeffs.shape[0]
+        return len(self.coords)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The fields as a (dim, n, M_k) monomial coefficient tensor, built on each call."""
+        return candidate_coeffs(self.n, self.k, self.coords)
 
     def element(self, combo: np.ndarray) -> SphereMap:
         """Linear combination of basis fields with the given coefficients."""
-        vec = np.einsum("a,aim->im", np.asarray(combo, dtype=float), self.coeffs)
-        return stack_map(Stack(self.n, 1, self.n, {self.k: vec[None]}))
+        vec = candidate_coeffs(self.n, self.k, (np.asarray(combo, dtype=float) @ self.coords)[None])
+        return stack_map(Stack(self.n, 1, self.n, {self.k: vec}))
+
+
+def candidate_coeffs(n: int, k: int, coords: np.ndarray) -> np.ndarray:
+    """Monomial coefficients (r, n, M_k) of the fields with coordinates (r, n h_k) in the
+    candidates e_j psi_b, the degree-k scalar basis psi placed in each component j."""
+    S = scalar_basis_coeffs(n, k)
+    return (coords.reshape(-1, len(S)) @ S).reshape(len(coords), n, S.shape[1])
 
 
 def laplace_eigenvalue(n: int, k: int) -> int:
@@ -119,11 +142,6 @@ def _field_pairs(C1: np.ndarray, C2: np.ndarray, G: np.ndarray) -> np.ndarray:
     return (C1 @ G).reshape(len(C1), -1) @ C2.reshape(len(C2), -1).T
 
 
-def _combine(W: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """The combinations sum_b W[a,b] C[b] of a stack of fields, as one matmul."""
-    return (W @ C.reshape(len(C), -1)).reshape(len(W), *C.shape[1:])
-
-
 def _cholqr2(rows: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Rows of a stack orthonormalized under the moment Gram G: K <- L^-1 K with
     L L^t = K G K^t, twice (the second pass restores orthogonality to roundoff).
@@ -139,25 +157,30 @@ def _cholqr2(rows: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 @table_cache
+def degree1_coords(n: int) -> np.ndarray:
+    """Orthonormal basis of H_{n,1} in the candidates e_j psi_b, shape (n^2 - 1, n^2): the
+    complement of the radial field, whose coordinates are con[j, b] = avg psi_b x_j."""
+    con = (scalar_basis_coeffs(n, 1) @ linear_order(gram(n, 1))).T.reshape(1, -1)
+    return np.linalg.svd(con)[2][1:]
+
+
+@table_cache
 def vector_space_coeffs(n: int, k: int) -> np.ndarray:
     """Orthonormal basis of H_{n,k} as a (dim, n, M_k) coefficient tensor.
 
     Candidates are e_i (x) psi_j; the mean-zero condition is automatic for
     k >= 1 and the radial moment constraint <w, x> integrating to zero only
-    removes one dimension at k = 1.
+    removes one dimension at k = 1 (:func:`degree1_coords`).
     """
     if k < 1:
         raise ValueError("vector harmonics need k >= 1")
+    if k == 1:
+        return candidate_coeffs(n, 1, degree1_coords(n))
     S = scalar_basis_coeffs(n, k)   # (G, M)
     G_cnt, M = S.shape
     cand = np.zeros((n * G_cnt, n, M))
     for i in range(n):
         cand[i * G_cnt : (i + 1) * G_cnt, i] = S
-    if k == 1:
-        # constraint: sum_i integral(w^i x_i) = 0; con[i, j] = avg psi_j x_i
-        con = (S @ linear_order(gram(n, 1))).T.reshape(1, -1)
-        null = np.linalg.svd(con)[2][1:]
-        return _cholqr2(_combine(null, cand), gram(n, k))
     return cand
 
 

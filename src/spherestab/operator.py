@@ -25,6 +25,12 @@ and h(n,k-1), with eigen-residuals and orthonormality residuals of at most
 1e-8; a block that fails raises IntegrityError.  That happens past the
 degree ceiling, where the float scalar basis no longer carries the
 spectrum.
+
+The eigenspaces stay in the candidate coordinates: a
+:class:`~spherestab.harmonics.Subspace` holds E_i, and monomial
+coefficients are built from it only where a polynomial is needed.  The
+seeded draws take N(0, I) in the coordinates of the orthonormal basis of
+H_{n,k} and project it onto eig_i as E_i g.
 """
 
 from __future__ import annotations
@@ -36,11 +42,11 @@ import numpy as np
 from .errors import IntegrityError
 from .harmonics import (
     Subspace,
-    _field_pairs,
+    candidate_coeffs,
+    degree1_coords,
     harmonic_dimension,
     laplace_eigenvalue,
     scalar_basis_coeffs,
-    vector_space_coeffs,
 )
 from .homogeneous import Stack, l2_gram
 from .polynomials import evaluate, grad_index, gram, linear_order, table_cache
@@ -96,12 +102,6 @@ def _rows(T: np.ndarray) -> np.ndarray:
     return T.transpose(1, 0, 2).reshape(T.shape[1], -1)
 
 
-def _candidate_coords(n: int) -> np.ndarray:
-    """Coordinates of the degree-1 basis of H_{n,1} in the candidates e_j psi_b, (dim, n h_1)."""
-    B = vector_space_coeffs(n, 1)
-    return (B @ gram(n, 1) @ scalar_basis_coeffs(n, 1).T).reshape(len(B), -1)
-
-
 @table_cache
 def a_matrix(n: int, k: int) -> np.ndarray:
     """Matrix of A on the orthonormal basis of H_{n,k} (L2 inner products).
@@ -122,7 +122,7 @@ def a_matrix(n: int, k: int) -> np.ndarray:
     Y = (_rows(XT).T @ _rows(D)).reshape(n, h, n, h)      # Y[i, a, j, b] = <psi_a, x_i d_j psi_b>
     M = (Y - Y.transpose(2, 1, 0, 3)).reshape(n * h, n * h)
     if k == 1:
-        C = _candidate_coords(n)
+        C = degree1_coords(n)
         M = C @ M @ C.T
     return M
 
@@ -140,8 +140,7 @@ def helmholtz_split(n: int, k: int) -> tuple[Subspace, Subspace]:
     (:func:`eigenspaces`), so no rank is decided here.
     """
     eig1, eig2, eig3 = eigenspaces(n, k)
-    sol = Subspace(n, k, "sol", np.concatenate([eig1.coeffs, eig2.coeffs]))
-    return sol, Subspace(n, k, "sol_perp", eig3.coeffs, eigenvalue=eig3.eigenvalue)
+    return Subspace(n, k, np.concatenate([eig1.coords, eig2.coords])), eig3
 
 
 @table_cache
@@ -163,13 +162,10 @@ def eigenspaces(n: int, k: int) -> tuple[Subspace, Subspace, Subspace]:
     F = np.concatenate([up.transpose(2, 0, 1).reshape(h1, -1), _rows(_grad_coords(n, k))])
     F /= np.linalg.norm(F, axis=1)[:, None]
     Q = np.linalg.qr(F.T, mode="complete")[0]
-    E = [F[:h1], Q[:, len(F):].T, F[h1:] if k >= 2 else F[:0]]
+    E = [F[:h1], np.ascontiguousarray(Q[:, len(F):].T), F[h1:] if k >= 2 else F[:0]]   # a view would keep all of Q
     lams = (float(-k), 1.0, float(k + n - 2))
     _check_eigenspaces(n, k, E, lams)
-    S = scalar_basis_coeffs(n, k)
-    return tuple(Subspace(n, k, f"eig{i + 1}", (Ei.reshape(-1, len(S)) @ S).reshape(len(Ei), n, S.shape[1]),
-                          eigenvalue=lam)
-                 for i, (Ei, lam) in enumerate(zip(E, lams)))
+    return tuple(Subspace(n, k, Ei, eigenvalue=lam) for Ei, lam in zip(E, lams))
 
 
 def _check_eigenspaces(n: int, k: int, E: list[np.ndarray], lams: tuple[float, ...]) -> None:
@@ -180,7 +176,7 @@ def _check_eigenspaces(n: int, k: int, E: list[np.ndarray], lams: tuple[float, .
     if dims != want:
         raise IntegrityError(f"eigenspace dims {dims} of A on H_({n},{k}), want {want}")
     if k == 1:
-        C = _candidate_coords(n)
+        C = degree1_coords(n)
         E = [Ei @ C.T for Ei in E]
     M = a_matrix(n, k)
     for i, (Ei, lam) in enumerate(zip(E, lams), start=1):
@@ -277,9 +273,7 @@ def random_eigenfield(n: int, k: int, i: int, rng: np.random.Generator) -> Eigen
     S = eigenspaces(n, k)[i - 1]
     if S.dim == 0:
         raise ValueError(f"eigenspace ({n},{k},{i}) is trivial")
-    B = vector_space_coeffs(n, k)
-    g = rng.normal(size=len(B)) @ B.reshape(len(B), -1)
-    c = _field_pairs(g.reshape(1, n, -1), S.coeffs, gram(n, k))[0]
+    c = S.coords @ _draw(n, k, rng)
     c /= np.linalg.norm(c)
     c /= np.sqrt(laplace_eigenvalue(n, k))
     return EigenField(S.element(c), n, k, i)
@@ -288,8 +282,15 @@ def random_eigenfield(n: int, k: int, i: int, rng: np.random.Generator) -> Eigen
 def random_h_field(n: int, kmax: int, rng: np.random.Generator) -> SphereMap:
     """Random element of the degree-truncated H_n: N(0, I) on each H_{n,k}, in the
     coordinates of its orthonormal basis."""
-    blocks = {}
-    for k in range(1, kmax + 1):
-        B = vector_space_coeffs(n, k)
-        blocks[k] = (rng.normal(size=len(B)) @ B.reshape(len(B), -1)).reshape(1, n, -1)
+    blocks = {k: candidate_coeffs(n, k, _draw(n, k, rng)[None]) for k in range(1, kmax + 1)}
     return stack_map(Stack(n, 1, n, blocks))
+
+
+def _draw(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """N(0, I) in the coordinates of the orthonormal basis of H_{n,k}, as candidate
+    coordinates: that basis is the candidates e_j psi_b for k >= 2, and the
+    rows of :func:`degree1_coords` at k = 1."""
+    if k == 1:
+        C = degree1_coords(n)
+        return rng.normal(size=len(C)) @ C
+    return rng.normal(size=n * harmonic_dimension(n, k))

@@ -80,11 +80,11 @@ _TABLE_KEEP = 20
 
 def _freeze(value) -> int:
     """Make every array of a cached value read-only and return its size in bytes.
-    A value is an array, an object holding one as ``coeffs`` (a Subspace), or
-    a tuple of these."""
+    A value is an array, an object holding one as ``coords`` (a Subspace, whose
+    ``coeffs`` are built from them on each call), or a tuple of these."""
     if isinstance(value, tuple):
         return sum(map(_freeze, value))
-    a = getattr(value, "coeffs", value)
+    a = getattr(value, "coords", value)
     a.flags.writeable = False
     return a.nbytes
 

@@ -21,9 +21,11 @@ Gram-Schmidt loop that the exact-algebra engine replaced, the numerical
 spectrum that the constructed eigenspaces replaced (A applied to the
 basis stack, ``eigh`` with clustering, and the Helmholtz split by an SVD
 with a rank cut) with ``subspace_angle``, the principal-angle measure the
-tests compare eigenspaces by, the tuple enumeration of monomial spaces that the
-exponent arrays replaced, and the cyclic Jacobi eigen-solver that
-``eigvalsh`` replaced at n >= 5.
+tests compare eigenspaces by, the seeded draws by Gram pairings against
+the monomial basis of H_{n,k} that the candidate coordinates replaced,
+the tuple enumeration of monomial spaces that the exponent arrays
+replaced, and the cyclic Jacobi eigen-solver that ``eigvalsh`` replaced
+at n >= 5.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ import numpy as np
 
 from spherestab.errors import SolverError
 from spherestab.harmonics import (
-    _combine,
     _field_pairs,
     harmonicize,
+    laplace_eigenvalue,
     scalar_basis_coeffs,
     vector_space_coeffs,
 )
@@ -542,6 +544,11 @@ def scalar_basis_coeffs_mgs(n: int, k: int) -> np.ndarray:
 # the principal angles between two subspaces
 # ---------------------------------------------------------------------------
 
+def _combine(W: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The combinations sum_b W[a,b] C[b] of a stack of fields, as one matmul."""
+    return (W @ C.reshape(len(C), -1)).reshape(len(W), *C.shape[1:])
+
+
 def a_matrix_a_field(n: int, k: int) -> np.ndarray:
     """The matrix of A on the orthonormal basis of H_{n,k}: ``Stack.a_field`` of
     the n h-row basis stack, paired with the basis."""
@@ -596,18 +603,41 @@ def helmholtz_split_svd(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return _combine(vh[rank:], B), _combine(vh[:rank], B)
 
 
-def subspace_angle(S1, S2) -> float:
-    """Deviation of two same-degree subspaces: 1 - smallest principal cosine, by an SVD
-    of their L2 pairings (1 when the dims differ)."""
-    if S1.k != S2.k or S1.n != S2.n:
-        raise ValueError("subspace angle needs same (n, k)")
-    if S1.dim != S2.dim:
+def subspace_angle(C1: np.ndarray, C2: np.ndarray, G: np.ndarray) -> float:
+    """Deviation of the spans of two stacks of same-degree fields (dim, n, M_k): 1 - smallest
+    principal cosine, by an SVD of their L2 pairings under the moment Gram G (1 when
+    the dims differ)."""
+    if len(C1) != len(C2):
         return 1.0
-    if S1.dim == 0:
+    if len(C1) == 0:
         return 0.0
-    C = _field_pairs(S1.coeffs, S2.coeffs, gram(S1.n, S1.k))
-    s = np.linalg.svd(C, compute_uv=False)
+    s = np.linalg.svd(_field_pairs(C1, C2, G), compute_uv=False)
     return float(np.max(np.abs(1.0 - s)))
+
+
+def eigenfield_by_gram_pairing(n: int, k: int, i: int, rng: np.random.Generator) -> np.ndarray:
+    """Coefficients (n, M_k) of ``random_eigenfield``'s draw by the monomial route it
+    replaced: N(0, I) in the coordinates of ``vector_space_coeffs``, paired with
+    the eigenspace's fields under ``gram``, normalized to unit tangential energy."""
+    from spherestab.operator import eigenspaces
+
+    S = eigenspaces(n, k)[i - 1]
+    B = vector_space_coeffs(n, k)
+    g = rng.normal(size=len(B)) @ B.reshape(len(B), -1)
+    c = _field_pairs(g.reshape(1, n, -1), S.coeffs, gram(n, k))[0]
+    c /= np.linalg.norm(c)
+    c /= np.sqrt(laplace_eigenvalue(n, k))
+    return np.einsum("a,aim->im", c, S.coeffs)
+
+
+def h_field_by_basis(n: int, kmax: int, rng: np.random.Generator) -> dict[int, np.ndarray]:
+    """Blocks {k: (n, M_k)} of ``random_h_field``'s draw by the monomial route it replaced:
+    N(0, I) in the coordinates of ``vector_space_coeffs`` for each k."""
+    blocks = {}
+    for k in range(1, kmax + 1):
+        B = vector_space_coeffs(n, k)
+        blocks[k] = (rng.normal(size=len(B)) @ B.reshape(len(B), -1)).reshape(n, -1)
+    return blocks
 
 
 def exps_enumerated(n: int, k: int) -> tuple[tuple[int, ...], ...]:

@@ -187,7 +187,7 @@ def test_poincare_deficit_examples(rng):
     assert abs(poincare_deficit(linear_map(A))) < 1e-10
     const = poly_map(3, [constant(3, 2.0)])
     assert abs(poincare_deficit(const)) < 1e-14
-    w = Subspace(3, 2, "full", vector_space_coeffs(3, 2)).element(np.eye(15)[0])
+    w = Subspace(3, 2, np.eye(15)).element(np.eye(15)[0])
     from spherestab.forms import tangential_energy
 
     assert abs(poincare_deficit(w) - tangential_energy(w) / 3.0) < 1e-10

@@ -11,7 +11,7 @@ import spherestab.polynomials as polynomials
 from spherestab.cli import main
 
 CACHED = [
-    polynomials._product_index, polynomials.gram_rect, harmonics.scalar_basis_coeffs,
+    polynomials._product_index, polynomials.gram_rect, harmonics.scalar_basis_coeffs, harmonics.degree1_coords,
     harmonics.vector_space_coeffs, operator._grad_coords, operator.a_matrix, operator.eigenspaces,
     operator.kernel_subspaces,
 ]
@@ -23,8 +23,8 @@ def _clear():
 
 
 def test_a_spectrum_sweep_keeps_a_bounded_cache_and_builds_each_scalar_basis_once(tmp_path, monkeypatch):
-    # spectrum --n 4 --kmax 12 uses each block once: every block kept holds about 91 MiB
-    # at the end, the bounded cache about 52 MiB, the working set of the last blocks
+    # spectrum --n 4 --kmax 12 uses each block once: every block kept holds about 50 MiB
+    # at the end, the bounded cache about 31 MiB, the working set of the last blocks
     calls = []
     build = harmonics.scalar_basis_coeffs.__wrapped__
     monkeypatch.setattr(harmonics.scalar_basis_coeffs, "__wrapped__",
@@ -40,6 +40,20 @@ def test_a_spectrum_sweep_keeps_a_bounded_cache_and_builds_each_scalar_basis_onc
     assert held < 64 * 2**20, f"{held / 2**20:.1f} MiB held after the sweep"
     # no block recomputes a basis that an earlier block made: one build per degree
     assert sorted(calls) == [(4, k) for k in range(14)]
+
+
+def test_a_spectrum_sweep_builds_no_dense_vector_basis(tmp_path, monkeypatch):
+    # the eigenspaces and the seeded draws stay in candidate coordinates
+    calls = []
+    build = harmonics.vector_space_coeffs.__wrapped__
+    monkeypatch.setattr(harmonics.vector_space_coeffs, "__wrapped__",
+                        lambda n, k: calls.append((n, k)) or build(n, k))
+    _clear()
+    try:
+        assert main(["spectrum", "--n", "4", "--kmax", "8", "--out", str(tmp_path / "s.csv")]) == 0
+    finally:
+        _clear()
+    assert calls == []
 
 
 def test_an_evicted_table_is_remade_bit_for_bit():
@@ -61,7 +75,7 @@ def test_cached_tables_are_read_only():
         polynomials._product_index(3, 2, 3), polynomials.gram_rect(3, 2, 3), polynomials.gram(3, 2),
         harmonics.scalar_basis_coeffs(3, 4), harmonics.vector_space_coeffs(3, 4),
         operator._grad_coords(3, 4), operator.a_matrix(3, 4),
-        *(S.coeffs for S in operator.eigenspaces(3, 4)), *(S.coeffs for S in operator.kernel_subspaces(3)),
+        *(S.coords for S in operator.eigenspaces(3, 4)), *(S.coords for S in operator.kernel_subspaces(3)),
     ]
     for T in tables:
         assert not T.flags.writeable
