@@ -30,6 +30,7 @@ from .quadrature import SphereGrid, build_circle_grid_segmented, integrate
 from .spheremap import (
     SphereMap,
     _node_data,
+    _node_dots,
     identity_map,
     linear_map,
     sampled_map,
@@ -81,7 +82,7 @@ def _circle_map(theta_breaks, u_of_theta, du_of_theta) -> SphereMap:
     U = u_of_theta(theta)
     dU = du_of_theta(theta)
     tang = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-    J = np.einsum("ai,aj->aij", dU, tang)
+    J = dU[:, :, None] * tang[:, None, :]
     return sampled_map(grid, U, J)
 
 
@@ -145,7 +146,7 @@ def grad_gap_to_identity(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """Integral of |grad_T u - grad_T id|^2."""
     g, X, U, J = _node_data(u, grid)
     TJ = tangential_jacobians(J - np.eye(u.n), X)
-    return integrate(g, np.einsum("aik,aik->a", TJ, TJ))
+    return integrate(g, _node_dots(TJ, TJ))
 
 
 def signed_speed_gap(u: SphereMap, grid: SphereGrid | None = None) -> float:

@@ -7,8 +7,10 @@ and kept, read-only, in the bounded table cache of
 2014): two passes of K <- L^-1 K, with L the Cholesky factor of the Gram
 matrix K G K^t of the rows K under the moment matrix G.  Degree-k
 restrictions satisfy -Lap_S psi = lambda_{n,k} psi with
-lambda_{n,k} = k(k+n-2), and the analyze / synthesize pair is exact on
-polynomial inputs.
+lambda_{n,k} = k(k+n-2).  Analysis, the harmonic extension and its
+energies, grad u_h(0) and the Poincare deficit take poly maps only and
+are exact on their coefficient stacks; :attr:`SphereMap.stack` refuses
+any other map.
 
 Degree-k vector fields are held by their coordinates in the candidates
 e_j psi_b, the orthonormal scalar basis placed in each component j.  For
@@ -24,16 +26,14 @@ tensor, for the benchmark's layer timing and the tests.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IntegrityError
-from .homogeneous import Stack
-from .polynomials import evaluate, grad_index, gram, gram_rect, linear_order, table_cache
-from .quadrature import SphereGrid, integrate
-from .spheremap import SphereMap, _grid_for, stack_map
+from .homogeneous import Stack, energy_gram, l2_gram
+from .polynomials import grad_index, gram, gram_rect, linear_order, table_cache
+from .spheremap import SphereMap, stack_map
 
 __all__ = [
     "Subspace",
@@ -196,46 +196,20 @@ class HarmonicExpansion:
     m: int
     kmax: int
     blocks: dict[int, np.ndarray]   # k -> (m, G_{n,k})
-    quadrature_warning: bool = False
 
 
-def analyze(u: SphereMap, kmax: int, grid: SphereGrid | None = None) -> HarmonicExpansion:
-    """Expand u in spherical harmonics up to degree kmax.
-
-    Exact (moment-based) for poly maps; quadrature otherwise, flagging the
-    result when the grid's exactness cannot support degree kmax products.
-    """
+def analyze(u: SphereMap, kmax: int) -> HarmonicExpansion:
+    """Expand a poly map in spherical harmonics up to degree kmax, exactly (moment-based)."""
     n, m = u.n, u.m
     blocks: dict[int, np.ndarray] = {}
-    warn_flag = False
-    if u.is_poly:
-        for k in range(kmax + 1):
-            S = scalar_basis_coeffs(n, k)
-            blk = np.zeros((m, S.shape[0]))
-            for d, C in u.stack.blocks.items():
-                if (d + k) % 2 == 0:   # one product per component; one matrix product sums in another order
-                    blk += (S @ gram_rect(n, k, d) @ C[0, :, :, None])[..., 0]
-            blocks[k] = blk
-    else:
-        if grid is None:
-            grid = u.grid
-        if grid is None:
-            raise ValueError("non-poly map needs a grid for analysis")
-        X, U, _ = u.sample(grid)
-        deg_needed = 2 * kmax
-        if grid.exactness and grid.exactness < deg_needed:
-            warn_flag = True
-            warnings.warn(
-                f"grid exactness {grid.exactness} below 2*kmax={deg_needed}; "
-                "coefficients carry quadrature error",
-                stacklevel=2,
-            )
-        w = grid.weights
-        for k in range(kmax + 1):
-            S = scalar_basis_coeffs(n, k)
-            vals = evaluate([(S.shape[0], {k: S})], X)  # (G, N)
-            blocks[k] = (U.T * w) @ vals.T
-    return HarmonicExpansion(n, m, kmax, blocks, warn_flag)
+    for k in range(kmax + 1):
+        S = scalar_basis_coeffs(n, k)
+        blk = np.zeros((m, S.shape[0]))
+        for d, C in u.stack.blocks.items():
+            if (d + k) % 2 == 0:   # one product per component; one matrix product sums in another order
+                blk += (S @ gram_rect(n, k, d) @ C[0, :, :, None])[..., 0]
+        blocks[k] = blk
+    return HarmonicExpansion(n, m, kmax, blocks)
 
 
 def synthesize(e: HarmonicExpansion) -> SphereMap:
@@ -248,44 +222,24 @@ def synthesize(e: HarmonicExpansion) -> SphereMap:
 def harmonicize(u: SphereMap) -> SphereMap:
     """The componentwise harmonic extension of a poly map's restriction,
     itself represented as a polynomial map (exact)."""
-    if not u.is_poly:
-        raise TypeError("harmonicize requires a poly-backed map")
     return synthesize(analyze(u, u.degree()))
 
 
-def grad_origin(u: SphereMap, grid: SphereGrid | None = None) -> np.ndarray:
+def grad_origin(u: SphereMap) -> np.ndarray:
     """grad u_h(0) = n * integral of u (x) x, an (m, n) matrix."""
-    n = u.n
-    if u.is_poly:
-        return n * u.stack.first_moments()[0]
-    grid = _grid_for(u, grid)
-    X, U, _ = u.sample(grid)
-    return n * ((U.T * grid.weights) @ X)
+    return u.n * u.stack.first_moments()[0]
 
 
 # ---------------------------------------------------------------------------
 # Poincare deficit and harmonic-extension energies
 # ---------------------------------------------------------------------------
 
-def poincare_deficit(u: SphereMap, grid: SphereGrid | None = None) -> float:
+def poincare_deficit(u: SphereMap) -> float:
     """(1/(n-1)) * tangential energy - variance; nonnegative up to roundoff."""
-    n = u.n
-    if u.is_poly:
-        from .homogeneous import energy_gram, l2_gram
-
-        S = u.stack
-        mean = S.integral()[0]
-        var = float(l2_gram(S, S)[0, 0]) - float(mean @ mean)
-        return float(energy_gram(S, S)[0, 0]) / (n - 1) - var
-    grid = _grid_for(u, grid)
-    X, U, J = u.sample(grid)
-    from .spheremap import tangential_jacobians
-
-    TJ = tangential_jacobians(J, X)
-    energy = integrate(grid, np.einsum("aik,aik->a", TJ, TJ))
-    mean = grid.weights @ U
-    var = integrate(grid, np.einsum("ai,ai->a", U - mean, U - mean))
-    return energy / (n - 1) - var
+    S = u.stack
+    mean = S.integral()[0]
+    var = float(l2_gram(S, S)[0, 0]) - float(mean @ mean)
+    return float(energy_gram(S, S)[0, 0]) / (u.n - 1) - var
 
 
 @dataclass(frozen=True)
@@ -303,8 +257,6 @@ def harmonic_energy_check(u: SphereMap) -> HarmonicEnergyReport:
     equalities tight on degree-1 fields.
     """
     n = u.n
-    if not u.is_poly:
-        raise ValueError("the harmonic energy check needs a poly map")
     e = analyze(u, u.degree())
     ball = surface = tang = 0.0
     for k, blk in e.blocks.items():

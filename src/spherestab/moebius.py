@@ -48,8 +48,8 @@ from .harmonics import scalar_basis_coeffs
 from .homogeneous import Stack
 from .polynomials import evaluate, grad_index, linear_order
 from .quadrature import SphereGrid, build_sphere_grid, default_sphere_grid, integrate
-from .spheremap import (SphereMap, _grid_for, _node_data, _row_major_views, callable_map, projectors,
-                        tangential_jacobians, volume_integrand)
+from .spheremap import (SphereMap, _grid_for, _node_data, _node_dots, _row_major_views, callable_map,
+                        projectors, tangential_jacobians, volume_integrand)
 
 __all__ = [
     "MoebiusMap",
@@ -311,13 +311,6 @@ def dilation_scale(u: SphereMap, grid: SphereGrid | None = None) -> float:
     g = _grid_for(u, grid)
     X, U, _ = u.sample(g)
     return integrate(g, _node_dots(U, X))
-
-
-def _node_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Per node a, the sum of A[a] * B[a] over the other axes, as one batched
-    matmul: no temporary the size of A."""
-    N = len(A)
-    return (A.reshape(N, 1, -1) @ B.reshape(N, -1, 1)).ravel()
 
 
 def _moments(L: np.ndarray, B: np.ndarray, U: np.ndarray) -> np.ndarray:

@@ -26,7 +26,9 @@ and h(n,k-1), with eigen-residuals and orthonormality residuals of at most
 degree ceiling, where the float scalar basis no longer carries the
 spectrum.
 
-The eigenspaces stay in the candidate coordinates: a
+A itself, the H_n projection and the kernel projection act on the
+coefficient stacks of poly maps, exactly; :attr:`SphereMap.stack` refuses
+any other map.  The eigenspaces stay in the candidate coordinates: a
 :class:`~spherestab.harmonics.Subspace` holds E_i, and monomial
 coefficients are built from it only where a polynomial is needed.  The
 seeded draws take N(0, I) in the coordinates of the orthonormal basis of
@@ -49,9 +51,8 @@ from .harmonics import (
     scalar_basis_coeffs,
 )
 from .homogeneous import Stack, l2_gram
-from .polynomials import evaluate, grad_index, gram, linear_order, table_cache
-from .quadrature import integrate
-from .spheremap import SphereMap, _grid_for, a_operator_values, sampled_map, stack_map
+from .polynomials import grad_index, gram, linear_order, table_cache
+from .spheremap import SphereMap, stack_map
 
 __all__ = [
     "apply_A",
@@ -71,15 +72,10 @@ _SPECTRUM_TOL = 1e-8
 
 
 def apply_A(w: SphereMap) -> SphereMap:
-    """Apply the volume-form operator exactly (poly) or pointwise on the grid of
-    :func:`spheremap._grid_for` (sampled or callable)."""
+    """Apply the volume-form operator to a poly map, exactly on its coefficient stacks."""
     if w.m != w.n:
         raise ValueError("operator needs a map into R^n")
-    if w.is_poly:
-        return stack_map(w.stack.a_field)
-    g = _grid_for(w, None)
-    X, U, J = w.sample(g)
-    return sampled_map(g, a_operator_values(U, J, X), None)
+    return stack_map(w.stack.a_field)
 
 
 @table_cache
@@ -200,62 +196,33 @@ def kernel_subspaces(n: int) -> tuple[Subspace, Subspace]:
     return k12, k23
 
 
-def project_h_n(w: SphereMap, grid=None) -> tuple[SphereMap, dict]:
-    """Remove the mean and the radial first moment so the map lies in H_n.
-
-    Returns the projected map and a report of what was removed.
-    """
-    n = w.n
-    if w.is_poly:
-        S = w.stack
-        mean = S.integral()[0]
-        radial = float(Stack(n, 1, 1, S.inner_x).integral()[0, 0])
-    else:
-        g = _grid_for(w, grid)
-        X, U, J = w.sample(g)
-        mean = g.weights @ U
-        radial = integrate(g, np.einsum("ai,ai->a", U, X))
-    report = {"removed_mean": np.asarray(mean), "removed_radial": float(radial)}
+def project_h_n(w: SphereMap) -> SphereMap:
+    """Remove the mean and the radial first moment so the map lies in H_n."""
+    n, S = w.n, w.stack
+    mean = S.integral()[0]
+    radial = float(Stack(n, 1, 1, S.inner_x).integral()[0, 0])
     if np.max(np.abs(mean)) < 1e-15 and abs(radial) < 1e-15:
-        return w, report
-    if w.is_poly:
-        blocks = dict(S.blocks)
-        blocks[0] = blocks.get(0, np.zeros((1, n, 1))) - mean[:, None]
-        blocks[1] = blocks.get(1, np.zeros((1, n, n))) - radial * linear_order(np.eye(n))
-        return stack_map(Stack(n, 1, n, blocks)), report
-    U2 = U - mean - radial * X
-    J2 = None if J is None else J - radial * np.eye(n)
-    return sampled_map(g, U2, J2), report
+        return w
+    blocks = dict(S.blocks)
+    blocks[0] = blocks.get(0, np.zeros((1, n, 1))) - mean[:, None]
+    blocks[1] = blocks.get(1, np.zeros((1, n, n))) - radial * linear_order(np.eye(n))
+    return stack_map(Stack(n, 1, n, blocks))
 
 
-def project_kernel(w: SphereMap, grid=None) -> SphereMap:
+def project_kernel(w: SphereMap) -> SphereMap:
     """L2/W12 projection onto the kernel block (skew + degree-2 complement)."""
     n = w.n
-    w, _ = project_h_n(w, grid=grid)
-    k12, k23 = kernel_subspaces(n)
-    if w.is_poly:
-        blocks = {}
-        for S in (k12, k23):
-            c = l2_gram(w.stack, Stack(n, S.dim, n, {S.k: S.coeffs}))[0]
-            blocks[S.k] = (c @ S.coeffs.reshape(S.dim, -1)).reshape(1, n, -1)
-        return stack_map(Stack(n, 1, n, blocks))
-    g = _grid_for(w, grid)
-    X, U, J = w.sample(g)
-    # every basis field (and its Jacobian) in one monomial table
-    parts = [(S.dim * n, {S.k: S.coeffs}) for S in (k12, k23)]
-    if J is not None:
-        parts += [(S.dim * n * n, Stack(n, S.dim, n, {S.k: S.coeffs}).jac) for S in (k12, k23)]
-    table = evaluate(parts, X).T
-    dim = k12.dim + k23.dim
-    BV = table[:, : dim * n].reshape(-1, dim, n)
-    c = np.array([integrate(g, f) for f in np.einsum("ai,abi->ba", U, BV)])
-    jac = None if J is None else np.tensordot(table[:, dim * n :].reshape(-1, dim, n, n), c, axes=(1, 0))
-    return sampled_map(g, np.tensordot(BV, c, axes=(1, 0)), jac)
+    w = project_h_n(w)
+    blocks = {}
+    for S in kernel_subspaces(n):
+        c = l2_gram(w.stack, Stack(n, S.dim, n, {S.k: S.coeffs}))[0]
+        blocks[S.k] = (c @ S.coeffs.reshape(S.dim, -1)).reshape(1, n, -1)
+    return stack_map(Stack(n, 1, n, blocks))
 
 
 @dataclass(frozen=True)
 class EigenField:
-    """A sampled element of one A-eigenspace, with its labels."""
+    """An element of one A-eigenspace, with its labels."""
 
     map: SphereMap
     n: int

@@ -20,9 +20,12 @@ A = J E = J[:, :-1] - (2/|v|^2) (J v) v[:-1]^t:
     Dirichlet density        (tr G / (n-1))^((n-1)/2)
     volume-form integrand    det([A | u]) s = det(J P + u x^t)
 
-The linear kernels stay frame-free, with the projector P = I - x x^t:
-tangential Jacobian J P = J - (J x) x^t, surface divergence tr(J P) and
-P J P; they contract with broadcasts and batched matmuls.  The
+The two linear kernels stay frame-free, with the projector P = I - x x^t:
+the tangential Jacobian J P = J - (J x) x^t and the surface divergence
+tr(J P); they contract with broadcasts and batched matmuls, and
+:func:`_node_dots` sums their per-node products.  They serve the deficits,
+the Moebius solvers and the families; the quadratic forms and the
+operator A act on coefficient stacks and take no samples.  The
 determinant convention is fixed so that the identity map has signed
 volume +1 in every dimension.
 
@@ -66,8 +69,6 @@ __all__ = [
     "volume_integrand",
     "area_integrand",
     "dirichlet_integrand",
-    "a_operator_values",
-    "sym_tangential_part",
 ]
 
 
@@ -360,10 +361,11 @@ def tangential_jacobians(J: np.ndarray, X: np.ndarray) -> np.ndarray:
     return J - (J @ X[:, :, None]) * X[:, None, :]
 
 
-def _pjp(J: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """P J P = J P - x (x^t J P) per node (square J)."""
-    TJ = tangential_jacobians(J, X)
-    return TJ - X[:, :, None] * (X[:, None, :] @ TJ)
+def _node_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Per node a, the sum of A[a] * B[a] over the other axes, as one batched
+    matmul: no temporary the size of A."""
+    N = len(A)
+    return (A.reshape(N, 1, -1) @ B.reshape(N, -1, 1)).ravel()
 
 
 # The frame kernels work node-last: an (r, c, N) stack keeps each entry's
@@ -525,16 +527,3 @@ def area_integrand(J: np.ndarray, X: np.ndarray) -> np.ndarray:
 def dirichlet_integrand(J: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(|grad_T u|^2 / (n-1))^((n-1)/2) per node."""
     return _dirichlet_density(np.trace(_forms(_frame_jacobians(J.transpose(1, 2, 0), X)[0])), X.shape[1])
-
-
-def a_operator_values(U: np.ndarray, J: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(div_S w) x - sum_j x_j grad_T w^j per node (m == n)."""
-    TJ = tangential_jacobians(J, X)
-    div = np.trace(TJ, axis1=1, axis2=2)
-    return div[:, None] * X - (X[:, None, :] @ TJ)[:, 0]
-
-
-def sym_tangential_part(J: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(P J P)_sym per node: the symmetrized tangential-tangential block."""
-    PJP = _pjp(J, X)
-    return 0.5 * (PJP + np.swapaxes(PJP, 1, 2))

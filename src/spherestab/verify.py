@@ -224,7 +224,7 @@ def check_eig2_pointwise(cfg: Config):
         U, J = ef.map.eval(X), ef.map.jac(X)
         from .spheremap import surface_divergence
 
-        worst = max(worst, float(np.max(np.abs(np.einsum("ai,ai->a", U, X)))))
+        worst = max(worst, float(np.max(np.abs(np.sum(U * X, axis=1)))))
         worst = max(worst, float(np.max(np.abs(surface_divergence(J, X)))))
     return worst <= 1e-9, f"max normal part / divergence {worst:.3e}"
 

@@ -15,8 +15,11 @@ sampling through the components and their gradients, map arithmetic,
 harmonic analysis and synthesis, the first moments, the infinitesimal
 Moebius fields and the bulk volume by exact ball moments.  The package
 evaluates the same quantities on coefficient stacks
-(:mod:`spherestab.homogeneous`) and by quadrature; the tests hold it to
-these.  The last sections keep the dense matrix of A and the modified
+(:mod:`spherestab.homogeneous`); the tests hold it to these.  A quadrature
+oracle follows: the linear layer's integrals and its H_n and kernel
+projections from the values and Jacobians of a map sampled on a grid,
+by the einsum definitions of the pointwise quantities, for the
+exact-against-quadrature cross-check.  The last sections keep the dense matrix of A and the modified
 Gram-Schmidt loop that the exact-algebra engine replaced, the numerical
 spectrum that the constructed eigenspaces replaced (A applied to the
 basis stack, ``eigh`` with clustering, and the Helmholtz split by an SVD
@@ -47,6 +50,7 @@ from spherestab.harmonics import (
 )
 from spherestab.homogeneous import Stack
 from spherestab.moments import ball_moment
+from spherestab.operator import kernel_subspaces
 from spherestab.polynomials import (
     Poly,
     _exponents,
@@ -58,6 +62,7 @@ from spherestab.polynomials import (
     gram,
     gram_rect,
 )
+from spherestab.quadrature import integrate
 
 Field = Sequence[Poly]
 
@@ -477,6 +482,56 @@ def bulk_volume(u) -> float:
     exact ball moments of the determinant's Poly product."""
     J = gradients(harmonicize(u).components)
     return ball_integral(det3([J[3 * i : 3 * i + 3] for i in range(3)]))
+
+
+# ---------------------------------------------------------------------------
+# quadrature oracle: the linear layer from sampled values and Jacobians
+# ---------------------------------------------------------------------------
+
+def quadrature_forms(grid, U: np.ndarray, J: np.ndarray) -> dict[str, float]:
+    """The linear layer's integrals of a map into R^n, from its values U (N, n) and
+    Jacobians J (N, n, n) at the grid's nodes: the einsum definitions of the
+    pointwise quantities, integrated by the grid's quadrature."""
+    X, n = grid.nodes, grid.n
+    P = np.eye(n)[None] - np.einsum("ai,aj->aij", X, X)
+    TJ = J - np.einsum("ail,al,ak->aik", J, X, X)
+    PJP = np.einsum("aij,ajk,akl->ail", P, J, P)
+    sym = 0.5 * (PJP + np.transpose(PJP, (0, 2, 1)))
+    div = np.einsum("aii->a", TJ)
+    AU = div[:, None] * X - np.einsum("aj,ajl->al", X, TJ)
+    energy = integrate(grid, np.einsum("aik,aik->a", TJ, TJ))
+    C = U - grid.weights @ U
+    return {
+        "tangential_energy": energy,
+        "surface_div_sq": integrate(grid, div * div),
+        "poincare_deficit": energy / (n - 1) - integrate(grid, np.einsum("ai,ai->a", C, C)),
+        "q_vol": 0.5 * n * integrate(grid, np.einsum("ai,ai->a", U, AU)),
+        "sym_energy": integrate(grid, np.einsum("aik,aik->a", sym, sym)),
+        "pjp_energy": integrate(grid, np.einsum("aik,aik->a", PJP, PJP)),
+    }
+
+
+def quadrature_project_h_n(grid, U: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and Jacobians at the nodes of the map less its mean and its radial first
+    moment, both by quadrature."""
+    mean = grid.weights @ U
+    radial = integrate(grid, np.einsum("ai,ai->a", U, grid.nodes))
+    return U - mean - radial * grid.nodes, J - radial * np.eye(grid.n)
+
+
+def quadrature_project_kernel(grid, U: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and Jacobians at the nodes of the kernel projection, after the H_n
+    projection: one quadrature pairing per field of the kernel blocks' bases."""
+    U, J = quadrature_project_h_n(grid, U, J)
+    X = grid.nodes
+    vals, jac = np.zeros_like(U), np.zeros_like(J)
+    for S in kernel_subspaces(grid.n):
+        for field in map(S.element, np.eye(S.dim)):
+            BV = field.eval(X)
+            c = integrate(grid, np.einsum("ai,ai->a", U, BV))
+            vals += c * BV
+            jac += c * field.jac(X)
+    return vals, jac
 
 
 # ---------------------------------------------------------------------------

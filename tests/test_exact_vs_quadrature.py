@@ -1,12 +1,16 @@
-"""Differential test: exact-moment branches against quadrature branches.
+"""Differential test: the exact-moment route against product quadrature.
 
-Every functional with both a poly branch (exact rational moments) and a
-sampled branch (product quadrature) is evaluated both ways on the same
-polynomial map.  The grids' exactness covers every integrand degree that
-degree <= 3 maps produce, so the two results agree to roundoff.  The
-signed volume and the n = 3 Dirichlet energy have a single quadrature
-route; they are checked against the moment values of their polynomial
-densities, also on grids too coarse to integrate those densities.
+The linear layer (the forms, the Poincare deficit and the H_n and kernel
+projections) takes poly maps only and works on exact rational moments; it
+is held to the quadrature oracle of ``poly_oracle``, which integrates the
+einsum definitions of the same quantities from the map's values and
+Jacobians at the grid's nodes.  The nearest rotation, which keeps a
+quadrature branch for sampled maps, is evaluated both ways.  The grids'
+exactness covers every integrand degree that degree <= 3 maps produce, so
+the results agree to roundoff.  The signed volume and the n = 3 Dirichlet
+energy have a single quadrature route; they are checked against the
+moment values of their polynomial densities, also on grids too coarse to
+integrate those densities.
 """
 
 import numpy as np
@@ -24,7 +28,19 @@ from spherestab.polynomials import Poly
 from spherestab.quadrature import sphere_grid
 from spherestab.spheremap import identity_map, poly_map, sampled_map, tangential_jacobians, volume_integrand
 
-from poly_oracle import add, diff, euler, monomial_exponents, mul, sphere_integral, sub, xmul
+from poly_oracle import (
+    add,
+    diff,
+    euler,
+    monomial_exponents,
+    mul,
+    quadrature_forms,
+    quadrature_project_h_n,
+    quadrature_project_kernel,
+    sphere_integral,
+    sub,
+    xmul,
+)
 
 REL = 1e-12
 
@@ -71,18 +87,16 @@ def poly_maps(draw, n):
 def _check(u):
     g = Config().grid(u.n)
     X = g.nodes
-    s = sampled_map(g, u.eval(X), u.jac(X))
-    for f in (tangential_energy, surface_div_sq, poincare_deficit):
-        assert _agree(f(u), f(s)), f.__name__
-    assert _agree(q_vol(u, u), q_vol(s, s))
-    for f in (_sym_energy, _pjp_energy):
-        assert _agree(f(u, None), f(s, None)), f.__name__
+    U, J = u.eval(X), u.jac(X)
+    s = sampled_map(g, U, J)
+    quad = quadrature_forms(g, U, J)
+    for f in (tangential_energy, surface_div_sq, poincare_deficit, _sym_energy, _pjp_energy):
+        assert _agree(f(u), quad[f.__name__.lstrip("_")]), f.__name__
+    assert _agree(q_vol(u, u), quad["q_vol"])
 
-    pu, ru = project_h_n(u)
-    ps, rs = project_h_n(s)
-    assert _agree(ru["removed_mean"], rs["removed_mean"])
-    assert _agree(ru["removed_radial"], rs["removed_radial"])
-    assert _agree(pu.eval(X), ps.sample(g)[1])
+    pu = project_h_n(u)
+    for a, b in zip((pu.eval(X), pu.jac(X)), quadrature_project_h_n(g, U, J)):
+        assert _agree(a, b)
 
     Ou, vu = nearest_rotation(u)
     Os, vs = nearest_rotation(s)
@@ -96,9 +110,9 @@ def _check(u):
         assert np.max(np.abs(Ou - Os)) <= REL / gap
 
     if u.n == 3:
-        ku, ks = project_kernel(u), project_kernel(s)
-        assert _agree(ku.eval(X), ks.sample(g)[1])
-        assert _agree(ku.jac(X), ks.sample(g)[2])
+        ku = project_kernel(u)
+        for a, b in zip((ku.eval(X), ku.jac(X)), quadrature_project_kernel(g, U, J)):
+            assert _agree(a, b)
         assert _agree(dirichlet(u), dirichlet(s))
         assert _agree(dirichlet(u), 0.5 * tangential_energy(u))
     assert _agree(signed_volume(u), signed_volume(s))

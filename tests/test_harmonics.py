@@ -133,29 +133,6 @@ def test_analyze_orthonormality_roundtrip(sphere_points):
     assert np.max(np.abs(u.eval(sphere_points) - v.eval(sphere_points))) < 1e-10
 
 
-def test_analyze_quadrature_path(grid3, sphere_points):
-    from spherestab.spheremap import sampled_map
-
-    u = poly_map(3, [Poly(3, {(1, 1, 0): 1.0})])
-    U = u.eval(grid3.nodes)
-    us = sampled_map(grid3, U, None)
-    e = analyze(us, 2, grid=grid3)
-    ep = analyze(u, 2)
-    for k in range(3):
-        assert np.max(np.abs(e.blocks[k] - ep.blocks[k])) < 1e-12
-
-
-def test_analyze_warns_beyond_exactness():
-    from spherestab.quadrature import build_sphere_grid
-    from spherestab.spheremap import sampled_map
-
-    g = build_sphere_grid(3, 4)
-    us = sampled_map(g, np.ones((g.size, 1)), None)
-    with pytest.warns(UserWarning):
-        e = analyze(us, 6, grid=g)
-    assert e.quadrature_warning
-
-
 def test_grad_origin_examples(sphere_points):
     assert np.allclose(grad_origin(identity_map(3)), np.eye(3), atol=1e-12)
     A = np.diag([1.0, 1.0, 2.0])

@@ -156,7 +156,7 @@ def test_infinitesimal_field_lies_in_kernel_block(rng, sphere_points):
     Y = poly_map(3, inf_moebius_field(S, 0.7, xi))
     from spherestab.operator import project_h_n
 
-    Yc, _ = project_h_n(Y)   # removes the constant part
+    Yc = project_h_n(Y)   # removes the constant part
     pk = project_kernel(Yc)
     resid = Yc.eval(sphere_points) - pk.eval(sphere_points)
     assert np.max(np.abs(resid)) < 1e-9

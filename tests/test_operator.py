@@ -62,17 +62,6 @@ def test_apply_A_dimension_guard():
         apply_A(poly_map(3, [coordinate(3, 0)]))
 
 
-def test_apply_A_pointwise_matches_poly(grid3, rng):
-    from spherestab.spheremap import sampled_map
-
-    w = random_eigenfield(3, 3, 1, rng).map
-    X = grid3.nodes
-    ws = sampled_map(grid3, w.eval(X), w.jac(X))
-    a1 = apply_A(w).eval(X)
-    a2 = apply_A(ws).sample(grid3)[1]
-    assert np.max(np.abs(a1 - a2)) < 1e-11
-
-
 @pytest.mark.parametrize("n,k,expected", [
     (3, 1, {-1, 1}), (3, 2, {-2, 1, 3}), (3, 4, {-4, 1, 5}),
     (4, 1, {-1, 1}), (4, 3, {-3, 1, 5}), (2, 1, {-1, 1}), (2, 3, {-3, 3}),
@@ -299,11 +288,12 @@ def test_project_h_n_reports(rng):
     n = 3
     comps = [add(constant(n, 1.5), scale(coordinate(n, i), 2.0)) for i in range(n)]
     w = poly_map(n, comps)
-    w2, report = project_h_n(w)
-    assert np.allclose(report["removed_mean"], 1.5)
-    assert abs(report["removed_radial"] - 2.0) < 1e-12
+    w2 = project_h_n(w)
     from poly_oracle import field_inner_x, field_mean
 
+    removed = [sub(a, b) for a, b in zip(comps, w2.components)]
+    assert np.allclose(field_mean(removed), 1.5)
+    assert abs(sphere_integral(field_inner_x(removed)) - 2.0) < 1e-12
     f = w2.components
     assert np.max(np.abs(field_mean(f))) < 1e-12
     assert abs(sphere_integral(field_inner_x(f))) < 1e-12
@@ -314,93 +304,44 @@ def test_trivial_eigenspace_raises(rng):
         random_eigenfield(3, 1, 3, rng)
 
 
-def _on_callable_maps():
-    """Functions that integrate a map on a grid, each called as fn(u, grid); apply_A
-    takes no grid, so its explicit form is the map sampled on that grid."""
-    from spherestab.forms import q_n
-    from spherestab.harmonics import grad_origin, poincare_deficit
-    from spherestab.spheremap import sampled_map
+def _poly_only():
+    """The public functions of the linear layer, each called as fn(u) on a map u of S^2 into R^3."""
+    from spherestab import forms
+    from spherestab.harmonics import analyze, grad_origin, harmonic_energy_check, harmonicize, poincare_deficit
+    from spherestab.operator import EigenField
 
-    return {
-        "apply_A": lambda u, g: apply_A(u if g is None else sampled_map(g, *u.sample(g)[1:])),
-        "project_h_n": lambda u, g: project_h_n(u, grid=g)[0],
-        "project_kernel": lambda u, g: project_kernel(u, grid=g),
+    fns = {name: getattr(forms, name) for name in ("tangential_energy", "surface_div_sq", "q_n", "q_conf",
+                                                    "q_isop", "q_isom", "korn_residual", "coercivity_ratio")}
+    return fns | {
+        "q_vol": lambda u: forms.q_vol(u, u),
+        "mixed_div_term": lambda u: forms.mixed_div_term(EigenField(u, 3, 1, 1), EigenField(u, 3, 1, 1)),
+        "apply_A": apply_A,
+        "project_h_n": project_h_n,
+        "project_kernel": project_kernel,
+        "analyze": lambda u: analyze(u, 2),
+        "harmonicize": harmonicize,
+        "harmonic_energy_check": harmonic_energy_check,
         "grad_origin": grad_origin,
         "poincare_deficit": poincare_deficit,
-        "q_n": q_n,
     }
 
 
-@pytest.mark.parametrize("name", sorted(_on_callable_maps()))
-def test_callable_maps_integrate_on_the_default_grid(name, rng):
+@pytest.mark.parametrize("name", sorted(_poly_only()))
+def test_the_linear_layer_refuses_a_non_poly_map(name, grid3, rng):
+    # one refusal, SphereMap.stack's, and no quadrature for the linear layer to fall back on
+    import ast
+    from pathlib import Path
+
+    import spherestab
     from spherestab.moebius import as_sphere_map, random_moebius
-    from spherestab.quadrature import default_sphere_grid
-    from spherestab.spheremap import SphereMap
-
-    fn, g = _on_callable_maps()[name], default_sphere_grid(3)
-    u = as_sphere_map(random_moebius(rng))
-
-    def arrays(r):  # a map by its values and Jacobians on g
-        return list(r.sample(g)[1:]) if isinstance(r, SphereMap) else [r]
-
-    for a, b in zip(arrays(fn(u, None)), arrays(fn(u, g)), strict=True):
-        assert (a is None and b is None) or np.array_equal(a, b)
-
-
-def _project_kernel_per_field(w, grid):
-    """project_kernel of a non-poly map as a loop over the kernel basis, one
-    monomial table per basis field."""
-    from spherestab.quadrature import integrate
-
-    w, _ = project_h_n(w, grid=grid)
-    X, U, J = w.sample(grid)
-    vals, jac = np.zeros_like(U), None if J is None else np.zeros((len(X), w.n, w.n))
-    for S in kernel_subspaces(w.n):
-        for bmap in map(S.element, np.eye(S.dim)):
-            BV, BJ = bmap.values_and_jacobians(X)
-            c = integrate(grid, np.einsum("ai,ai->a", U, BV))
-            vals += c * BV
-            if jac is not None:
-                jac += c * BJ()
-    return vals, jac
-
-
-@pytest.mark.parametrize("kind", ["callable", "sampled", "sampled-no-jacobians"])
-def test_project_kernel_of_a_non_poly_map_matches_the_per_field_loop(kind, rng):
-    from spherestab.moebius import as_sphere_map, random_moebius
-    from spherestab.quadrature import default_sphere_grid
     from spherestab.spheremap import sampled_map
 
-    n = 3 if kind == "callable" else 4
-    g = default_sphere_grid(n)
-    if kind == "callable":
-        u = as_sphere_map(random_moebius(rng))
-    else:
-        _, U, J = random_h_field(n, 3, rng).sample(g)
-        u = sampled_map(g, U, None if kind == "sampled-no-jacobians" else J)
-    got = project_kernel(u, grid=g).sample(g)[1:]
-    want = _project_kernel_per_field(u, g)
-    assert (got[1] is None) == (want[1] is None) == (kind == "sampled-no-jacobians")
-    for a, b in zip(got, want):
-        if b is not None:
-            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-
-
-def test_project_h_n_samples_a_callable_map_once(grid3, rng):
-    from spherestab.moebius import moebius_apply, moebius_jacobian, random_moebius
-    from spherestab.spheremap import callable_map
-
-    phi, calls = random_moebius(rng), []
-
-    def value(X):
-        calls.append("value")
-        return moebius_apply(phi, X)
-
-    def jacobian(X):
-        calls.append("jacobian")
-        return moebius_jacobian(phi, X)
-
-    w, report = project_h_n(callable_map(3, 3, value, jacobian), grid3)
-    assert np.max(np.abs(report["removed_mean"])) > 1e-3
-    assert sorted(calls) == ["jacobian", "value"]
-    assert np.max(np.abs(grid3.weights @ w.sample(grid3)[1])) < 1e-14
+    fn = _poly_only()[name]
+    _, U, J = random_h_field(3, 2, rng).sample(grid3)
+    for u in (sampled_map(grid3, U, J), as_sphere_map(random_moebius(rng))):
+        with pytest.raises(TypeError, match="^coefficient stacks only available for poly-backed maps$"):
+            fn(u)
+    for module in ("forms", "operator", "harmonics"):
+        tree = ast.parse((Path(spherestab.__file__).parent / f"{module}.py").read_text())
+        imported = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert not any(m.endswith("quadrature") for m in imported), module
