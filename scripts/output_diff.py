@@ -9,13 +9,15 @@ Three near-identity poly maps (two at n = 3, one at n = 4) are drawn from
 the seed, and after them the orthogonal Q of a fourth map, the n = 4 linear
 map Q diag(1.3, 0.7, 0.7, 0.7) Q^t.  Its tangent stretches repeat exactly
 at every node, the hard case of the closed-form stretch solve at n = 4.
-The parent's code writes the four maps once, so both sides read the same
-files.  Each side then runs
+A fifth file is the sampled copy of the first map, its values and
+Jacobians on the default n = 3 grid, so the reader and the deficits of a
+sampled map are compared too.  The parent's code writes the five files
+once, so both sides read the same files.  Each side then runs
 
     spectrum --n 3 --kmax 8      spectrum --n 4 --kmax 8      verify
                                  (all three with --seed of the maps)
-    deficits --map M             (every map)
-    fit-moebius --map M          (the n = 3 maps)
+    deficits --map M             (every map, the sampled copy too)
+    fit-moebius --map M          (the n = 3 maps, the sampled copy too)
     rates --family F --sigmas S  (the four sweeps of optimality_rates.py)
     stability --family ellipsoid
 
@@ -50,19 +52,25 @@ SKIPPED_KEYS = {"seconds"}    # wall times, different on every run
 # (name, n, kmax, t): identity + t w, w a random field of H_n of degree <= kmax
 MAPS = (("map_n3_a", 3, 3, 0.2), ("map_n3_b", 3, 4, 0.4), ("map_n4", 4, 3, 0.2))
 REPEATED = "map_n4_repeated"    # the linear map with a stretch repeated at every node
+SAMPLED = "map_n3_a_sampled"    # the first map sampled on the default n = 3 grid
 MAKE_MAPS = """
 import json, sys
 import numpy as np
 from spherestab.forms import tangential_energy
 from spherestab.io import map_to_dict, save_json
 from spherestab.operator import random_h_field
-from spherestab.spheremap import identity_map, linear_map
-out, seed, specs, repeated = sys.argv[1], int(sys.argv[2]), json.loads(sys.argv[3]), sys.argv[4]
+from spherestab.quadrature import default_sphere_grid
+from spherestab.spheremap import identity_map, linear_map, sampled_map
+out, seed, specs, repeated, sampled = sys.argv[1], int(sys.argv[2]), json.loads(sys.argv[3]), sys.argv[4], sys.argv[5]
 rng = np.random.default_rng(seed)
-for name, n, kmax, t in specs:
+for j, (name, n, kmax, t) in enumerate(specs):
     w = random_h_field(n, kmax, rng)
     u = identity_map(n) + w.scale(t / np.sqrt(tangential_energy(w)))
     save_json(map_to_dict(u), f"{out}/{name}.json")
+    if j == 0:
+        g = default_sphere_grid(n)
+        _, U, J = u.sample(g)
+        save_json(map_to_dict(sampled_map(g, U, J)), f"{out}/{sampled}.json")
 Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
 save_json(map_to_dict(linear_map(Q @ np.diag([1.3, 0.7, 0.7, 0.7]) @ Q.T)), f"{out}/{repeated}.json")
 """
@@ -186,7 +194,7 @@ def run_outputs(checkout: str, out: str, maps: str, seed: int) -> dict[str, int]
     seeded = ["--seed", str(seed)]
     jobs = {f"spectrum_n{n}.csv": ["spectrum", "--n", str(n), "--kmax", "8", *seeded] for n in (3, 4)}
     jobs["verify.json"] = ["verify", *seeded]
-    for name, n in [(name, n) for name, n, _, _ in MAPS] + [(REPEATED, 4)]:
+    for name, n in [(name, n) for name, n, _, _ in MAPS] + [(REPEATED, 4), (SAMPLED, 3)]:
         path = os.path.join(maps, f"{name}.json")
         jobs[f"deficits_{name}.json"] = ["deficits", "--map", path]
         if n == 3:
@@ -209,7 +217,8 @@ def main(argv: list[str] | None = None) -> int:
     dirs = extract_pair(resolve(args.parent), resolve(args.change), os.path.join(args.workdir, "trees"))
     maps = os.path.join(args.workdir, "maps")
     os.makedirs(maps, exist_ok=True)
-    subprocess.run([sys.executable, "-c", MAKE_MAPS, maps, str(args.seed), json.dumps(MAPS), REPEATED], check=True,
+    subprocess.run([sys.executable, "-c", MAKE_MAPS, maps, str(args.seed), json.dumps(MAPS), REPEATED, SAMPLED],
+                   check=True,
                    env={**os.environ, "PYTHONPATH": os.path.join(dirs["parent"], "src")})
     outs = {side: os.path.join(args.workdir, "out", side) for side in dirs}
     codes = {side: run_outputs(dirs[side], outs[side], maps, args.seed) for side in dirs}

@@ -29,7 +29,7 @@ from .moebius import nearest_moebius, nearest_rotation
 from .quadrature import SphereGrid, build_circle_grid_segmented, integrate
 from .spheremap import (
     SphereMap,
-    _node_data,
+    _grid_for,
     _node_dots,
     identity_map,
     linear_map,
@@ -144,7 +144,8 @@ def homothety_family(sigma: float, n: int = 3) -> SphereMap:
 
 def grad_gap_to_identity(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """Integral of |grad_T u - grad_T id|^2."""
-    g, X, U, J = _node_data(u, grid)
+    g = _grid_for(u, grid)
+    X, _, J = u.sample(g)
     TJ = tangential_jacobians(J - np.eye(u.n), X)
     return integrate(g, _node_dots(TJ, TJ))
 

@@ -1,18 +1,27 @@
 """JSON (de)serialization of the map files that the command line reads and
 writes: maps (poly- or sample-backed, with their grids and polynomials),
 and the Moebius parameters that ``fit-moebius`` reports.  Callable-backed
-maps are in-memory objects and do not serialize."""
+maps are in-memory objects and do not serialize.
+
+The reader refuses, with a ValueError that names the fault, what no
+deficit can be taken of: a sampled map without ``jacobians``, any number
+that is not finite (values, Jacobians, nodes, weights, coefficients), and
+a grid that is not a quadrature rule on the sphere: its domain must be
+``"sphere"``, every node must have norm 1 to within ``NODE_TOL`` and every
+weight be nonnegative, with the weights summing to 1 to within
+``WEIGHT_SUM_TOL``."""
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .config import _integer
 from .moebius import MoebiusMap
 from .polynomials import Poly
-from .quadrature import BallGrid, SphereGrid
+from .quadrature import SphereGrid
 from .spheremap import SphereMap, poly_map, sampled_map
 
 __all__ = [
@@ -24,20 +33,51 @@ __all__ = [
 ]
 
 
-def grid_to_dict(g: SphereGrid | BallGrid) -> dict:
+# |norm - 1| of a grid node, the nodes of a built grid being unit vectors to
+# roundoff; and |sum - 1| of the weights, normalized to sum to 1
+NODE_TOL = 1e-12
+WEIGHT_SUM_TOL = 1e-10
+
+
+def grid_to_dict(g: SphereGrid) -> dict:
     return {
         "n": g.n,
         "nodes": g.nodes.tolist(),
         "weights": g.weights.tolist(),
         "exactness": g.exactness,
-        "domain": "ball" if isinstance(g, BallGrid) else "sphere",
+        "domain": "sphere",
     }
 
 
-def grid_from_dict(d: dict) -> SphereGrid | BallGrid:
-    cls = BallGrid if d.get("domain") == "ball" else SphereGrid
-    return cls(_integer(d["n"], "grid: n"), np.asarray(d["nodes"], dtype=float),
-               np.asarray(d["weights"], dtype=float), _integer(d["exactness"], "grid: exactness"))
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    """a, whose every entry must be finite."""
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        at = tuple(int(i) for i in bad[0])
+        raise ValueError(f"{what} must be finite, not {a[at]} at {list(at)}")
+    return a
+
+
+def grid_from_dict(d: dict) -> SphereGrid:
+    """The sphere grid of a JSON object, checked as the module docstring states."""
+    n, exactness = _integer(d["n"], "grid: n"), _integer(d["exactness"], "grid: exactness")
+    if d.get("domain", "sphere") != "sphere":
+        raise ValueError(f"grid: domain must be 'sphere', not {d['domain']!r}")
+    nodes, weights = (_finite(np.asarray(d[key], dtype=float), f"grid: {key}") for key in ("nodes", "weights"))
+    if nodes.ndim != 2 or nodes.shape[1] != n or weights.shape != nodes.shape[:1]:
+        raise ValueError(f"grid: nodes must be a nodes x {n} array with one weight per node, "
+                         f"not of shapes {nodes.shape} and {weights.shape}")
+    norms = np.linalg.norm(nodes, axis=1)
+    off = np.flatnonzero(np.abs(norms - 1.0) > NODE_TOL)
+    if len(off):
+        raise ValueError(f"grid: node {off[0]} has norm {norms[off[0]]}, not 1 to within {NODE_TOL:g}")
+    negative = np.flatnonzero(weights < 0.0)
+    if len(negative):
+        raise ValueError(f"grid: weight {negative[0]} is {weights[negative[0]]}, not nonnegative")
+    total = math.fsum(weights)
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"grid: weights sum to {total!r}, not 1 to within {WEIGHT_SUM_TOL:g}")
+    return SphereGrid(n, nodes, weights, exactness)
 
 
 def poly_to_dict(p: Poly) -> dict:
@@ -60,7 +100,7 @@ def map_to_dict(u: SphereMap) -> dict:
             "n": u.n, "m": u.m, "backing": "sampled",
             "grid": grid_to_dict(b.grid),
             "values": b.values.tolist(),
-            "jacobians": None if b.jacobians is None else b.jacobians.tolist(),
+            "jacobians": b.jacobians.tolist(),
         }
     raise TypeError("callable-backed maps do not serialize")
 
@@ -85,6 +125,8 @@ def _component_from_dict(n: int, i: int, c: dict) -> Poly:
         e = _expect(_expect(t, dict, f"component {i}: a term")["exponents"], list, f"component {i}: exponents")
         if len(e) != n or not all(isinstance(p, int) and p >= 0 for p in e):
             raise ValueError(f"component {i}: exponent {e} is not {n} nonnegative integers")
+        if not math.isfinite(float(t["coeff"])):
+            raise ValueError(f"component {i}: coefficient of {e} must be finite, not {float(t['coeff'])}")
     return poly_from_dict({**c, "n": n})
 
 
@@ -98,7 +140,7 @@ def map_from_dict(d: dict) -> SphereMap:
         return poly_map(n, [_component_from_dict(n, i, c) for i, c in enumerate(comps)])
     if d["backing"] == "sampled":
         grid = grid_from_dict(_expect(d["grid"], dict, "grid"))
-        values = np.asarray(d["values"], dtype=float)
+        values = _finite(np.asarray(d["values"], dtype=float), "values")
         if values.ndim != 2:
             raise ValueError(f"values must be a nodes x m array, not of shape {values.shape}")
         if len(values) != grid.size:
@@ -107,11 +149,9 @@ def map_from_dict(d: dict) -> SphereMap:
         for key, have, source in (("n", grid.n, "the grid has n"), ("m", values.shape[1], "values have width")):
             if key in d and _integer(d[key], key) != have:
                 raise ValueError(f"sampled map has {key} = {d[key]}, but {source} {have}")
-        jac = None if d.get("jacobians") is None else np.asarray(d["jacobians"], dtype=float)
-        want = (grid.size, values.shape[1], grid.n)
-        if jac is not None and jac.shape != want:
-            raise ValueError(f"jacobians must have shape {want} for the grid's {grid.size} nodes, not {jac.shape}")
-        return sampled_map(grid, values, jac)
+        u = sampled_map(grid, values, d.get("jacobians"))    # refuses a map without Jacobians
+        _finite(u.backing.jacobians, "jacobians")
+        return u
     raise ValueError(f"unknown backing {d['backing']!r}")
 
 

@@ -29,9 +29,10 @@ direction is a combination of a few per-node fields with coefficients in
 (R, R v), so the Jacobian is a fixed contraction of the moments of those
 fields against Du, accumulated over blocks of nodes by small GEMMs; each
 block is sized so that no temporary reaches glibc's 128 KiB mmap
-threshold.  u's values and Jacobians enter in either layout, a poly map's
-as views of its node-last monomial table and a callable map's as its own
-row-major arrays, and are never copied into the other.
+threshold.  u's values and Jacobians come from :meth:`SphereMap.at` and
+:meth:`SphereMap.sample`, row-major and uncopied: a poly map's are
+transposed views of its node-last monomial table.  A map without
+Jacobians is refused where it is made, so every solver has them.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ from .errors import SolverError
 from .harmonics import scalar_basis_coeffs
 from .homogeneous import Stack
 from .polynomials import evaluate, grad_index, linear_order
-from .quadrature import SphereGrid, build_sphere_grid, default_sphere_grid, integrate
-from .spheremap import (SphereMap, _grid_for, _node_data, _node_dots, _row_major_views, callable_map,
-                        projectors, tangential_jacobians, volume_integrand)
+from .quadrature import SphereGrid, default_sphere_grid, integrate, sphere_grid
+from .spheremap import (CallableBacking, SphereMap, _grid_for, _node_dots, callable_map, projectors,
+                        tangential_jacobians, volume_integrand)
 
 __all__ = [
     "MoebiusMap",
@@ -157,16 +158,16 @@ def as_sphere_map(phi: MoebiusMap) -> SphereMap:
 def compose_with_map(u: SphereMap, phi: MoebiusMap) -> SphereMap:
     """u compose phi as a callable-backed map (chain rule on Jacobians).
 
-    Every evaluation applies phi once.  A sample takes u's values and
-    Jacobians at phi(x) from :meth:`SphereMap.values_and_jacobians`, one
-    monomial table for a poly u.
+    Every evaluation applies phi once.  Its joint function takes u's values
+    and Jacobians at phi(x) from :meth:`SphereMap.at`, one monomial table
+    for a poly u.
     """
     def joint(X):
         parts = _parts(phi, X)
-        U, jac = u.values_and_jacobians(_apply(phi, parts))
+        U, jac = u.at(_apply(phi, parts))
         return U, lambda: np.matmul(jac(), _jacobian(phi, parts))
 
-    return callable_map(u.n, u.m, lambda X: u.eval(moebius_apply(phi, X)), lambda X: joint(X)[1](), joint)
+    return SphereMap(u.n, u.m, CallableBacking(lambda X: u.eval(moebius_apply(phi, X)), joint))
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +423,6 @@ _TURNS = np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0],
                    [0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
 
 
-def _grid_sample(u: SphereMap, g: SphereGrid):
-    """Values (N, m) and Jacobians (N, m, n) of u on the grid g, copying none: a poly
-    map's views from :func:`spheremap._row_major_views`, another map's own arrays."""
-    if u.is_poly:
-        U, jac = _row_major_views(u, g.nodes)
-        return U, jac()
-    return _node_data(u, g)[2:]              # refuses a map without Jacobians
-
-
 def _chart_residual(u: SphereMap, grid: SphereGrid, L: np.ndarray, B: np.ndarray, turns: bool):
     """(R, v) -> (F, jac) for the moments F = L vec(B U) (:func:`_moments`) of the
     values U of u at y = R phi_v(x).
@@ -453,10 +445,10 @@ def _chart_residual(u: SphereMap, grid: SphereGrid, L: np.ndarray, B: np.ndarray
     3 x 3 product for T and one GEMM for M.  A one-row basis (the
     recentring's weights) folds into the fields instead, and the one GEMM
     per block reads Du itself.  u's values (N, m) and Jacobians (N, m, n)
-    come in either layout: a poly map's are transposed views of its
-    node-last monomial table, a callable map's its own row-major arrays.
-    matmul reads both, so no sample is copied.  residual(state, sample)
-    takes them at y when they are known.
+    come from :meth:`SphereMap.at`: a poly map's are transposed views of
+    its node-last monomial table, a callable map's its own arrays.  matmul
+    reads both, so no sample is copied.  residual(state, sample) takes them
+    at y when they are known.
     """
     X = grid.nodes
     N, F, m, r = len(X), L.shape[0], u.m, B.shape[0]
@@ -470,7 +462,7 @@ def _chart_residual(u: SphereMap, grid: SphereGrid, L: np.ndarray, B: np.ndarray
         Y *= q[:, None]                        # phi_v, in place of N'
         Y = Y @ R.T
         if sample is None:
-            U, jac = _row_major_views(u, Y)
+            U, jac = u.at(Y)
         else:
             U, J_known = sample
             jac = lambda: J_known            # holds the Jacobians alone: U goes when residual returns
@@ -517,14 +509,14 @@ def recenter(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-8) ->
     For unit-norm degree +-1 maps a zero exists.  Damped Newton on the
     analytic Jacobian starts at v = 0; only if that fails does it restart
     from the best 4 of a pole x dilation ladder along the mean, then from the
-    best point of a coarse pole x dilation sweep.  Needs the Jacobians of u.
+    best point of a coarse pole x dilation sweep.
     """
     if u.n != 3:
         raise ValueError("recentering implemented on S^2")
     g = _grid_for(u, grid)
 
     def sample():
-        U, J = _grid_sample(u, g)
+        _, U, J = u.sample(g)
         if np.max(np.abs(np.linalg.norm(U, axis=1) - 1.0)) > 1e-6:
             raise ValueError("recentering expects a unit-norm map")
         return U, J
@@ -534,7 +526,7 @@ def recenter(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-8) ->
 
 def _recenter(u: SphereMap, g: SphereGrid, tol: float, sample0) -> MoebiusMap:
     """`recenter` of u on the grid g; sample0() gives the values (N, m) and Jacobians
-    (N, m, n) of u at its nodes, in either layout."""
+    (N, m, n) of u at its nodes, as :meth:`SphereMap.sample` does."""
     residual = _chart_residual(u, g, np.eye(u.m), g.weights[None], turns=False)
     I = np.eye(3)
     counts = np.zeros(3, dtype=int)            # Newton steps, residual and Jacobian evaluations
@@ -549,7 +541,7 @@ def _recenter(u: SphereMap, g: SphereGrid, tol: float, sample0) -> MoebiusMap:
     v, nrm, b = newton(np.zeros(3), sample0)
     if nrm > tol:
         ladder = np.outer([-1.0, 1.0], b / np.linalg.norm(b))
-        coarse = build_sphere_grid(3, 8).nodes
+        coarse = sphere_grid(3, 8).nodes
         for poles, scales, tries in ((ladder, (0.15, 6.0, 9), 4), (coarse[:: len(coarse) // 64], (0.1, 10.0, 11), 1)):
             starts = [s0 * xi0 for xi0 in poles for s0 in np.log(np.geomspace(*scales))]
             counts[1] += len(starts)
@@ -584,7 +576,7 @@ def gauge_fix(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-7) -
     projection of u compose phi onto the kernel block (skew fields plus the
     degree-2 complement).  Damped Newton from the identity on the analytic
     Jacobian of `_chart_residual`, evaluating a poly u once per step.  Needs
-    the Jacobians of u, and u W^{1,2}-close to the identity.
+    u W^{1,2}-close to the identity.
     """
     if u.n != 3 or u.m != 3:
         raise ValueError("gauge fixing implemented for maps of S^2 into R^3")
@@ -593,9 +585,9 @@ def gauge_fix(u: SphereMap, grid: SphereGrid | None = None, tol: float = 1e-7) -
     start = (np.eye(3), np.zeros(3))
     (R, v), nrm, it, nfev, njev = _damped_newton(
         residual, lambda x, d: (_rotation_from_axis_angle(d[:3]) @ x[0], x[1] + d[3:]),
-        start, residual(start, _grid_sample(u, g)), tol)
+        start, residual(start, u.sample(g)[1:]), tol)
     if nrm > tol:
-        D = tangential_jacobians(u.jac(g.nodes), g.nodes) - projectors(g.nodes)
+        D = tangential_jacobians(u.at(g.nodes)[1](), g.nodes) - projectors(g.nodes)
         dist = math.sqrt(integrate(g, np.sum(D * D, axis=(1, 2))))
         raise SolverError(
             f"gauge Newton stalled at residual {nrm:.2e} after {it} steps, {nfev} residual and "
@@ -629,7 +621,8 @@ def nearest_rotation(u: SphereMap, grid: SphereGrid | None = None) -> tuple[np.n
         M = _poly_tangential_mean(u)
         energy = tangential_energy(u)
     else:
-        g, X, U, J = _node_data(u, grid)
+        g = _grid_for(u, grid)
+        X, U, J = u.sample(g)
         TJ = tangential_jacobians(J, X)
         M = (g.weights @ TJ.reshape(len(TJ), n * n)).reshape(n, n)
         energy = integrate(g, _node_dots(TJ, TJ))
@@ -759,7 +752,8 @@ def nearest_moebius(u: SphereMap, grid: SphereGrid | None = None) -> NearestMoeb
         raise ValueError("nearest Moebius implemented for maps of S^2 into R^3")
     from .deficits import signed_volume
 
-    g, X, U, J_u = _node_data(u, grid)
+    g = _grid_for(u, grid)
+    X, U, J_u = u.sample(g)
     w = g.weights
     if u.is_poly:   # from the cached node bundle, which a sweep's deficit report has just made
         volume = signed_volume(u, g)

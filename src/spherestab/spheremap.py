@@ -29,12 +29,20 @@ operator A act on coefficient stacks and take no samples.  The
 determinant convention is fixed so that the identity map has signed
 volume +1 in every dimension.
 
+Every map carries its Jacobians: a sampled or callable map without them
+is refused where it is made, since every deficit is a functional of the
+gradient.  :meth:`SphereMap.at` is the one reader at arbitrary points,
+values (N, m) and a thunk for the Jacobians (N, m, n), and
+:meth:`SphereMap.sample` the one reader on a grid, built on it.  A poly
+map's arrays are transposed views of its one node-last monomial table, a
+callable map's its own arrays.
+
 :func:`node_bundle` computes the densities of one map on one grid once;
 the bundle of the last poly-backed map asked for is kept in a single
 slot, so the report and the standalone functionals sample it once.  The
-bundle works node-last: a poly map's values (m, N) and Jacobians
-(m, n, N) are slices of its monomial table, and the samples of other maps
-are transposed once on entry.  The public kernels take and return the
+bundle works node-last on the transposes of the sample: for a poly map
+these are the contiguous rows of its monomial table, and only the samples
+of other maps are copied.  The public kernels take and return the
 row-major arrays of :meth:`SphereMap.sample`.
 """
 
@@ -75,16 +83,15 @@ __all__ = [
 @dataclass(frozen=True)
 class SampledBacking:
     grid: SphereGrid
-    values: np.ndarray              # (N, m)
-    jacobians: np.ndarray | None    # (N, m, n) ambient Jacobians
+    values: np.ndarray       # (N, m)
+    jacobians: np.ndarray    # (N, m, n) ambient Jacobians
 
 
 @dataclass(frozen=True)
 class CallableBacking:
-    value_fn: Callable[[np.ndarray], np.ndarray]
-    jacobian_fn: Callable[[np.ndarray], np.ndarray] | None
-    # values and a thunk for the Jacobians at the same points, from one pass
-    joint_fn: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]] | None = None
+    value_fn: Callable[[np.ndarray], np.ndarray]    # values (N, m) at the rows of X
+    # values and a thunk for the Jacobians (N, m, n) at the same points, from one pass
+    joint_fn: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
 
 
 @dataclass(frozen=True, eq=False)  # identity semantics: node bundles are keyed on the map object
@@ -131,54 +138,35 @@ class SphereMap:
         if self.is_poly:
             return evaluate([(self.m, self.backing.blocks)], pts).T.copy()
         if isinstance(self.backing, CallableBacking):
-            return np.asarray(self.backing.value_fn(pts))
+            return self.backing.value_fn(pts)
         raise TypeError("sampled maps only carry values at their own grid nodes")
 
-    def jac(self, points: np.ndarray) -> np.ndarray:
-        """Ambient Jacobians at arbitrary points, shape (N, m, n)."""
+    def at(self, points: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+        """Values (N, m) at the rows of points and a thunk for the Jacobians (N, m, n) there.
+
+        A poly map evaluates both in one monomial table and returns
+        transposed views of it; a callable map returns its joint function's
+        arrays.  Neither is copied.
+        """
         pts = np.atleast_2d(points)
         if self.is_poly:
-            J = evaluate([(self.m * self.n, self.backing.jac)], pts)
-            return J.reshape(self.m, self.n, -1).transpose(2, 0, 1).copy()
+            m, S = self.m, self.backing
+            table = evaluate([(m, S.blocks), (m * self.n, S.jac)], pts)
+            return table[:m].T, lambda: table[m:].reshape(m, self.n, -1).transpose(2, 0, 1)
         if isinstance(self.backing, CallableBacking):
-            if self.backing.jacobian_fn is None:
-                raise TypeError("map has no gradient data")
-            return np.asarray(self.backing.jacobian_fn(pts))
-        raise TypeError("sampled maps only carry gradients at their own grid nodes")
+            return self.backing.joint_fn(pts)
+        raise TypeError("sampled maps only carry values at their own grid nodes")
 
-    def values_and_jacobians(self, points: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-        """Values at arbitrary points and a thunk for the Jacobians there.
-
-        A poly map evaluates both in one monomial table; a callable map
-        with a joint function hands the points to it, and otherwise calls
-        its Jacobian function only when the thunk is called.  The arrays
-        are the caller's own (:func:`_row_major_views` without the copies).
-        """
-        U, jac = _row_major_views(self, points)
-        return (U.copy(), lambda: jac().copy()) if self.is_poly else (U, jac)
-
-    def _table(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values (m, N) and Jacobians (m, n, N) of a poly map, node-last views
-        of one monomial table."""
-        m, S = self.m, self.backing
-        table = evaluate([(m, S.blocks), (m * self.n, S.jac)], points)
-        return table[:m], table[m:].reshape(m, self.n, -1)
-
-    def sample(self, grid: SphereGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(nodes, values, jacobians) on the given grid."""
+    def sample(self, grid: SphereGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(nodes, values (N, m), Jacobians (N, m, n)) on the given grid: a sampled
+        map's own arrays, another map's from :meth:`at` its nodes."""
         if self.is_sampled:
             b = self.backing
-            if b.grid.size != grid.size or b.grid is not grid:
-                if not np.array_equal(b.grid.nodes, grid.nodes):
-                    raise ValueError("sampled map is bound to its own grid")
+            if b.grid is not grid and not np.array_equal(b.grid.nodes, grid.nodes):
+                raise ValueError("sampled map is bound to its own grid")
             return b.grid.nodes, b.values, b.jacobians
-        X = grid.nodes
-        U, jac = self.values_and_jacobians(X)
-        try:
-            J = jac()
-        except TypeError:
-            J = None
-        return X, U, J
+        U, jac = self.at(grid.nodes)
+        return grid.nodes, U, jac()
 
     @property
     def grid(self) -> SphereGrid | None:
@@ -213,18 +201,25 @@ def poly_map(n: int, components) -> SphereMap:
     return stack_map(Stack.of([comps]) if comps else Stack(n, 1, 0, {}))
 
 
-def sampled_map(grid: SphereGrid, values: np.ndarray, jacobians: np.ndarray | None) -> SphereMap:
-    values = np.asarray(values, dtype=float)
+def sampled_map(grid: SphereGrid, values: np.ndarray, jacobians: np.ndarray) -> SphereMap:
+    """The map with the given values (N, m) and ambient Jacobians (N, m, n) at the
+    grid's nodes; a map without Jacobians is refused."""
+    if jacobians is None:
+        raise ValueError("map has no gradient data")
+    values, jacobians = np.asarray(values, dtype=float), np.asarray(jacobians, dtype=float)
+    want = (grid.size, values.shape[1], grid.n)
+    if jacobians.shape != want:
+        raise ValueError(f"jacobians must have shape {want} for the grid's {grid.size} nodes, not {jacobians.shape}")
     return SphereMap(grid.n, values.shape[1], SampledBacking(grid, values, jacobians))
 
 
-def callable_map(n: int, m: int, value_fn, jacobian_fn=None, joint_fn=None) -> SphereMap:
-    """The map given by value_fn(X) (N, m) and jacobian_fn(X) (N, m, n) at the rows of X.
-
-    joint_fn(X), when given, returns the values and a thunk for the
-    Jacobians from one pass; sampling then calls it instead of the two.
-    """
-    return SphereMap(n, m, CallableBacking(value_fn, jacobian_fn, joint_fn))
+def callable_map(n: int, m: int, value_fn, jacobian_fn=None) -> SphereMap:
+    """The map given by value_fn(X) (N, m) and jacobian_fn(X) (N, m, n) at the rows
+    of X; a map without jacobian_fn is refused."""
+    if jacobian_fn is None:
+        raise ValueError("map has no gradient data")
+    values = lambda X: np.asarray(value_fn(X))
+    return SphereMap(n, m, CallableBacking(values, lambda X: (values(X), lambda: np.asarray(jacobian_fn(X)))))
 
 
 def identity_map(n: int) -> SphereMap:
@@ -243,38 +238,6 @@ def _grid_for(u: SphereMap, grid: SphereGrid | None) -> SphereGrid:
     return grid or u.grid or default_sphere_grid(u.n)
 
 
-def _node_data(u: SphereMap, grid: SphereGrid | None):
-    """(grid, nodes, values, Jacobians) of u on the grid of :func:`_grid_for`."""
-    g = _grid_for(u, grid)
-    X, U, J = u.sample(g)
-    if J is None:
-        raise ValueError("map has no gradient data")
-    return g, X, U, J
-
-
-def _node_last_data(u: SphereMap, g: SphereGrid):
-    """(nodes, values (m, N), Jacobians (m, n, N)) of u on the grid g: a poly
-    map's views of its monomial table, another map's sample transposed once."""
-    if u.is_poly:
-        return (g.nodes, *u._table(g.nodes))
-    _, X, U, J = _node_data(u, g)
-    return X, U.T.copy(), J.transpose(1, 2, 0).copy()
-
-
-def _row_major_views(u: SphereMap, points: np.ndarray):
-    """Values (N, m) of a poly or callable map u at the rows of points and a
-    thunk for its Jacobians (N, m, n), copying neither: a poly map's are
-    transposed views of its one node-last monomial table, a callable map's
-    its own arrays."""
-    if u.is_poly:
-        U, J = u._table(points)
-        return U.T, lambda: J.transpose(2, 0, 1)
-    b = u.backing
-    if isinstance(b, CallableBacking) and b.joint_fn is not None:
-        return b.joint_fn(np.atleast_2d(points))
-    return u.eval(points), lambda: u.jac(points)
-
-
 # ---------------------------------------------------------------------------
 # node bundles: the per-node densities of one map on one grid
 # ---------------------------------------------------------------------------
@@ -287,13 +250,16 @@ class NodeBundle:
     maps into R^n) the signed volume; the per-node |grad_T u|^2 is kept.
     The principal stretches, which need an eigen-solve for n >= 4, are
     computed on first use, after which the forms are dropped.  The bundle
-    holds no reference to the map.  It takes the nodes X (N, n) and u's
-    values U (m, N) and Jacobians J (m, n, N) node-last.
+    holds no reference to the map.  It takes the sample (X, U, J) of
+    :meth:`SphereMap.sample` and works on the transposes of U and J: a
+    poly map's are the contiguous rows of its monomial table, another
+    map's are copied once.
     """
 
     def __init__(self, grid: SphereGrid, X: np.ndarray, U: np.ndarray, J: np.ndarray):
         n = X.shape[1]
         self.grid = grid
+        U, J = np.ascontiguousarray(U.T), np.ascontiguousarray(J.transpose(1, 2, 0))
         A, s = _frame_jacobians(J, X)
         self._forms = _forms(A)
         self.trace = np.trace(self._forms)
@@ -336,12 +302,12 @@ def node_bundle(u: SphereMap, grid: SphereGrid | None = None) -> NodeBundle:
     global _slot
     g = _grid_for(u, grid)
     if not u.is_poly:
-        return NodeBundle(g, *_node_last_data(u, g))
+        return NodeBundle(g, *u.sample(g))
     hit = _slot
     if hit is not None and hit[0]() is u and hit[1].grid is g:
         return hit[1]
     _slot = None  # free the old bundle before sampling
-    bundle = NodeBundle(g, *_node_last_data(u, g))
+    bundle = NodeBundle(g, *u.sample(g))
     _slot = (weakref.ref(u, _drop_slot), bundle)
     return bundle
 

@@ -75,7 +75,7 @@ from .operator import (
 )
 from .polynomials import gram, gram_rect, linear_order
 from .quadrature import ball_grid_moment_residual, build_ball_grid, grid_moment_residual, integrate
-from .spheremap import identity_map, stack_map
+from .spheremap import identity_map, stack_map, surface_divergence
 
 __all__ = ["ALL_CHECKS", "run_checks"]
 
@@ -221,11 +221,9 @@ def check_eig2_pointwise(cfg: Config):
     worst = 0.0
     for k in (2, 3):
         ef = random_eigenfield(3, k, 2, rng)
-        U, J = ef.map.eval(X), ef.map.jac(X)
-        from .spheremap import surface_divergence
-
+        U, jac = ef.map.at(X)
         worst = max(worst, float(np.max(np.abs(np.sum(U * X, axis=1)))))
-        worst = max(worst, float(np.max(np.abs(surface_divergence(J, X)))))
+        worst = max(worst, float(np.max(np.abs(surface_divergence(jac(), X)))))
     return worst <= 1e-9, f"max normal part / divergence {worst:.3e}"
 
 

@@ -530,7 +530,7 @@ def quadrature_project_kernel(grid, U: np.ndarray, J: np.ndarray) -> tuple[np.nd
             BV = field.eval(X)
             c = integrate(grid, np.einsum("ai,ai->a", U, BV))
             vals += c * BV
-            jac += c * field.jac(X)
+            jac += c * field.at(X)[1]()
     return vals, jac
 
 

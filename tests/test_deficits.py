@@ -190,7 +190,7 @@ def test_signed_volume_precomposition_covariance(grid3, rng):
     w = random_h_field(3, 3, rng)
     u = identity_map(3) + w.scale(0.2)
     R = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-    uR = callable_map(3, 3, lambda X: u.eval(X @ R.T), lambda X: u.jac(X @ R.T) @ R)
+    uR = callable_map(3, 3, lambda X: u.eval(X @ R.T), lambda X: u.at(X @ R.T)[1]() @ R)
     assert abs(signed_volume(uR, grid3) - np.linalg.det(R) * signed_volume(u)) < 1e-9
 
 
@@ -271,7 +271,7 @@ def test_report_and_combined_sample_once(grid3, rng):
 
     def jacobian(X):
         calls["jacobian"] += 1
-        return phi.jac(X)
+        return phi.at(X)[1]()
 
     u = callable_map(3, 3, value, jacobian)
     for fn in (deficit_report, combined_deficit):
@@ -391,7 +391,7 @@ def test_callable_map_sampled_on_every_call(grid3, rng):
 
     def jacobian(X):
         calls["jacobian"] += 1
-        return phi.jac(X)
+        return phi.at(X)[1]()
 
     u = callable_map(3, 3, value, jacobian)
     fns = (deficit_report, combined_deficit, dirichlet, perimeter, signed_volume,
@@ -509,18 +509,26 @@ def test_closed_form_3x3_keeps_a_nan_form_nan(rng):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_poly_node_bundle_runs_no_eigvalsh_and_no_row_major_sample(n, rng, monkeypatch):
+def test_poly_node_bundle_runs_no_eigvalsh_and_copies_no_sample(n, rng, monkeypatch):
+    # one sample per report, whose transposes are the contiguous rows of the
+    # monomial table: the bundle works node-last on them without a copy
     import spherestab.spheremap as sm
     from spherestab.quadrature import default_sphere_grid
 
     calls = []
     eigvalsh, sample = np.linalg.eigvalsh, sm.SphereMap.sample
+
+    def spy(*args):
+        X, U, J = sample(*args)
+        calls.append(("sample", U.T.flags.c_contiguous and J.transpose(1, 2, 0).flags.c_contiguous))
+        return X, U, J
+
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append("eigvalsh") or eigvalsh(*a))
-    monkeypatch.setattr(sm.SphereMap, "sample", lambda *a: calls.append("sample") or sample(*a))
+    monkeypatch.setattr(sm.SphereMap, "sample", spy)
     u = _near_identity(n, rng)
     rep = deficit_report(u, default_sphere_grid(n))
     assert rep.delta_isom > 0.0
-    assert calls == []
+    assert calls == [("sample", True)]
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -87,7 +87,7 @@ def poly_maps(draw, n):
 def _check(u):
     g = Config().grid(u.n)
     X = g.nodes
-    U, J = u.eval(X), u.jac(X)
+    U, J = u.eval(X), u.at(X)[1]()
     s = sampled_map(g, U, J)
     quad = quadrature_forms(g, U, J)
     for f in (tangential_energy, surface_div_sq, poincare_deficit, _sym_energy, _pjp_energy):
@@ -95,7 +95,7 @@ def _check(u):
     assert _agree(q_vol(u, u), quad["q_vol"])
 
     pu = project_h_n(u)
-    for a, b in zip((pu.eval(X), pu.jac(X)), quadrature_project_h_n(g, U, J)):
+    for a, b in zip((pu.eval(X), pu.at(X)[1]()), quadrature_project_h_n(g, U, J)):
         assert _agree(a, b)
 
     Ou, vu = nearest_rotation(u)
@@ -111,7 +111,7 @@ def _check(u):
 
     if u.n == 3:
         ku = project_kernel(u)
-        for a, b in zip((ku.eval(X), ku.jac(X)), quadrature_project_kernel(g, U, J)):
+        for a, b in zip((ku.eval(X), ku.at(X)[1]()), quadrature_project_kernel(g, U, J)):
             assert _agree(a, b)
         assert _agree(dirichlet(u), dirichlet(s))
         assert _agree(dirichlet(u), 0.5 * tangential_energy(u))

@@ -36,7 +36,7 @@ def test_poly_map_round_trip(sphere_points):
 def test_sampled_map_round_trip():
     g = build_sphere_grid(3, 6)
     u = identity_map(3)
-    us = sampled_map(g, u.eval(g.nodes), u.jac(g.nodes))
+    us = sampled_map(g, u.eval(g.nodes), u.at(g.nodes)[1]())
     d = map_to_dict(us)
     u2 = map_from_dict(d)
     assert u2.is_sampled
@@ -270,11 +270,11 @@ def test_cli_bad_inputs(tmp_path, capsys):
     assert main(["stability", "--family", "stretch"]) == 2
     assert main(["stability", "--family", "flip", "--theorem", "conformal"]) == 2
     assert main(["deficits", "--map", str(tmp_path / "missing.json")]) == 2
-    # sampled map without gradient data cannot produce a deficit report
+    # a sampled map without gradient data cannot be made (nor read from a file:
+    # test_cli_refuses_map_files_of_the_wrong_json_type)
     g = build_sphere_grid(3, 6)
-    nograd = tmp_path / "nograd.json"
-    save_json(map_to_dict(sampled_map(g, g.nodes.copy(), None)), str(nograd))
-    assert main(["deficits", "--map", str(nograd)]) == 2
+    with pytest.raises(ValueError, match="^map has no gradient data$"):
+        sampled_map(g, g.nodes.copy(), None)
     # degenerate volume cannot be Moebius-fitted
     flat = tmp_path / "flat.json"
     save_json(map_to_dict(linear_map(np.diag([1.0, 1.0, 0.0]))), str(flat))
@@ -331,8 +331,14 @@ def _linear_components(n: int, width: int, entries: int) -> list[dict]:
 def _sampled_doc(**fields) -> dict:
     """The identity of S^2 sampled at the two poles of x_0, with the given top-level fields."""
     nodes = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
-    return {"backing": "sampled", **fields, "values": nodes,
+    return {"backing": "sampled", **fields, "values": nodes, "jacobians": [np.eye(3).tolist()] * 2,
             "grid": {"n": 3, "nodes": nodes, "weights": [0.5, 0.5], "exactness": 1}}
+
+
+def _sampled_grid_doc(**grid) -> dict:
+    """:func:`_sampled_doc` with the given fields of its grid."""
+    doc = _sampled_doc()
+    return {**doc, "grid": {**doc["grid"], **grid}}
 
 
 @pytest.mark.parametrize("case, named", [
@@ -438,7 +444,7 @@ def test_cli_map_commands_refuse_resolution_for_sampled_maps(command, tmp_path, 
     g = build_sphere_grid(3, 12)
     phi = as_sphere_map(random_moebius(np.random.default_rng(3), lam_range=(0.8, 1.2)))
     mp = tmp_path / "sampled.json"
-    save_json(map_to_dict(sampled_map(g, phi.eval(g.nodes), phi.jac(g.nodes))), str(mp))
+    save_json(map_to_dict(sampled_map(g, phi.eval(g.nodes), phi.at(g.nodes)[1]())), str(mp))
     assert main([command, "--map", str(mp)]) == 0
     capsys.readouterr()
     assert main([command, "--map", str(mp), "--resolution", "20"]) == 2
@@ -574,6 +580,18 @@ def test_cli_refuses_a_seed_that_is_not_a_nonnegative_integer(argv, tmp_path, ca
      "jacobians must have shape (2, 3, 3) for the grid's 2 nodes, not (1, 2)"),
     ({**_sampled_doc(), "jacobians": [np.eye(3).tolist()]},
      "jacobians must have shape (2, 3, 3) for the grid's 2 nodes, not (1, 3, 3)"),
+    # every deficit needs the gradient: a sampled map without Jacobians is refused
+    ({k: v for k, v in _sampled_doc().items() if k != "jacobians"}, "map has no gradient data"),
+    ({**_sampled_doc(), "jacobians": None}, "map has no gradient data"),
+    # the grid must be a quadrature rule on the sphere
+    (_sampled_grid_doc(domain="ball"), "grid: domain must be 'sphere', not 'ball'"),
+    (_sampled_grid_doc(nodes=[[2.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), "grid: node 0 has norm 2.0, not 1 to within 1e-12"),
+    (_sampled_grid_doc(weights=[2.0, -1.0]), "grid: weight 1 is -1.0, not nonnegative"),
+    (_sampled_grid_doc(weights=[0.5, 0.6]), "grid: weights sum to 1.1, not 1 to within 1e-10"),
+    # and every number finite
+    ({**_sampled_doc(), "values": [[float("nan"), 0.0, 0.0], [-1.0, 0.0, 0.0]]}, "values must be finite, not nan at [0, 0]"),
+    ({"backing": "poly", "n": 3, "components": [{"terms": [{"exponents": [1, 0, 0], "coeff": float("inf")}]}]},
+     "component 0: coefficient of [1, 0, 0] must be finite, not inf"),
 ])
 def test_cli_refuses_map_files_of_the_wrong_json_type(command, doc, named, tmp_path, capsys):
     path = tmp_path / "map.json"

@@ -303,7 +303,7 @@ def test_fit_terms_match_generic_quadrature(grid3, rng):
     X, w = grid3.nodes, grid3.weights
     u = identity_map(3) + random_h_field(3, 3, rng).scale(0.3)
     assert u.is_poly
-    TJ_u = tangential_jacobians(u.jac(X), X)
+    TJ_u = tangential_jacobians(u.at(X)[1](), X)
     for _ in range(8):
         xi = rng.normal(size=3)
         xi /= np.linalg.norm(xi)
@@ -329,7 +329,7 @@ def _perturbed_moebius(rng, eps):
     w = random_h_field(3, 3, rng)
     w = w.scale(eps / np.sqrt(tangential_energy(w)))
     return callable_map(3, 3, lambda P: moebius_apply(psi, P) + w.eval(P),
-                        lambda P: moebius_jacobian(psi, P) + w.jac(P))
+                        lambda P: moebius_jacobian(psi, P) + w.at(P)[1]())
 
 
 def test_fit_gradient_matches_finite_differences(grid3, rng):
@@ -354,7 +354,7 @@ def test_fit_gradient_matches_finite_differences(grid3, rng):
     radii = (0.0, 0.5 * _SERIES_CUTOFF, 1.0, 3.0)
     h = 1e-5
     for u in maps:
-        TJ_u = tangential_jacobians(u.jac(X), X)
+        TJ_u = tangential_jacobians(u.at(X)[1](), X)
         for r in radii:
             d = rng.normal(size=3)
             v = r * d / np.linalg.norm(d)
@@ -410,7 +410,7 @@ def test_moebius_kernels_match_einsum_reference(n, rng):
         A = rng.normal(size=(n, n))
         comp = compose_with_map(linear_map(A), phi)
         ref_c = np.einsum("aij,ajk->aik", np.broadcast_to(A, (len(X), n, n)), ref)
-        assert np.max(np.abs(comp.jac(X) - ref_c)) <= 1e-13 * max(1.0, np.max(np.abs(ref_c)))
+        assert np.max(np.abs(comp.at(X)[1]() - ref_c)) <= 1e-13 * max(1.0, np.max(np.abs(ref_c)))
         TJ = tangential_jacobians(ref, X)
         R = np.einsum("aki,akj->aij", TJ, TJ) - (np.einsum("aik,aik->a", TJ, TJ) / (n - 1))[:, None, None] * projectors(X)
         ref_r = float(np.max(np.sqrt(np.einsum("aij,aij->a", R, R))))
@@ -467,7 +467,7 @@ def test_poly_and_callable_layouts_give_one_jacobian(grid3, rng):
 
     w = random_h_field(3, 4, rng)
     u = identity_map(3) + w.scale(0.2 / np.sqrt(tangential_energy(w)))
-    uc = callable_map(3, 3, u.eval, u.jac)
+    uc = callable_map(3, 3, u.eval, lambda X: u.at(X)[1]())
     for L, B, turns in ((np.eye(3), grid3.weights[None], False), (*_psi_moments(grid3), True)):
         poly, call = (_chart_residual(m, grid3, L, B, turns) for m in (u, uc))
         for r in (0.0, 0.05, 1.0):
@@ -512,7 +512,7 @@ def test_compose_with_map_applies_phi_once_per_sample(grid3, rng, monkeypatch):
     phi = random_moebius(rng)
     X = grid3.nodes
     want_U = u.eval(moebius_apply(phi, X))
-    want_J = u.jac(moebius_apply(phi, X)) @ moebius_jacobian(phi, X)
+    want_J = u.at(moebius_apply(phi, X))[1]() @ moebius_jacobian(phi, X)
     counts = {"phi": 0, "evaluate": 0}
     parts, evaluate = moebius._dilation_parts, spheremap.evaluate
 
@@ -531,7 +531,7 @@ def test_compose_with_map_applies_phi_once_per_sample(grid3, rng, monkeypatch):
     assert counts == {"phi": 1, "evaluate": 1}        # one phi, one monomial table of u's values and Jacobians
     assert np.array_equal(U, want_U)
     assert np.max(np.abs(J - want_J)) <= 1e-13 * np.max(np.abs(want_J))
-    for query in (v.eval, v.jac):
+    for query in (v.eval, lambda X: v.at(X)[1]()):
         counts.update(phi=0, evaluate=0)
         query(X)
         assert counts == {"phi": 1, "evaluate": 1}
@@ -594,19 +594,17 @@ def test_gauge_fix_evaluates_once_per_step(grid3, rng, monkeypatch):
         assert np.linalg.norm(psi_functional(compose_with_map(u, phi), grid3)) < 1e-7
 
 
-def test_solvers_refuse_maps_without_gradient_data(grid3):
+def test_solvers_refuse_maps_without_gradient_data():
+    # a map without Jacobians is refused where it is made, so no solver meets one
     calls = []
 
     def value(P):
         calls.append(len(P))
         return np.asarray(P, dtype=float)
 
-    u = callable_map(3, 3, value)
-    for solve in (recenter, gauge_fix, nearest_moebius):
-        calls.clear()
-        with pytest.raises(ValueError, match="^map has no gradient data$"):
-            solve(u, grid3)
-        assert len(calls) <= 1                     # the grid values, no solver step
+    with pytest.raises(ValueError, match="^map has no gradient data$"):
+        callable_map(3, 3, value)
+    assert calls == []
 
 
 def test_nearest_moebius_recentres_callable_maps(grid3, rng):
@@ -648,15 +646,13 @@ def _bent_moebius(ti, li, rep):
 
 def _counting(u, counts):
     """The callable map u, counting its value and Jacobian calls in counts."""
-    b = u.backing
-
     def value(P):
         counts["value"] += 1
-        return b.value_fn(P)
+        return u.eval(P)
 
     def jac(P):
         counts["jac"] += 1
-        return b.jacobian_fn(P)
+        return u.at(P)[1]()
 
     return callable_map(3, 3, value, jac)
 
@@ -677,8 +673,16 @@ def test_recenter_rescues_a_stalled_newton(case, runs, evals, grid3, monkeypatch
     runs_made = []
     newton = moebius._damped_newton
     monkeypatch.setattr(moebius, "_damped_newton", lambda *args: runs_made.append(args[2]) or newton(*args))
+    # the coarse sweep takes its poles from the cached grid and builds none
+    import spherestab.quadrature as quadrature
+
+    quadrature.sphere_grid(3, 8)
+    built, build = [], quadrature.build_sphere_grid
+    for module in (quadrature, moebius):
+        monkeypatch.setattr(module, "build_sphere_grid", lambda *a: built.append(a) or build(*a), raising=False)
     counts = {"value": 0, "jac": 0}
     phi = recenter(_counting(u, counts), grid3)
+    assert built == []
     assert len(runs_made) in runs
     # the ladder direction is the mean of the first solve's start: no evaluation at v = 0 of its own
     assert (counts["value"], counts["jac"]) == evals

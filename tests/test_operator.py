@@ -243,7 +243,7 @@ def test_eig2_tangential_divergence_free(grid3, rng):
     X = grid3.nodes[::40]
     for k in (2, 4):
         ef = random_eigenfield(3, k, 2, rng)
-        U, J = ef.map.eval(X), ef.map.jac(X)
+        U, J = ef.map.eval(X), ef.map.at(X)[1]()
         assert np.max(np.abs(np.einsum("ai,ai->a", U, X))) < 1e-9
         assert np.max(np.abs(surface_divergence(J, X))) < 1e-9
 

@@ -72,12 +72,15 @@ def test_sampling_matches_the_component_route(n, rng):
     for u in _fields(rng, n):
         f = u.components
         U, J = oracle.sample(f, X)
-        V, jac = u.values_and_jacobians(X)
+        V, jac = u.at(X)
         Ug, Jg = oracle.sample(f, g.nodes)
         _, Vg, Kg = u.sample(g)
-        # row-major and C-contiguous, whatever the layout of the monomial table
-        for got, want in [(V, U), (jac(), J), (u.eval(X), U), (u.jac(X), J), (Vg, Ug), (Kg, Jg)]:
-            assert got.flags.c_contiguous and np.array_equal(got, want)
+        assert u.eval(X).flags.c_contiguous and np.array_equal(u.eval(X), U)
+        # row-major views of one node-last monomial table, whose rows are contiguous
+        for (got_U, got_J), (want_U, want_J) in [((V, jac()), (U, J)), ((Vg, Kg), (Ug, Jg))]:
+            assert np.array_equal(got_U, want_U) and np.array_equal(got_J, want_J)
+            assert got_U.base is got_J.base
+            assert got_U.T.flags.c_contiguous and got_J.transpose(1, 2, 0).flags.c_contiguous
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -115,7 +115,7 @@ def test_surface_divergence_pv_vs_pointwise(rng):
     d = field_surface_div(comps)
     X = rng.normal(size=(30, 3))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
-    J = u.jac(X)
+    J = u.at(X)[1]()
     assert np.max(np.abs(d(X) - surface_divergence(J, X))) < 1e-10
 
 
