@@ -4,6 +4,7 @@
     python3 scripts/bench_pairs.py --pr 11 --pairs spectrum-cold:1:10 deficit-batch:1:5
     python3 scripts/bench_pairs.py --pr 11 --commands 'spectrum --n 4 --kmax 12 --out /dev/null'
     python3 scripts/bench_pairs.py --pr 11 --pytest
+    python3 scripts/bench_pairs.py --pr 11 --commands 'deficits --map {maps}/map_n4.json'
 
 Both sides are extracted with ``git archive`` into ``<workdir>/parent`` and
 ``<workdir>/change``: the two paths have equal length, since the peak RSS
@@ -31,6 +32,12 @@ summary gives the same medians, parent IQR and pairs won per command, and
 the exit codes seen on each side.  ``--pytest`` adds one more such pair,
 the tier-1 suite (``python -m pytest`` in each side's directory), under the
 command name ``pytest (tier-1)``.
+
+``{maps}`` in a command line stands for ``<workdir>/maps``: when a
+command names it, the seeded map files that ``output_diff.py`` compares on
+are first drawn there at its default seed 1, with the parent's code, so
+``deficits --map {maps}/map_n4.json`` and ``fit-moebius`` commands can be
+paired.  The report keeps each command line as given.
 """
 
 from __future__ import annotations
@@ -75,6 +82,49 @@ proc.returncode = os.waitstatus_to_exitcode(status)
 print(json.dumps({"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024, "minflt": usage.ru_minflt,
                   "exit_code": proc.returncode}))
 """
+
+
+# The seeded map files that ``{maps}`` in a command line and ``output_diff.py`` read.
+# (name, n, kmax, t): identity + t w, w a random field of H_n of degree <= kmax
+MAPS = (("map_n3_a", 3, 3, 0.2), ("map_n3_b", 3, 4, 0.4), ("map_n4", 4, 3, 0.2))
+REPEATED = "map_n4_repeated"    # the linear map with a stretch repeated at every node
+SAMPLED = "map_n3_a_sampled"    # the first map sampled on the default n = 3 grid
+MAKE_MAPS = """
+import json, sys
+import numpy as np
+from spherestab.forms import tangential_energy
+from spherestab.io import map_to_dict, save_json
+from spherestab.operator import random_h_field
+from spherestab.quadrature import default_sphere_grid
+from spherestab.spheremap import identity_map, linear_map, sampled_map
+out, seed, specs, repeated, sampled = sys.argv[1], int(sys.argv[2]), json.loads(sys.argv[3]), sys.argv[4], sys.argv[5]
+rng = np.random.default_rng(seed)
+for j, (name, n, kmax, t) in enumerate(specs):
+    w = random_h_field(n, kmax, rng)
+    u = identity_map(n) + w.scale(t / np.sqrt(tangential_energy(w)))
+    save_json(map_to_dict(u), f"{out}/{name}.json")
+    if j == 0:
+        g = default_sphere_grid(n)
+        _, U, J = u.sample(g)
+        save_json(map_to_dict(sampled_map(g, U, J)), f"{out}/{sampled}.json")
+Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+save_json(map_to_dict(linear_map(Q @ np.diag([1.3, 0.7, 0.7, 0.7]) @ Q.T)), f"{out}/{repeated}.json")
+"""
+MAPS_FIELD = "{maps}"          # stands for the directory of the drawn maps in a --commands line
+MAPS_SEED = 1                  # the seed of the maps a command line names, output_diff.py's default
+
+
+def draw_maps(checkout: str, dest: str, seed: int) -> str:
+    """Write the seeded map files into ``dest`` with the code of ``checkout``; returns ``dest``.
+
+    Three near-identity poly maps (two at n = 3, one at n = 4), then the n = 4
+    linear map Q diag(1.3, 0.7, 0.7, 0.7) Q^t, whose tangent stretches repeat
+    at every node, and the first map sampled on the default n = 3 grid.
+    """
+    os.makedirs(dest, exist_ok=True)
+    subprocess.run([sys.executable, "-c", MAKE_MAPS, dest, str(seed), json.dumps(MAPS), REPEATED, SAMPLED],
+                   check=True, env={**os.environ, "PYTHONPATH": os.path.join(checkout, "src")})
+    return dest
 
 
 def _git(*args: str, cwd: str = ROOT) -> str:
@@ -199,7 +249,8 @@ def main(argv: list[str] | None = None) -> int:
                     help="pairs run with --trace 1 after the others, for the per-layer metrics")
     ap.add_argument("--commands", nargs="+", default=[], metavar="COMMAND",
                     help=f"whole CLI commands, e.g. 'spectrum --n 4 --kmax 12', {COMMAND_PAIRS} pairs each, "
-                         "run after the others")
+                         f"run after the others; {MAPS_FIELD} stands for the seeded map files of "
+                         f"output_diff.py, drawn at seed {MAPS_SEED}")
     ap.add_argument("--pytest", action="store_true",
                     help=f"also time the tier-1 suite as one whole command, {COMMAND_PAIRS} pairs, run last")
     ap.add_argument("--seconds", type=int, default=40, help="--seconds of each run (default 40)")
@@ -216,6 +267,9 @@ def main(argv: list[str] | None = None) -> int:
             specs.append((workload, int(seed), int(count), trace))
     revs = {"parent": resolve(args.parent), "change": resolve(args.change)}
     dirs = extract_pair(revs["parent"], revs["change"], args.workdir)
+    maps = os.path.join(args.workdir, "maps")
+    if any(MAPS_FIELD in c for c in args.commands):
+        draw_maps(dirs["parent"], maps, MAPS_SEED)
     out_path = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
     report = {
         "description": "Alternating parent/change pairs of perfbench/run.py and of whole CLI commands, "
@@ -228,7 +282,9 @@ def main(argv: list[str] | None = None) -> int:
                        "value is lower. Each 'command_runs' entry is one fresh CLI process with "
                        f"PYTHONPATH=<side>/src ('{PYTEST}' runs the tier-1 pytest suite): wall_s from start "
                        "to exit, and peak_rss_mb (ru_maxrss) and minflt from the rusage os.wait4 returned "
-                       "for that child; 'command_summary' compares them the same way.",
+                       f"for that child; 'command_summary' compares them the same way. {MAPS_FIELD} in a "
+                       "command stands for the seeded map files of scripts/output_diff.py, drawn at seed "
+                       f"{MAPS_SEED} with the parent's code.",
         "command": f"python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds {args.seconds} --trace T",
         "parent": revs["parent"], "change": revs["change"], "host": host(), "runs": [], "traced_runs": [],
         "command_runs": [],
@@ -249,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         for pair in range(1, COMMAND_PAIRS + 1):
             order = SIDES if pair % 2 else SIDES[::-1]
             for side in order:
-                run = run_command(dirs[side], command)
+                run = run_command(dirs[side], command.replace(MAPS_FIELD, maps))
                 report["command_runs"].append({"side": side, "command": command, "pair": pair,
                                                "ran_first": order[0], **run})
                 print(f"{command!r} pair {pair} {side}: wall {run['wall_s']:.3f} s, "

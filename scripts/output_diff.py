@@ -42,39 +42,12 @@ import sys
 from dataclasses import dataclass
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_pairs import ROOT, extract_pair, resolve  # noqa: E402
+from bench_pairs import MAPS, MAPS_SEED, REPEATED, ROOT, SAMPLED, draw_maps, extract_pair, resolve  # noqa: E402
 from optimality_rates import SWEEPS  # noqa: E402
 
 # a number inside a CSV cell, a JSON string or a verify detail line
 NUMBER = re.compile(r"[-+]?(?:nan|inf|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 SKIPPED_KEYS = {"seconds"}    # wall times, different on every run
-
-# (name, n, kmax, t): identity + t w, w a random field of H_n of degree <= kmax
-MAPS = (("map_n3_a", 3, 3, 0.2), ("map_n3_b", 3, 4, 0.4), ("map_n4", 4, 3, 0.2))
-REPEATED = "map_n4_repeated"    # the linear map with a stretch repeated at every node
-SAMPLED = "map_n3_a_sampled"    # the first map sampled on the default n = 3 grid
-MAKE_MAPS = """
-import json, sys
-import numpy as np
-from spherestab.forms import tangential_energy
-from spherestab.io import map_to_dict, save_json
-from spherestab.operator import random_h_field
-from spherestab.quadrature import default_sphere_grid
-from spherestab.spheremap import identity_map, linear_map, sampled_map
-out, seed, specs, repeated, sampled = sys.argv[1], int(sys.argv[2]), json.loads(sys.argv[3]), sys.argv[4], sys.argv[5]
-rng = np.random.default_rng(seed)
-for j, (name, n, kmax, t) in enumerate(specs):
-    w = random_h_field(n, kmax, rng)
-    u = identity_map(n) + w.scale(t / np.sqrt(tangential_energy(w)))
-    save_json(map_to_dict(u), f"{out}/{name}.json")
-    if j == 0:
-        g = default_sphere_grid(n)
-        _, U, J = u.sample(g)
-        save_json(map_to_dict(sampled_map(g, U, J)), f"{out}/{sampled}.json")
-Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
-save_json(map_to_dict(linear_map(Q @ np.diag([1.3, 0.7, 0.7, 0.7]) @ Q.T)), f"{out}/{repeated}.json")
-"""
-
 
 @dataclass
 class Move:
@@ -210,16 +183,13 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", default="HEAD", help="parent tree-ish (default HEAD)")
     ap.add_argument("--change", default="INDEX", help="change tree-ish; INDEX = the staged tree (default)")
-    ap.add_argument("--seed", type=int, default=1, help="seed of the maps and of every command (default 1)")
+    ap.add_argument("--seed", type=int, default=MAPS_SEED,
+                    help=f"seed of the maps and of every command (default {MAPS_SEED})")
     ap.add_argument("--workdir", default=os.path.join(ROOT, "build", "output-diff"),
                     help="where the checkouts and outputs go (default build/output-diff)")
     args = ap.parse_args(argv)
     dirs = extract_pair(resolve(args.parent), resolve(args.change), os.path.join(args.workdir, "trees"))
-    maps = os.path.join(args.workdir, "maps")
-    os.makedirs(maps, exist_ok=True)
-    subprocess.run([sys.executable, "-c", MAKE_MAPS, maps, str(args.seed), json.dumps(MAPS), REPEATED, SAMPLED],
-                   check=True,
-                   env={**os.environ, "PYTHONPATH": os.path.join(dirs["parent"], "src")})
+    maps = draw_maps(dirs["parent"], os.path.join(args.workdir, "maps"), args.seed)
     outs = {side: os.path.join(args.workdir, "out", side) for side in dirs}
     codes = {side: run_outputs(dirs[side], outs[side], maps, args.seed) for side in dirs}
     same = True

@@ -8,11 +8,15 @@ V(id) = +1 in every dimension, and V(Ax) = det A by multilinearity.  The
 bulk identity avg_{B_1} det grad(u_h) = V_3(u) is available as an
 independent check.
 
-Every functional integrates a density of the node bundle of
-:func:`spherestab.spheremap.node_bundle`, so a poly map is sampled once
-per grid however many functionals ask for it, `deficit_report` and
+Every functional reads an integral of the node bundle of
+:func:`spherestab.spheremap.node_bundle`, which streams the grid in blocks
+of nodes and holds only scalars, so a poly map is sampled once per grid
+however many functionals ask for it, `deficit_report` and
 `combined_deficit` sample any map once, and each field of the report
-equals its standalone functional.  Each deficit has one route: for a
+equals its standalone functional.  Only `deficit_report` and
+`isometric_deficit` ask the bundle for the principal stretches, an
+eigen-solve for n >= 4; a poly map bundled without them is sampled once
+more when they are asked for.  Each deficit has one route: for a
 degree-d poly map the volume density is a polynomial of degree n(d+1),
 and at n = 3 the Dirichlet density one of degree 2d; when the grid's
 exactness is below that degree, the density is integrated on the
@@ -72,28 +76,9 @@ def _dirichlet(u: SphereMap, b: NodeBundle) -> float:
     return b.dirichlet
 
 
-def _top_gap(b: NodeBundle) -> np.ndarray:
-    """Largest stretch - 1 per node."""
-    return b.stretches[-1] - 1.0
-
-
-def _delta(b: NodeBundle) -> float:
-    top = np.clip(_top_gap(b), 0.0, None)
-    return float(np.sqrt(b.integral(top * top)))
-
-
-def _stretch_gap_norm(b: NodeBundle) -> float:
-    top = _top_gap(b)
-    return float(np.sqrt(b.integral(top * top)))
-
-
-def _delta_isom(b: NodeBundle) -> float:
-    return float(np.sqrt(b.integral(np.sum((b.stretches - 1.0) ** 2, axis=0))))
-
-
 def isometric_deficit(u: SphereMap, grid: SphereGrid | None = None) -> float:
     """delta(u): L2 norm of the positive part of (largest stretch - 1)."""
-    return _delta(node_bundle(u, grid))
+    return node_bundle(u, grid, stretches=True).delta
 
 
 def signed_volume(u: SphereMap, grid: SphereGrid | None = None) -> float:
@@ -190,17 +175,15 @@ def deficit_report(u: SphereMap, grid: SphereGrid | None = None) -> DeficitRepor
     """Assemble every deficit for one map from one node bundle."""
     n = u.n
     _check_square(u)
-    b = node_bundle(u, grid)
+    b = node_bundle(u, grid, stretches=True)
     V, D = _volume(u, b), _dirichlet(u, b)
     eps = max(0.0, 1.0 - abs(V))
     defined = abs(V) > _VOL_EPS
     E = D ** (n / (n - 1)) / abs(V) - 1.0 if defined else None
     degree = int(round(V)) if b.unit_norm and defined else None
-    p = 2 * (n - 2) if n >= 3 else 2
-    gnorm = b.integral(b.trace ** (p / 2.0)) ** (1.0 / p)
     return DeficitReport(
-        n=n, delta=_delta(b), delta_isom=_delta_isom(b), stretch_gap_norm=_stretch_gap_norm(b),
+        n=n, delta=b.delta, delta_isom=b.delta_isom, stretch_gap_norm=b.stretch_gap_norm,
         epsilon=eps, dirichlet=D, perimeter=b.perimeter, volume=V, combined=E,
         combined_defined=defined, degree_estimate=degree, unit_norm=b.unit_norm,
-        grad_lp_norm=gnorm, grad_lp_exponent=p,
+        grad_lp_norm=b.grad_lp_norm, grad_lp_exponent=b.grad_lp_exponent,
     )

@@ -49,8 +49,8 @@ from .harmonics import scalar_basis_coeffs
 from .homogeneous import Stack
 from .polynomials import evaluate, grad_index, linear_order
 from .quadrature import SphereGrid, default_sphere_grid, integrate, sphere_grid
-from .spheremap import (CallableBacking, SphereMap, _grid_for, _node_dots, callable_map, projectors,
-                        tangential_jacobians, volume_integrand)
+from .spheremap import (_BLOCK_BYTES, CallableBacking, SphereMap, _grid_for, _node_dots, callable_map,
+                        projectors, tangential_jacobians, volume_integrand)
 
 __all__ = [
     "MoebiusMap",
@@ -411,11 +411,6 @@ def _damped_newton(residual, move, x, first, tol: float):
     return x, norm, it, nfev, njev
 
 
-# The Jacobian moments are accumulated over blocks of nodes whose every
-# (rows x nodes) temporary stays within this many bytes: well under glibc's
-# 128 KiB mmap threshold, so a Newton step reuses heap memory instead of
-# faulting in fresh pages.
-_BLOCK_BYTES = 1 << 16
 # the turn columns from the moments of y_l Du_j: Du (e_k x y) = sum_jl eps_jkl y_l Du_j,
 # so row (j, l) of this table holds eps_jkl over the columns k
 _TURNS = np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0],
@@ -441,7 +436,8 @@ def _chart_residual(u: SphereMap, grid: SphereGrid, L: np.ndarray, B: np.ndarray
     contraction of the moments M = sum_nodes W T.
 
     M is accumulated over blocks of nodes, sized so that no temporary of a
-    block exceeds _BLOCK_BYTES: per block one GEMM B^t L for K, one batched
+    block exceeds spheremap._BLOCK_BYTES (the one block rule, under the mmap
+    threshold): per block one GEMM B^t L for K, one batched
     3 x 3 product for T and one GEMM for M.  A one-row basis (the
     recentring's weights) folds into the fields instead, and the one GEMM
     per block reads Du itself.  u's values (N, m) and Jacobians (N, m, n)

@@ -312,6 +312,22 @@ def test_kernels_match_einsum_reference(n, rng):
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_linear_kernels_give_the_same_bits_on_any_layout(n, rng):
+    # a poly map's sample is a strided view of its monomial table: the linear
+    # kernels round alike on it, on a C copy and on a Fortran copy
+    from spherestab.quadrature import default_sphere_grid
+    from spherestab.spheremap import surface_divergence, tangential_jacobians
+
+    u, g = _near_identity(n, rng), default_sphere_grid(n)
+    X, _, J = u.sample(g)
+    assert not J.flags.c_contiguous
+    for kernel in (tangential_jacobians, surface_divergence):
+        want = kernel(J, X)
+        assert np.array_equal(kernel(np.ascontiguousarray(J), X), want)
+        assert np.array_equal(kernel(np.asfortranarray(J), X), want)
+
+
 def _near_identity(n, rng, scale=0.3):
     w = random_h_field(n, 3, rng)
     return identity_map(n) + w.scale(scale / np.sqrt(tangential_energy(w)))
@@ -324,15 +340,27 @@ def _count_evaluate(monkeypatch):
     real = sm.evaluate
 
     def counting(parts, points):
-        calls.append(len(points))
+        calls.append(points)
         return real(parts, points)
 
     monkeypatch.setattr(sm, "evaluate", counting)
     return calls
 
 
+def _blocks_cover_the_grid_once(points, g):
+    """The blocks are consecutive runs of the grid's nodes, each node in exactly
+    one, and every block but the last holds _BLOCK_NODES nodes."""
+    import spherestab.spheremap as sm
+
+    sizes = [len(P) for P in points]
+    return (all(k == sm._BLOCK_NODES for k in sizes[:-1]) and 0 < sizes[-1] <= sm._BLOCK_NODES
+            and np.array_equal(np.concatenate(points), g.nodes))
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_poly_map_sampled_once_per_grid(n, rng, monkeypatch):
+    # every node is evaluated exactly once, block by block: one block at n = 3,
+    # 3 x 8 192 + 3 072 nodes at n = 4
     from spherestab.quadrature import default_sphere_grid
 
     u, g = _near_identity(n, rng), default_sphere_grid(n)
@@ -340,8 +368,64 @@ def test_poly_map_sampled_once_per_grid(n, rng, monkeypatch):
     rep = deficit_report(u, g)
     values = [dirichlet(u, g), perimeter(u, g), signed_volume(u, g), isometric_deficit(u, g),
               combined_deficit(u, g)]
-    assert calls == [g.size]
+    assert [len(P) for P in calls] == ([4608] if n == 3 else [8192, 8192, 8192, 3072])
+    assert _blocks_cover_the_grid_once(calls, g)
     assert values == [rep.dirichlet, rep.perimeter, rep.volume, rep.delta, rep.combined]
+
+
+@pytest.mark.parametrize("backing", ["poly", "sampled", "callable"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_report_fields_are_integrals_of_the_public_kernels(n, backing, rng):
+    # the streamed bundle integrates each density over the whole grid: every
+    # field equals integrate() of the row-major kernels on one whole sample,
+    # bit for bit, on the one-block n = 3 grid and the four-block n = 4 grid
+    from spherestab.polynomials import _CHUNK
+    from spherestab.quadrature import default_sphere_grid, integrate
+    from spherestab.spheremap import (_BLOCK_NODES, area_integrand, callable_map, dirichlet_integrand,
+                                      principal_stretch_values, sampled_map, tangential_jacobians,
+                                      volume_integrand)
+
+    assert _BLOCK_NODES % _CHUNK == 0
+    p, g = _near_identity(n, rng), default_sphere_grid(n)
+    u = {"poly": p, "sampled": sampled_map(g, *p.sample(g)[1:]),
+         "callable": callable_map(n, n, p.eval, lambda X: p.at(X)[1]())}[backing]
+    rep = deficit_report(u, g)
+    X, U, J = u.sample(g)
+    s = principal_stretch_values(J, X)
+    top = s[:, -1] - 1.0
+    assert rep.perimeter == integrate(g, area_integrand(J, X))
+    assert rep.dirichlet == integrate(g, dirichlet_integrand(J, X))
+    assert rep.volume == integrate(g, volume_integrand(U, J, X))
+    assert rep.delta == np.sqrt(integrate(g, np.clip(top, 0.0, None) ** 2))
+    assert rep.stretch_gap_norm == np.sqrt(integrate(g, top * top))
+    assert rep.delta_isom == np.sqrt(integrate(g, np.sum((s - 1.0) ** 2, axis=1)))
+    if n == 3:   # |grad_T u|^2 = 2 x the Dirichlet density, exactly
+        assert rep.grad_lp_norm == integrate(g, 2.0 * dirichlet_integrand(J, X)) ** 0.5
+    else:        # |grad_T u|^2 = |J P|^2 in another order of summation
+        TJ = tangential_jacobians(J, X)
+        want = integrate(g, np.sum(TJ * TJ, axis=(1, 2)) ** 2) ** 0.25
+        assert abs(rep.grad_lp_norm - want) <= 1e-14 * want
+    assert rep.unit_norm is False and rep.grad_lp_exponent == 2 * (n - 2)
+
+
+def test_a_report_holds_under_100_bytes_per_node(rng):
+    # the streamed bundle keeps its per-node temporaries to one block of nodes
+    # and holds only the grid-length densities it integrates; before, one
+    # report held the whole sample, the frame Jacobians, the forms and the
+    # eigen-solve's temporaries, 384 bytes per node at this size
+    import tracemalloc
+
+    from spherestab.quadrature import sphere_grid
+
+    u, g = _near_identity(4, rng), sphere_grid(4, 48)
+    assert g.size == 221184
+    tracemalloc.start()
+    try:
+        deficit_report(u, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * g.size, peak / g.size
 
 
 def _fresh_volume(u, g):
@@ -379,10 +463,13 @@ def test_node_bundle_does_not_keep_the_map_alive(grid3, rng):
     assert ref() is None
 
 
-def test_callable_map_sampled_on_every_call(grid3, rng):
+@pytest.mark.parametrize("n", [3, 4])
+def test_callable_map_sampled_on_every_call(n, grid3, grid4, rng):
+    # at n = 4 the bundle reads the one sample in four blocks
     from spherestab.spheremap import callable_map
 
-    phi = as_sphere_map(random_moebius(rng, lam_range=(0.5, 2.0)))
+    g = {3: grid3, 4: grid4}[n]
+    phi = as_sphere_map(random_moebius(rng, n, lam_range=(0.5, 2.0)))
     calls = {"value": 0, "jacobian": 0}
 
     def value(X):
@@ -393,13 +480,40 @@ def test_callable_map_sampled_on_every_call(grid3, rng):
         calls["jacobian"] += 1
         return phi.at(X)[1]()
 
-    u = callable_map(3, 3, value, jacobian)
+    u = callable_map(n, n, value, jacobian)
     fns = (deficit_report, combined_deficit, dirichlet, perimeter, signed_volume,
            isometric_deficit)
     for fn in fns + fns:
         calls.update(value=0, jacobian=0)
-        fn(u, grid3)
+        fn(u, g)
         assert calls == {"value": 1, "jacobian": 1}, fn.__name__
+
+
+def test_only_the_stretch_readers_solve_for_stretches(grid4, rng, monkeypatch):
+    # perimeter, dirichlet, signed_volume and combined_deficit read no stretch
+    # integral, so their bundles run no eigen-solve; a poly map bundled without
+    # the stretches is bundled once more, block by block, when they are asked for
+    import spherestab.spheremap as sm
+    from spherestab.spheremap import callable_map
+
+    solved, real = [], sm._stretches
+    monkeypatch.setattr(sm, "_stretches", lambda G: solved.append(G.shape[-1]) or real(G))
+    u = _near_identity(4, rng)
+    phi = as_sphere_map(random_moebius(rng, 4, lam_range=(0.5, 2.0)))
+    for w in (u, callable_map(4, 4, phi.eval, lambda X: phi.at(X)[1]())):
+        for fn in (perimeter, dirichlet, signed_volume, combined_deficit):
+            fn(w, grid4)
+    assert solved == []
+    v = _near_identity(4, rng)
+    calls = _count_evaluate(monkeypatch)
+    area = perimeter(v, grid4)
+    delta = isometric_deficit(v, grid4)
+    assert [perimeter(v, grid4), isometric_deficit(v, grid4)] == [area, delta]
+    assert len(calls) == 8
+    assert _blocks_cover_the_grid_once(calls[:4], grid4) and _blocks_cover_the_grid_once(calls[4:], grid4)
+    assert solved == [len(P) for P in calls[4:]]
+    rep = deficit_report(v, grid4)
+    assert (rep.perimeter, rep.delta) == (area, delta)
 
 
 def test_stretches_with_a_repeated_stretch_match_svd(rng, grid4):
@@ -510,25 +624,30 @@ def test_closed_form_3x3_keeps_a_nan_form_nan(rng):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_poly_node_bundle_runs_no_eigvalsh_and_copies_no_sample(n, rng, monkeypatch):
-    # one sample per report, whose transposes are the contiguous rows of the
-    # monomial table: the bundle works node-last on them without a copy
+    # one `at` per block of nodes, every node in exactly one, whose transposes
+    # are the contiguous rows of the block's monomial table: the bundle works
+    # node-last on them without a copy, and takes no whole-grid sample
     import spherestab.spheremap as sm
     from spherestab.quadrature import default_sphere_grid
 
-    calls = []
-    eigvalsh, sample = np.linalg.eigvalsh, sm.SphereMap.sample
+    calls, points = [], []
+    eigvalsh, sample, at = np.linalg.eigvalsh, sm.SphereMap.sample, sm.SphereMap.at
 
-    def spy(*args):
-        X, U, J = sample(*args)
-        calls.append(("sample", U.T.flags.c_contiguous and J.transpose(1, 2, 0).flags.c_contiguous))
-        return X, U, J
+    def spy(u, P):
+        U, jac = at(u, P)
+        J = jac()
+        points.append(P)
+        calls.append(("at", U.T.flags.c_contiguous and J.transpose(1, 2, 0).flags.c_contiguous))
+        return U, lambda: J
 
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append("eigvalsh") or eigvalsh(*a))
-    monkeypatch.setattr(sm.SphereMap, "sample", spy)
-    u = _near_identity(n, rng)
-    rep = deficit_report(u, default_sphere_grid(n))
+    monkeypatch.setattr(sm.SphereMap, "sample", lambda *a: calls.append("sample") or sample(*a))
+    monkeypatch.setattr(sm.SphereMap, "at", spy)
+    u, g = _near_identity(n, rng), default_sphere_grid(n)
+    rep = deficit_report(u, g)
     assert rep.delta_isom > 0.0
-    assert calls == [("sample", True)]
+    assert calls == [("at", True)] * len(points)
+    assert _blocks_cover_the_grid_once(points, g)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -1,6 +1,7 @@
 """The experiment scripts run end to end."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -148,6 +149,28 @@ def test_bench_pairs_times_the_tier1_suite_as_one_command(tmp_path):
     assert run["exit_code"] == 1, run["stderr_tail"]     # pytest's code for a failed test
     assert run["wall_s"] > 0 and run["peak_rss_mb"] >= 64
     assert run["minflt"] >= 0.9 * (64 << 20) / 4096
+
+
+def test_bench_pairs_draws_the_seeded_maps_for_whole_commands(tmp_path):
+    # the map files of output_diff.py, drawn with a tree's code, and {maps} in a
+    # command line standing for their directory
+    bench = _load_script("bench_pairs")
+    checkout = tmp_path / "tree"
+    checkout.mkdir()
+    os.symlink(os.path.dirname(os.path.dirname(os.path.abspath(spherestab.__file__))), checkout / "src")
+    maps = bench.draw_maps(str(checkout), str(tmp_path / "maps"), 1)
+    names = sorted(f"{name}.json" for name in [m[0] for m in bench.MAPS] + [bench.REPEATED, bench.SAMPLED])
+    assert sorted(os.listdir(maps)) == names
+    again = bench.draw_maps(str(checkout), str(tmp_path / "again"), 1)
+    for name in names:      # the same seed draws the same files
+        with open(os.path.join(maps, name), "rb") as a, open(os.path.join(again, name), "rb") as b:
+            assert a.read() == b.read(), name
+    out = tmp_path / "report.json"
+    command = f"deficits --map {bench.MAPS_FIELD}/map_n4.json --out {out}"
+    run = bench.run_command(str(checkout), command.replace(bench.MAPS_FIELD, maps))
+    assert run["exit_code"] == 0, run["stderr_tail"]
+    with open(out) as fh:
+        assert json.load(fh)["n"] == 4
 
 
 def test_output_diff_reports_the_largest_move_per_column_and_line():
